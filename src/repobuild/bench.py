@@ -57,7 +57,6 @@ class RunConfig:
     max_turns: int = 12
     runs: int = 1
     parallelism: int = 1
-    seed: int = 0
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -285,10 +284,13 @@ def tag_failure_mode(
 
 
 def make_completion_probe(before_snapshot, ws: Workspace):
-    """Loop success predicate: did any non-intermediate binary appear?"""
+    """Loop success predicate: did any non-intermediate binary appear?
+
+    Each call re-hashes only what changed since ``before_snapshot``.
+    """
 
     def probe(_result, workspace: Workspace) -> bool:
-        after = snapshot_files(workspace)
+        after = snapshot_files(workspace, since=before_snapshot)
         artifacts = discover_new_binaries(before_snapshot, after, workspace)
         return any(a.classify != "object-file" for a in artifacts)
 
@@ -339,7 +341,7 @@ def run_one_repo(
                 max_turns=cfg.max_turns,
                 variant=cfg.method,
             )
-        after = snapshot_files(ws)
+        after = snapshot_files(ws, since=before)
         artifacts = discover_new_binaries(before, after, ws)
         verdict = judge(artifacts, record.expected_binaries)
     except UsageError:

@@ -159,7 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--runs", type=int, default=1)
     p_bench.add_argument("--parallelism", type=int, default=1)
     p_bench.add_argument("--max-turns", type=int, default=12)
-    p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--store", required=True, help="append-only result store path")
     p_bench.add_argument("--work-dir", required=True)
     p_bench.add_argument("--json", action="store_true")
@@ -259,7 +258,6 @@ def _cmd_bench(args, config: dict) -> int:
         max_turns=args.max_turns,
         runs=args.runs,
         parallelism=args.parallelism,
-        seed=args.seed,
     )
     results = bench_mod.run_benchmark(cfg, Path(args.store), Path(args.work_dir))
     report = bench_mod.aggregate(results)

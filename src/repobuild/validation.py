@@ -5,6 +5,7 @@ tree made it into the debug information."""
 from __future__ import annotations
 
 import logging
+import os
 import re
 import struct
 import subprocess
@@ -78,12 +79,13 @@ def classify_file(path: Path) -> Optional[Tuple[str, bool]]:
     not build artifacts and return None.
     """
     try:
-        with open(path, "rb") as fh:
+        # unbuffered, so that only the bytes asked for are read
+        with open(path, "rb", buffering=0) as fh:
             head = fh.read(64)
+            if head.startswith(b"\x7fELF"):
+                return _classify_elf(fh, head)
     except OSError:
         return None
-    if head.startswith(b"\x7fELF"):
-        return _classify_elf(path)
     if head.startswith(b"!<arch>\n"):
         return ("static-archive", False)
     if head.startswith(b"MZ") or head[:4] in _MACHO_MAGICS:
@@ -91,66 +93,79 @@ def classify_file(path: Path) -> Optional[Tuple[str, bool]]:
     return None
 
 
-def _classify_elf(path: Path) -> Optional[Tuple[str, bool]]:
-    try:
-        data = path.read_bytes()
-    except OSError:
+def _read_at(fh, size: int, off: int, n: int) -> bytes:
+    """Up to ``n`` bytes at offset ``off``: fewer at the end of the file and
+    none past it, as slicing the whole file would give."""
+    if off >= size:
+        return b""
+    fh.seek(off)
+    return fh.read(min(n, size - off))
+
+
+def _classify_elf(fh, head: bytes) -> Optional[Tuple[str, bool]]:
+    """Reads the 64-byte header, the program and section header tables and
+    the section name table, never the rest of the file."""
+    if len(head) < 64:
         return None
-    if len(data) < 64:
-        return None
-    is64 = data[4] == 2
-    endian = "<" if data[5] == 1 else ">"
-    e_type = struct.unpack_from(endian + "H", data, 16)[0]
-    has_debug = _elf_has_debug_info(data, is64, endian)
+    size = os.fstat(fh.fileno()).st_size
+    is64 = head[4] == 2
+    endian = "<" if head[5] == 1 else ">"
+    e_type = struct.unpack_from(endian + "H", head, 16)[0]
+    has_debug = _elf_has_debug_info(fh, size, head, is64, endian)
     if e_type == 1:
         return ("object-file", has_debug)
     if e_type == 2:
         return ("executable", has_debug)
     if e_type == 3:
-        kind = "executable" if _elf_has_interp(data, is64, endian) else "shared-object"
+        kind = "executable" if _elf_has_interp(fh, size, head, is64, endian) else "shared-object"
         return (kind, has_debug)
     return ("other-binary", has_debug)
 
 
-def _elf_has_interp(data: bytes, is64: bool, endian: str) -> bool:
+def _elf_has_interp(fh, size: int, head: bytes, is64: bool, endian: str) -> bool:
     # a PT_INTERP program header marks a dynamically linked executable
     if is64:
-        e_phoff = struct.unpack_from(endian + "Q", data, 32)[0]
-        e_phentsize, e_phnum = struct.unpack_from(endian + "HH", data, 54)
+        e_phoff = struct.unpack_from(endian + "Q", head, 32)[0]
+        e_phentsize, e_phnum = struct.unpack_from(endian + "HH", head, 54)
     else:
-        e_phoff = struct.unpack_from(endian + "I", data, 28)[0]
-        e_phentsize, e_phnum = struct.unpack_from(endian + "HH", data, 42)
+        e_phoff = struct.unpack_from(endian + "I", head, 28)[0]
+        e_phentsize, e_phnum = struct.unpack_from(endian + "HH", head, 42)
+    if not e_phnum:
+        return False
+    # up to the p_type word of the last entry; a short table ends the scan
+    table = _read_at(fh, size, e_phoff, (e_phnum - 1) * e_phentsize + 4)
     for i in range(e_phnum):
-        off = e_phoff + i * e_phentsize
-        if off + 4 > len(data):
+        off = i * e_phentsize
+        if off + 4 > len(table):
             break
-        if struct.unpack_from(endian + "I", data, off)[0] == 3:
+        if struct.unpack_from(endian + "I", table, off)[0] == 3:
             return True
     return False
 
 
-def _elf_has_debug_info(data: bytes, is64: bool, endian: str) -> bool:
+def _elf_has_debug_info(fh, size: int, head: bytes, is64: bool, endian: str) -> bool:
+    # a short read anywhere raises struct.error, which means no debug info
     try:
         if is64:
-            e_shoff = struct.unpack_from(endian + "Q", data, 40)[0]
-            e_shentsize, e_shnum, e_shstrndx = struct.unpack_from(endian + "HHH", data, 58)
+            e_shoff = struct.unpack_from(endian + "Q", head, 40)[0]
+            e_shentsize, e_shnum, e_shstrndx = struct.unpack_from(endian + "HHH", head, 58)
         else:
-            e_shoff = struct.unpack_from(endian + "I", data, 32)[0]
-            e_shentsize, e_shnum, e_shstrndx = struct.unpack_from(endian + "HHH", data, 46)
+            e_shoff = struct.unpack_from(endian + "I", head, 32)[0]
+            e_shentsize, e_shnum, e_shstrndx = struct.unpack_from(endian + "HHH", head, 46)
         if not e_shoff or e_shstrndx >= e_shnum:
             return False
-        name_off = 0
         str_base = e_shoff + e_shstrndx * e_shentsize
         if is64:
-            str_off = struct.unpack_from(endian + "Q", data, str_base + 24)[0]
-            str_size = struct.unpack_from(endian + "Q", data, str_base + 32)[0]
+            raw = _read_at(fh, size, str_base + 24, 16)
+            str_off, str_size = struct.unpack_from(endian + "QQ", raw)
         else:
-            str_off = struct.unpack_from(endian + "I", data, str_base + 16)[0]
-            str_size = struct.unpack_from(endian + "I", data, str_base + 20)[0]
-        table = data[str_off:str_off + str_size]
+            raw = _read_at(fh, size, str_base + 16, 8)
+            str_off, str_size = struct.unpack_from(endian + "II", raw)
+        table = _read_at(fh, size, str_off, str_size)
+        # up to the sh_name word of the last entry
+        headers = _read_at(fh, size, e_shoff, (e_shnum - 1) * e_shentsize + 4)
         for i in range(e_shnum):
-            base = e_shoff + i * e_shentsize
-            name_off = struct.unpack_from(endian + "I", data, base)[0]
+            name_off = struct.unpack_from(endian + "I", headers, i * e_shentsize)[0]
             end = table.find(b"\x00", name_off)
             if end != -1 and table[name_off:end] == b".debug_info":
                 return True
@@ -162,13 +177,20 @@ def _elf_has_debug_info(data: bytes, is64: bool, endian: str) -> bool:
 def discover_new_binaries(
     before: FileSnapshot, after: FileSnapshot, ws: Workspace
 ) -> List[BinaryArtifact]:
-    """Classify every file that appeared or changed between the snapshots."""
+    """Classify every file that appeared or changed between the snapshots.
+
+    A symlink counts only when it resolves to a file inside the workspace,
+    so ``libfoo.so -> libfoo.so.1`` does and ``app -> /bin/true`` does not.
+    """
     changed = [p for p in after.entries if p not in before.entries
                or after.entries[p] != before.entries[p]]
+    root = ws.root_path.resolve()
     artifacts = []
     for rel in sorted(changed):
         full = ws.root_path / rel
         if not full.is_file():
+            continue
+        if full.is_symlink() and not full.resolve().is_relative_to(root):
             continue
         info = classify_file(full)
         if info is None:

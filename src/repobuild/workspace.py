@@ -7,7 +7,9 @@ import json
 import logging
 import os
 import shutil
+import stat
 import subprocess
+import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
@@ -69,10 +71,18 @@ class Workspace:
 
 @dataclass(frozen=True)
 class FileSnapshot:
-    """Digest inventory of every regular file and symlink under a workspace root."""
+    """Digest inventory of every regular file and symlink under a workspace root.
+
+    ``stats`` only lets a later snapshot skip re-hashing unchanged files; it
+    takes no part in equality and is never saved, so a loaded snapshot has
+    none and a snapshot taken against it hashes every file.
+    """
 
     entries: dict  # rel path -> (size, sha256 hex, executable flag)
     taken_at: str
+    # rel path -> (st_mode, st_size, st_mtime_ns, st_ctime_ns, st_ino, st_dev),
+    # kept only for entries whose stat can vouch for their content
+    stats: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def _run_git(args: list, cwd: Optional[Path] = None) -> subprocess.CompletedProcess:
@@ -139,7 +149,14 @@ def prepare_workspace(record: RepoRecord, session_dir: str | Path) -> Workspace:
     return Workspace(repo_id=record.id, root_path=dest.resolve(), commit=proc.stdout.strip())
 
 
-def _digest_file(path: Path) -> str:
+# Kernel file timestamps come from a coarse clock that can lag time.time_ns()
+# by a tick, so "older than the read" keeps this much distance. File systems
+# with coarser timestamps (FAT, ext3) or another clock (network mounts) would
+# need more than it gives.
+_RACY_MARGIN_NS = 50_000_000
+
+
+def _digest_file(path: str) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 16), b""):
@@ -147,27 +164,49 @@ def _digest_file(path: Path) -> str:
     return h.hexdigest()
 
 
-def snapshot_files(ws: Workspace) -> FileSnapshot:
+def snapshot_files(ws: Workspace, since: Optional[FileSnapshot] = None) -> FileSnapshot:
     """Record (size, digest, executable) for every file under the root.
 
     Symlinks are recorded by the digest of their target string, so a dangling
     link is still representable and a retargeted link shows up as a change.
+
+    An entry of ``since`` is reused without reading the file when the file's
+    lstat tuple is the one ``since`` recorded. A tuple is recorded only when
+    the file's mtime and ctime are older than the clock at its lstat, less
+    ``_RACY_MARGIN_NS``: a file written just before it was read can be
+    rewritten within the same clock tick and keep its stat ("racily clean",
+    as git calls it), so such an entry is hashed again every time.
     """
-    entries = {}
-    root = ws.root_path
+    trusted = since.stats if since is not None else {}
+    entries, stats = {}, {}
+    root = str(ws.root_path)
     for dirpath, dirnames, filenames in os.walk(root):
         dirnames[:] = sorted(d for d in dirnames if d not in _SCAN_IGNORE)
+        rel_dir = os.path.relpath(dirpath, root)
         for name in sorted(filenames):
-            full = Path(dirpath) / name
-            rel = str(full.relative_to(root))
-            if full.is_symlink():
+            full = os.path.join(dirpath, name)
+            rel = name if rel_dir == os.curdir else os.path.join(rel_dir, name)
+            cutoff = time.time_ns() - _RACY_MARGIN_NS
+            try:
+                st = os.lstat(full)
+            except (FileNotFoundError, NotADirectoryError):
+                continue
+            key = (st.st_mode, st.st_size, st.st_mtime_ns, st.st_ctime_ns, st.st_ino, st.st_dev)
+            if trusted.get(rel) == key:
+                entries[rel] = since.entries[rel]
+            elif stat.S_ISLNK(st.st_mode):
                 target = os.readlink(full)
                 digest = hashlib.sha256(target.encode("utf-8", "surrogateescape")).hexdigest()
                 entries[rel] = (len(target), digest, False)
-            elif full.is_file():
-                st = full.stat()
+            elif stat.S_ISREG(st.st_mode):
                 entries[rel] = (st.st_size, _digest_file(full), bool(st.st_mode & 0o111))
-    return FileSnapshot(entries=entries, taken_at=datetime.now(timezone.utc).isoformat())
+            else:
+                continue
+            if st.st_mtime_ns < cutoff and st.st_ctime_ns < cutoff:
+                stats[rel] = key
+    return FileSnapshot(
+        entries=entries, taken_at=datetime.now(timezone.utc).isoformat(), stats=stats
+    )
 
 
 def save_snapshot(snapshot: FileSnapshot, path: str | Path) -> None:

@@ -1,3 +1,4 @@
+import os
 import re
 import subprocess
 
@@ -23,6 +24,18 @@ from conftest import prepare_fixture, workspace_at
 
 def _cc(args, cwd):
     subprocess.run(["gcc"] + args, cwd=cwd, check=True, capture_output=True)
+
+
+def _bytes_read():
+    """Bytes this process has read so far (Linux), or None."""
+    try:
+        with open("/proc/self/io", "rb") as fh:
+            for line in fh:
+                if line.startswith(b"rchar:"):
+                    return int(line.split()[1])
+    except OSError:
+        return None
+    return None
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +105,32 @@ class TestClassifyFile:
         p.write_bytes(b"\x7fELF" + b"\x00" * 10)
         assert classify_file(p) is None
 
+    def test_elf_cut_short_loses_only_what_was_cut(self, built, tmp_path):
+        # the program headers sit right after the ELF header and the section
+        # headers at the end, so half a file keeps the interpreter entry but
+        # loses the section table, the same as a struct.error on it
+        data = (built / "exe_debug").read_bytes()
+        half = tmp_path / "half"
+        half.write_bytes(data[: len(data) // 2])
+        assert classify_file(half) == ("executable", False)
+        header_only = tmp_path / "header_only"
+        header_only.write_bytes((built / "part.o").read_bytes()[:64])
+        assert classify_file(header_only) == ("object-file", False)
+
+    def test_large_elf_is_classified_from_its_headers(self, tmp_path):
+        (tmp_path / "big.c").write_text(
+            "const char payload[8 << 20] = {1};\n"
+            "int main(void) { return payload[0]; }\n"
+        )
+        _cc(["-g", "-o", "big", "big.c"], tmp_path)
+        big = tmp_path / "big"
+        assert big.stat().st_size > 8 << 20
+        before = _bytes_read()
+        if before is None:
+            pytest.skip("/proc/self/io is not readable")
+        assert classify_file(big) == ("executable", True)
+        assert _bytes_read() - before < 64 << 10
+
 
 class TestBinaryArtifact:
     def test_unknown_class_rejected(self):
@@ -154,6 +193,32 @@ class TestDiscoverNewBinaries:
         after = snapshot_files(ws)
         names = [a.rel_path for a in discover_new_binaries(before, after, ws)]
         assert names == sorted(names)
+
+    def test_symlink_out_of_the_workspace_is_not_a_product(self, built, tmp_path):
+        root = tmp_path / "empty_repo"
+        root.mkdir()
+        ws = workspace_at(root)
+        before = snapshot_files(ws)
+        os.symlink(built / "exe_plain", root / "myapp")
+        os.symlink("../../" + built.name + "/libdemo.so", root / "libdemo.so")
+        assert (root / "libdemo.so").is_file()
+        arts = discover_new_binaries(before, snapshot_files(ws), ws)
+        assert arts == []
+        verdict = judge(arts, ["myapp"])
+        assert (verdict.completion, verdict.strict, verdict.flexible) == (False, False, False)
+
+    def test_symlink_inside_the_workspace_counts(self, built, tmp_path):
+        root = tmp_path / "repo"
+        root.mkdir()
+        ws = workspace_at(root)
+        before = snapshot_files(ws)
+        (root / "libfoo.so.1").write_bytes((built / "libdemo.so").read_bytes())
+        os.symlink("libfoo.so.1", root / "libfoo.so")
+        arts = discover_new_binaries(before, snapshot_files(ws), ws)
+        assert [(a.file_name, a.classify) for a in arts] == [
+            ("libfoo.so", "shared-object"),
+            ("libfoo.so.1", "shared-object"),
+        ]
 
 
 def _art(name, classify="executable", rel=None):

@@ -1,14 +1,19 @@
 import json
 import os
+import random
 import subprocess
+import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from repobuild import workspace
 from repobuild.corpus import RepoRecord
 from repobuild.errors import CloneError
 from repobuild.workspace import (
     BuildSystemKind,
+    FileSnapshot,
     detect_build_systems,
     diff_snapshots,
     list_root_entries,
@@ -145,6 +150,212 @@ class TestSnapshots:
         again = load_snapshot(out)
         assert again.entries == snap.entries
         assert diff_snapshots(snap, again) == {"added": [], "modified": [], "removed": []}
+
+
+# ---------------------------------------------------------------------------
+# incremental snapshots: random operation sequences against a full re-hash
+
+
+def _regular_files(root: Path) -> list:
+    return sorted(p for p in root.rglob("*") if p.is_file() and not p.is_symlink())
+
+
+def _links(root: Path) -> list:
+    return sorted(p for p in root.rglob("*") if p.is_symlink())
+
+
+def _bytes(rng: random.Random, n: int) -> bytes:
+    return bytes(rng.randrange(256) for _ in range(n))
+
+
+def _rewrite_same_size(rng: random.Random, path: Path) -> os.stat_result:
+    """Rewrite ``path`` with different bytes of the same length and return
+    its stat from before the rewrite."""
+    st = os.stat(path)
+    old = path.read_bytes()
+    new = bytes((b + 1 + rng.randrange(255)) % 256 for b in old)
+    path.write_bytes(new)
+    return st
+
+
+def _op_create(rng, root):
+    parent = root / "sub" if rng.random() < 0.5 else root
+    path = parent / f"new{rng.randrange(10**6)}"
+    path.write_bytes(_bytes(rng, rng.randrange(40)))
+    if rng.random() < 0.3:
+        os.chmod(path, 0o755)
+
+
+def _op_modify(rng, root):
+    path = rng.choice(_regular_files(root))
+    with open(path, "ab") as fh:
+        fh.write(_bytes(rng, 1 + rng.randrange(8)))
+
+
+def _op_rewrite_keep_mtime(rng, root):
+    path = rng.choice(_regular_files(root))
+    st = _rewrite_same_size(rng, path)
+    os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns))
+
+
+def _op_chmod(rng, root):
+    path = rng.choice(_regular_files(root))
+    os.chmod(path, os.stat(path).st_mode ^ 0o111)
+
+
+def _op_retarget(rng, root):
+    links = _links(root)
+    if not links:
+        return
+    path = rng.choice(links)
+    target = os.readlink(path)
+    os.remove(path)
+    # same length, other name: only the digest of the target string changes
+    os.symlink(target[:-1] + ("x" if target[-1] != "x" else "y"), path)
+
+
+def _op_swap(rng, root):
+    path = rng.choice(_regular_files(root) + _links(root))
+    was_link = path.is_symlink()
+    os.remove(path)
+    if was_link:
+        path.write_bytes(_bytes(rng, 8))
+    else:
+        os.symlink("target-" + path.name, path)
+
+
+def _op_replace_by_rename(rng, root):
+    path = rng.choice(_regular_files(root))
+    st = os.stat(path)
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_bytes(_bytes(rng, st.st_size))
+    os.chmod(tmp, st.st_mode)
+    os.utime(tmp, ns=(st.st_atime_ns, st.st_mtime_ns))
+    os.replace(tmp, path)
+
+
+def _op_delete(rng, root):
+    os.remove(rng.choice(_regular_files(root) + _links(root)))
+
+
+_SNAPSHOT_OPS = [
+    _op_create, _op_modify, _op_rewrite_keep_mtime, _op_chmod, _op_retarget,
+    _op_swap, _op_replace_by_rename, _op_delete,
+]
+
+
+def _seed_tree(rng: random.Random, root: Path) -> Path:
+    (root / "sub").mkdir(parents=True)
+    for i in range(6):
+        path = (root / "sub" if i % 2 else root) / f"f{i}"
+        path.write_bytes(_bytes(rng, rng.randrange(1, 32)))
+        if rng.random() < 0.3:
+            os.chmod(path, 0o755)
+    os.symlink("f0", root / "link0")
+    os.symlink("../f2", root / "sub" / "link1")
+    return root
+
+
+class TestIncrementalSnapshot:
+    SEQUENCES = 300
+
+    def test_incremental_equals_full_hash_on_random_ops(self, tmp_path, monkeypatch):
+        rng = random.Random(20261017)
+        hashed = []
+        digest = workspace._digest_file
+        monkeypatch.setattr(workspace, "_digest_file", lambda p: hashed.append(p) or digest(p))
+
+        trees = [_seed_tree(rng, tmp_path / f"t{i}") for i in range(self.SEQUENCES)]
+        # let every seeded file fall out of the racy window, so that the
+        # stat key, not the racy rule, decides which entries are reused
+        time.sleep(2 * workspace._RACY_MARGIN_NS / 1e9)
+
+        mismatches, reused = [], 0
+        for case, root in enumerate(trees):
+            ws = workspace_at(root)
+            racy = rng.choice(_regular_files(root)) if rng.random() < 0.5 else None
+            if racy is not None:
+                _rewrite_same_size(rng, racy)
+                racy_stat = os.stat(racy)
+            before = snapshot_files(ws)
+            if racy is not None:
+                # a rewrite inside the racy window that keeps size and mtime
+                _rewrite_same_size(rng, racy)
+                os.utime(racy, ns=(racy_stat.st_atime_ns, racy_stat.st_mtime_ns))
+            ops = [rng.choice(_SNAPSHOT_OPS) for _ in range(rng.randint(1, 6))]
+            for op in ops:
+                op(rng, root)
+
+            hashed.clear()
+            incremental = snapshot_files(ws, since=before)
+            reused += len(_regular_files(root)) - len(hashed)
+            full = snapshot_files(ws)
+            if (incremental.entries != full.entries
+                    or diff_snapshots(before, incremental) != diff_snapshots(before, full)):
+                mismatches.append((case, racy is not None, [op.__name__ for op in ops]))
+
+        assert mismatches == []
+        assert reused > 0
+
+    # an mtime set before or after the ctime: the newer of the two decides
+    @pytest.mark.parametrize("mtime_shift_s", [-3600, 3600])
+    def test_only_stats_older_than_the_racy_margin_are_kept(
+        self, tmp_path, monkeypatch, mtime_shift_s
+    ):
+        path = tmp_path / "a.c"
+        path.write_text("int a;\n", "utf-8")
+        st = os.stat(path)
+        os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns + mtime_shift_s * 10**9))
+        st = os.stat(path)
+        newest = max(st.st_mtime_ns, st.st_ctime_ns)
+        margin = workspace._RACY_MARGIN_NS
+        ws = workspace_at(tmp_path)
+
+        def snapshot_at(clock_ns):
+            with monkeypatch.context() as m:
+                m.setattr(workspace, "time", SimpleNamespace(time_ns=lambda: clock_ns))
+                return snapshot_files(ws)
+
+        # changed within the margin of the read: it may change again unseen
+        assert snapshot_at(newest + margin).stats == {}
+        # strictly older than the margin: the stat vouches for the content
+        assert snapshot_at(newest + margin + 1).stats == {
+            "a.c": (st.st_mode, st.st_size, st.st_mtime_ns, st.st_ctime_ns, st.st_ino, st.st_dev)
+        }
+
+    def test_entries_are_reused_only_on_an_equal_stat(self, tmp_path):
+        path = tmp_path / "a.c"
+        path.write_text("int a;\n", "utf-8")
+        ws = workspace_at(tmp_path)
+        snap = snapshot_files(ws)
+        key = os.lstat(path)
+        key = (key.st_mode, key.st_size, key.st_mtime_ns, key.st_ctime_ns, key.st_ino, key.st_dev)
+        forged = FileSnapshot(entries={"a.c": ("forged",)}, taken_at="", stats={"a.c": key})
+        assert snapshot_files(ws, since=forged).entries == {"a.c": ("forged",)}
+        os.chmod(path, 0o755)
+        again = snapshot_files(ws, since=forged)
+        assert again.entries == {"a.c": (7, snap.entries["a.c"][1], True)}
+
+    def test_loaded_snapshot_as_baseline_hashes_everything(self, tmp_path):
+        ws = prepare_fixture("hello_make", tmp_path)
+        snap = snapshot_files(ws)
+        out = tmp_path / "snap.json"
+        save_snapshot(snap, out)
+        doc = json.loads(out.read_text("utf-8"))
+        assert set(doc) == {"entries", "taken_at"}
+        doc["entries"] = {rel: [0, "forged", False] for rel in doc["entries"]}
+        out.write_text(json.dumps(doc), "utf-8")
+
+        loaded = load_snapshot(out)
+        assert loaded.stats == {}
+        assert snapshot_files(ws, since=loaded).entries == snap.entries
+
+    def test_stats_take_no_part_in_equality(self, tmp_path):
+        ws = prepare_fixture("hello_make", tmp_path)
+        time.sleep(2 * workspace._RACY_MARGIN_NS / 1e9)
+        snap = snapshot_files(ws)
+        assert snap.stats
+        assert snap == FileSnapshot(entries=snap.entries, taken_at=snap.taken_at)
 
 
 class TestDetection:
