@@ -9,7 +9,13 @@ from dataclasses import dataclass, field
 from importlib import resources
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from .errors import RepobuildError, UsageError
+from .errors import (
+    OversizeReplyError,
+    ProtocolError,
+    RepobuildError,
+    ScenarioExhaustedError,
+    UsageError,
+)
 from .gateway import ChatMessage, LlmConfig, complete
 from .sandbox import (
     CommandScript,
@@ -76,6 +82,10 @@ class Turn:
             raise ValueError("termination turn carries neither script nor result")
 
 
+# errors that come from what the model replied, not from the host or network
+_MODEL_FAULTS = (ProtocolError, OversizeReplyError, ScenarioExhaustedError)
+
+
 @dataclass
 class BuildSession:
     repo_id: str
@@ -84,6 +94,12 @@ class BuildSession:
     turns: List[Turn] = field(default_factory=list)
     outcome: str = "infra-error"
     error_detail: Optional[str] = None
+
+    def end_on_error(self, exc: Exception) -> None:
+        """Close a session that an error cut short. A fault in the model's
+        replies is a protocol error; anything else is the infrastructure's."""
+        self.outcome = "protocol-error" if isinstance(exc, _MODEL_FAULTS) else "infra-error"
+        self.error_detail = str(exc)
 
     @property
     def fix_attempts(self) -> int:
@@ -310,9 +326,8 @@ def run_build_loop(
         else:
             session.outcome = "turn-budget-exhausted"
     except RepobuildError as exc:
-        logger.warning("session for %s hit an infrastructure failure: %s", ws.repo_id, exc)
-        session.outcome = "infra-error"
-        session.error_detail = str(exc)
+        logger.warning("session for %s ended early: %s", ws.repo_id, exc)
+        session.end_on_error(exc)
     finally:
         if handle is not None:
             destroy_sandbox(handle)
@@ -392,8 +407,7 @@ def run_single_turn(
             )
     except RepobuildError as exc:
         logger.warning("single-turn session for %s failed: %s", ws.repo_id, exc)
-        session.outcome = "infra-error"
-        session.error_detail = str(exc)
+        session.end_on_error(exc)
     finally:
         if handle is not None:
             destroy_sandbox(handle)

@@ -3,11 +3,12 @@ session and verdict to an append-only store, and aggregate the metrics."""
 
 from __future__ import annotations
 
+import fcntl
 import json
 import logging
+import os
 import re
 import shutil
-import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -92,43 +93,66 @@ class AggregateReport:
 # -- persistence --------------------------------------------------------------
 
 
+def _read_records(path: Path, start: int = 0) -> Tuple[List[dict], int]:
+    """Parse the store's records from byte offset ``start``, line by line.
+
+    Returns the records and the offset just past the last newline-terminated
+    line. An unterminated tail is parsed if it can be but lies beyond that
+    offset, so a later read from it sees the tail again once complete. A
+    store now shorter than ``start`` is read again from 0.
+    """
+    records: List[dict] = []
+    try:
+        fh = open(path, "rb")
+    except FileNotFoundError:
+        return records, 0
+    with fh:
+        if os.fstat(fh.fileno()).st_size < start:
+            start = 0
+        fh.seek(start)
+        offset = end = start
+        for line in fh:
+            offset += len(line)
+            if line.endswith(b"\n"):
+                end = offset
+            if line.isspace():
+                continue
+            # a crash mid-append leaves a torn record, possibly cut inside a
+            # UTF-8 sequence; treat it as never written
+            try:
+                records.append(json.loads(line.decode("utf-8")))
+            except ValueError:
+                logger.warning("skipping torn record in %s", path)
+    return records, end
+
+
 class ResultStore:
     """Append-only line store, one self-describing record per (run, repo)."""
 
     def __init__(self, path: Path):
         self.path = Path(path)
-        self._lock = threading.Lock()
 
     def existing_keys(self) -> set:
-        keys = set()
-        if not self.path.exists():
-            return keys
-        for line in self.path.read_text("utf-8").splitlines():
-            if not line.strip():
-                continue
-            # a crash mid-append leaves a torn record; treat it as never written
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError:
-                logger.warning("skipping torn record in %s", self.path)
-                continue
-            keys.add((rec["run"], rec["repo"]))
-        return keys
+        records, _ = _read_records(self.path)
+        return {(rec["run"], rec["repo"]) for rec in records}
 
     def append(self, record: dict) -> None:
-        line = json.dumps(record, ensure_ascii=False, sort_keys=True)
-        with self._lock:
+        """Append one record; safe across threads and processes, since each
+        call takes an exclusive ``flock`` on its own descriptor."""
+        data = (json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n").encode("utf-8")
+        # read access is for the pread of the last byte
+        fd = os.open(self.path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o644)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX)
             # close off a torn tail record so the new line stays parseable
-            needs_newline = False
-            if self.path.exists() and self.path.stat().st_size > 0:
-                with open(self.path, "rb") as fh:
-                    fh.seek(-1, 2)
-                    needs_newline = fh.read(1) != b"\n"
-            with open(self.path, "a", encoding="utf-8") as fh:
-                if needs_newline:
-                    fh.write("\n")
-                fh.write(line + "\n")
-                fh.flush()
+            size = os.fstat(fd).st_size
+            if size and os.pread(fd, 1, size - 1) != b"\n":
+                data = b"\n" + data
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+        finally:
+            os.close(fd)  # releases the lock
 
 
 def _verdict_to_dict(v: Verdict) -> dict:
@@ -211,21 +235,10 @@ def _dossier_to_dict(dossier: Optional[InstructionDossier]) -> Optional[dict]:
     }
 
 
-def load_results(store_path: Path) -> List[RunResult]:
-    """Rebuild RunResults from the persisted store; the store is the source of
-    truth, so recomputing metrics from it reproduces the original report."""
-    by_run: Dict[int, RunResult] = {}
-    path = Path(store_path)
-    if not path.exists():
-        return []
-    for line in path.read_text("utf-8").splitlines():
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError:
-            logger.warning("skipping torn record in %s", path)
-            continue
+def _merge_records(by_run: Dict[int, RunResult], records: List[dict]) -> None:
+    """Add records in store order; a later record for a (run, repo) wins. The
+    outcomes keep the parsed session and dossier dicts rather than copies."""
+    for rec in records:
         run = by_run.setdefault(rec["run"], RunResult(run_index=rec["run"]))
         run.per_repo[rec["repo"]] = RepoOutcome(
             session=rec["session"],
@@ -233,6 +246,13 @@ def load_results(store_path: Path) -> List[RunResult]:
             failure_mode=rec.get("failure_mode"),
             dossier=rec.get("dossier"),
         )
+
+
+def load_results(store_path: Path) -> List[RunResult]:
+    """Rebuild RunResults from the persisted store; the store is the source of
+    truth, so recomputing metrics from it reproduces the original report."""
+    by_run: Dict[int, RunResult] = {}
+    _merge_records(by_run, _read_records(Path(store_path))[0])
     return [by_run[k] for k in sorted(by_run)]
 
 
@@ -349,8 +369,7 @@ def run_one_repo(
     except Exception as exc:
         logger.warning("repo %s failed before a session could finish: %s", record.id, exc)
         session = BuildSession(repo_id=record.id, variant=cfg.method, max_turns=cfg.max_turns)
-        session.outcome = "infra-error"
-        session.error_detail = str(exc)
+        session.end_on_error(exc)
         verdict = judge([], record.expected_binaries)
     summary = session_summary(session)
     dossier_dict = _dossier_to_dict(dossier)
@@ -364,10 +383,16 @@ def run_benchmark(
     work_dir: Path,
 ) -> List[RunResult]:
     """Execute `runs` repetitions over the manifest, resuming past work found
-    in the store. Returns results reloaded from the store so a recomputation
+    in the store. Returns what ``load_results`` would rebuild from the store
+    at the end, records other writers appended included, so a recomputation
     sees exactly what was persisted."""
     store = ResultStore(store_path)
-    done = store.existing_keys()
+    # one pass over the store gives both the results so far and what is done
+    records, end = _read_records(store.path)
+    by_run: Dict[int, RunResult] = {}
+    _merge_records(by_run, records)
+    done = {(rec["run"], rec["repo"]) for rec in records}
+    del records
     work_dir = Path(work_dir)
 
     for run_idx in range(cfg.runs):
@@ -399,7 +424,13 @@ def run_benchmark(
             with ThreadPoolExecutor(max_workers=cfg.parallelism) as pool:
                 list(pool.map(run_record, todo))
 
-    return load_results(store_path)
+    # parse only what was appended since, by this run or by another writer
+    appended, new_end = _read_records(store.path, end)
+    if new_end < end:
+        # the store shrank, so it was read again whole
+        by_run = {}
+    _merge_records(by_run, appended)
+    return [by_run[k] for k in sorted(by_run)]
 
 
 # -- metrics ------------------------------------------------------------------

@@ -129,30 +129,42 @@ def fetch_link(
             return FetchOutcome(False, failure_kind="escape", detail=link.target)
         if not target.is_file():
             return FetchOutcome(False, failure_kind="missing", detail=link.target)
-        data = target.read_bytes()[:FETCH_CAP_BYTES]
+        with open(target, "rb") as fh:
+            data = fh.read(FETCH_CAP_BYTES)
         return FetchOutcome(True, content=data.decode("utf-8", errors="replace"))
 
     try:
-        session = requests.Session()
-        session.max_redirects = 5
-        resp = session.get(
-            link.target,
-            timeout=timeout,
-            headers={"User-Agent": USER_AGENT},
-            allow_redirects=True,
-        )
+        with requests.Session() as session:
+            session.max_redirects = 5
+            with session.get(
+                link.target,
+                timeout=timeout,
+                headers={"User-Agent": USER_AGENT},
+                allow_redirects=True,
+                stream=True,
+            ) as resp:
+                if not resp.ok:
+                    return FetchOutcome(
+                        False, failure_kind="non-success", detail=f"status {resp.status_code}"
+                    )
+                # keep at most one byte past the ceiling, whatever Content-Length says
+                raw = bytearray()
+                for chunk in resp.iter_content(64 * 1024):
+                    raw += chunk[: RAW_BODY_CEILING + 1 - len(raw)]
+                    if len(raw) > RAW_BODY_CEILING:
+                        return FetchOutcome(
+                            False, failure_kind="oversize",
+                            detail=f"more than {RAW_BODY_CEILING} bytes",
+                        )
+                headers, encoding = resp.headers, resp.encoding
     except requests.Timeout:
         return FetchOutcome(False, failure_kind="timeout", detail=link.target)
     except requests.RequestException as exc:
         return FetchOutcome(False, failure_kind="non-success", detail=str(exc))
-    if not resp.ok:
-        return FetchOutcome(False, failure_kind="non-success", detail=f"status {resp.status_code}")
-    if len(resp.content) > RAW_BODY_CEILING:
-        return FetchOutcome(False, failure_kind="oversize", detail=f"{len(resp.content)} bytes")
-    ctype = (resp.headers.get("Content-Type") or "").split(";")[0].strip().lower()
+    ctype = (headers.get("Content-Type") or "").split(";")[0].strip().lower()
     if ctype and not ctype.startswith("text/") and ctype not in _TEXTUAL_TYPES:
         return FetchOutcome(False, failure_kind="non-text", detail=ctype)
-    body = resp.content.decode(resp.encoding or "utf-8", errors="replace")
+    body = raw.decode(encoding or "utf-8", errors="replace")
     if ctype in ("text/html", "application/xhtml+xml"):
         body = html_to_text(body)
     return FetchOutcome(True, content=body[:FETCH_CAP_BYTES])

@@ -104,8 +104,6 @@ def build_with_rules(
                 return session
         session.outcome = "turn-budget-exhausted"
     except RepobuildError as exc:
-        logger.warning("rule-based build of %s hit an infrastructure failure: %s",
-                       ws.repo_id, exc)
-        session.outcome = "infra-error"
-        session.error_detail = str(exc)
+        logger.warning("rule-based build of %s ended early: %s", ws.repo_id, exc)
+        session.end_on_error(exc)
     return session

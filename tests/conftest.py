@@ -26,6 +26,19 @@ needs_docker_daemon = pytest.mark.skipif(
     reason="no Docker daemon: DOCKER_HOST unset and /var/run/docker.sock absent",
 )
 
+
+def bytes_read():
+    """Bytes this process has read so far (Linux ``rchar``), or None."""
+    try:
+        with open("/proc/self/io", "rb") as fh:
+            for line in fh:
+                if line.startswith(b"rchar:"):
+                    return int(line.split()[1])
+    except OSError:
+        return None
+    return None
+
+
 EXPECTED_BINARIES = {
     "hello_make": ("hello",),
     "hello_cmake": ("hellocm",),

@@ -1,5 +1,7 @@
 import json
+import os
 import subprocess
+import sys
 
 import pytest
 
@@ -29,7 +31,7 @@ from repobuild.sandbox import CommandScript, ExecutionResult, SandboxSpec
 from repobuild.validation import Verdict
 from repobuild.workspace import snapshot_files
 
-from conftest import fixture_record, prepare_fixture, workspace_at
+from conftest import bytes_read, fixture_record, prepare_fixture, workspace_at
 
 
 def _llm(default_reply="unused", steps=None):
@@ -97,6 +99,31 @@ def _turn_dict(k=0, commands=("make",), output="build failed", timed_out=False):
     }
 
 
+def _verdict_dict(ok=False):
+    return {"completion": ok, "strict": ok, "flexible": ok,
+            "matched_names": [], "new_binaries": []}
+
+
+def _record(run, repo, output="build failed"):
+    return {
+        "run": run,
+        "repo": repo,
+        "session": _session_dict(turns=[_turn_dict(output=output)]),
+        "verdict": _verdict_dict(),
+        "failure_mode": "unresolved-after-max-attempts",
+        "dossier": None,
+    }
+
+
+def _view(results):
+    """What a result holds, per run and repo."""
+    return [
+        (r.run_index, {repo: (o.verdict, o.failure_mode, o.session)
+                       for repo, o in r.per_repo.items()})
+        for r in results
+    ]
+
+
 class TestRunConfig:
     def test_known_methods_accepted(self):
         for method in METHODS:
@@ -146,6 +173,53 @@ class TestResultStore:
         ResultStore(path).append({"zeta": 1, "alpha": 2, "run": 0, "repo": "r"})
         line = path.read_text().strip()
         assert line.index('"alpha"') < line.index('"repo"') < line.index('"zeta"')
+
+    def test_line_separators_inside_strings_keep_the_record(self, tmp_path):
+        # json.dumps leaves U+0085, U+2028 and U+2029 unescaped; only "\n"
+        # ends a record
+        store = ResultStore(tmp_path / "store.jsonl")
+        store.append(_record(0, "a/b", output="x\x85y\u2028z\u2029"))
+        assert store.existing_keys() == {(0, "a/b")}
+        [result] = load_results(store.path)
+        assert result.per_repo["a/b"].session["turns"][0]["output"] == "x\x85y\u2028z\u2029"
+
+    def test_record_torn_inside_a_utf8_sequence(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        line = json.dumps({"run": 1, "repo": "é/b"}, ensure_ascii=False).encode("utf-8")
+        path.write_bytes(b'{"run": 0, "repo": "a/b"}\n' + line[: line.index(b"\xc3") + 1])
+        store = ResultStore(path)
+        assert store.existing_keys() == {(0, "a/b")}
+        store.append({"run": 1, "repo": "é/b"})
+        assert store.existing_keys() == {(0, "a/b"), (1, "é/b")}
+
+    def test_appends_from_four_processes_stay_whole(self, tmp_path):
+        path, go = tmp_path / "store.jsonl", tmp_path / "go"
+        blob = 70 << 10  # each record is larger than 64 KiB
+        writer = (
+            "import os, sys, time\n"
+            "from repobuild.bench import ResultStore\n"
+            "path, go, w = sys.argv[1], sys.argv[2], int(sys.argv[3])\n"
+            "while not os.path.exists(go):\n"
+            "    time.sleep(0.001)\n"
+            "store = ResultStore(path)\n"
+            "for i in range(50):\n"
+            f"    store.append({{'run': w, 'repo': f'w{{w}}/r{{i}}', 'blob': str(w) * {blob}}})\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        procs = [
+            subprocess.Popen([sys.executable, "-c", writer, str(path), str(go), str(w)], env=env)
+            for w in range(4)
+        ]
+        go.touch()
+        assert [p.wait(timeout=120) for p in procs] == [0] * 4
+        data = path.read_bytes()
+        assert data.endswith(b"\n")
+        records = [json.loads(line) for line in data.split(b"\n")[:-1]]
+        assert len(records) == 200
+        assert {(r["run"], r["repo"]) for r in records} == {
+            (w, f"w{w}/r{i}") for w in range(4) for i in range(50)
+        }
+        assert all(r["blob"] == str(r["run"]) * blob for r in records)
 
 
 class TestSessionSummary:
@@ -388,6 +462,33 @@ class TestRunOneRepo:
         assert verdict.completion is False
         assert failure == "infra-error"
 
+    def test_scenario_running_out_in_retrieval_is_protocol_error(self, tmp_path):
+        record = fixture_record("hello_make")
+        cfg = _cfg([record], method="agent-with-retrieval", llm=_llm(default_reply=None))
+        summary, verdict, failure, dossier = run_one_repo(
+            record, cfg, tmp_path / "session"
+        )
+        assert summary["outcome"] == "protocol-error"
+        assert summary["error_detail"]
+        assert verdict.completion is False
+        assert failure == "protocol-error"
+
+    @pytest.mark.parametrize("method", ["agent-no-retrieval", "single-turn"])
+    def test_oversize_reply_is_protocol_error(self, tmp_path, method):
+        record = fixture_record("hello_make")
+        llm = LlmConfig(
+            backend="scripted",
+            max_reply_chars=100,
+            scenario=ScriptedScenario(steps=[], default_reply="```bash\nmake\n```" + "#" * 200),
+        )
+        cfg = _cfg([record], method=method, llm=llm)
+        summary, verdict, failure, dossier = run_one_repo(
+            record, cfg, tmp_path / "session"
+        )
+        assert summary["outcome"] == "protocol-error"
+        assert "exceeds cap 100" in summary["error_detail"]
+        assert failure == "protocol-error"
+
     def test_dependency_failure_tagged(self, tmp_path):
         record = fixture_record("needs_header")
         cfg = _cfg([record])
@@ -488,6 +589,81 @@ class TestRunBenchmark:
             aggregate(load_results(store2)), "machine", cfg.method
         )
         assert recomputed == report_resumed
+
+    def test_return_equals_reload_of_a_damaged_store(self, tmp_path):
+        records = [fixture_record("hello_make"), fixture_record("hello_autotools")]
+        cfg = _cfg(records, runs=2)
+        full = tmp_path / "full.jsonl"
+        run_benchmark(cfg, full, tmp_path / "work")
+        lines = full.read_text("utf-8").splitlines()
+        assert len(lines) == 4
+
+        # blank lines, a torn record in the middle and an unterminated torn tail
+        store = tmp_path / "store.jsonl"
+        store.write_text(
+            "\n" + lines[0] + "\n\n" + lines[1][:30] + "\n" + lines[2] + "\n \n" + lines[3][:50],
+            "utf-8",
+        )
+        results = run_benchmark(cfg, store, tmp_path / "work2")
+        reloaded = load_results(store)
+        assert [sorted(r.per_repo) for r in results] == [sorted(r.id for r in records)] * 2
+        assert _view(results) == _view(reloaded)
+        assert emit_report(aggregate(results), "machine", cfg.method) == emit_report(
+            aggregate(reloaded), "machine", cfg.method
+        )
+
+    def test_records_another_writer_appends_are_returned(self, tmp_path, monkeypatch):
+        store_path = tmp_path / "store.jsonl"
+        ResultStore(store_path).append(_record(0, "a/done"))
+        other = ResultStore(store_path)
+
+        def run_and_append_elsewhere(record, cfg, session_dir):
+            other.append(_record(0, "other/writer", output="from another process"))
+            return _session_dict("succeeded"), _vd(True, True, True), None, None
+
+        monkeypatch.setattr("repobuild.bench.run_one_repo", run_and_append_elsewhere)
+        cfg = _cfg([RepoRecord(id="a/done", clone_url="unused"),
+                    RepoRecord(id="a/todo", clone_url="unused")])
+        results = run_benchmark(cfg, store_path, tmp_path / "work")
+        assert list(results[0].per_repo) == ["a/done", "other/writer", "a/todo"]
+        assert _view(results) == _view(load_results(store_path))
+
+    def test_store_rewritten_shorter_during_the_run(self, tmp_path, monkeypatch):
+        store_path = tmp_path / "store.jsonl"
+        for i in range(3):
+            ResultStore(store_path).append(_record(0, f"a/done{i}"))
+
+        def compact_then_run(record, cfg, session_dir):
+            store_path.write_text(json.dumps(_record(0, "a/done1")) + "\n")
+            return _session_dict("succeeded"), _vd(True, True, True), None, None
+
+        monkeypatch.setattr("repobuild.bench.run_one_repo", compact_then_run)
+        cfg = _cfg([RepoRecord(id="a/todo", clone_url="unused")])
+        results = run_benchmark(cfg, store_path, tmp_path / "work")
+        assert list(results[0].per_repo) == ["a/done1", "a/todo"]
+        assert _view(results) == _view(load_results(store_path))
+
+    def test_resume_with_nothing_left_reads_the_store_once(self, tmp_path, monkeypatch):
+        records = [RepoRecord(id=f"big/r{i}", clone_url="unused") for i in range(100)]
+        store_path = tmp_path / "store.jsonl"
+        store = ResultStore(store_path)
+        for run in range(2):
+            for record in records:
+                store.append(_record(run, record.id, output="x" * (105 << 10)))
+        size = store_path.stat().st_size
+        assert size >= 20 << 20
+
+        def must_not_run(*args):
+            raise AssertionError("every record is already in the store")
+
+        monkeypatch.setattr("repobuild.bench.run_one_repo", must_not_run)
+        before = bytes_read()
+        if before is None:
+            pytest.skip("/proc/self/io is not readable")
+        results = run_benchmark(_cfg(records, runs=2), store_path, tmp_path / "work")
+        read = bytes_read() - before
+        assert [len(r.per_repo) for r in results] == [100, 100]
+        assert read < 1.2 * size
 
 
 class TestComputeMetrics:

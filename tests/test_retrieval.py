@@ -8,6 +8,7 @@ from repobuild.errors import ProtocolError, ScenarioExhaustedError
 from repobuild.gateway import ScriptedScenario, scripted_config, substring
 from repobuild.retrieval import (
     FETCH_CAP_BYTES,
+    RAW_BODY_CEILING,
     FetchOutcome,
     InstructionDossier,
     LinkRef,
@@ -19,7 +20,7 @@ from repobuild.retrieval import (
     score_retrieval,
 )
 
-from conftest import prepare_fixture
+from conftest import bytes_read, prepare_fixture
 
 GOOD_REPLY = (
     "INSTRUCTIONS:\nRun make in the root.\n\nSUFFICIENT: yes\n\nLINKS:\n"
@@ -194,6 +195,65 @@ class TestFetchLink:
             assert binary.failure_kind == "non-text"
         finally:
             server.shutdown()
+
+    def test_internal_read_is_bounded(self, tmp_path):
+        ws = prepare_fixture("hello_make", tmp_path)
+        with open(ws.root_path / "huge.txt", "wb") as fh:
+            fh.truncate(8 << 20)
+        before = bytes_read()
+        if before is None:
+            pytest.skip("/proc/self/io is not readable")
+        outcome = fetch_link(ws, LinkRef("internal-file", "huge.txt"))
+        assert outcome.ok
+        assert len(outcome.content) == FETCH_CAP_BYTES
+        assert bytes_read() - before < 1 << 20
+
+    def test_body_past_the_ceiling_without_length_is_oversize(self, tmp_path):
+        ws = prepare_fixture("hello_make", tmp_path)
+        accepted = []  # bytes the server's socket took, one entry per request
+
+        class Handler(BaseHTTPRequestHandler):
+            # HTTP/1.0 and no Content-Length: the body ends when the socket closes
+            def do_GET(self):
+                size, sent = int(self.path.strip("/")), 0
+                self.send_response(200)
+                self.send_header("Content-Type", "text/plain")
+                self.end_headers()
+                try:
+                    while sent < size:
+                        chunk = min(1 << 20, size - sent)
+                        self.wfile.write(b"a" * chunk)
+                        sent += chunk
+                except (BrokenPipeError, ConnectionResetError):
+                    pass  # the client stopped reading
+                accepted.append(sent)
+
+            def log_message(self, *a):
+                pass
+
+        server = HTTPServer(("127.0.0.1", 0), Handler)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        base = f"http://127.0.0.1:{server.server_port}"
+        try:
+            over = fetch_link(ws, LinkRef("external-url", f"{base}/{RAW_BODY_CEILING + 1}"))
+            assert not over.ok
+            assert over.failure_kind == "oversize"
+
+            at = fetch_link(ws, LinkRef("external-url", f"{base}/{RAW_BODY_CEILING}"))
+            assert at.ok
+            assert at.content == "a" * FETCH_CAP_BYTES
+
+            # the client stops at the ceiling, so a long body is never sent
+            # whole: what the server got rid of is the ceiling plus socket buffers
+            huge = fetch_link(ws, LinkRef("external-url", f"{base}/{32 << 20}"))
+            assert huge.failure_kind == "oversize"
+            server.shutdown()  # returns once the last request is handled
+            assert len(accepted) == 3
+            assert accepted[2] < 24 << 20
+        finally:
+            server.shutdown()
+            server.server_close()
 
     def test_connection_refused_is_non_success(self, tmp_path):
         ws = prepare_fixture("hello_make", tmp_path)
