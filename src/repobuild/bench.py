@@ -28,7 +28,7 @@ from .gateway import LlmConfig
 from .retrieval import InstructionDossier, run_retrieval
 from .rules import build_with_rules
 from .sandbox import SandboxSpec, base_image_description
-from .validation import Verdict, discover_new_binaries, judge
+from .validation import Verdict, discover_new_binaries, has_binary_magic, judge
 from .workspace import Workspace, list_root_entries, prepare_workspace, read_readme, snapshot_files
 
 logger = logging.getLogger(__name__)
@@ -306,12 +306,12 @@ def tag_failure_mode(
 def make_completion_probe(before_snapshot, ws: Workspace):
     """Loop success predicate: did any non-intermediate binary appear?
 
-    Each call re-hashes only what changed since ``before_snapshot``.
+    Each call reads the header of every file whose stat changed since
+    ``before_snapshot`` and hashes only binaries the baseline had hashed.
     """
 
     def probe(_result, workspace: Workspace) -> bool:
-        after = snapshot_files(workspace, since=before_snapshot)
-        artifacts = discover_new_binaries(before_snapshot, after, workspace)
+        artifacts = discover_new_binaries(before_snapshot, None, workspace)
         return any(a.classify != "object-file" for a in artifacts)
 
     return probe
@@ -339,7 +339,9 @@ def run_one_repo(
     dossier = None
     try:
         ws = prepare_workspace(record, session_dir)
-        before = snapshot_files(ws)
+        # only a file with a binary magic can become a product, and only
+        # such a file needs a digest to tell whether it changed
+        before = snapshot_files(ws, hash_if=has_binary_magic)
         probe = make_completion_probe(before, ws)
 
         instructions = None
@@ -361,9 +363,7 @@ def run_one_repo(
                 max_turns=cfg.max_turns,
                 variant=cfg.method,
             )
-        after = snapshot_files(ws, since=before)
-        artifacts = discover_new_binaries(before, after, ws)
-        verdict = judge(artifacts, record.expected_binaries)
+        verdict = judge(discover_new_binaries(before, None, ws), record.expected_binaries)
     except UsageError:
         raise
     except Exception as exc:

@@ -28,7 +28,7 @@ from .retrieval import run_retrieval
 from .sandbox import SandboxSpec
 from .targets import predict_targets
 from .validation import discover_new_binaries, judge
-from .workspace import Workspace, load_snapshot, snapshot_files
+from .workspace import Workspace, load_snapshot
 
 logger = logging.getLogger(__name__)
 
@@ -291,7 +291,7 @@ def _cmd_validate(args, config: dict) -> int:
     ws = _workspace_from_path(args.workspace)
     try:
         before = load_snapshot(args.before)
-        after = load_snapshot(args.after) if args.after else snapshot_files(ws)
+        after = load_snapshot(args.after) if args.after else None
     except OSError as exc:
         raise UsageError(f"cannot read snapshot file: {exc}") from exc
     artifacts = discover_new_binaries(before, after, ws)

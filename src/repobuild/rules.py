@@ -33,7 +33,6 @@ ROUTINE_PRIORITY = [
 class BuildRoutine:
     kind: BuildSystemKind
     steps: Tuple[str, ...]
-    applicable_evidence: str
 
 
 def load_build_routines(path: Optional[Path] = None) -> Dict[str, List[str]]:
@@ -60,7 +59,7 @@ def render_routine(
     rendered = tuple(
         s.format(dir=directory, evidence_name=posixpath.basename(evidence)) for s in steps
     )
-    return BuildRoutine(kind=kind, steps=rendered, applicable_evidence=evidence)
+    return BuildRoutine(kind=kind, steps=rendered)
 
 
 def build_with_rules(

@@ -288,8 +288,10 @@ def exec_script(handle: SandboxHandle, script: CommandScript) -> ExecutionResult
     lines: "queue.Queue[Optional[bytes]]" = queue.Queue()
 
     def _reader():
-        for raw in proc.stdout:
-            lines.put(raw)
+        # the reader owns stdout: closing it under a blocked read would hang
+        with proc.stdout:
+            for raw in proc.stdout:
+                lines.put(raw)
         lines.put(None)
 
     reader = threading.Thread(target=_reader, daemon=True)
@@ -351,15 +353,20 @@ def exec_script(handle: SandboxHandle, script: CommandScript) -> ExecutionResult
                 overall_exit = exit_code
                 break
     finally:
-        if proc.poll() is None:
+        try:
+            proc.stdin.close()
+        except OSError:
+            pass
+        try:
+            proc.wait(timeout=5)
+        except subprocess.TimeoutExpired:
+            _kill_shell(proc)
+        if handle.spec.backend != "container":
+            # a job the script left in the background holds stdout open
             try:
-                proc.stdin.close()
-            except OSError:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except (ProcessLookupError, PermissionError):
                 pass
-            try:
-                proc.wait(timeout=5)
-            except subprocess.TimeoutExpired:
-                _kill_shell(proc)
         reader.join(timeout=5)
 
     # drain anything the reader captured after the last marker

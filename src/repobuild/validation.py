@@ -7,6 +7,7 @@ from __future__ import annotations
 import logging
 import os
 import re
+import stat
 import struct
 import subprocess
 from collections import Counter
@@ -17,7 +18,7 @@ from typing import Callable, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import ProtocolError
 from .gateway import ChatMessage, LlmConfig, complete
-from .workspace import FileSnapshot, Workspace
+from .workspace import FileSnapshot, Workspace, file_entry, stat_key, walk_files
 
 logger = logging.getLogger(__name__)
 
@@ -34,6 +35,8 @@ _MACHO_MAGICS = (
     b"\xfe\xed\xfa\xcf", b"\xcf\xfa\xed\xfe",
     b"\xca\xfe\xba\xbe", b"\xbe\xba\xfe\xca",
 )
+# every file classify_file accepts starts with one of these
+_BINARY_MAGICS = (b"\x7fELF", b"!<arch>\n", b"MZ") + _MACHO_MAGICS
 
 SymbolExtractor = Callable[[Path], List[str]]
 
@@ -72,7 +75,7 @@ class FunctionCoverageReport:
 # -- binary classification ----------------------------------------------------
 
 
-def classify_file(path: Path) -> Optional[Tuple[str, bool]]:
+def classify_file(path: str | Path) -> Optional[Tuple[str, bool]]:
     """(class, has debug info) for executable-format files, None for the rest.
 
     Text files and binaries of unrecognized formats (images, databases) are
@@ -174,36 +177,70 @@ def _elf_has_debug_info(fh, size: int, head: bytes, is64: bool, endian: str) -> 
     return False
 
 
+def has_binary_magic(path: str) -> bool:
+    """Whether the file starts with a magic of a format ``classify_file``
+    recognises. Reads 8 bytes; a file without one is never an artifact."""
+    with open(path, "rb", buffering=0) as fh:
+        return fh.read(8).startswith(_BINARY_MAGICS)
+
+
 def discover_new_binaries(
-    before: FileSnapshot, after: FileSnapshot, ws: Workspace
+    before: FileSnapshot, after: Optional[FileSnapshot], ws: Workspace
 ) -> List[BinaryArtifact]:
-    """Classify every file that appeared or changed between the snapshots.
+    """Classify every file that appeared or changed between the snapshots,
+    sorted by path.
 
     A symlink counts only when it resolves to a file inside the workspace,
     so ``libfoo.so -> libfoo.so.1`` does and ``app -> /bin/true`` does not.
+
+    With ``after`` None the workspace is walked now, header first, and the
+    result equals the one a full snapshot taken now would give as ``after``.
+    A file whose lstat equals the one ``before`` trusts is unchanged. Any
+    other file is classified, and a regular file is hashed only when it is
+    a binary and ``before`` holds a digest for it: a binary whose baseline
+    had no digest lacked a magic then, so its content has changed.
     """
-    changed = [p for p in after.entries if p not in before.entries
-               or after.entries[p] != before.entries[p]]
+    if after is None:
+        candidates = _changed_binaries_now(before, ws)
+    else:
+        changed = (p for p in after.entries
+                   if p not in before.entries or after.entries[p] != before.entries[p])
+        candidates = _classify_changed(changed, ws)
+    return sorted(
+        (BinaryArtifact(rel_path=rel, file_name=Path(rel).name, classify=info[0],
+                        has_debug_info=info[1])
+         for rel, info in candidates),
+        key=lambda a: a.rel_path,
+    )
+
+
+def _classify_changed(changed: Iterable[str], ws: Workspace):
     root = ws.root_path.resolve()
-    artifacts = []
-    for rel in sorted(changed):
+    for rel in changed:
         full = ws.root_path / rel
         if not full.is_file():
             continue
         if full.is_symlink() and not full.resolve().is_relative_to(root):
             continue
         info = classify_file(full)
+        if info is not None:
+            yield rel, info
+
+
+def _changed_binaries_now(before: FileSnapshot, ws: Workspace):
+    for rel, full, st, _stable in walk_files(ws):
+        if before.stats.get(rel) == stat_key(st):
+            continue
+        old = before.entries.get(rel)
+        if stat.S_ISLNK(st.st_mode):
+            if old != file_entry(full, st):
+                yield from _classify_changed([rel], ws)
+            continue
+        info = classify_file(full)
         if info is None:
             continue
-        artifacts.append(
-            BinaryArtifact(
-                rel_path=rel,
-                file_name=Path(rel).name,
-                classify=info[0],
-                has_debug_info=info[1],
-            )
-        )
-    return artifacts
+        if old is None or old[1] is None or old != file_entry(full, st):
+            yield rel, info
 
 
 # -- success criteria ---------------------------------------------------------

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Iterator, Optional, Tuple
 
 from .corpus import RepoRecord
 from .errors import CloneError
@@ -78,7 +78,7 @@ class FileSnapshot:
     none and a snapshot taken against it hashes every file.
     """
 
-    entries: dict  # rel path -> (size, sha256 hex, executable flag)
+    entries: dict  # rel path -> (size, sha256 hex or None, executable flag)
     taken_at: str
     # rel path -> (st_mode, st_size, st_mtime_ns, st_ctime_ns, st_ino, st_dev),
     # kept only for entries whose stat can vouch for their content
@@ -164,46 +164,82 @@ def _digest_file(path: str) -> str:
     return h.hexdigest()
 
 
-def snapshot_files(ws: Workspace, since: Optional[FileSnapshot] = None) -> FileSnapshot:
+def stat_key(st: os.stat_result) -> tuple:
+    """The lstat fields that must all be equal for an entry to be reused."""
+    return (st.st_mode, st.st_size, st.st_mtime_ns, st.st_ctime_ns, st.st_ino, st.st_dev)
+
+
+def file_entry(full: str, st: os.stat_result) -> tuple:
+    """(size, sha256 hex, executable flag) of a regular file, or of a symlink
+    by the digest of its target string."""
+    if stat.S_ISLNK(st.st_mode):
+        target = os.readlink(full)
+        digest = hashlib.sha256(target.encode("utf-8", "surrogateescape")).hexdigest()
+        return (len(target), digest, False)
+    return (st.st_size, _digest_file(full), bool(st.st_mode & 0o111))
+
+
+def walk_files(ws: Workspace) -> Iterator[Tuple[str, str, os.stat_result, bool]]:
+    """(rel path, full path, lstat, stable) for every regular file and symlink
+    under the root, skipping version-control directories.
+
+    ``stable`` is true when the file's mtime and ctime are older than the
+    clock read just before its lstat, less ``_RACY_MARGIN_NS``: only then can
+    its stat vouch for its content. A file written just before it was read
+    can be rewritten within the same clock tick and keep its stat ("racily
+    clean", as git calls it).
+    """
+    root = str(ws.root_path)
+    for dirpath, dirnames, filenames in os.walk(root):
+        dirnames[:] = sorted(d for d in dirnames if d not in _SCAN_IGNORE)
+        rel_dir = os.path.relpath(dirpath, root)
+        # joined once per directory: the walk runs after every command turn
+        prefix = os.path.join(dirpath, "")
+        rel_prefix = "" if rel_dir == os.curdir else os.path.join(rel_dir, "")
+        for name in sorted(filenames):
+            full = prefix + name
+            rel = rel_prefix + name
+            cutoff = time.time_ns() - _RACY_MARGIN_NS
+            try:
+                st = os.lstat(full)
+            except (FileNotFoundError, NotADirectoryError):
+                continue
+            if stat.S_ISLNK(st.st_mode) or stat.S_ISREG(st.st_mode):
+                yield rel, full, st, st.st_mtime_ns < cutoff and st.st_ctime_ns < cutoff
+
+
+def snapshot_files(
+    ws: Workspace,
+    since: Optional[FileSnapshot] = None,
+    *,
+    hash_if: Optional[Callable[[str], bool]] = None,
+) -> FileSnapshot:
     """Record (size, digest, executable) for every file under the root.
 
     Symlinks are recorded by the digest of their target string, so a dangling
     link is still representable and a retargeted link shows up as a change.
 
     An entry of ``since`` is reused without reading the file when the file's
-    lstat tuple is the one ``since`` recorded. A tuple is recorded only when
-    the file's mtime and ctime are older than the clock at its lstat, less
-    ``_RACY_MARGIN_NS``: a file written just before it was read can be
-    rewritten within the same clock tick and keep its stat ("racily clean",
-    as git calls it), so such an entry is hashed again every time.
+    lstat tuple is the one ``since`` recorded. A tuple is recorded only for a
+    stable file (see ``walk_files``), so a racily clean entry is hashed again
+    every time.
+
+    With ``hash_if``, a regular file for which ``hash_if(full path)`` is false
+    is not hashed and gets digest None. Such a snapshot is a baseline for
+    ``validation.discover_new_binaries`` only; it is not meant to be saved.
     """
     trusted = since.stats if since is not None else {}
     entries, stats = {}, {}
-    root = str(ws.root_path)
-    for dirpath, dirnames, filenames in os.walk(root):
-        dirnames[:] = sorted(d for d in dirnames if d not in _SCAN_IGNORE)
-        rel_dir = os.path.relpath(dirpath, root)
-        for name in sorted(filenames):
-            full = os.path.join(dirpath, name)
-            rel = name if rel_dir == os.curdir else os.path.join(rel_dir, name)
-            cutoff = time.time_ns() - _RACY_MARGIN_NS
-            try:
-                st = os.lstat(full)
-            except (FileNotFoundError, NotADirectoryError):
-                continue
-            key = (st.st_mode, st.st_size, st.st_mtime_ns, st.st_ctime_ns, st.st_ino, st.st_dev)
-            if trusted.get(rel) == key:
-                entries[rel] = since.entries[rel]
-            elif stat.S_ISLNK(st.st_mode):
-                target = os.readlink(full)
-                digest = hashlib.sha256(target.encode("utf-8", "surrogateescape")).hexdigest()
-                entries[rel] = (len(target), digest, False)
-            elif stat.S_ISREG(st.st_mode):
-                entries[rel] = (st.st_size, _digest_file(full), bool(st.st_mode & 0o111))
-            else:
-                continue
-            if st.st_mtime_ns < cutoff and st.st_ctime_ns < cutoff:
-                stats[rel] = key
+    for rel, full, st, stable in walk_files(ws):
+        key = stat_key(st)
+        if trusted.get(rel) == key:
+            entries[rel] = since.entries[rel]
+        elif hash_if is not None and stat.S_ISREG(st.st_mode) and not hash_if(full):
+            entries[rel] = (st.st_size, None, bool(st.st_mode & 0o111))
+        else:
+            entries[rel] = file_entry(full, st)
+        if stable:
+            stats[rel] = key
     return FileSnapshot(
         entries=entries, taken_at=datetime.now(timezone.utc).isoformat(), stats=stats
     )

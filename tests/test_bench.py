@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from repobuild import bench
 from repobuild.agent import BuildSession, Turn
 from repobuild.bench import (
     FAILURE_MODES,
@@ -31,7 +32,7 @@ from repobuild.sandbox import CommandScript, ExecutionResult, SandboxSpec
 from repobuild.validation import Verdict
 from repobuild.workspace import snapshot_files
 
-from conftest import bytes_read, fixture_record, prepare_fixture, workspace_at
+from conftest import bytes_read, copy_fixture_tree, fixture_record, prepare_fixture, workspace_at
 
 
 def _llm(default_reply="unused", steps=None):
@@ -408,6 +409,44 @@ class TestRunOneRepo:
         assert summary["variant"] == "agent-no-retrieval"
         assert verdict.strict is True
         assert dossier is None
+
+    def test_agent_verdict_reads_headers_not_the_tree(self, tmp_path, monkeypatch):
+        if bytes_read() is None:
+            pytest.skip("/proc/self/io is not readable")
+        repo = copy_fixture_tree("hello_make", tmp_path / "hello_make")
+        (repo / "assets").mkdir()
+        (repo / "assets" / "data.bin").write_bytes(b"data" * (2 << 20))
+        record = RepoRecord(id="fixture/hello_make", clone_url=str(repo),
+                            expected_binaries=("hello",))
+        reads = {}
+
+        def measured_snapshot(*args, **kwargs):
+            start = bytes_read()
+            baseline = snapshot(*args, **kwargs)
+            reads["baseline"] = bytes_read() - start
+            return baseline
+
+        def loop_then_mark(*args, **kwargs):
+            session = loop(*args, **kwargs)
+            reads["loop_end"] = bytes_read()
+            return session
+
+        def judge_from_mark(artifacts, expected):
+            reads["verdict"] = bytes_read() - reads["loop_end"]
+            return judge(artifacts, expected)
+
+        snapshot, loop, judge = bench.snapshot_files, bench.run_build_loop, bench.judge
+        monkeypatch.setattr(bench, "snapshot_files", measured_snapshot)
+        monkeypatch.setattr(bench, "run_build_loop", loop_then_mark)
+        monkeypatch.setattr(bench, "judge", judge_from_mark)
+        llm = _llm(default_reply="```bash\ncd /app/hello_make\nmake\n```")
+        cfg = _cfg([record], method="agent-no-retrieval", llm=llm)
+        summary, verdict, failure, _ = run_one_repo(record, cfg, tmp_path / "session")
+        assert summary["outcome"] == "succeeded"
+        assert verdict.strict is True
+        # the 8 MiB data file has no binary magic: neither read is near it
+        assert reads["baseline"] < 1 << 20
+        assert reads["verdict"] < 1 << 20
 
     def test_agent_with_retrieval_feeds_dossier_into_prompt(self, tmp_path):
         record = fixture_record("hello_make")

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 
 import pytest
@@ -12,7 +13,7 @@ from repobuild.cli import (
 from repobuild.errors import UsageError
 from repobuild.workspace import save_snapshot, snapshot_files
 
-from conftest import REPOS, copy_fixture_tree, workspace_at
+from conftest import FIXTURES, REPOS, copy_fixture_tree, workspace_at
 
 
 def _write_manifest(tmp_path, names_and_expected):
@@ -360,6 +361,31 @@ class TestValidate:
             "--expected", "hello",
         ])
         assert rc == 0
+
+    def test_before_saved_by_the_full_hash_version_gives_the_same_json(
+        self, tmp_path, capsys
+    ):
+        # the snapshot and the expected output were both written by the
+        # version whose validate hashed the whole tree
+        saved = FIXTURES / "validate"
+        ws_dir = copy_fixture_tree("hello_make", tmp_path / "repo")
+        subprocess.run(["make"], cwd=ws_dir, check=True, capture_output=True)
+        os.symlink("hello", ws_dir / "hello.link")
+        os.symlink("/bin/true", ws_dir / "outside")
+        with open(ws_dir / "README.md", "a") as fh:
+            fh.write("more\n")
+        argv = [
+            "validate", "--workspace", str(ws_dir),
+            "--before", str(saved / "hello_make_before.json"),
+            "--expected", "hello,hello.link", "--json",
+        ]
+        assert main(argv) == 0
+        live = capsys.readouterr().out
+        assert live == (saved / "hello_make_validate.json").read_text("utf-8")
+        after_path = tmp_path / "after.json"
+        save_snapshot(snapshot_files(workspace_at(ws_dir)), after_path)
+        assert main(argv + ["--after", str(after_path)]) == 0
+        assert capsys.readouterr().out == live
 
     def test_partial_match_fails_strict_gate(self, tmp_path, capsys):
         ws_dir, before_path = self._prepared(tmp_path)

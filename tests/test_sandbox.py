@@ -1,5 +1,9 @@
+import gc
+import os
+import re
 import subprocess
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -19,6 +23,19 @@ from conftest import HAVE_DOCKER_DAEMON, needs_docker_daemon, prepare_fixture
 
 def run(handle, *commands):
     return exec_script(handle, CommandScript(commands=tuple(commands)))
+
+
+def _alive(pid: int) -> bool:
+    """Whether ``pid`` runs; a zombie nobody has reaped yet counts as dead."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        with open(f"/proc/{pid}/stat", "rb") as fh:
+            return fh.read().rsplit(b")", 1)[1].split()[0] not in (b"Z", b"X")
+    except OSError:
+        return True
 
 
 class TestSpecValidation:
@@ -164,6 +181,26 @@ class TestLocalExecution:
         assert result.overall_exit != 0
         assert len(result.per_command) == 1
         assert "unreachable" not in result.combined_output
+
+    def test_background_job_is_killed_and_pipes_closed(self, tmp_path, local_spec):
+        ws = prepare_fixture("hello_make", tmp_path)
+        with create_sandbox(local_spec, ws) as handle:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", ResourceWarning)
+                assert run(handle, "echo plain").overall_exit == 0
+                started = time.monotonic()
+                result = run(handle, 'sleep 20 & echo "bg=$!"', "echo started")
+                elapsed = time.monotonic() - started
+                gc.collect()
+        assert result.overall_exit == 0
+        assert "started" in result.combined_output
+        assert elapsed < 2.0
+        assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
+        pid = int(re.search(r"bg=(\d+)", result.combined_output).group(1))
+        deadline = time.monotonic() + 2.0
+        while _alive(pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not _alive(pid)
 
     def test_heredoc_survives_as_one_command(self, tmp_path, local_spec):
         ws = prepare_fixture("hello_make", tmp_path)

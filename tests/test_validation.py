@@ -1,6 +1,11 @@
 import os
+import random
 import re
+import shutil
 import subprocess
+import time
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -13,10 +18,12 @@ from repobuild.validation import (
     default_symbol_extractor,
     discover_new_binaries,
     function_coverage,
+    has_binary_magic,
     judge,
     llm_verdict,
     scan_source_functions,
 )
+from repobuild import validation, workspace
 from repobuild.workspace import snapshot_files
 
 from conftest import prepare_fixture, workspace_at
@@ -219,6 +226,248 @@ class TestDiscoverNewBinaries:
             ("libfoo.so", "shared-object"),
             ("libfoo.so.1", "shared-object"),
         ]
+
+
+class TestHeaderFirstVerdict:
+    """The live form against a baseline that hashed only binaries."""
+
+    def test_magic_accepts_every_classified_file(self, built, tmp_path):
+        for name, data in _binary_pool(built).items():
+            path = tmp_path / name
+            path.write_bytes(data)
+            if classify_file(path) is not None:
+                assert has_binary_magic(str(path)), name
+        text = tmp_path / "notes.txt"
+        text.write_text("a text that mentions MZ\n")
+        assert classify_file(text) is None and not has_binary_magic(str(text))
+
+    def test_touched_binary_is_not_a_product(self, tmp_path):
+        (tmp_path / "main.c").write_text("int main(void){return 0;}\n")
+        _cc(["-o", "app", "main.c"], tmp_path)
+        ws = workspace_at(tmp_path)
+        before = snapshot_files(ws, hash_if=has_binary_magic)
+        assert before.entries["main.c"][1] is None
+        assert before.entries["app"][1] is not None
+        app = tmp_path / "app"
+        st = os.stat(app)
+        os.utime(app, ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
+        assert discover_new_binaries(before, None, ws) == []
+        # the same bytes under a new inode are not a product either
+        shutil.copy2(app, tmp_path / "app.new")
+        os.replace(tmp_path / "app.new", app)
+        assert discover_new_binaries(before, None, ws) == []
+
+    def test_rebuilt_binary_and_new_symlink_are_products(self, built, tmp_path):
+        root = tmp_path / "repo"
+        (root / "lib").mkdir(parents=True)
+        (root / "lib" / "libfoo.so.1").write_bytes((built / "libdemo.so").read_bytes())
+        ws = workspace_at(root)
+        before = snapshot_files(ws, hash_if=has_binary_magic)
+        (root / "lib" / "libfoo.so.1").write_bytes((built / "exe_plain").read_bytes())
+        os.symlink("lib/libfoo.so.1", root / "libfoo.so")
+        os.symlink(built / "exe_debug", root / "outside")
+        arts = discover_new_binaries(before, None, ws)
+        assert [(a.rel_path, a.classify) for a in arts] == [
+            (os.path.join("lib", "libfoo.so.1"), "executable"),
+            ("libfoo.so", "executable"),
+        ]
+
+    SEQUENCES = 120
+
+    def test_equals_the_full_hash_verdict_on_random_ops(
+        self, built, tmp_path, monkeypatch
+    ):
+        rng = random.Random(20261018)
+        pool = _binary_pool(built)
+        outside = tmp_path / "outside"
+        outside.mkdir()
+        (outside / "tool").write_bytes(pool["elf-exe"])
+        env = SimpleNamespace(pool=pool, outside=outside)
+
+        hashed, classified = [], []
+        digest = workspace._digest_file
+        classify = validation.classify_file
+        monkeypatch.setattr(workspace, "_digest_file", lambda p: hashed.append(p) or digest(p))
+        monkeypatch.setattr(
+            validation, "classify_file", lambda p: classified.append(p) or classify(p)
+        )
+
+        trees = [_verdict_tree(rng, tmp_path / f"t{i}", pool) for i in range(self.SEQUENCES)]
+        # let the seeded files fall out of the racy window, so that the
+        # baseline's stat keys, not the racy rule, decide what is skipped
+        time.sleep(2 * workspace._RACY_MARGIN_NS / 1e9)
+
+        mismatches, bad_hashes, walked, live_classified = [], [], 0, 0
+        for case, root in enumerate(trees):
+            ws = workspace_at(root)
+            racy = rng.choice(_binaries(root)) if rng.random() < 0.5 else None
+            if racy is not None:
+                _flip_after_magic(rng, racy)
+                racy_stat = os.stat(racy)
+            header = snapshot_files(ws, hash_if=has_binary_magic)
+            full = snapshot_files(ws)
+            steps = []
+            if racy is not None:
+                # a rewrite inside the racy window that keeps size and mtime
+                _flip_after_magic(rng, racy)
+                os.utime(racy, ns=(racy_stat.st_atime_ns, racy_stat.st_mtime_ns))
+                steps.append(None)
+            steps += [rng.choice(_VERDICT_OPS) for _ in range(rng.randint(1, 6))]
+            for step, op in enumerate(steps):
+                if op is not None:
+                    op(rng, root, env)
+                hashed.clear()
+                classified.clear()
+                live = discover_new_binaries(header, None, ws)
+                live_classified += len(classified)
+                for path in hashed:
+                    rel = os.path.relpath(path, root)
+                    entry = header.entries.get(rel)
+                    if entry is None or entry[1] is None or not has_binary_magic(path):
+                        bad_hashes.append((case, rel))
+                after = snapshot_files(ws)
+                walked += len(after.entries)
+                reference = discover_new_binaries(full, after, ws)
+                if live != reference:
+                    names = [o.__name__ if o else "racy" for o in steps[: step + 1]]
+                    mismatches.append((case, names, live, reference))
+
+        assert mismatches == []
+        assert bad_hashes == []
+        # unchanged files were skipped on their stat, not classified
+        assert live_classified < walked / 2
+
+
+# ---------------------------------------------------------------------------
+# header-first verdicts: random operation sequences against a full re-hash
+
+
+def _binary_pool(built) -> dict:
+    """A sample of every format classify_file recognises, and a short ELF
+    that it rejects but whose magic still makes it a candidate."""
+    pool = {
+        "elf-exe": (built / "exe_plain").read_bytes(),
+        "elf-obj": (built / "part.o").read_bytes(),
+        "elf-short": b"\x7fELF" + bytes(10),
+        "archive": (built / "libdemo.a").read_bytes(),
+        "pe": b"MZ" + bytes(126),
+    }
+    for i, magic in enumerate(validation._MACHO_MAGICS):
+        pool[f"macho{i}"] = magic + bytes(124)
+    return pool
+
+
+def _elf(pool: dict) -> list:
+    return [pool["elf-exe"], pool["elf-obj"]]
+
+
+def _text(rng: random.Random, n: int) -> bytes:
+    return bytes(rng.choice(b"abcdefgh \n") for _ in range(n))
+
+
+def _verdict_tree(rng: random.Random, root: Path, pool: dict) -> Path:
+    (root / "sub").mkdir(parents=True)
+    (root / "bin").mkdir()
+    for i in range(4):
+        path = (root / "sub" if i % 2 else root) / f"t{i}.txt"
+        path.write_bytes(_text(rng, rng.randrange(64, 600)))
+    for name, data in pool.items():
+        (root / "bin" / name).write_bytes(data)
+        os.chmod(root / "bin" / name, 0o755)
+    # a shared object without the executable bit, for chmod +x
+    (root / "sub" / "libx.so").write_bytes(pool["elf-obj"])
+    os.symlink("bin/elf-exe", root / "app")
+    os.symlink("../sub/libx.so", root / "bin" / "libx.so.link")
+    os.symlink("t0.txt", root / "notes")
+    return root
+
+
+def _files(root: Path) -> list:
+    return sorted(p for p in root.rglob("*") if p.is_file() and not p.is_symlink())
+
+
+def _binaries(root: Path) -> list:
+    return [p for p in _files(root) if classify_file(p) is not None] or _files(root)
+
+
+def _links(root: Path) -> list:
+    return sorted(p for p in root.rglob("*") if p.is_symlink())
+
+
+def _flip_after_magic(rng: random.Random, path: Path) -> None:
+    """Rewrite the bytes past the magic, keeping the size."""
+    data = path.read_bytes()
+    path.write_bytes(data[:8] + bytes((b + 1 + rng.randrange(255)) % 256 for b in data[8:]))
+
+
+def _op_copy_elf_in(rng, root, env):
+    parent = rng.choice([root, root / "sub", root / "bin"])
+    dest = rng.choice([parent / f"new{rng.randrange(10**6)}"] + _files(root))
+    dest.write_bytes(rng.choice(_elf(env.pool)))
+
+
+def _op_create_binary(rng, root, env):
+    name = rng.choice(sorted(env.pool))
+    (root / "sub" / f"{name}.{rng.randrange(10**6)}").write_bytes(env.pool[name])
+
+
+def _op_text_to_elf_same_size_and_mtime(rng, root, env):
+    texts = [p for p in _files(root) if p.suffix == ".txt"]
+    if not texts:
+        return
+    path = rng.choice(texts)
+    st = os.stat(path)
+    path.write_bytes(rng.choice(_elf(env.pool))[: st.st_size])
+    os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns))
+
+
+def _op_rewrite_binary_keep_mtime(rng, root, env):
+    path = rng.choice(_binaries(root))
+    st = os.stat(path)
+    _flip_after_magic(rng, path)
+    os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns))
+
+
+def _op_binary_to_text(rng, root, env):
+    path = rng.choice(_binaries(root))
+    path.write_bytes(_text(rng, rng.choice([os.stat(path).st_size, 100])))
+
+
+def _op_touch(rng, root, env):
+    path = rng.choice(_binaries(root) if rng.random() < 0.8 else _files(root))
+    st = os.stat(path)
+    os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns + rng.choice([-1, 1]) * 10**9))
+
+
+def _op_chmod_so(rng, root, env):
+    libs = [p for p in _files(root) if p.suffix == ".so"] or _files(root)
+    path = rng.choice(libs)
+    os.chmod(path, os.stat(path).st_mode ^ 0o111)
+
+
+def _op_retarget_link(rng, root, env):
+    links = _links(root)
+    if not links:
+        return
+    link = rng.choice(links)
+    os.remove(link)
+    if rng.random() < 0.5:
+        os.symlink(env.outside / "tool", link)
+    else:
+        os.symlink(os.path.relpath(rng.choice(_files(root)), link.parent), link)
+
+
+def _op_delete(rng, root, env):
+    candidates = _files(root) + _links(root)
+    if candidates:
+        os.remove(rng.choice(candidates))
+
+
+_VERDICT_OPS = [
+    _op_copy_elf_in, _op_create_binary, _op_text_to_elf_same_size_and_mtime,
+    _op_rewrite_binary_keep_mtime, _op_binary_to_text, _op_touch, _op_chmod_so,
+    _op_retarget_link, _op_delete,
+]
 
 
 def _art(name, classify="executable", rel=None):
