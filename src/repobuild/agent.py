@@ -5,9 +5,9 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import (
     OversizeReplyError,
@@ -16,7 +16,7 @@ from .errors import (
     ScenarioExhaustedError,
     UsageError,
 )
-from .gateway import ChatMessage, LlmConfig, complete
+from .gateway import ChatMessage, LlmConfig, ask_structured, complete
 from .sandbox import (
     CommandScript,
     ExecutionResult,
@@ -46,6 +46,8 @@ _SHELL_TAGS = {"bash", "sh", "shell"}
 _HEREDOC_RE = re.compile(r"<<-?\s*['\"]?(\w+)['\"]?")
 
 ELIDED_MARKER = "[execution output elided to fit the context budget]"
+# characters of prompt before old outputs are elided; the reply cap is separate
+PROMPT_BUDGET_CHARS = 200_000
 
 SuccessProbe = Callable[[ExecutionResult, Workspace], bool]
 
@@ -205,7 +207,7 @@ def _render_history(turns: Sequence[Turn]) -> str:
 def assemble_generator_prompt(
     ctx: PromptContext,
     history: Sequence[Turn],
-    budget: int = 200_000,
+    budget: int = PROMPT_BUDGET_CHARS,
 ) -> List[ChatMessage]:
     """Render the conversation sent to the generator at the current turn.
 
@@ -268,6 +270,71 @@ def assemble_generator_prompt(
     return messages
 
 
+def run_session(
+    ws: Workspace,
+    spec: SandboxSpec,
+    probe: SuccessProbe,
+    session: BuildSession,
+    replies: Iterable[Tuple[str, ParsedReply]],
+    fresh_sandbox: bool = False,
+    trajectory: Optional[Callable[[BuildSession], None]] = None,
+) -> BuildSession:
+    """The session engine every method runs on: one turn per (raw, parsed)
+    reply until the probe succeeds, the agent terminates, a reply violates
+    the protocol, or the replies run out (turn budget exhausted).
+
+    Scripts share one sandbox, created for the first of them, unless
+    ``fresh_sandbox`` asks for a new one per script. An error from the
+    replies or the sandbox ends the session through ``end_on_error``.
+    """
+    handle = None
+    try:
+        for k, (raw, parsed) in enumerate(replies):
+            if parsed.kind == "violation":
+                session.turns.append(
+                    Turn(k=k, kind="protocol-violation", agent_reply_raw=raw,
+                         violation_note=parsed.violation)
+                )
+                session.outcome = "protocol-error"
+                session.error_detail = parsed.violation
+                break
+            if parsed.kind == "termination":
+                session.turns.append(Turn(k=k, kind="termination-turn", agent_reply_raw=raw))
+                session.outcome = "agent-terminated"
+                session.error_detail = parsed.reason[:500] or None
+                break
+            if handle is not None and fresh_sandbox:
+                destroy_sandbox(handle)
+                handle = None
+            if handle is None:
+                handle = create_sandbox(spec, ws)
+            result = exec_script(handle, parsed.script)
+            session.turns.append(
+                Turn(
+                    k=k,
+                    kind="command-turn",
+                    agent_reply_raw=raw,
+                    script=parsed.script,
+                    result=result,
+                    violation_note=parsed.violation,
+                )
+            )
+            if probe(result, ws):
+                session.outcome = "succeeded"
+                break
+        else:
+            session.outcome = "turn-budget-exhausted"
+    except RepobuildError as exc:
+        logger.warning("%s session for %s ended early: %s", session.variant, ws.repo_id, exc)
+        session.end_on_error(exc)
+    finally:
+        if handle is not None:
+            destroy_sandbox(handle)
+    if trajectory is not None:
+        trajectory(session)
+    return session
+
+
 def run_build_loop(
     ws: Workspace,
     ctx: PromptContext,
@@ -290,79 +357,33 @@ def run_build_loop(
     if variant not in VARIANTS:
         raise UsageError(f"unknown variant {variant!r}")
     session = BuildSession(repo_id=ws.repo_id, variant=variant, max_turns=max_turns)
-    handle = None
-    try:
-        handle = create_sandbox(spec, ws)
+
+    def replies():
         for k in range(max_turns + 1):
-            messages = assemble_generator_prompt(ctx, session.turns, budget=cfg.max_reply_chars)
-            parsed, raw = _ask_with_retry(cfg, messages, origin_turn=k)
-            if parsed.kind == "violation":
-                session.turns.append(
-                    Turn(k=k, kind="protocol-violation", agent_reply_raw=raw,
-                         violation_note=parsed.violation)
-                )
-                session.outcome = "protocol-error"
-                session.error_detail = parsed.violation
-                break
-            if parsed.kind == "termination":
-                session.turns.append(Turn(k=k, kind="termination-turn", agent_reply_raw=raw))
-                session.outcome = "agent-terminated"
-                session.error_detail = parsed.reason[:500] or None
-                break
-            result = exec_script(handle, parsed.script)
-            session.turns.append(
-                Turn(
-                    k=k,
-                    kind="command-turn",
-                    agent_reply_raw=raw,
-                    script=parsed.script,
-                    result=result,
-                    violation_note=parsed.violation,
-                )
-            )
-            if success_probe(result, ws):
-                session.outcome = "succeeded"
-                break
-        else:
-            session.outcome = "turn-budget-exhausted"
-    except RepobuildError as exc:
-        logger.warning("session for %s ended early: %s", ws.repo_id, exc)
-        session.end_on_error(exc)
-    finally:
-        if handle is not None:
-            destroy_sandbox(handle)
-    if trajectory is not None:
-        trajectory(session)
-    return session
+            yield _ask_with_retry(cfg, assemble_generator_prompt(ctx, session.turns), k)
+
+    return run_session(ws, spec, success_probe, session, replies(), trajectory=trajectory)
 
 
 def _ask_with_retry(
     cfg: LlmConfig, messages: List[ChatMessage], origin_turn: int
-) -> Tuple[ParsedReply, str]:
+) -> Tuple[str, ParsedReply]:
     """One completion, with a single format-reminder re-ask on a violation.
 
     Two violations in a row surface as a violation result; the caller decides
     the session outcome.
     """
-    raw = complete(cfg, messages)
-    parsed = parse_agent_reply(raw, origin_turn=origin_turn)
-    if parsed.kind != "violation":
-        return parsed, raw
-    reminder = messages + [
-        ChatMessage("assistant", raw),
-        ChatMessage("user", _prompt("format_reminder.txt")),
-    ]
-    raw2 = complete(cfg, reminder)
-    parsed2 = parse_agent_reply(raw2, origin_turn=origin_turn)
-    if parsed2.kind == "violation":
-        return (
-            ParsedReply(kind="violation", violation="two consecutive protocol violations"),
-            raw2,
-        )
-    if parsed2.kind == "command":
-        note = "recovered after a format reminder"
-        parsed2 = ParsedReply(kind="command", script=parsed2.script, violation=note)
-    return parsed2, raw2
+
+    def parse(raw: str) -> Optional[ParsedReply]:
+        parsed = parse_agent_reply(raw, origin_turn=origin_turn)
+        return None if parsed.kind == "violation" else parsed
+
+    parsed, raw, sent = ask_structured(cfg, messages, parse, _prompt("format_reminder.txt"))
+    if parsed is None:
+        return raw, ParsedReply(kind="violation", violation="two consecutive protocol violations")
+    if len(sent) > len(messages) and parsed.kind == "command":
+        parsed = replace(parsed, violation="recovered after a format reminder")
+    return raw, parsed
 
 
 def run_single_turn(
@@ -382,35 +403,9 @@ def run_single_turn(
         readme_content=ctx.readme,
         files_in_root_dir=ctx.root_listing,
     )
-    handle = None
-    try:
+
+    def replies():
         raw = complete(cfg, [ChatMessage("user", prompt)])
-        parsed = parse_agent_reply(raw, origin_turn=0)
-        if parsed.kind == "violation":
-            session.turns.append(
-                Turn(k=0, kind="protocol-violation", agent_reply_raw=raw,
-                     violation_note=parsed.violation)
-            )
-            session.outcome = "protocol-error"
-        elif parsed.kind == "termination":
-            session.turns.append(Turn(k=0, kind="termination-turn", agent_reply_raw=raw))
-            session.outcome = "agent-terminated"
-        else:
-            handle = create_sandbox(spec, ws)
-            result = exec_script(handle, parsed.script)
-            session.turns.append(
-                Turn(k=0, kind="command-turn", agent_reply_raw=raw,
-                     script=parsed.script, result=result)
-            )
-            session.outcome = (
-                "succeeded" if success_probe(result, ws) else "turn-budget-exhausted"
-            )
-    except RepobuildError as exc:
-        logger.warning("single-turn session for %s failed: %s", ws.repo_id, exc)
-        session.end_on_error(exc)
-    finally:
-        if handle is not None:
-            destroy_sandbox(handle)
-    if trajectory is not None:
-        trajectory(session)
-    return session
+        yield raw, parse_agent_reply(raw, origin_turn=0)
+
+    return run_session(ws, spec, success_probe, session, replies(), trajectory=trajectory)

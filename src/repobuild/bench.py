@@ -11,12 +11,13 @@ import re
 import shutil
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from .agent import (
+    VARIANTS,
     BuildSession,
     PromptContext,
     run_build_loop,
@@ -28,12 +29,10 @@ from .gateway import LlmConfig
 from .retrieval import InstructionDossier, run_retrieval
 from .rules import build_with_rules
 from .sandbox import SandboxSpec, base_image_description
-from .validation import Verdict, discover_new_binaries, has_binary_magic, judge
+from .validation import BinaryArtifact, Verdict, discover_new_binaries, has_binary_magic, judge
 from .workspace import Workspace, list_root_entries, prepare_workspace, read_readme, snapshot_files
 
 logger = logging.getLogger(__name__)
-
-METHODS = ("agent-with-retrieval", "agent-no-retrieval", "single-turn", "rule-based")
 
 FAILURE_MODES = (
     "unresolved-after-max-attempts",
@@ -60,7 +59,7 @@ class RunConfig:
     parallelism: int = 1
 
     def __post_init__(self):
-        if self.method not in METHODS:
+        if self.method not in VARIANTS:
             raise UsageError(f"unknown method {self.method!r}")
         if self.runs < 1 or self.parallelism < 1 or self.max_turns < 1:
             raise UsageError("runs, parallelism, and max_turns must be >= 1")
@@ -156,41 +155,15 @@ class ResultStore:
 
 
 def _verdict_to_dict(v: Verdict) -> dict:
-    return {
-        "completion": v.completion,
-        "strict": v.strict,
-        "flexible": v.flexible,
-        "matched_names": sorted(v.matched_names),
-        "new_binaries": [
-            {
-                "rel_path": a.rel_path,
-                "file_name": a.file_name,
-                "classify": a.classify,
-                "has_debug_info": a.has_debug_info,
-            }
-            for a in v.new_binaries
-        ],
-    }
+    return {**asdict(v), "matched_names": sorted(v.matched_names)}
 
 
 def _verdict_from_dict(d: dict) -> Verdict:
-    from .validation import BinaryArtifact
-
-    return Verdict(
-        completion=d["completion"],
-        strict=d["strict"],
-        flexible=d["flexible"],
-        matched_names=frozenset(d["matched_names"]),
-        new_binaries=tuple(
-            BinaryArtifact(
-                rel_path=a["rel_path"],
-                file_name=a["file_name"],
-                classify=a["classify"],
-                has_debug_info=a["has_debug_info"],
-            )
-            for a in d["new_binaries"]
-        ),
-    )
+    return Verdict(**{
+        **d,
+        "matched_names": frozenset(d["matched_names"]),
+        "new_binaries": tuple(BinaryArtifact(**a) for a in d["new_binaries"]),
+    })
 
 
 def session_summary(session: BuildSession) -> dict:

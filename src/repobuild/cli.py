@@ -15,7 +15,8 @@ from pathlib import Path
 from typing import List, Optional
 
 from . import bench as bench_mod
-from .corpus import load_manifest, required_sample_size
+from .agent import VARIANTS
+from .corpus import CorpusManifest, RepoRecord, load_manifest, required_sample_size
 from .errors import (
     DomainError,
     ManifestParseError,
@@ -141,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--id", help="repository id as owner/name")
     p_build.add_argument("--commit", help="revision to pin")
     p_build.add_argument(
-        "--method", default="rule-based", choices=bench_mod.METHODS
+        "--method", default="rule-based", choices=VARIANTS
     )
     p_build.add_argument("--expected", help="comma-separated expected binary names")
     p_build.add_argument("--max-turns", type=int, default=12)
@@ -154,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="run a method over a whole manifest")
     p_bench.add_argument("--manifest", required=True)
     p_bench.add_argument(
-        "--method", default="rule-based", choices=bench_mod.METHODS
+        "--method", default="rule-based", choices=VARIANTS
     )
     p_bench.add_argument("--runs", type=int, default=1)
     p_bench.add_argument("--parallelism", type=int, default=1)
@@ -195,8 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_build(args, config: dict) -> int:
-    from .corpus import RepoRecord
-
     repo_id = args.id
     if not repo_id:
         name = Path(args.source.rstrip("/")).name.removesuffix(".git")
@@ -208,7 +207,7 @@ def _cmd_build(args, config: dict) -> int:
         expected_binaries=tuple(_expected_list(args.expected)),
     )
     cfg = bench_mod.RunConfig(
-        manifest=_single_record_manifest(record),
+        manifest=CorpusManifest(records=[record], name="adhoc"),
         method=args.method,
         llm=_llm_config(args, config),
         sandbox=_sandbox_spec(args, config),
@@ -237,12 +236,6 @@ def _cmd_build(args, config: dict) -> int:
             print(f"binary: {rel}")
     passed = verdict.strict if args.require_strict else verdict.completion
     return 0 if passed else 1
-
-
-def _single_record_manifest(record):
-    from .corpus import CorpusManifest
-
-    return CorpusManifest(records=[record], name="adhoc")
 
 
 def _cmd_bench(args, config: dict) -> int:

@@ -13,7 +13,7 @@ import os
 import re
 import time
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Pattern, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Pattern, Sequence, Tuple, TypeVar, Union
 
 import requests
 
@@ -30,6 +30,10 @@ ENV_API_KEY = "REPOBUILD_LLM_API_KEY"
 _RETRYABLE_STATUS = {408, 429, 500, 502, 503, 504}
 
 Matcher = Union[str, Pattern]
+T = TypeVar("T")
+
+# every format reminder starts with this; the caller supplies the format line
+REMINDER_PREFIX = "Your previous reply did not follow the required format. "
 
 
 @dataclass(frozen=True)
@@ -96,11 +100,7 @@ def scripted_config(scenario: ScriptedScenario, **overrides) -> LlmConfig:
     return LlmConfig(backend="scripted", scenario=scenario, **overrides)
 
 
-def complete(
-    config: LlmConfig,
-    messages: Sequence[ChatMessage],
-    recorder: Optional[Callable[[Sequence[ChatMessage], str], None]] = None,
-) -> str:
+def complete(config: LlmConfig, messages: Sequence[ChatMessage]) -> str:
     """Return the assistant reply for a conversation.
 
     The last message must be from the user. Replies longer than
@@ -121,9 +121,29 @@ def complete(
         raise OversizeReplyError(
             f"reply of {len(reply)} chars exceeds cap {config.max_reply_chars}"
         )
-    if recorder is not None:
-        recorder(messages, reply)
     return reply
+
+
+def ask_structured(
+    config: LlmConfig,
+    messages: Sequence[ChatMessage],
+    parse: Callable[[str], Optional[T]],
+    reminder: str,
+) -> Tuple[Optional[T], str, List[ChatMessage]]:
+    """Ask, and re-ask once with a format reminder when ``parse`` returns None.
+
+    Returns the parsed value (None when the re-ask was malformed too), the
+    last raw reply, and a copy of the conversation that reply answers: after
+    a re-ask, ``messages`` plus the malformed reply and the reminder.
+    """
+    raw = complete(config, messages)
+    value = parse(raw)
+    if value is not None:
+        return value, raw, list(messages)
+    messages = [*messages, ChatMessage("assistant", raw),
+                ChatMessage("user", REMINDER_PREFIX + reminder)]
+    raw = complete(config, messages)
+    return parse(raw), raw, messages
 
 
 def _live_complete(config: LlmConfig, messages: Sequence[ChatMessage]) -> str:

@@ -16,7 +16,9 @@ from urllib.parse import urljoin, urlsplit
 import requests
 
 from .errors import ProtocolError
-from .gateway import ChatMessage, LlmConfig, complete
+from .gateway import ChatMessage, LlmConfig, ask_structured
+# not called here; perfbench/tracer.py patches it by name until ROADMAP item 1
+from .gateway import complete  # noqa: F401
 from .workspace import Workspace, list_root_entries, read_readme
 
 logger = logging.getLogger(__name__)
@@ -31,9 +33,8 @@ USER_AGENT = "repobuild/0.1 (build-instruction retrieval)"
 _TEXTUAL_TYPES = ("application/json", "application/xml", "application/xhtml+xml")
 
 _FORMAT_REMINDER = (
-    "Your previous reply did not follow the required format. Reply with exactly the "
-    "three labeled blocks:\n\nINSTRUCTIONS:\n<text>\n\nSUFFICIENT: yes|no\n\nLINKS:\n"
-    "<one link per line, or leave empty>"
+    "Reply with exactly the three labeled blocks:\n\nINSTRUCTIONS:\n<text>\n\n"
+    "SUFFICIENT: yes|no\n\nLINKS:\n<one link per line, or leave empty>"
 )
 
 
@@ -268,21 +269,18 @@ def run_retrieval(
 
     for round_no in range(1, MAX_ROUNDS + 1):
         rounds_used = round_no
-        raw = complete(cfg, messages)
-        try:
-            reply = parse_retrieval_reply(
-                raw, round_no, ws.root_path, last_external_base, last_internal_dir
-            )
-        except ProtocolError:
-            reminder = messages + [
-                ChatMessage("assistant", raw),
-                ChatMessage("user", _FORMAT_REMINDER),
-            ]
-            raw = complete(cfg, reminder)
-            reply = parse_retrieval_reply(
-                raw, round_no, ws.root_path, last_external_base, last_internal_dir
-            )
-            messages = reminder
+
+        def parse(raw: str) -> Optional[RetrievalReply]:
+            try:
+                return parse_retrieval_reply(
+                    raw, round_no, ws.root_path, last_external_base, last_internal_dir
+                )
+            except ProtocolError:
+                return None
+
+        reply, raw, messages = ask_structured(cfg, messages, parse, _FORMAT_REMINDER)
+        if reply is None:
+            raise ProtocolError("reply is missing the INSTRUCTIONS or SUFFICIENT block")
         instructions = reply.distilled
         sufficient = reply.sufficient
         if sufficient or round_no == MAX_ROUNDS:

@@ -4,19 +4,16 @@ systems, attempted in priority order until one produces binaries."""
 from __future__ import annotations
 
 import json
-import logging
 import posixpath
 from dataclasses import dataclass
 from importlib import resources
-from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from .agent import BuildSession, SuccessProbe, Turn
-from .errors import RepobuildError
-from .sandbox import CommandScript, SandboxSpec, create_sandbox, destroy_sandbox, exec_script
+from .agent import BuildSession, ParsedReply, SuccessProbe, run_session
+from .sandbox import CommandScript, SandboxSpec
+# not called here; perfbench/tracer.py patches them by name until ROADMAP item 1
+from .sandbox import create_sandbox, destroy_sandbox, exec_script  # noqa: F401
 from .workspace import BuildSystemKind, Workspace, detect_build_systems
-
-logger = logging.getLogger(__name__)
 
 # attempt order when a repository shows several build systems
 ROUTINE_PRIORITY = [
@@ -35,17 +32,10 @@ class BuildRoutine:
     steps: Tuple[str, ...]
 
 
-def load_build_routines(path: Optional[Path] = None) -> Dict[str, List[str]]:
-    """Routine step templates by build-system name; users may supply their own
-    file to extend or override the shipped set."""
-    if path is not None:
-        raw = Path(path).read_text("utf-8")
-    else:
-        raw = resources.files("repobuild.assets").joinpath("build_routines.json").read_text("utf-8")
-    data = json.loads(raw)
-    if not isinstance(data, dict):
-        raise ValueError("routine file must map build-system names to step lists")
-    return {k: list(v) for k, v in data.items()}
+def load_build_routines() -> Dict[str, List[str]]:
+    """Routine step templates by build-system name, from the shipped set."""
+    raw = resources.files("repobuild.assets").joinpath("build_routines.json").read_text("utf-8")
+    return {k: list(v) for k, v in json.loads(raw).items()}
 
 
 def render_routine(
@@ -63,15 +53,11 @@ def render_routine(
 
 
 def build_with_rules(
-    ws: Workspace,
-    spec: SandboxSpec,
-    success_probe: SuccessProbe,
-    routines_path: Optional[Path] = None,
+    ws: Workspace, spec: SandboxSpec, success_probe: SuccessProbe
 ) -> BuildSession:
     """Try each applicable canonical routine in a fresh sandbox; no retries,
     no LLM involvement. One command turn is recorded per attempted routine."""
-    session = BuildSession(repo_id=ws.repo_id, variant="rule-based", max_turns=1)
-    templates = load_build_routines(routines_path)
+    templates = load_build_routines()
     detected = dict(detect_build_systems(ws))
     attempts: List[BuildRoutine] = []
     for kind in ROUTINE_PRIORITY:
@@ -79,30 +65,11 @@ def build_with_rules(
             routine = render_routine(kind, detected[kind], ws.mount_path, templates)
             if routine is not None:
                 attempts.append(routine)
-    session.max_turns = max(1, len(attempts))
-
-    try:
-        for idx, routine in enumerate(attempts):
-            script = CommandScript(commands=routine.steps, origin_turn=idx)
-            handle = create_sandbox(spec, ws)
-            try:
-                result = exec_script(handle, script)
-            finally:
-                destroy_sandbox(handle)
-            session.turns.append(
-                Turn(
-                    k=idx,
-                    kind="command-turn",
-                    agent_reply_raw=f"routine:{routine.kind.value}",
-                    script=script,
-                    result=result,
-                )
-            )
-            if success_probe(result, ws):
-                session.outcome = "succeeded"
-                return session
-        session.outcome = "turn-budget-exhausted"
-    except RepobuildError as exc:
-        logger.warning("rule-based build of %s ended early: %s", ws.repo_id, exc)
-        session.end_on_error(exc)
-    return session
+    session = BuildSession(repo_id=ws.repo_id, variant="rule-based",
+                           max_turns=max(1, len(attempts)))
+    replies = (
+        (f"routine:{r.kind.value}",
+         ParsedReply(kind="command", script=CommandScript(commands=r.steps, origin_turn=idx)))
+        for idx, r in enumerate(attempts)
+    )
+    return run_session(ws, spec, success_probe, session, replies, fresh_sandbox=True)

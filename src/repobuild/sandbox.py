@@ -334,9 +334,11 @@ def exec_script(handle: SandboxHandle, script: CommandScript) -> ExecutionResult
                 except queue.Empty:
                     continue
                 if raw is None:
-                    # shell died before reporting; treat as a failed command
-                    exit_code = proc.poll() if proc.poll() is not None else 1
-                    if exit_code == 0:
+                    # the shell ended before reporting (`exit 3`): once it is
+                    # reaped its own code is the command's, if not zero
+                    try:
+                        exit_code = proc.wait(timeout=max(0.0, remaining)) or 1
+                    except subprocess.TimeoutExpired:
                         exit_code = 1
                     break
                 if marker_bytes in raw:

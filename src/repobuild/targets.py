@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import ProtocolError
-from .gateway import ChatMessage, LlmConfig, complete
+from .gateway import ChatMessage, LlmConfig, ask_structured
 from .workspace import Workspace
 
 logger = logging.getLogger(__name__)
@@ -25,8 +25,7 @@ _ASSIGN_RE = re.compile(r"^[ \t]*(\w+)[ \t]*[:?+]?=[ \t]*(.*)$")
 _OUTPUT_FLAG_RE = re.compile(r"-o[ \t]+(\S+)")
 
 _NAMES_REMINDER = (
-    "Your previous reply did not follow the required format. Reply with exactly:\n"
-    "NAMES:\n<one executable name per line, or leave empty>"
+    "Reply with exactly:\nNAMES:\n<one executable name per line, or leave empty>"
 )
 
 
@@ -257,20 +256,12 @@ def extract_targets_llm(
     budget = max(4096, cfg.max_reply_chars // 2)
     llm_names: List[str] = []
     for chunk in _chunk(rendered, budget):
-        raw = complete(cfg, [ChatMessage("user", template.format(makefiles=chunk))])
-        parsed = _parse_names(raw)
+        parsed, _, _ = ask_structured(
+            cfg, [ChatMessage("user", template.format(makefiles=chunk))],
+            _parse_names, _NAMES_REMINDER,
+        )
         if parsed is None:
-            raw = complete(
-                cfg,
-                [
-                    ChatMessage("user", template.format(makefiles=chunk)),
-                    ChatMessage("assistant", raw),
-                    ChatMessage("user", _NAMES_REMINDER),
-                ],
-            )
-            parsed = _parse_names(raw)
-            if parsed is None:
-                raise ProtocolError("target prediction reply is missing the NAMES label")
+            raise ProtocolError("target prediction reply is missing the NAMES label")
         llm_names.extend(parsed)
 
     names: List[str] = []

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Callable, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import ProtocolError
-from .gateway import ChatMessage, LlmConfig, complete
+from .gateway import ChatMessage, LlmConfig, ask_structured
 from .workspace import FileSnapshot, Workspace, file_entry, stat_key, walk_files
 
 logger = logging.getLogger(__name__)
@@ -60,7 +60,6 @@ class Verdict:
     flexible: bool
     matched_names: frozenset
     new_binaries: Tuple[BinaryArtifact, ...]
-    failure_mode: Optional[str] = None
 
 
 @dataclass
@@ -436,8 +435,7 @@ def function_coverage(
 
 
 _VERDICT_REMINDER = (
-    "Your previous reply did not follow the required format. Reply with exactly:\n"
-    "VERDICT: yes|no\nRATIONALE: <one or two sentences>"
+    "Reply with exactly:\nVERDICT: yes|no\nRATIONALE: <one or two sentences>"
 )
 
 
@@ -463,15 +461,11 @@ def llm_verdict(
             top_uncompiled=top or "(none)",
         )
     )
-    messages = [ChatMessage("user", prompt)]
-    raw = complete(cfg, messages)
-    parsed = _parse_verdict(raw)
+    parsed, _, _ = ask_structured(
+        cfg, [ChatMessage("user", prompt)], _parse_verdict, _VERDICT_REMINDER
+    )
     if parsed is None:
-        messages += [ChatMessage("assistant", raw), ChatMessage("user", _VERDICT_REMINDER)]
-        raw = complete(cfg, messages)
-        parsed = _parse_verdict(raw)
-        if parsed is None:
-            raise ProtocolError("validation reply is missing the VERDICT label")
+        raise ProtocolError("validation reply is missing the VERDICT label")
     return parsed
 
 

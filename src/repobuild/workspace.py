@@ -31,7 +31,6 @@ class BuildSystemKind(Enum):
     MAKE = "Make"
     CMAKE = "CMake"
     AUTOTOOLS = "Autotools"
-    MSBUILD = "MSBuild"
     QMAKE = "QMake"
     MESON = "Meson"
     CUSTOM_SCRIPT = "CustomScript"
@@ -45,7 +44,6 @@ _KIND_ORDER = [
     BuildSystemKind.MAKE,
     BuildSystemKind.MESON,
     BuildSystemKind.QMAKE,
-    BuildSystemKind.MSBUILD,
     BuildSystemKind.CUSTOM_SCRIPT,
 ]
 
@@ -73,9 +71,9 @@ class Workspace:
 class FileSnapshot:
     """Digest inventory of every regular file and symlink under a workspace root.
 
-    ``stats`` only lets a later snapshot skip re-hashing unchanged files; it
-    takes no part in equality and is never saved, so a loaded snapshot has
-    none and a snapshot taken against it hashes every file.
+    ``stats`` only lets the live verdict skip files whose stat is unchanged;
+    it takes no part in equality and is never saved, so a loaded snapshot
+    has none and the verdict against it classifies every file.
     """
 
     entries: dict  # rel path -> (size, sha256 hex or None, executable flag)
@@ -165,7 +163,7 @@ def _digest_file(path: str) -> str:
 
 
 def stat_key(st: os.stat_result) -> tuple:
-    """The lstat fields that must all be equal for an entry to be reused."""
+    """The lstat fields that must all be equal for a file to count as unchanged."""
     return (st.st_mode, st.st_size, st.st_mtime_ns, st.st_ctime_ns, st.st_ino, st.st_dev)
 
 
@@ -209,37 +207,26 @@ def walk_files(ws: Workspace) -> Iterator[Tuple[str, str, os.stat_result, bool]]
 
 
 def snapshot_files(
-    ws: Workspace,
-    since: Optional[FileSnapshot] = None,
-    *,
-    hash_if: Optional[Callable[[str], bool]] = None,
+    ws: Workspace, *, hash_if: Optional[Callable[[str], bool]] = None
 ) -> FileSnapshot:
     """Record (size, digest, executable) for every file under the root.
 
     Symlinks are recorded by the digest of their target string, so a dangling
     link is still representable and a retargeted link shows up as a change.
-
-    An entry of ``since`` is reused without reading the file when the file's
-    lstat tuple is the one ``since`` recorded. A tuple is recorded only for a
-    stable file (see ``walk_files``), so a racily clean entry is hashed again
-    every time.
+    The lstat tuple is kept only for a stable file (see ``walk_files``).
 
     With ``hash_if``, a regular file for which ``hash_if(full path)`` is false
     is not hashed and gets digest None. Such a snapshot is a baseline for
     ``validation.discover_new_binaries`` only; it is not meant to be saved.
     """
-    trusted = since.stats if since is not None else {}
     entries, stats = {}, {}
     for rel, full, st, stable in walk_files(ws):
-        key = stat_key(st)
-        if trusted.get(rel) == key:
-            entries[rel] = since.entries[rel]
-        elif hash_if is not None and stat.S_ISREG(st.st_mode) and not hash_if(full):
+        if hash_if is not None and stat.S_ISREG(st.st_mode) and not hash_if(full):
             entries[rel] = (st.st_size, None, bool(st.st_mode & 0o111))
         else:
             entries[rel] = file_entry(full, st)
         if stable:
-            stats[rel] = key
+            stats[rel] = stat_key(st)
     return FileSnapshot(
         entries=entries, taken_at=datetime.now(timezone.utc).isoformat(), stats=stats
     )
@@ -281,8 +268,6 @@ def _evidence_kind(name: str) -> Optional[BuildSystemKind]:
         return BuildSystemKind.MESON
     if name.endswith(".pro"):
         return BuildSystemKind.QMAKE
-    if name.endswith((".sln", ".vcxproj")):
-        return BuildSystemKind.MSBUILD
     if name in ("build.sh", "compile.sh"):
         return BuildSystemKind.CUSTOM_SCRIPT
     return None

@@ -1,5 +1,6 @@
 import pytest
 
+from repobuild import agent
 from repobuild.agent import (
     ELIDED_MARKER,
     BuildSession,
@@ -320,6 +321,25 @@ class TestBuildLoop:
         assert session.outcome == "succeeded"
         assert len(session.turns) == 2
 
+    def test_reply_cap_does_not_elide_earlier_outputs(self, tmp_path, local_spec, monkeypatch):
+        ws = prepare_fixture("hello_make", tmp_path)
+        prompts = []
+        assemble = agent.assemble_generator_prompt
+        monkeypatch.setattr(agent, "assemble_generator_prompt",
+                            lambda *a, **k: prompts.append(assemble(*a, **k)) or prompts[-1])
+        cfg = scripted_config(
+            ScriptedScenario(steps=[], default_reply=(
+                "```bash\nhead -c 5000 /dev/zero | tr '\\0' x\necho\nfalse\n```")),
+            max_reply_chars=2000,
+        )
+        session = run_build_loop(ws, ctx(), cfg, local_spec, make_probe("never"), max_turns=2)
+        first_output = session.turns[0].result.combined_output
+        assert "x" * 5000 in first_output
+        # turn 2's prompt: system, initial, then turn 0's reply and feedback
+        assert len(prompts) == 3
+        assert first_output in prompts[2][3].content
+        assert not any(ELIDED_MARKER in m.content for m in prompts[2])
+
     def test_invalid_max_turns_rejected(self, tmp_path, local_spec):
         ws = prepare_fixture("hello_make", tmp_path)
         cfg = scripted_config(ScriptedScenario(steps=[], default_reply=INITIAL_MAKE))
@@ -356,6 +376,15 @@ class TestSingleTurn:
         )
         assert session.outcome == "protocol-error"
         assert len(session.turns) == 1
+
+    def test_prose_reply_records_why_the_session_ended(self, tmp_path, local_spec):
+        ws = prepare_fixture("hello_make", tmp_path)
+        cfg = scripted_config(
+            ScriptedScenario(steps=[], default_reply="First, examine the Makefile."),
+        )
+        session = run_single_turn(ws, ctx(), cfg, local_spec, make_probe("hello"))
+        assert session.error_detail == "no code block and no termination word"
+        assert session.turns[0].violation_note == session.error_detail
 
     def test_failing_script_not_succeeded_one_turn(self, tmp_path, local_spec):
         ws = prepare_fixture("hello_make", tmp_path)

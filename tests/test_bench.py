@@ -6,10 +6,9 @@ import sys
 import pytest
 
 from repobuild import bench
-from repobuild.agent import BuildSession, Turn
+from repobuild.agent import VARIANTS, BuildSession, Turn
 from repobuild.bench import (
     FAILURE_MODES,
-    METHODS,
     ResultStore,
     RunConfig,
     RunResult,
@@ -127,7 +126,7 @@ def _view(results):
 
 class TestRunConfig:
     def test_known_methods_accepted(self):
-        for method in METHODS:
+        for method in VARIANTS:
             cfg = _cfg([], method=method)
             assert cfg.method == method
 

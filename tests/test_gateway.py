@@ -8,9 +8,11 @@ from repobuild.errors import (
     TransportError,
 )
 from repobuild.gateway import (
+    REMINDER_PREFIX,
     ChatMessage,
     LlmConfig,
     ScriptedScenario,
+    ask_structured,
     complete,
     pattern,
     scripted_config,
@@ -106,14 +108,55 @@ class TestComplete:
         with pytest.raises(OversizeReplyError):
             complete(cfg, [user("hi")])
 
-    def test_recorder_sees_exchange(self):
-        seen = []
-        cfg = scripted_config(ScriptedScenario(steps=[], default_reply="pong"))
-        complete(cfg, [user("ping")], recorder=lambda msgs, reply: seen.append((msgs, reply)))
+
+def replying(*replies):
+    """A scripted config that gives ``replies`` in order, and the list of
+    the latest user message of every call it answers."""
+    seen = []
+    scenario = ScriptedScenario()
+    queue = list(replies)
+    scenario.resolve = lambda latest: seen.append(latest) or queue.pop(0)
+    return scripted_config(scenario), seen
+
+
+def good_only(raw):
+    return raw.upper() if raw.startswith("good") else None
+
+
+class TestAskStructured:
+    def test_well_formed_reply_is_not_reasked(self):
+        cfg, seen = replying("good")
+        asked = [user("question")]
+        assert ask_structured(cfg, asked, good_only, "Say good.") == ("GOOD", "good", asked)
+        assert seen == ["question"]
+
+    def test_empty_parse_result_counts_as_well_formed(self):
+        cfg, seen = replying("NAMES:")
+        value, _, _ = ask_structured(cfg, [user("q")], lambda raw: [], "Say good.")
+        assert value == []
         assert len(seen) == 1
-        recorded_msgs, reply = seen[0]
-        assert reply == "pong"
-        assert recorded_msgs[-1].content == "ping"
+
+    def test_malformed_reply_is_reasked_once_with_the_prefix(self):
+        cfg, seen = replying("bad", "good again")
+        asked = [user("question")]
+        value, raw, messages = ask_structured(cfg, asked, good_only, "Say good.")
+        assert (value, raw) == ("GOOD AGAIN", "good again")
+        assert seen == ["question", REMINDER_PREFIX + "Say good."]
+        assert messages == [
+            user("question"),
+            ChatMessage("assistant", "bad"),
+            user("Your previous reply did not follow the required format. Say good."),
+        ]
+        assert asked == [user("question")]
+
+    def test_second_malformed_reply_gives_none_without_a_third_call(self):
+        cfg, seen = replying("bad", "worse", "good")
+        value, raw, messages = ask_structured(cfg, [user("question")], good_only, "Say good.")
+        assert (value, raw) == (None, "worse")
+        assert len(seen) == 2
+        assert [m.content for m in messages] == [
+            "question", "bad", REMINDER_PREFIX + "Say good."
+        ]
 
 
 class TestConfigValidation:

@@ -195,6 +195,7 @@ class TestFetchLink:
             assert binary.failure_kind == "non-text"
         finally:
             server.shutdown()
+            server.server_close()
 
     def test_internal_read_is_bounded(self, tmp_path):
         ws = prepare_fixture("hello_make", tmp_path)

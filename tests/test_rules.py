@@ -1,7 +1,3 @@
-import json
-
-import pytest
-
 from repobuild.errors import SandboxUnavailableError
 from repobuild.rules import (
     ROUTINE_PRIORITY,
@@ -43,18 +39,6 @@ class TestLoadBuildRoutines:
         for kind in ROUTINE_PRIORITY:
             assert kind.value in routines
             assert routines[kind.value], kind
-
-    def test_custom_file_overrides(self, tmp_path):
-        custom = tmp_path / "routines.json"
-        custom.write_text(json.dumps({"Make": ["cd {dir}", "make -j2"]}))
-        routines = load_build_routines(custom)
-        assert routines == {"Make": ["cd {dir}", "make -j2"]}
-
-    def test_non_mapping_file_rejected(self, tmp_path):
-        bad = tmp_path / "routines.json"
-        bad.write_text(json.dumps(["make"]))
-        with pytest.raises(ValueError, match="map"):
-            load_build_routines(bad)
 
 
 class TestRenderRoutine:
@@ -178,24 +162,13 @@ class TestBuildWithRules:
         assert session.outcome == "turn-budget-exhausted"
         assert session.turns[0].result.overall_exit == 0
 
-    def test_custom_routines_file_used(self, tmp_path, local_spec):
-        custom = tmp_path / "routines.json"
-        custom.write_text(
-            json.dumps({"Make": ["cd {dir}", "echo custom-route", "make"]})
-        )
-        ws = prepare_fixture("hello_make", tmp_path)
-        probe, _ = completion_probe(ws)
-        session = build_with_rules(ws, local_spec, probe, routines_path=custom)
-        assert session.outcome == "succeeded"
-        assert "custom-route" in session.turns[0].result.combined_output
-
     def test_sandbox_failure_is_infra_error(self, tmp_path, local_spec, monkeypatch):
         ws = prepare_fixture("hello_make", tmp_path)
 
         def refuse(spec, ws_):
             raise SandboxUnavailableError("no backend available")
 
-        monkeypatch.setattr("repobuild.rules.create_sandbox", refuse)
+        monkeypatch.setattr("repobuild.agent.create_sandbox", refuse)
         probe, _ = completion_probe(ws)
         session = build_with_rules(ws, local_spec, probe)
         assert session.outcome == "infra-error"

@@ -92,6 +92,21 @@ class TestLocalExecution:
         assert result.per_command[1][:2] == ("false", 1)
         assert "after" not in result.combined_output
 
+    def test_command_that_ends_the_shell_keeps_its_exit_code(self, tmp_path, local_spec):
+        ws = prepare_fixture("hello_make", tmp_path)
+        with create_sandbox(local_spec, ws) as handle:
+            # read too early, the code is lost only when the shell is not yet
+            # reaped, so try more than once
+            results = [run(handle, "echo hi", "exit 3", "echo after") for _ in range(3)]
+            # a script cut short by `exit 0` did not run to its end
+            cut_short = run(handle, "exit 0")
+        for result in results:
+            assert result.overall_exit == 3
+            assert [pc[:2] for pc in result.per_command] == [("echo hi", 0), ("exit 3", 3)]
+            assert "hi" in result.combined_output
+            assert "after" not in result.combined_output
+        assert cut_short.overall_exit == 1
+
     def test_stderr_interleaved(self, tmp_path, local_spec):
         ws = prepare_fixture("hello_make", tmp_path)
         with create_sandbox(local_spec, ws) as handle:
