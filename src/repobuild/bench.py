@@ -9,8 +9,8 @@ import logging
 import os
 import re
 import shutil
-from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter, deque
+from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -30,7 +30,14 @@ from .retrieval import InstructionDossier, run_retrieval
 from .rules import build_with_rules
 from .sandbox import SandboxSpec, base_image_description
 from .validation import BinaryArtifact, Verdict, discover_new_binaries, has_binary_magic, judge
-from .workspace import Workspace, list_root_entries, prepare_workspace, read_readme, snapshot_files
+from .workspace import (
+    FileSnapshot,
+    Workspace,
+    list_root_entries,
+    prepare_workspace,
+    read_readme,
+    snapshot_files,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -303,18 +310,32 @@ def _build_context(ws: Workspace, instructions: Optional[str]) -> PromptContext:
     )
 
 
+def _prepare_session(record: RepoRecord, session_dir: Path) -> Tuple[Workspace, FileSnapshot]:
+    """The session's workspace and its pre-build baseline snapshot."""
+    ws = prepare_workspace(record, session_dir)
+    # only a file with a binary magic can become a product, and only
+    # such a file needs a digest to tell whether it changed
+    return ws, snapshot_files(ws, hash_if=has_binary_magic)
+
+
 def run_one_repo(
     record: RepoRecord,
     cfg: RunConfig,
     session_dir: Path,
+    prepared: Optional[Future] = None,
 ) -> Tuple[dict, Verdict, Optional[str], Optional[dict]]:
-    """Workspace, optional retrieval, one method session, verdict, failure tag."""
+    """Workspace, optional retrieval, one method session, verdict, failure tag.
+
+    ``prepared`` is a future of the workspace and baseline that the benchmark
+    loop prepared ahead in ``session_dir``; without it they are prepared here.
+    A failure to prepare them ends the session as an infra error either way.
+    """
     dossier = None
     try:
-        ws = prepare_workspace(record, session_dir)
-        # only a file with a binary magic can become a product, and only
-        # such a file needs a digest to tell whether it changed
-        before = snapshot_files(ws, hash_if=has_binary_magic)
+        if prepared is None:
+            ws, before = _prepare_session(record, session_dir)
+        else:
+            ws, before = prepared.result()
         probe = make_completion_probe(before, ws)
 
         instructions = None
@@ -350,6 +371,14 @@ def run_one_repo(
     return summary, verdict, failure, dossier_dict
 
 
+def _materialize(record: RepoRecord, session_dir: Path) -> Tuple[Workspace, FileSnapshot]:
+    """Clear ``session_dir`` of leftovers, then prepare the session there."""
+    # absent from the store means any leftovers are from a crashed attempt
+    if session_dir.exists():
+        shutil.rmtree(session_dir)
+    return _prepare_session(record, session_dir)
+
+
 def run_benchmark(
     cfg: RunConfig,
     store_path: Path,
@@ -358,7 +387,13 @@ def run_benchmark(
     """Execute `runs` repetitions over the manifest, resuming past work found
     in the store. Returns what ``load_results`` would rebuild from the store
     at the end, records other writers appended included, so a recomputation
-    sees exactly what was persisted."""
+    sees exactly what was persisted.
+
+    Sessions start in manifest order, run by run, on ``parallelism``
+    threads. When one starts, the workspace of the job ``parallelism`` places
+    further on is prepared in the background, so copies and clones overlap
+    the sessions before them.
+    """
     store = ResultStore(store_path)
     # one pass over the store gives both the results so far and what is done
     records, end = _read_records(store.path)
@@ -367,35 +402,49 @@ def run_benchmark(
     done = {(rec["run"], rec["repo"]) for rec in records}
     del records
     work_dir = Path(work_dir)
+    jobs = [
+        (run_idx, record, work_dir / f"run{run_idx}" / record.id.replace("/", "__"))
+        for run_idx in range(cfg.runs)
+        for record in cfg.manifest.records
+        if (run_idx, record.id) not in done
+    ]
+    width = cfg.parallelism
 
-    for run_idx in range(cfg.runs):
-        todo = [r for r in cfg.manifest.records if (run_idx, r.id) not in done]
-        if not todo:
-            continue
+    def run_job(run_idx: int, record: RepoRecord, session_dir: Path, prepared: Future) -> None:
+        summary, verdict, failure, dossier = run_one_repo(record, cfg, session_dir, prepared)
+        store.append(
+            {
+                "run": run_idx,
+                "repo": record.id,
+                "session": summary,
+                "verdict": _verdict_to_dict(verdict),
+                "failure_mode": failure,
+                "dossier": dossier,
+            }
+        )
 
-        def run_record(record: RepoRecord, run_idx=run_idx) -> None:
-            session_dir = work_dir / f"run{run_idx}" / record.id.replace("/", "__")
-            # absent from the store means any leftovers are from a crashed attempt
-            if session_dir.exists():
-                shutil.rmtree(session_dir)
-            summary, verdict, failure, dossier = run_one_repo(record, cfg, session_dir)
-            store.append(
-                {
-                    "run": run_idx,
-                    "repo": record.id,
-                    "session": summary,
-                    "verdict": _verdict_to_dict(verdict),
-                    "failure_mode": failure,
-                    "dossier": dossier,
-                }
-            )
-
-        if cfg.parallelism == 1:
-            for record in todo:
-                run_record(record)
-        else:
-            with ThreadPoolExecutor(max_workers=cfg.parallelism) as pool:
-                list(pool.map(run_record, todo))
+    # leaving the block waits for the running sessions first, and they may
+    # still wait on a workspace being prepared
+    with ThreadPoolExecutor(width) as preparer, ThreadPoolExecutor(width) as sessions:
+        ahead = deque(preparer.submit(_materialize, *job[1:]) for job in jobs[:width])
+        running = set()
+        try:
+            for i, job in enumerate(jobs):
+                if len(running) == width:
+                    finished, running = wait(running, return_when=FIRST_COMPLETED)
+                    for future in finished:
+                        future.result()
+                prepared = ahead.popleft()
+                if i + width < len(jobs):
+                    ahead.append(preparer.submit(_materialize, *jobs[i + width][1:]))
+                running.add(sessions.submit(run_job, *job, prepared))
+            for future in running:
+                future.result()
+        finally:
+            # after an error no further session starts; a workspace already
+            # prepared for one is a leftover the next resume removes
+            for future in ahead:
+                future.cancel()
 
     # parse only what was appended since, by this run or by another writer
     appended, new_end = _read_records(store.path, end)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -31,7 +32,14 @@ from repobuild.sandbox import CommandScript, ExecutionResult, SandboxSpec
 from repobuild.validation import Verdict
 from repobuild.workspace import snapshot_files
 
-from conftest import bytes_read, copy_fixture_tree, fixture_record, prepare_fixture, workspace_at
+from conftest import (
+    FIXTURES,
+    bytes_read,
+    copy_fixture_tree,
+    fixture_record,
+    prepare_fixture,
+    workspace_at,
+)
 
 
 def _llm(default_reply="unused", steps=None):
@@ -655,7 +663,7 @@ class TestRunBenchmark:
         ResultStore(store_path).append(_record(0, "a/done"))
         other = ResultStore(store_path)
 
-        def run_and_append_elsewhere(record, cfg, session_dir):
+        def run_and_append_elsewhere(record, cfg, session_dir, prepared):
             other.append(_record(0, "other/writer", output="from another process"))
             return _session_dict("succeeded"), _vd(True, True, True), None, None
 
@@ -671,7 +679,7 @@ class TestRunBenchmark:
         for i in range(3):
             ResultStore(store_path).append(_record(0, f"a/done{i}"))
 
-        def compact_then_run(record, cfg, session_dir):
+        def compact_then_run(record, cfg, session_dir, prepared):
             store_path.write_text(json.dumps(_record(0, "a/done1")) + "\n")
             return _session_dict("succeeded"), _vd(True, True, True), None, None
 
@@ -702,6 +710,133 @@ class TestRunBenchmark:
         read = bytes_read() - before
         assert [len(r.per_repo) for r in results] == [100, 100]
         assert read < 1.2 * size
+
+
+def _masked(record):
+    """A store record without the per-command seconds, which vary by run."""
+    record = json.loads(json.dumps(record))
+    for turn in record["session"]["turns"]:
+        if turn["per_command"]:
+            turn["per_command"] = [[cmd, code] for cmd, code, _seconds in turn["per_command"]]
+    return record
+
+
+def _store_lines(path):
+    return [json.loads(line) for line in path.read_text("utf-8").splitlines()]
+
+
+class TestLookAhead:
+    """Workspaces prepared in the background while earlier sessions run."""
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_records_and_report_equal_the_one_at_a_time_harness(self, tmp_path, parallelism):
+        # written by the harness that prepared each workspace inline
+        saved = FIXTURES / "bench"
+        expected = [_masked(r) for r in _store_lines(saved / "hello_pair_runs2_store.jsonl")]
+        records = [fixture_record("hello_make"), fixture_record("hello_autotools")]
+        cfg = _cfg(records, runs=2, parallelism=parallelism)
+        store_path = tmp_path / "store.jsonl"
+        results = run_benchmark(cfg, store_path, tmp_path / "work")
+        got = [_masked(r) for r in _store_lines(store_path)]
+        if parallelism == 1:
+            assert got == expected
+        else:
+            key = lambda r: (r["run"], r["repo"])  # noqa: E731
+            assert sorted(got, key=key) == sorted(expected, key=key)
+        report = emit_report(aggregate(results), "machine", cfg.method)
+        assert report == (saved / "hello_pair_runs2_report.json").read_text("utf-8")
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_clone_failure_prepared_ahead_is_the_inline_infra_error(self, tmp_path, parallelism):
+        ghost = RepoRecord(id="ghost/missing", clone_url=str(tmp_path / "no-such-repo"),
+                           expected_binaries=("app",))
+        records = [fixture_record("hello_make"), ghost, fixture_record("hello_autotools")]
+        cfg = _cfg(records, parallelism=parallelism)
+        store_path = tmp_path / "store.jsonl"
+        run_benchmark(cfg, store_path, tmp_path / "work")
+        by_repo = {r["repo"]: r for r in _store_lines(store_path)}
+        assert set(by_repo) == {r.id for r in records}
+
+        summary, verdict, failure, _ = run_one_repo(ghost, cfg, tmp_path / "inline")
+        assert summary["outcome"] == "infra-error"
+        assert "clone of" in summary["error_detail"]
+        assert by_repo["ghost/missing"]["session"] == summary
+        assert by_repo["ghost/missing"]["verdict"] == json.loads(
+            json.dumps(bench._verdict_to_dict(verdict)))
+        assert by_repo["ghost/missing"]["failure_mode"] == failure == "infra-error"
+        for neighbour in ("fixture/hello_make", "fixture/hello_autotools"):
+            assert by_repo[neighbour]["session"]["outcome"] == "succeeded"
+            assert by_repo[neighbour]["verdict"]["strict"] is True
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_at_most_parallelism_workspaces_wait_ahead(self, tmp_path, monkeypatch, parallelism):
+        records = [fixture_record("hello_make"), fixture_record("hello_autotools")]
+        store_path = tmp_path / "store.jsonl"
+        ResultStore(store_path).append(_record(1, "fixture/hello_make"))
+        work = tmp_path / "work"
+        jobs = [work / f"run{run}" / r.id.replace("/", "__")
+                for run in range(3) for r in records if (run, r.id) != (1, "fixture/hello_make")]
+        lock = threading.Lock()
+        prepared, started, finished, problems = [], [], [], []
+        second_prepared = threading.Event()
+
+        def counting_prepare(record, session_dir):
+            with lock:
+                prepared.append(session_dir)
+                # at most `parallelism` sessions run, and as many wait prepared
+                if len(prepared) - len(finished) > 2 * parallelism:
+                    problems.append(f"{len(prepared)} prepared, {len(finished)} finished")
+            if session_dir == jobs[1]:
+                second_prepared.set()
+            return prepare(record, session_dir)
+
+        def counting_session(record, cfg, session_dir, prepared_ws=None):
+            with lock:
+                started.append(session_dir)
+                if len(started) - len(finished) > parallelism:
+                    problems.append(f"{len(started)} started, {len(finished)} finished")
+            if session_dir == jobs[0] and not second_prepared.wait(timeout=30):
+                problems.append("the next workspace was not prepared during the first session")
+            try:
+                return session(record, cfg, session_dir, prepared_ws)
+            finally:
+                with lock:
+                    finished.append(session_dir)
+
+        prepare, session = bench.prepare_workspace, bench.run_one_repo
+        monkeypatch.setattr(bench, "prepare_workspace", counting_prepare)
+        monkeypatch.setattr(bench, "run_one_repo", counting_session)
+        results = run_benchmark(_cfg(records, runs=3, parallelism=parallelism),
+                                store_path, work)
+        assert problems == []
+        # each session that ran was prepared once, and nothing already stored
+        assert sorted(prepared) == sorted(started) == sorted(jobs)
+        assert len(store_path.read_text("utf-8").splitlines()) == 6
+        assert [len(r.per_repo) for r in results] == [2, 2, 2]
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_usage_error_in_a_session_propagates_and_stops_every_thread(
+        self, tmp_path, monkeypatch, parallelism
+    ):
+        def refuse_autotools(ws, spec, probe):
+            if ws.repo_id == "fixture/hello_autotools":
+                raise UsageError("refused")
+            return build(ws, spec, probe)
+
+        build = bench.build_with_rules
+        monkeypatch.setattr(bench, "build_with_rules", refuse_autotools)
+        records = [fixture_record("hello_make"), fixture_record("hello_autotools")]
+        store_path = tmp_path / "store.jsonl"
+        threads = threading.active_count()
+        with pytest.raises(UsageError, match="refused"):
+            run_benchmark(_cfg(records, runs=2, parallelism=parallelism),
+                          store_path, tmp_path / "work")
+        assert threading.active_count() == threads
+        stored = [(r["run"], r["repo"]) for r in _store_lines(store_path)]
+        assert (0, "fixture/hello_autotools") not in stored
+        if parallelism == 1:
+            # no session starts after the one that raised
+            assert stored == [(0, "fixture/hello_make")]
 
 
 class TestComputeMetrics:
