@@ -277,7 +277,6 @@ def run_session(
     session: BuildSession,
     replies: Iterable[Tuple[str, ParsedReply]],
     fresh_sandbox: bool = False,
-    trajectory: Optional[Callable[[BuildSession], None]] = None,
 ) -> BuildSession:
     """The session engine every method runs on: one turn per (raw, parsed)
     reply until the probe succeeds, the agent terminates, a reply violates
@@ -330,8 +329,6 @@ def run_session(
     finally:
         if handle is not None:
             destroy_sandbox(handle)
-    if trajectory is not None:
-        trajectory(session)
     return session
 
 
@@ -343,7 +340,6 @@ def run_build_loop(
     success_probe: SuccessProbe,
     max_turns: int = DEFAULT_MAX_TURNS,
     variant: str = "agent-no-retrieval",
-    trajectory: Optional[Callable[[BuildSession], None]] = None,
 ) -> BuildSession:
     """Drive generate -> execute -> repair until success, termination, budget
     exhaustion, or two consecutive protocol violations.
@@ -362,7 +358,7 @@ def run_build_loop(
         for k in range(max_turns + 1):
             yield _ask_with_retry(cfg, assemble_generator_prompt(ctx, session.turns), k)
 
-    return run_session(ws, spec, success_probe, session, replies(), trajectory=trajectory)
+    return run_session(ws, spec, success_probe, session, replies())
 
 
 def _ask_with_retry(
@@ -392,7 +388,6 @@ def run_single_turn(
     cfg: LlmConfig,
     spec: SandboxSpec,
     success_probe: SuccessProbe,
-    trajectory: Optional[Callable[[BuildSession], None]] = None,
 ) -> BuildSession:
     """Single-shot baseline: one prompt, one script, one execution, no repair."""
     session = BuildSession(repo_id=ws.repo_id, variant="single-turn", max_turns=1)
@@ -408,4 +403,4 @@ def run_single_turn(
         raw = complete(cfg, [ChatMessage("user", prompt)])
         yield raw, parse_agent_reply(raw, origin_turn=0)
 
-    return run_session(ws, spec, success_probe, session, replies(), trajectory=trajectory)
+    return run_session(ws, spec, success_probe, session, replies())

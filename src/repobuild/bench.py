@@ -200,7 +200,8 @@ def session_summary(session: BuildSession) -> dict:
     }
 
 
-def _dossier_to_dict(dossier: Optional[InstructionDossier]) -> Optional[dict]:
+def dossier_to_dict(dossier: Optional[InstructionDossier]) -> Optional[dict]:
+    """The dossier as the store records it and `repobuild retrieve --json` prints it."""
     if dossier is None:
         return None
     return {
@@ -366,7 +367,7 @@ def run_one_repo(
         session.end_on_error(exc)
         verdict = judge([], record.expected_binaries)
     summary = session_summary(session)
-    dossier_dict = _dossier_to_dict(dossier)
+    dossier_dict = dossier_to_dict(dossier)
     failure = tag_failure_mode(summary, verdict, dossier_dict)
     return summary, verdict, failure, dossier_dict
 

@@ -263,13 +263,7 @@ def _cmd_retrieve(args, config: dict) -> int:
     ws = _workspace_from_path(args.workspace)
     dossier = run_retrieval(ws, _llm_config(args, config))
     if args.json:
-        print(json.dumps({
-            "instructions": dossier.instructions,
-            "sufficient": dossier.sufficient,
-            "rounds_used": dossier.rounds_used,
-            "visited": [{"kind": l.kind, "target": l.target} for l in dossier.visited],
-            "fetch_failures": [list(f) for f in dossier.fetch_failures],
-        }, indent=2, sort_keys=True))
+        print(json.dumps(bench_mod.dossier_to_dict(dossier), indent=2, sort_keys=True))
     else:
         print(f"sufficient: {dossier.sufficient}")
         print(f"rounds_used: {dossier.rounds_used}")

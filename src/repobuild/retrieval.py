@@ -19,7 +19,7 @@ from .errors import ProtocolError
 from .gateway import ChatMessage, LlmConfig, ask_structured
 # not called here; perfbench/tracer.py patches it by name until ROADMAP item 1
 from .gateway import complete  # noqa: F401
-from .workspace import Workspace, list_root_entries, read_readme
+from .workspace import Workspace, list_root_entries, read_readme, resolves_inside
 
 logger = logging.getLogger(__name__)
 
@@ -124,9 +124,8 @@ def fetch_link(
     can continue past them.
     """
     if link.kind == "internal-file":
-        root = ws.root_path.resolve()
-        target = (root / link.target).resolve()
-        if not target.is_relative_to(root):
+        target = ws.root_path / link.target
+        if not resolves_inside(ws, target):
             return FetchOutcome(False, failure_kind="escape", detail=link.target)
         if not target.is_file():
             return FetchOutcome(False, failure_kind="missing", detail=link.target)

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import logging
 import os
-import queue
 import re
+import selectors
 import shutil
 import signal
 import subprocess
 import tempfile
-import threading
 import time
 import uuid
 from dataclasses import dataclass, field
@@ -31,6 +30,8 @@ from .workspace import Workspace
 logger = logging.getLogger(__name__)
 
 TIMEOUT_EXIT = 124
+# after the last command, how long a job left behind may keep the pipe open
+DRAIN_SECONDS = 5.0
 DEFAULT_IMAGE_TAG = "repobuild-sandbox:latest"
 
 # matches /app as a path component, not /apple or /app-data
@@ -83,37 +84,6 @@ class ExecutionResult:
 def base_image_description() -> str:
     """Text of the shipped base-image definition, used verbatim in prompts."""
     return resources.files("repobuild.assets").joinpath("sandbox.Dockerfile").read_text("utf-8")
-
-
-class _TailBuffer:
-    """Byte accumulator that keeps only the newest `cap` bytes."""
-
-    def __init__(self, cap: int):
-        self.cap = cap
-        self.chunks: List[bytes] = []
-        self.size = 0
-        self.omitted = 0
-
-    def add(self, data: bytes) -> None:
-        self.chunks.append(data)
-        self.size += len(data)
-        while self.size > self.cap and self.chunks:
-            head = self.chunks[0]
-            excess = self.size - self.cap
-            if len(head) <= excess:
-                self.chunks.pop(0)
-                self.size -= len(head)
-                self.omitted += len(head)
-            else:
-                self.chunks[0] = head[excess:]
-                self.size -= excess
-                self.omitted += excess
-
-    def text(self) -> str:
-        body = b"".join(self.chunks).decode("utf-8", errors="replace")
-        if self.omitted:
-            return f"[... output truncated, {self.omitted} bytes omitted ...]\n" + body
-        return body
 
 
 class SandboxHandle:
@@ -277,112 +247,127 @@ def exec_script(handle: SandboxHandle, script: CommandScript) -> ExecutionResult
 
     Stdout and stderr are interleaved in arrival order. A command exceeding
     the per-command timeout, or the script exceeding the total timeout, is
-    killed and recorded with exit code 124.
+    killed and recorded with exit code 124. The calling thread reads the
+    shell itself and keeps the newest ``output_cap_bytes`` of output.
     """
     if not handle.alive:
         raise SandboxDeadError("sandbox already destroyed")
 
-    nonce = uuid.uuid4().hex
-    marker = f"__RC_{nonce}__:"
-    proc = _spawn_shell(handle)
-    lines: "queue.Queue[Optional[bytes]]" = queue.Queue()
+    marker = f"__RC_{uuid.uuid4().hex}__:"
+    sentinel = marker.encode()
+    cap = handle.spec.output_cap_bytes
+    tail = bytearray()
+    omitted = 0
+    pending = bytearray()  # read but not yet searched for the marker
 
-    def _reader():
-        # the reader owns stdout: closing it under a blocked read would hang
-        with proc.stdout:
-            for raw in proc.stdout:
-                lines.put(raw)
-        lines.put(None)
+    def keep(data) -> None:
+        nonlocal omitted
+        tail.extend(data)
+        if len(tail) > cap:
+            omitted += len(tail) - cap
+            del tail[:-cap]
 
-    reader = threading.Thread(target=_reader, daemon=True)
-    reader.start()
+    def take_exit_code() -> Optional[int]:
+        """Move pending output to the tail up to the next marker line and
+        return its exit code, or None while no whole marker line is pending."""
+        at = pending.find(sentinel)
+        if at < 0:
+            # a marker split across two reads starts in the unsearched rest
+            at = max(0, len(pending) - len(sentinel) + 1)
+        keep(pending[:at])
+        del pending[:at]
+        if not pending.startswith(sentinel):
+            return None
+        if tail and tail[-1] != ord("\n"):
+            # output lacking a trailing newline glues itself to the marker
+            keep(b"\n")
+        end = pending.find(b"\n", len(sentinel))
+        if end < 0:
+            return None
+        code = pending[len(sentinel):end]
+        del pending[: end + 1]
+        return int(code.strip() or 1)
 
-    buf = _TailBuffer(handle.spec.output_cap_bytes)
     per_command: List[Tuple[str, int, float]] = []
     overall_exit = 0
     timed_out = False
     script_deadline = time.monotonic() + handle.spec.total_timeout
-    marker_bytes = marker.encode()
+    proc = _spawn_shell(handle)
+    fd = proc.stdout.fileno()
 
-    try:
-        for command in script.commands:
-            mapped = handle.map_command(command)
-            try:
-                # brace group so multi-line commands stay one unit; stdin from
-                # /dev/null so the command cannot eat the sentinel lines
-                proc.stdin.write(
-                    f"{{ {mapped}\n}} </dev/null\nprintf '{marker}%d\\n' $?\n".encode()
-                )
-                proc.stdin.flush()
-            except (BrokenPipeError, OSError):
-                per_command.append((command, 1, 0.0))
-                overall_exit = 1
-                break
-
-            started = time.monotonic()
-            deadline = min(started + handle.spec.per_command_timeout, script_deadline)
-            exit_code: Optional[int] = None
-            while exit_code is None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    _kill_shell(proc)
-                    exit_code = TIMEOUT_EXIT
-                    timed_out = True
-                    break
+    with proc.stdout, selectors.DefaultSelector() as ready:
+        ready.register(fd, selectors.EVENT_READ)
+        try:
+            for command in script.commands:
+                mapped = handle.map_command(command)
                 try:
-                    raw = lines.get(timeout=min(remaining, 0.5))
-                except queue.Empty:
-                    continue
-                if raw is None:
-                    # the shell ended before reporting (`exit 3`): once it is
-                    # reaped its own code is the command's, if not zero
-                    try:
-                        exit_code = proc.wait(timeout=max(0.0, remaining)) or 1
-                    except subprocess.TimeoutExpired:
-                        exit_code = 1
+                    # brace group so multi-line commands stay one unit; stdin
+                    # from /dev/null so the command cannot eat the sentinel lines
+                    proc.stdin.write(
+                        f"{{ {mapped}\n}} </dev/null\nprintf '{marker}%d\\n' $?\n".encode()
+                    )
+                    proc.stdin.flush()
+                except (BrokenPipeError, OSError):
+                    per_command.append((command, 1, 0.0))
+                    overall_exit = 1
                     break
-                if marker_bytes in raw:
-                    # output lacking a trailing newline glues itself to the
-                    # sentinel; keep the prefix as real output
-                    prefix, _, tail = raw.partition(marker_bytes)
-                    if prefix:
-                        buf.add(prefix + b"\n")
-                    exit_code = int(tail.strip() or 1)
-                else:
-                    buf.add(raw)
-            per_command.append((command, exit_code, time.monotonic() - started))
-            if exit_code != 0:
-                overall_exit = exit_code
-                break
-    finally:
-        try:
-            proc.stdin.close()
-        except OSError:
-            pass
-        try:
-            proc.wait(timeout=5)
-        except subprocess.TimeoutExpired:
-            _kill_shell(proc)
-        if handle.spec.backend != "container":
-            # a job the script left in the background holds stdout open
+
+                started = time.monotonic()
+                deadline = min(started + handle.spec.per_command_timeout, script_deadline)
+                exit_code = take_exit_code()
+                while exit_code is None:
+                    remaining = deadline - time.monotonic()
+                    if remaining <= 0:
+                        _kill_shell(proc)
+                        exit_code = TIMEOUT_EXIT
+                        timed_out = True
+                    elif ready.select(remaining):
+                        chunk = os.read(fd, 1 << 16)
+                        if not chunk:
+                            # the shell ended before reporting (`exit 3`): once
+                            # it is reaped its own code is the command's, if not 0
+                            try:
+                                exit_code = proc.wait(timeout=max(0.0, remaining)) or 1
+                            except subprocess.TimeoutExpired:
+                                exit_code = 1
+                            break
+                        pending.extend(chunk)
+                        exit_code = take_exit_code()
+                per_command.append((command, exit_code, time.monotonic() - started))
+                if exit_code != 0:
+                    overall_exit = exit_code
+                    break
+        finally:
             try:
-                os.killpg(proc.pid, signal.SIGKILL)
-            except (ProcessLookupError, PermissionError):
+                proc.stdin.close()
+            except OSError:
                 pass
-        reader.join(timeout=5)
+            try:
+                proc.wait(timeout=5)
+            except subprocess.TimeoutExpired:
+                _kill_shell(proc)
+            if handle.spec.backend != "container":
+                # a job the script left in the background holds stdout open
+                try:
+                    os.killpg(proc.pid, signal.SIGKILL)
+                except (ProcessLookupError, PermissionError):
+                    pass
+            keep(pending)
+            # one bound for the whole drain: a job that left the process group
+            # can write forever; closing the pipe then ends it with EPIPE
+            drain_deadline = time.monotonic() + DRAIN_SECONDS
+            while (left := drain_deadline - time.monotonic()) > 0 and ready.select(left):
+                chunk = os.read(fd, 1 << 16)
+                if not chunk:
+                    break
+                keep(chunk)
 
-    # drain anything the reader captured after the last marker
-    while True:
-        try:
-            raw = lines.get_nowait()
-        except queue.Empty:
-            break
-        if raw is not None and marker_bytes not in raw:
-            buf.add(raw)
-
+    text = tail.decode("utf-8", errors="replace")
+    if omitted:
+        text = f"[... output truncated, {omitted} bytes omitted ...]\n" + text
     return ExecutionResult(
         per_command=tuple(per_command),
-        combined_output=handle.map_output(buf.text()),
+        combined_output=handle.map_output(text),
         overall_exit=overall_exit,
         timed_out=timed_out,
     )

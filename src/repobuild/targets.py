@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import ProtocolError
 from .gateway import ChatMessage, LlmConfig, ask_structured
-from .workspace import Workspace
+from .workspace import Workspace, resolves_inside
 
 logger = logging.getLogger(__name__)
 
@@ -55,12 +55,13 @@ class TargetPrediction:
 
 
 def find_makefiles(ws: Workspace) -> List[str]:
-    """Relative paths of all Makefiles and .mk fragments, shallowest first."""
+    """Relative paths of all Makefiles and .mk fragments inside the workspace,
+    shallowest first."""
     found = []
     for path in ws.root_path.rglob("*"):
         if ".git" in path.parts or not path.is_file():
             continue
-        if path.name in _MAKEFILE_NAMES or path.suffix == ".mk":
+        if (path.name in _MAKEFILE_NAMES or path.suffix == ".mk") and resolves_inside(ws, path):
             rel = str(path.relative_to(ws.root_path))
             found.append((rel.count("/"), rel))
     return [rel for _, rel in sorted(found)]

@@ -18,7 +18,9 @@ from typing import Callable, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import ProtocolError
 from .gateway import ChatMessage, LlmConfig, ask_structured
-from .workspace import FileSnapshot, Workspace, file_entry, stat_key, walk_files
+from .workspace import (
+    FileSnapshot, Workspace, file_entry, resolves_inside, stat_key, walk_files
+)
 
 logger = logging.getLogger(__name__)
 
@@ -214,12 +216,11 @@ def discover_new_binaries(
 
 
 def _classify_changed(changed: Iterable[str], ws: Workspace):
-    root = ws.root_path.resolve()
     for rel in changed:
         full = ws.root_path / rel
         if not full.is_file():
             continue
-        if full.is_symlink() and not full.resolve().is_relative_to(root):
+        if full.is_symlink() and not resolves_inside(ws, full):
             continue
         info = classify_file(full)
         if info is not None:
@@ -392,7 +393,7 @@ def function_coverage(
     source: Set[Tuple[str, str]] = set()
     for ext in _SOURCE_EXTS:
         for path in sorted(ws.root_path.rglob(f"*{ext}")):
-            if ".git" in path.parts:
+            if ".git" in path.parts or not resolves_inside(ws, path):
                 continue
             rel = str(path.relative_to(ws.root_path))
             try:

@@ -297,8 +297,14 @@ def detect_build_systems(ws: Workspace) -> list:
     return [(kind, found[kind][1]) for kind in _KIND_ORDER if kind in found]
 
 
+def resolves_inside(ws: Workspace, path: str | Path) -> bool:
+    """Whether ``path``, with every symlink on it followed, lies in the workspace."""
+    return Path(path).resolve().is_relative_to(ws.root_path.resolve())
+
+
 def read_readme(ws: Workspace) -> Optional[tuple]:
     """Shallowest readme file, preferring bare README over suffixed names.
+    A readme that resolves outside the workspace is skipped.
 
     Returns (content, relative path), or None when the repository has none.
     """
@@ -313,12 +319,10 @@ def read_readme(ws: Workspace) -> Optional[tuple]:
                 continue
             rel = str((Path(dirpath) / name).relative_to(root))
             candidates.append((rel.count(os.sep), pref, rel))
-    if not candidates:
-        return None
-    candidates.sort()
-    rel = candidates[0][2]
-    content = (root / rel).read_text("utf-8", errors="replace")
-    return content, rel
+    for _depth, _pref, rel in sorted(candidates):
+        if resolves_inside(ws, root / rel):
+            return (root / rel).read_text("utf-8", errors="replace"), rel
+    return None
 
 
 def list_root_entries(ws: Workspace) -> list:

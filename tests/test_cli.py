@@ -325,6 +325,20 @@ class TestRetrieve:
         assert doc["instructions"] == "Just run make."
         assert doc["visited"] == []
 
+    def test_json_dossier_records_the_round_of_each_link(self, tmp_path, capsys):
+        ws_dir = copy_fixture_tree("hello_make", tmp_path / "repo")
+        scenario = _scenario_file(tmp_path, {
+            "default_reply": (
+                "INSTRUCTIONS:\nSee the readme.\nSUFFICIENT: no\nLINKS:\nREADME.md"
+            ),
+        })
+        rc = main(["retrieve", str(ws_dir), "--scenario", str(scenario), "--json"])
+        assert rc == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["visited"] == [{"kind": "internal-file", "target": "README.md", "round": 1}]
+        assert set(doc) == {"instructions", "sufficient", "rounds_used", "visited",
+                            "fetch_failures"}
+
     def test_nondirectory_workspace_is_usage_error(self, tmp_path, capsys):
         rc = main(["retrieve", str(tmp_path / "nowhere")])
         assert rc == 2

@@ -2,6 +2,7 @@ import gc
 import os
 import re
 import subprocess
+import threading
 import time
 import warnings
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 
 from repobuild.errors import SandboxDeadError, SandboxUnavailableError
 from repobuild.sandbox import (
+    DRAIN_SECONDS,
     CommandScript,
     SandboxSpec,
     base_image_description,
@@ -258,6 +260,91 @@ class TestLocalExecution:
         with create_sandbox(spec, ws) as handle:
             result = run(handle, "echo flag=$MY_FLAG")
         assert "flag=on" in result.combined_output
+
+
+class TestSingleThreadReader:
+    def test_sentinel_split_across_reads_is_found(self, tmp_path, monkeypatch):
+        # a local pipe never splits the sentinel's one small write, but the
+        # container backend's docker client may; cap the reads to split it
+        ws = prepare_fixture("hello_make", tmp_path)
+        spec = SandboxSpec(backend="local", per_command_timeout=10, total_timeout=20)
+        real_read, cap = os.read, [1]
+        monkeypatch.setattr(os, "read", lambda fd, n: real_read(fd, min(n, cap[0])))
+        with create_sandbox(spec, ws) as handle:
+            for cap[0] in range(1, 60):
+                result = run(handle, "printf glued", "echo x")
+                assert [pc[1] for pc in result.per_command] == [0, 0], cap
+                assert result.combined_output == "glued\nx\n", cap
+
+    def test_output_around_the_read_size_is_intact(self, tmp_path):
+        ws = prepare_fixture("hello_make", tmp_path)
+        spec = SandboxSpec(backend="local", per_command_timeout=60,
+                           total_timeout=120, output_cap_bytes=1 << 20)
+        with create_sandbox(spec, ws) as handle:
+            for n in range(65536 - 40, 65536 + 41):
+                result = run(handle, f"head -c {n} /dev/zero | tr '\\0' a", "echo x")
+                assert [pc[1] for pc in result.per_command] == [0, 0], n
+                assert result.combined_output == "a" * n + "\nx\n", n
+
+    def test_long_output_keeps_exact_tail_quickly(self, tmp_path):
+        ws = prepare_fixture("hello_make", tmp_path)
+        spec = SandboxSpec(backend="local", per_command_timeout=60, total_timeout=120)
+        data = "".join(f"{i}\n" for i in range(1, 1_000_001)).encode()
+        with create_sandbox(spec, ws) as handle:
+            started = time.monotonic()
+            result = run(handle, "seq 1 1000000")
+            elapsed = time.monotonic() - started
+        assert result.overall_exit == 0
+        assert elapsed < 3.0
+        kept = data[-spec.output_cap_bytes:]
+        omitted = len(data) - len(kept)
+        assert result.combined_output == (
+            f"[... output truncated, {omitted} bytes omitted ...]\n" + kept.decode()
+        )
+
+    def test_escaped_writer_holds_only_the_drain_bound(self, tmp_path, local_spec):
+        ws = prepare_fixture("hello_make", tmp_path)
+        # the command ends only once the writer runs in a session of its own
+        escaped = ("setsid sh -c 'touch $HOME/left; "
+                   "for i in 1 2 3 4 5 6 7 8 9 10; do echo tick; sleep 1; done' & "
+                   'echo "bg=$!"; while [ ! -e $HOME/left ]; do sleep 0.01; done')
+        with create_sandbox(local_spec, ws) as handle:
+            started = time.monotonic()
+            result = run(handle, escaped)
+            elapsed = time.monotonic() - started
+        assert result.overall_exit == 0
+        assert elapsed < DRAIN_SECONDS + 1.0
+        assert "tick" in result.combined_output
+        pid = int(re.search(r"bg=(\d+)", result.combined_output).group(1))
+        # the closed pipe ends the writer at its next echo
+        deadline = time.monotonic() + 3.0
+        while _alive(pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not _alive(pid)
+
+    def test_no_thread_is_started(self, tmp_path, local_spec):
+        ws = prepare_fixture("hello_make", tmp_path)
+        counts = []
+        stop = threading.Event()
+
+        def watch():
+            while not stop.is_set():
+                counts.append(threading.active_count())
+                time.sleep(0.02)
+
+        watcher = threading.Thread(target=watch)
+        watcher.start()
+        try:
+            before = threading.active_count()
+            with create_sandbox(local_spec, ws) as handle:
+                result = run(handle, "sleep 2")
+        finally:
+            stop.set()
+            watcher.join(timeout=5)
+        assert not watcher.is_alive()
+        assert result.overall_exit == 0
+        assert len(counts) > 10
+        assert set(counts) == {before}
 
 
 @needs_docker_daemon

@@ -73,6 +73,18 @@ class TestFindMakefiles:
         ws = workspace_at(tmp_path)
         assert find_makefiles(ws) == []
 
+    def test_out_of_tree_makefile_skipped(self, tmp_path):
+        outside = tmp_path / "outside"
+        outside.mkdir()
+        (outside / "Makefile").write_text("secret:\n")
+        root = tmp_path / "repo"
+        (root / "sub").mkdir(parents=True)
+        (root / "sub" / "Makefile").write_text("all:\n")
+        (root / "Makefile").symlink_to(outside / "Makefile")
+        (root / "local.mk").symlink_to(root / "sub" / "Makefile")
+        ws = workspace_at(root)
+        assert find_makefiles(ws) == ["local.mk", "sub/Makefile"]
+
 
 class TestLoadCleaningRules:
     def test_shipped_rules_load(self):

@@ -636,6 +636,20 @@ class TestFunctionCoverage:
         report = function_coverage(ws, arts, symbol_extractor=lambda p: ["main"])
         assert report.undefined is True
 
+    def test_out_of_tree_source_is_not_read(self, tmp_path):
+        outside = tmp_path / "outside"
+        outside.mkdir()
+        (outside / "secret.c").write_text("int secret_fn(void) { return 1; }\n")
+        root = tmp_path / "repo"
+        root.mkdir()
+        (root / "main.c").write_text("int main(void) { return 0; }\n")
+        (root / "leak.c").symlink_to(outside / "secret.c")
+        ws = workspace_at(root)
+        arts = [BinaryArtifact("app", "app", "executable", True)]
+        report = function_coverage(ws, arts, symbol_extractor=lambda p: ["main"])
+        assert report.source_functions == {("main", "main.c")}
+        assert report.coverage_pct == pytest.approx(100.0)
+
     def test_injected_extractor_controls_the_numerator(self, tmp_path):
         (tmp_path / "a.c").write_text(
             "int f1(void){return 1;}\nint f2(void){return 2;}\n"

@@ -251,6 +251,19 @@ class TestReadmeAndListing:
         assert rel == "README.rst"
         assert content == "root"
 
+    def test_out_of_tree_readme_is_skipped(self, tmp_path):
+        secret = tmp_path / "outside" / "secret.txt"
+        secret.parent.mkdir()
+        secret.write_text("host secret", "utf-8")
+        root = tmp_path / "r"
+        (root / "docs").mkdir(parents=True)
+        (root / "README.md").symlink_to(secret)
+        (root / "docs" / "README.md").write_text("nested", "utf-8")
+        ws = workspace_at(root)
+        assert read_readme(ws) == ("nested", os.path.join("docs", "README.md"))
+        (root / "docs" / "README.md").unlink()
+        assert read_readme(ws) is None
+
     def test_list_root_entries(self, tmp_path):
         ws = prepare_fixture("coverage_repo", tmp_path)
         entries = list_root_entries(ws)
