@@ -5,10 +5,10 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass, field, replace
-from importlib import resources
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
+from . import assets
 from .errors import (
     OversizeReplyError,
     ProtocolError,
@@ -52,13 +52,10 @@ PROMPT_BUDGET_CHARS = 200_000
 SuccessProbe = Callable[[ExecutionResult, Workspace], bool]
 
 
-def _prompt(name: str) -> str:
-    return resources.files("repobuild.assets.prompts").joinpath(name).read_text("utf-8")
-
-
 @dataclass(frozen=True)
 class PromptContext:
-    """Everything the generator prompt needs to know about one repository."""
+    """Everything the prompts need to know about one repository; the
+    templates name their fields after it."""
 
     repo_full_name: str
     repo_root_in_sandbox: str
@@ -217,25 +214,21 @@ def assemble_generator_prompt(
     outputs inside the oldest feedback messages are elided first. The system
     prompt, the initial request, and the newest output are never cut.
     """
-    system = ChatMessage("system", _prompt("generator_system.txt"))
+    system = ChatMessage("system", assets.text("prompts/generator_system.txt"))
     if ctx.instructions:
         section = f"\nBuild instructions gathered from the project documentation:\n{ctx.instructions}\n"
     else:
         section = ""
+    fields = asdict(ctx)
     initial = ChatMessage(
         "user",
-        _prompt("generator_user_initial.txt").format(
-            repo_full_name=ctx.repo_full_name,
-            repos_dir_in_docker=ctx.repo_root_in_sandbox,
-            per_installed_libraries_in_docker=ctx.preinstalled,
-            readme_content=ctx.readme,
-            files_in_root_dir=ctx.root_listing,
-            instructions_section=section,
+        assets.text("prompts/generator_user_initial.txt").format(
+            **fields, instructions_section=section
         ),
     )
     messages = [system, initial]
     command_turns = [t for t in history if t.kind == "command-turn"]
-    feedback_tpl = _prompt("generator_user_feedback.txt")
+    feedback_tpl = assets.text("prompts/generator_user_feedback.txt")
 
     outputs = []
     for i, turn in enumerate(command_turns):
@@ -246,8 +239,7 @@ def assemble_generator_prompt(
             ChatMessage(
                 "user",
                 feedback_tpl.format(
-                    repo_full_name=ctx.repo_full_name,
-                    repos_dir_in_docker=ctx.repo_root_in_sandbox,
+                    **fields,
                     command_history=_render_history(command_turns[: i + 1]),
                     execution_output=output,
                 ),
@@ -374,7 +366,8 @@ def _ask_with_retry(
         parsed = parse_agent_reply(raw, origin_turn=origin_turn)
         return None if parsed.kind == "violation" else parsed
 
-    parsed, raw, sent = ask_structured(cfg, messages, parse, _prompt("format_reminder.txt"))
+    reminder = assets.text("prompts/format_reminder.txt")
+    parsed, raw, sent = ask_structured(cfg, messages, parse, reminder)
     if parsed is None:
         return raw, ParsedReply(kind="violation", violation="two consecutive protocol violations")
     if len(sent) > len(messages) and parsed.kind == "command":
@@ -391,13 +384,7 @@ def run_single_turn(
 ) -> BuildSession:
     """Single-shot baseline: one prompt, one script, one execution, no repair."""
     session = BuildSession(repo_id=ws.repo_id, variant="single-turn", max_turns=1)
-    prompt = _prompt("single_turn.txt").format(
-        repo_full_name=ctx.repo_full_name,
-        repos_dir_in_docker=ctx.repo_root_in_sandbox,
-        per_installed_libraries_in_docker=ctx.preinstalled,
-        readme_content=ctx.readme,
-        files_in_root_dir=ctx.root_listing,
-    )
+    prompt = assets.text("prompts/single_turn.txt").format(**asdict(ctx))
 
     def replies():
         raw = complete(cfg, [ChatMessage("user", prompt)])

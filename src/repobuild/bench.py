@@ -11,12 +11,14 @@ import re
 import shutil
 from collections import Counter, deque
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
-from dataclasses import asdict, dataclass, field
-from importlib import resources
+from dataclasses import asdict, dataclass, field, replace
+from functools import cache
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
+from . import assets
 from .agent import (
+    DEFAULT_MAX_TURNS,
     VARIANTS,
     BuildSession,
     PromptContext,
@@ -61,7 +63,7 @@ class RunConfig:
     method: str
     llm: LlmConfig
     sandbox: SandboxSpec
-    max_turns: int = 12
+    max_turns: int = DEFAULT_MAX_TURNS
     runs: int = 1
     parallelism: int = 1
 
@@ -240,23 +242,15 @@ def load_results(store_path: Path) -> List[RunResult]:
 # -- failure tagging ----------------------------------------------------------
 
 
-def load_failure_signatures() -> List[re.Pattern]:
-    raw = (
-        resources.files("repobuild.assets")
-        .joinpath("failure_signatures.json")
-        .read_text("utf-8")
-    )
-    return [re.compile(p) for p in json.loads(raw)]
-
-
-_SIGNATURES: Optional[List[re.Pattern]] = None
+@cache
+def load_failure_signatures() -> Tuple[re.Pattern, ...]:
+    return tuple(re.compile(p) for p in json.loads(assets.text("failure_signatures.json")))
 
 
 def tag_failure_mode(
     session: dict, verdict: Verdict, dossier: Optional[dict] = None
 ) -> Optional[str]:
     """First matching rule wins; succeeded sessions carry no tag."""
-    global _SIGNATURES
     if session["outcome"] == "succeeded":
         return None
     if session["outcome"] == "infra-error":
@@ -273,9 +267,7 @@ def tag_failure_mode(
         if not _BUILD_TOOL_RE.search(evidence):
             return "retrieval-stage-error"
     if final and final.get("output"):
-        if _SIGNATURES is None:
-            _SIGNATURES = load_failure_signatures()
-        for pattern in _SIGNATURES:
+        for pattern in load_failure_signatures():
             if pattern.search(final["output"]):
                 return "dependency-error"
     return "unresolved-after-max-attempts"
@@ -298,7 +290,10 @@ def make_completion_probe(before_snapshot, ws: Workspace):
     return probe
 
 
-def _build_context(ws: Workspace, instructions: Optional[str]) -> PromptContext:
+def repo_context(ws: Workspace) -> PromptContext:
+    """What the session's prompts say about its repository: the README, the
+    root listing and the sandbox image, each with its fallback text. Built
+    once per session; retrieval and the build prompts share it."""
     readme = read_readme(ws)
     listing = "\n".join(f"{name} ({kind})" for name, kind in list_root_entries(ws))
     return PromptContext(
@@ -307,7 +302,6 @@ def _build_context(ws: Workspace, instructions: Optional[str]) -> PromptContext:
         readme=readme[0] if readme else "(repository has no README)",
         root_listing=listing or "(empty)",
         preinstalled=base_image_description(),
-        instructions=instructions,
     )
 
 
@@ -339,24 +333,18 @@ def run_one_repo(
             ws, before = prepared.result()
         probe = make_completion_probe(before, ws)
 
-        instructions = None
-        if cfg.method == "agent-with-retrieval":
-            dossier = run_retrieval(ws, cfg.llm)
-            instructions = dossier.instructions
-
         if cfg.method == "rule-based":
             session = build_with_rules(ws, cfg.sandbox, probe)
         elif cfg.method == "single-turn":
-            session = run_single_turn(ws, _build_context(ws, None), cfg.llm, cfg.sandbox, probe)
+            session = run_single_turn(ws, repo_context(ws), cfg.llm, cfg.sandbox, probe)
         else:
+            ctx = repo_context(ws)
+            if cfg.method == "agent-with-retrieval":
+                dossier = run_retrieval(ws, cfg.llm, ctx)
+                ctx = replace(ctx, instructions=dossier.instructions)
             session = run_build_loop(
-                ws,
-                _build_context(ws, instructions),
-                cfg.llm,
-                cfg.sandbox,
-                probe,
-                max_turns=cfg.max_turns,
-                variant=cfg.method,
+                ws, ctx, cfg.llm, cfg.sandbox, probe,
+                max_turns=cfg.max_turns, variant=cfg.method,
             )
         verdict = judge(discover_new_binaries(before, None, ws), record.expected_binaries)
     except UsageError:

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from . import bench as bench_mod
-from .agent import VARIANTS
+from .agent import DEFAULT_MAX_TURNS, VARIANTS
 from .corpus import CorpusManifest, RepoRecord, load_manifest, required_sample_size
 from .errors import (
     DomainError,
@@ -145,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--method", default="rule-based", choices=VARIANTS
     )
     p_build.add_argument("--expected", help="comma-separated expected binary names")
-    p_build.add_argument("--max-turns", type=int, default=12)
+    p_build.add_argument("--max-turns", type=int, default=DEFAULT_MAX_TURNS)
     p_build.add_argument("--work-dir", help="session directory (default: temporary)")
     p_build.add_argument("--require-strict", action="store_true")
     p_build.add_argument("--json", action="store_true")
@@ -159,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_bench.add_argument("--runs", type=int, default=1)
     p_bench.add_argument("--parallelism", type=int, default=1)
-    p_bench.add_argument("--max-turns", type=int, default=12)
+    p_bench.add_argument("--max-turns", type=int, default=DEFAULT_MAX_TURNS)
     p_bench.add_argument("--store", required=True, help="append-only result store path")
     p_bench.add_argument("--work-dir", required=True)
     p_bench.add_argument("--json", action="store_true")
@@ -261,7 +261,7 @@ def _cmd_bench(args, config: dict) -> int:
 
 def _cmd_retrieve(args, config: dict) -> int:
     ws = _workspace_from_path(args.workspace)
-    dossier = run_retrieval(ws, _llm_config(args, config))
+    dossier = run_retrieval(ws, _llm_config(args, config), bench_mod.repo_context(ws))
     if args.json:
         print(json.dumps(bench_mod.dossier_to_dict(dossier), indent=2, sort_keys=True))
     else:

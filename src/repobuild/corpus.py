@@ -13,9 +13,9 @@ import math
 import random
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from importlib import resources
 from pathlib import Path
 
+from . import assets
 from .errors import DomainError, ManifestParseError, ManifestValidationError, SampleSizeError
 
 logger = logging.getLogger(__name__)
@@ -130,7 +130,7 @@ def default_filter_policy() -> FilterPolicy:
     The keyword list is user-extensible; edit a copy of the asset and load it
     with :func:`load_keyword_file`.
     """
-    text = resources.files("repobuild.assets").joinpath("default_keywords.txt").read_text("utf-8")
+    text = assets.text("default_keywords.txt")
     return FilterPolicy(
         banned_keywords=tuple(_parse_keyword_lines(text)),
         min_stars=50,

@@ -6,20 +6,22 @@ from __future__ import annotations
 import logging
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from html.parser import HTMLParser
-from importlib import resources
 from pathlib import Path
 from typing import Callable, List, Optional, Tuple
 from urllib.parse import urljoin, urlsplit
 
 import requests
 
+from . import assets
+from .agent import PromptContext
 from .errors import ProtocolError
 from .gateway import ChatMessage, LlmConfig, ask_structured
-# not called here; perfbench/tracer.py patches it by name until ROADMAP item 1
+# not called here; perfbench/tracer.py patches them by name until ROADMAP item 1
 from .gateway import complete  # noqa: F401
-from .workspace import Workspace, list_root_entries, read_readme, resolves_inside
+from .workspace import list_root_entries, read_readme  # noqa: F401
+from .workspace import Workspace, resolves_inside
 
 logger = logging.getLogger(__name__)
 
@@ -231,32 +233,18 @@ def parse_retrieval_reply(
     )
 
 
-def _prompt(name: str) -> str:
-    return resources.files("repobuild.assets.prompts").joinpath(name).read_text("utf-8")
-
-
 def run_retrieval(
     ws: Workspace,
     cfg: LlmConfig,
+    ctx: PromptContext,
     fetcher: Optional[Callable[[Workspace, LinkRef], FetchOutcome]] = None,
 ) -> InstructionDossier:
     """Distill build instructions, following at most 3 links per round for at
-    most 3 rounds. Fetch failures never abort the loop; a malformed reply is
+    most 3 rounds. The first prompt shows the README and root listing of
+    ``ctx``. Fetch failures never abort the loop; a malformed reply is
     re-asked once and then raises."""
     fetcher = fetcher or fetch_link
-    readme = read_readme(ws)
-    listing = "\n".join(f"{name} ({kind})" for name, kind in list_root_entries(ws))
-    readme_content = readme[0] if readme else "(repository has no README)"
-    messages = [
-        ChatMessage(
-            "user",
-            _prompt("retrieval.txt").format(
-                repo_full_name=ws.repo_id,
-                readme_content=readme_content,
-                root_listing=listing or "(empty repository)",
-            ),
-        )
-    ]
+    messages = [ChatMessage("user", assets.text("prompts/retrieval.txt").format(**asdict(ctx)))]
 
     visited: List[LinkRef] = []
     failures: List[Tuple[str, str]] = []
@@ -311,7 +299,7 @@ def run_retrieval(
             ChatMessage("assistant", raw),
             ChatMessage(
                 "user",
-                _prompt("retrieval_followup.txt").format(
+                assets.text("prompts/retrieval_followup.txt").format(
                     fetched_summaries="\n\n".join(summaries)
                 ),
             ),

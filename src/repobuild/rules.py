@@ -1,29 +1,19 @@
 """Rule-based builder: canonical non-LLM routines keyed to detected build
-systems, attempted in priority order until one produces binaries."""
+systems, attempted in detection order until one produces binaries."""
 
 from __future__ import annotations
 
 import json
 import posixpath
 from dataclasses import dataclass
-from importlib import resources
 from typing import Dict, List, Optional, Tuple
 
+from . import assets
 from .agent import BuildSession, ParsedReply, SuccessProbe, run_session
 from .sandbox import CommandScript, SandboxSpec
 # not called here; perfbench/tracer.py patches them by name until ROADMAP item 1
 from .sandbox import create_sandbox, destroy_sandbox, exec_script  # noqa: F401
 from .workspace import BuildSystemKind, Workspace, detect_build_systems
-
-# attempt order when a repository shows several build systems
-ROUTINE_PRIORITY = [
-    BuildSystemKind.CMAKE,
-    BuildSystemKind.AUTOTOOLS,
-    BuildSystemKind.MAKE,
-    BuildSystemKind.MESON,
-    BuildSystemKind.QMAKE,
-    BuildSystemKind.CUSTOM_SCRIPT,
-]
 
 
 @dataclass(frozen=True)
@@ -34,8 +24,7 @@ class BuildRoutine:
 
 def load_build_routines() -> Dict[str, List[str]]:
     """Routine step templates by build-system name, from the shipped set."""
-    raw = resources.files("repobuild.assets").joinpath("build_routines.json").read_text("utf-8")
-    return {k: list(v) for k, v in json.loads(raw).items()}
+    return {k: list(v) for k, v in json.loads(assets.text("build_routines.json")).items()}
 
 
 def render_routine(
@@ -58,13 +47,12 @@ def build_with_rules(
     """Try each applicable canonical routine in a fresh sandbox; no retries,
     no LLM involvement. One command turn is recorded per attempted routine."""
     templates = load_build_routines()
-    detected = dict(detect_build_systems(ws))
     attempts: List[BuildRoutine] = []
-    for kind in ROUTINE_PRIORITY:
-        if kind in detected:
-            routine = render_routine(kind, detected[kind], ws.mount_path, templates)
-            if routine is not None:
-                attempts.append(routine)
+    # detection reports kinds in the order their routines are attempted
+    for kind, evidence in detect_build_systems(ws):
+        routine = render_routine(kind, evidence, ws.mount_path, templates)
+        if routine is not None:
+            attempts.append(routine)
     session = BuildSession(repo_id=ws.repo_id, variant="rule-based",
                            max_turns=max(1, len(attempts)))
     replies = (

@@ -20,10 +20,10 @@ import tempfile
 import time
 import uuid
 from dataclasses import dataclass, field
-from importlib import resources
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
+from . import assets
 from .errors import SandboxDeadError, SandboxUnavailableError
 from .workspace import Workspace
 
@@ -83,7 +83,7 @@ class ExecutionResult:
 
 def base_image_description() -> str:
     """Text of the shipped base-image definition, used verbatim in prompts."""
-    return resources.files("repobuild.assets").joinpath("sandbox.Dockerfile").read_text("utf-8")
+    return assets.text("sandbox.Dockerfile")
 
 
 class SandboxHandle:

@@ -5,16 +5,17 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import posixpath
 import re
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from . import assets
 from .errors import ProtocolError
 from .gateway import ChatMessage, LlmConfig, ask_structured
-from .workspace import Workspace, resolves_inside
+from .workspace import Workspace, resolves_inside, walk_paths
 
 logger = logging.getLogger(__name__)
 
@@ -58,11 +59,11 @@ def find_makefiles(ws: Workspace) -> List[str]:
     """Relative paths of all Makefiles and .mk fragments inside the workspace,
     shallowest first."""
     found = []
-    for path in ws.root_path.rglob("*"):
-        if ".git" in path.parts or not path.is_file():
+    for rel, full in walk_paths(ws):
+        name = posixpath.basename(rel)
+        if not (name in _MAKEFILE_NAMES or posixpath.splitext(name)[1] == ".mk"):
             continue
-        if (path.name in _MAKEFILE_NAMES or path.suffix == ".mk") and resolves_inside(ws, path):
-            rel = str(path.relative_to(ws.root_path))
+        if os.path.isfile(full) and resolves_inside(ws, full):
             found.append((rel.count("/"), rel))
     return [rel for _, rel in sorted(found)]
 
@@ -71,11 +72,7 @@ def load_cleaning_rules(path: Optional[Path] = None) -> List[Tuple[str, re.Patte
     if path is not None:
         raw = Path(path).read_text("utf-8")
     else:
-        raw = (
-            resources.files("repobuild.assets")
-            .joinpath("makefile_cleaning_rules.json")
-            .read_text("utf-8")
-        )
+        raw = assets.text("makefile_cleaning_rules.json")
     rules = []
     for entry in json.loads(raw):
         action = entry["action"]
@@ -246,11 +243,7 @@ def extract_targets_llm(
     """Ask the model for executable names over the cleaned docs and merge its
     list (first) with the rule-based extraction (after), deduplicated."""
     rule_based = extract_targets_rule_based(docs)
-    template = (
-        resources.files("repobuild.assets.prompts")
-        .joinpath("target_predict.txt")
-        .read_text("utf-8")
-    )
+    template = assets.text("prompts/target_predict.txt")
     rendered = "\n\n".join(
         f"### {doc.rel_path}\n{doc.cleaned_text}" for doc in docs
     ) or "(no makefiles)"

@@ -12,14 +12,14 @@ import struct
 import subprocess
 from collections import Counter
 from dataclasses import dataclass, field
-from importlib import resources
 from pathlib import Path
 from typing import Callable, Iterable, List, Optional, Sequence, Set, Tuple
 
+from . import assets
 from .errors import ProtocolError
 from .gateway import ChatMessage, LlmConfig, ask_structured
 from .workspace import (
-    FileSnapshot, Workspace, file_entry, resolves_inside, stat_key, walk_files
+    FileSnapshot, Workspace, file_entry, resolves_inside, stat_key, walk_files, walk_paths
 )
 
 logger = logging.getLogger(__name__)
@@ -275,6 +275,15 @@ def judge(artifacts: Sequence[BinaryArtifact], expected: Iterable[str]) -> Verdi
 # -- function coverage --------------------------------------------------------
 
 
+# a // or /* comment, or a string or char literal; one left unterminated
+# runs to the end of the text, and a backslash escapes any character
+_NOISE_RE = re.compile(
+    r"//[^\n]*|/\*(?:.*?\*/|.*)"
+    r'|(")[^"\\]*(?:\\.[^"\\]*)*["\\]?'
+    r"|(')[^'\\]*(?:\\.[^'\\]*)*['\\]?",
+    re.DOTALL,
+)
+_SCOPE_RE = re.compile(r"[{};=]")
 _PREPROC_RE = re.compile(r"^\s*#.*?(?<!\\)$", re.MULTILINE | re.DOTALL)
 _FUNC_TAIL_RE = re.compile(
     r"([A-Za-z_~][A-Za-z0-9_:~]*)\s*\([^()]*(?:\([^()]*\)[^()]*)*\)"
@@ -284,33 +293,8 @@ _FUNC_TAIL_RE = re.compile(
 
 def _strip_noise(text: str) -> str:
     """Remove comments, string/char literals, and preprocessor lines."""
-    out = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        nxt = text[i + 1] if i + 1 < n else ""
-        if ch == "/" and nxt == "/":
-            j = text.find("\n", i)
-            i = n if j == -1 else j
-        elif ch == "/" and nxt == "*":
-            j = text.find("*/", i + 2)
-            i = n if j == -1 else j + 2
-        elif ch in ("\"", "'"):
-            quote = ch
-            j = i + 1
-            while j < n:
-                if text[j] == "\\":
-                    j += 2
-                    continue
-                if text[j] == quote:
-                    break
-                j += 1
-            out.append(quote + quote)
-            i = j + 1
-        else:
-            out.append(ch)
-            i += 1
-    stripped = "".join(out)
+    # a literal becomes its empty pair, a comment nothing
+    stripped = _NOISE_RE.sub(r"\1\1\2\2", text)
     # joining escaped newlines folds multi-line macros into one droppable line
     stripped = stripped.replace("\\\n", " ")
     return _PREPROC_RE.sub("", stripped)
@@ -326,29 +310,25 @@ def scan_source_functions(text: str) -> List[str]:
     names = []
     depth = 0
     chunk_start = 0
-    i = 0
-    n = len(clean)
-    while i < n:
-        ch = clean[i]
+    for m in _SCOPE_RE.finditer(clean):
+        ch, i = m.group(), m.start()
         if ch == "{":
             if depth == 0:
                 head = clean[chunk_start:i]
-                m = _FUNC_TAIL_RE.search(head.strip())
-                if m:
-                    name = m.group(1).split("::")[-1].lstrip("~")
+                tail = _FUNC_TAIL_RE.search(head.strip())
+                if tail:
+                    name = tail.group(1).split("::")[-1].lstrip("~")
                     if name and name not in _CONTROL_KEYWORDS:
-                        names.append(m.group(1).split("::")[-1])
+                        names.append(tail.group(1).split("::")[-1])
             depth += 1
         elif ch == "}":
             depth = max(0, depth - 1)
             if depth == 0:
                 chunk_start = i + 1
-        elif ch == ";" and depth == 0:
+        elif depth == 0:
+            # `;` ends a declaration; after `=` comes an aggregate initializer,
+            # so `int a[] = {...}` is not a definition
             chunk_start = i + 1
-        elif ch == "=" and depth == 0:
-            # aggregate initializers: `int a[] = {...}` is not a definition
-            chunk_start = i + 1
-        i += 1
     return names
 
 
@@ -391,17 +371,15 @@ def function_coverage(
     debug info, with the directories losing the most functions."""
     extractor = symbol_extractor or default_symbol_extractor
     source: Set[Tuple[str, str]] = set()
-    for ext in _SOURCE_EXTS:
-        for path in sorted(ws.root_path.rglob(f"*{ext}")):
-            if ".git" in path.parts or not resolves_inside(ws, path):
-                continue
-            rel = str(path.relative_to(ws.root_path))
-            try:
-                text = path.read_text("utf-8", errors="replace")
-            except OSError:
-                continue
-            for name in scan_source_functions(text):
-                source.add((name, rel))
+    for rel, full in walk_paths(ws):
+        if not rel.endswith(_SOURCE_EXTS) or not resolves_inside(ws, full):
+            continue
+        try:
+            text = Path(full).read_text("utf-8", errors="replace")
+        except OSError:
+            continue
+        for name in scan_source_functions(text):
+            source.add((name, rel))
 
     compiled: Set[str] = set()
     for artifact in artifacts:
@@ -451,16 +429,11 @@ def llm_verdict(
     executables = [a.file_name for a in artifacts if a.classify == "executable"]
     coverage = "undefined" if report.undefined else f"{report.coverage_pct:.1f}%"
     top = "\n".join(f"{d}: {c} functions missing" for d, c in report.top_uncompiled_dirs)
-    prompt = (
-        resources.files("repobuild.assets.prompts")
-        .joinpath("validation.txt")
-        .read_text("utf-8")
-        .format(
-            log_tail=log[-log_tail_chars:] or "(empty log)",
-            executables=", ".join(executables) or "(none)",
-            coverage_pct=coverage,
-            top_uncompiled=top or "(none)",
-        )
+    prompt = assets.text("prompts/validation.txt").format(
+        log_tail=log[-log_tail_chars:] or "(empty log)",
+        executables=", ".join(executables) or "(none)",
+        coverage_pct=coverage,
+        top_uncompiled=top or "(none)",
     )
     parsed, _, _ = ask_structured(
         cfg, [ChatMessage("user", prompt)], _parse_verdict, _VERDICT_REMINDER

@@ -23,7 +23,7 @@ logger = logging.getLogger(__name__)
 
 _README_NAMES = ["readme", "readme.md", "readme.rst", "readme.txt"]
 
-# directories never scanned for build evidence or readmes
+# directories that no walk of the workspace enters
 _SCAN_IGNORE = {".git", ".hg", ".svn"}
 
 
@@ -37,7 +37,8 @@ class BuildSystemKind(Enum):
     NONE = "None"
 
 
-# report order when several kinds coexist; mirrors the build-routine priority
+# report order when several kinds coexist, and so the order in which the
+# rule-based builder attempts their routines
 _KIND_ORDER = [
     BuildSystemKind.CMAKE,
     BuildSystemKind.AUTOTOOLS,
@@ -177,15 +178,13 @@ def file_entry(full: str, st: os.stat_result) -> tuple:
     return (st.st_size, _digest_file(full), bool(st.st_mode & 0o111))
 
 
-def walk_files(ws: Workspace) -> Iterator[Tuple[str, str, os.stat_result, bool]]:
-    """(rel path, full path, lstat, stable) for every regular file and symlink
-    under the root, skipping version-control directories.
+def walk_paths(ws: Workspace) -> Iterator[Tuple[str, str]]:
+    """(rel path, full path) of every non-directory entry under the root, in
+    sorted order, skipping version-control directories.
 
-    ``stable`` is true when the file's mtime and ctime are older than the
-    clock read just before its lstat, less ``_RACY_MARGIN_NS``: only then can
-    its stat vouch for its content. A file written just before it was read
-    can be rewritten within the same clock tick and keep its stat ("racily
-    clean", as git calls it).
+    This is the one tree walk every workspace scan filters. It does not
+    follow symlinked directories and stats nothing; a scanner that reads a
+    file checks it with ``resolves_inside`` first.
     """
     root = str(ws.root_path)
     for dirpath, dirnames, filenames in os.walk(root):
@@ -195,15 +194,27 @@ def walk_files(ws: Workspace) -> Iterator[Tuple[str, str, os.stat_result, bool]]
         prefix = os.path.join(dirpath, "")
         rel_prefix = "" if rel_dir == os.curdir else os.path.join(rel_dir, "")
         for name in sorted(filenames):
-            full = prefix + name
-            rel = rel_prefix + name
-            cutoff = time.time_ns() - _RACY_MARGIN_NS
-            try:
-                st = os.lstat(full)
-            except (FileNotFoundError, NotADirectoryError):
-                continue
-            if stat.S_ISLNK(st.st_mode) or stat.S_ISREG(st.st_mode):
-                yield rel, full, st, st.st_mtime_ns < cutoff and st.st_ctime_ns < cutoff
+            yield rel_prefix + name, prefix + name
+
+
+def walk_files(ws: Workspace) -> Iterator[Tuple[str, str, os.stat_result, bool]]:
+    """(rel path, full path, lstat, stable) for every regular file and symlink
+    that ``walk_paths`` yields.
+
+    ``stable`` is true when the file's mtime and ctime are older than the
+    clock read just before its lstat, less ``_RACY_MARGIN_NS``: only then can
+    its stat vouch for its content. A file written just before it was read
+    can be rewritten within the same clock tick and keep its stat ("racily
+    clean", as git calls it).
+    """
+    for rel, full in walk_paths(ws):
+        cutoff = time.time_ns() - _RACY_MARGIN_NS
+        try:
+            st = os.lstat(full)
+        except (FileNotFoundError, NotADirectoryError):
+            continue
+        if stat.S_ISLNK(st.st_mode) or stat.S_ISREG(st.st_mode):
+            yield rel, full, st, st.st_mtime_ns < cutoff and st.st_ctime_ns < cutoff
 
 
 def snapshot_files(
@@ -276,22 +287,19 @@ def _evidence_kind(name: str) -> Optional[BuildSystemKind]:
 def detect_build_systems(ws: Workspace) -> list:
     """All build systems with evidence in the tree, shallowest evidence first.
 
-    Returns (kind, relative evidence path) pairs, one per detected kind; a
-    repository with no recognizable build files yields [(None kind, ".")].
+    Returns (kind, relative evidence path) pairs, one per detected kind, in
+    ``_KIND_ORDER``; a repository with no recognizable build files yields
+    [(None kind, ".")].
     """
     found = {}  # kind -> (depth, rel path)
-    root = ws.root_path
-    for dirpath, dirnames, filenames in os.walk(root):
-        dirnames[:] = sorted(d for d in dirnames if d not in _SCAN_IGNORE)
-        for name in sorted(filenames):
-            kind = _evidence_kind(name)
-            if kind is None:
-                continue
-            rel = str((Path(dirpath) / name).relative_to(root))
-            depth = rel.count(os.sep)
-            best = found.get(kind)
-            if best is None or (depth, rel) < best:
-                found[kind] = (depth, rel)
+    for rel, _full in walk_paths(ws):
+        kind = _evidence_kind(os.path.basename(rel))
+        if kind is None:
+            continue
+        depth = rel.count(os.sep)
+        best = found.get(kind)
+        if best is None or (depth, rel) < best:
+            found[kind] = (depth, rel)
     if not found:
         return [(BuildSystemKind.NONE, ".")]
     return [(kind, found[kind][1]) for kind in _KIND_ORDER if kind in found]
@@ -308,20 +316,14 @@ def read_readme(ws: Workspace) -> Optional[tuple]:
 
     Returns (content, relative path), or None when the repository has none.
     """
-    candidates = []  # (depth, name preference, rel path)
-    root = ws.root_path
-    for dirpath, dirnames, filenames in os.walk(root):
-        dirnames[:] = sorted(d for d in dirnames if d not in _SCAN_IGNORE)
-        for name in filenames:
-            try:
-                pref = _README_NAMES.index(name.lower())
-            except ValueError:
-                continue
-            rel = str((Path(dirpath) / name).relative_to(root))
-            candidates.append((rel.count(os.sep), pref, rel))
-    for _depth, _pref, rel in sorted(candidates):
-        if resolves_inside(ws, root / rel):
-            return (root / rel).read_text("utf-8", errors="replace"), rel
+    candidates = []  # (depth, name preference, rel path, full path)
+    for rel, full in walk_paths(ws):
+        name = os.path.basename(rel).lower()
+        if name in _README_NAMES:
+            candidates.append((rel.count(os.sep), _README_NAMES.index(name), rel, full))
+    for _depth, _pref, rel, full in sorted(candidates):
+        if resolves_inside(ws, full):
+            return Path(full).read_text("utf-8", errors="replace"), rel
     return None
 
 

@@ -26,6 +26,7 @@ from repobuild.bench import (
     aggregate,
     emit_report,
     load_results,
+    repo_context,
     run_benchmark,
     run_one_repo,
 )
@@ -419,7 +420,9 @@ class TestRetrievalBudgets:
             fetched.append(link.target)
             return FetchOutcome(True, content=f"notes for {link.target}")
 
-        dossier = run_retrieval(ws, scripted_config(scenario), fetcher=fetcher)
+        dossier = run_retrieval(
+            ws, scripted_config(scenario), repo_context(ws), fetcher=fetcher
+        )
 
         assert dossier.rounds_used == 3
         assert len(fetched) <= 9
@@ -447,7 +450,9 @@ class TestRetrievalBudgets:
             fetched.append(link.target)
             return FetchOutcome(True, content="x")
 
-        dossier = run_retrieval(ws, scripted_config(scenario), fetcher=fetcher)
+        dossier = run_retrieval(
+            ws, scripted_config(scenario), repo_context(ws), fetcher=fetcher
+        )
         assert dossier.rounds_used == 1
         assert dossier.sufficient
         assert fetched == []
@@ -458,6 +463,7 @@ class TestRetrievalBudgets:
         dossier = run_retrieval(
             ws,
             scripted_config(scenario),
+            repo_context(ws),
             fetcher=lambda _ws, link: FetchOutcome(True, content="x"),
         )
         assert dossier.rounds_used == 1

@@ -6,7 +6,7 @@ import threading
 
 import pytest
 
-from repobuild import bench
+from repobuild import bench, retrieval
 from repobuild.agent import VARIANTS, BuildSession, Turn
 from repobuild.bench import (
     FAILURE_MODES,
@@ -480,6 +480,26 @@ class TestRunOneRepo:
         assert dossier["sufficient"] is True
         assert dossier["instructions"] == "Run make at the repository root."
         assert dossier["rounds_used"] == 1
+
+    def test_agent_with_retrieval_reads_the_readme_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(ws):
+            calls.append(ws.repo_id)
+            return read(ws)
+
+        read = bench.read_readme
+        monkeypatch.setattr(bench, "read_readme", counted)
+        monkeypatch.setattr(retrieval, "read_readme", counted)
+        record = fixture_record("hello_make")
+        llm = _llm(
+            steps=[("Distill", "INSTRUCTIONS:\nRun make.\nSUFFICIENT: yes\nLINKS:\nnone")],
+            default_reply="```bash\ncd /app/hello_make\nmake\n```",
+        )
+        cfg = _cfg([record], method="agent-with-retrieval", llm=llm)
+        summary, _, _, _ = run_one_repo(record, cfg, tmp_path / "session")
+        assert summary["outcome"] == "succeeded"
+        assert calls == [record.id]
 
     def test_single_turn_method(self, tmp_path):
         record = fixture_record("hello_make")

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from repobuild.bench import repo_context
 from repobuild.errors import ProtocolError, ScenarioExhaustedError
 from repobuild.gateway import ScriptedScenario, scripted_config, substring
 from repobuild.retrieval import (
@@ -282,7 +283,7 @@ class TestRunRetrieval:
         ws = prepare_fixture("hello_make", tmp_path)
         cfg = scripted_config(ScriptedScenario(steps=[], default_reply=GOOD_REPLY))
         fetch = fake_fetcher({})
-        dossier = run_retrieval(ws, cfg, fetcher=fetch)
+        dossier = run_retrieval(ws, cfg, repo_context(ws), fetcher=fetch)
         assert dossier.sufficient is True
         assert dossier.rounds_used == 1
         assert dossier.visited == []
@@ -297,7 +298,7 @@ class TestRunRetrieval:
             (substring("Distill"), reply("partial", "no", ["README.md"])),
         ])
         fetch = fake_fetcher({"README.md": FetchOutcome(True, content="make all")})
-        dossier = run_retrieval(ws, scripted_config(scenario), fetcher=fetch)
+        dossier = run_retrieval(ws, scripted_config(scenario), repo_context(ws), fetcher=fetch)
         assert dossier.rounds_used == 2
         assert dossier.sufficient is True
         assert [l.target for l in dossier.visited] == ["README.md"]
@@ -315,7 +316,7 @@ class TestRunRetrieval:
         fetch = fake_fetcher({
             page.format(i): FetchOutcome(True, content=f"page{i}") for i in range(1, 12)
         })
-        dossier = run_retrieval(ws, scripted_config(scenario), fetcher=fetch)
+        dossier = run_retrieval(ws, scripted_config(scenario), repo_context(ws), fetcher=fetch)
         assert dossier.rounds_used <= 3
         assert len(dossier.visited) <= 9
         assert len(fetch.calls) <= 9
@@ -329,7 +330,7 @@ class TestRunRetrieval:
             steps=[], default_reply=reply("digging", "no", same),
         ))
         fetch = fake_fetcher({})
-        dossier = run_retrieval(ws, cfg, fetcher=fetch)
+        dossier = run_retrieval(ws, cfg, repo_context(ws), fetcher=fetch)
         assert len(fetch.calls) == len(set(fetch.calls))
         assert len({l.target for l in dossier.visited}) == len(dossier.visited)
 
@@ -346,7 +347,7 @@ class TestRunRetrieval:
             f"https://example.com/{x}": FetchOutcome(True, content=f"page {x}")
             for x in "abc"
         })
-        dossier = run_retrieval(ws, cfg, fetcher=fetch)
+        dossier = run_retrieval(ws, cfg, repo_context(ws), fetcher=fetch)
         # round 2 re-offers only visited links: nothing fresh, loop stops
         assert dossier.rounds_used == 2
         assert dossier.sufficient is False
@@ -363,7 +364,7 @@ class TestRunRetrieval:
         fetch = fake_fetcher({
             "https://example.com/dead": FetchOutcome(False, failure_kind="timeout"),
         })
-        dossier = run_retrieval(ws, scripted_config(scenario), fetcher=fetch)
+        dossier = run_retrieval(ws, scripted_config(scenario), repo_context(ws), fetcher=fetch)
         assert dossier.sufficient is True
         assert ("https://example.com/dead", "timeout") in dossier.fetch_failures
 
@@ -373,7 +374,9 @@ class TestRunRetrieval:
             (substring("did not follow the required format"), GOOD_REPLY),
             (substring("Distill"), "Sure! You should probably run make."),
         ])
-        dossier = run_retrieval(ws, scripted_config(scenario), fetcher=fake_fetcher({}))
+        dossier = run_retrieval(
+            ws, scripted_config(scenario), repo_context(ws), fetcher=fake_fetcher({})
+        )
         assert dossier.sufficient is True
 
     def test_persistent_malformed_reply_raises(self, tmp_path):
@@ -382,7 +385,7 @@ class TestRunRetrieval:
             steps=[], default_reply="no labels here at all",
         ))
         with pytest.raises(ProtocolError):
-            run_retrieval(ws, cfg, fetcher=fake_fetcher({}))
+            run_retrieval(ws, cfg, repo_context(ws), fetcher=fake_fetcher({}))
 
 
 class TestScoring:

@@ -1,6 +1,5 @@
 from repobuild.errors import SandboxUnavailableError
 from repobuild.rules import (
-    ROUTINE_PRIORITY,
     build_with_rules,
     load_build_routines,
     render_routine,
@@ -36,7 +35,9 @@ def named_probe(ws, expected):
 class TestLoadBuildRoutines:
     def test_shipped_set_covers_all_routine_kinds(self):
         routines = load_build_routines()
-        for kind in ROUTINE_PRIORITY:
+        for kind in BuildSystemKind:
+            if kind is BuildSystemKind.NONE:
+                continue
             assert kind.value in routines
             assert routines[kind.value], kind
 

@@ -555,6 +555,24 @@ class TestScanSourceFunctions:
         text = 'const char *s = "int fake(void) {";\nint real(void) { return 0; }\n'
         assert scan_source_functions(text) == ["real"]
 
+    def test_unterminated_string_and_comment_run_to_the_end(self):
+        real = "int real(void) { return 0; }\n"
+        ghost = "int ghost(void) { return 1; }\n"
+        assert scan_source_functions(real + 'char *s = "oops;\n' + ghost) == ["real"]
+        assert scan_source_functions(real + "/* oops\n" + ghost) == ["real"]
+
+    def test_escaped_quote_does_not_end_a_string(self):
+        text = 'char *s = "say \\"int fake(void) {\\" now";\nint real(void) { return 0; }\n'
+        assert scan_source_functions(text) == ["real"]
+
+    def test_brace_char_literal_does_not_open_a_scope(self):
+        text = "int real(void) { char c = '{'; return c; }\nint next(void) { return 1; }\n"
+        assert scan_source_functions(text) == ["real", "next"]
+
+    def test_backslash_newline_inside_a_string(self):
+        text = 'char *s = "one \\\nint fake(void) {";\nint real(void) { return 0; }\n'
+        assert scan_source_functions(text) == ["real"]
+
     def test_preprocessor_macros_ignored(self):
         text = (
             "#define HELPER(x) do { (x)++; } while (0)\n"

@@ -10,6 +10,8 @@ import pytest
 from repobuild import workspace
 from repobuild.corpus import RepoRecord
 from repobuild.errors import CloneError
+from repobuild.targets import find_makefiles
+from repobuild.validation import function_coverage
 from repobuild.workspace import (
     BuildSystemKind,
     FileSnapshot,
@@ -270,3 +272,35 @@ class TestReadmeAndListing:
         assert ("Makefile", "file") in entries
         assert ("src", "dir") in entries
         assert entries == sorted(entries)
+
+
+# every scanner's findings as relative paths
+_SCANNERS = {
+    "detect_build_systems": lambda ws: [rel for _kind, rel in detect_build_systems(ws)],
+    "read_readme": lambda ws: [read_readme(ws)[1]],
+    "find_makefiles": find_makefiles,
+    "function_coverage": lambda ws: sorted(
+        rel for _name, rel in function_coverage(ws, [], lambda _p: []).source_functions
+    ),
+}
+
+
+class TestScanPolicy:
+    @pytest.mark.parametrize("scanner", sorted(_SCANNERS))
+    def test_vcs_dirs_and_symlinked_dirs_are_not_scanned(self, scanner, tmp_path):
+        # the hidden copies sit shallower than the real ones, so a scanner
+        # that looked into them would prefer them or list them too
+        outside = tmp_path / "outside"
+        root = tmp_path / "r"
+        real = root / "src" / "deep"
+        for d in (outside, real, root / ".git", root / ".hg", root / ".svn"):
+            d.mkdir(parents=True)
+            (d / "Makefile").write_text("all:\n\tcc -o app main.c\n", "utf-8")
+            (d / "README").write_text("build with make", "utf-8")
+            (d / "main.c").write_text("int main(void) { return 0; }\n", "utf-8")
+        (root / "vendor").symlink_to(outside, target_is_directory=True)
+        found = _SCANNERS[scanner](workspace_at(root))
+        expected = {"read_readme": "README", "function_coverage": "main.c"}.get(
+            scanner, "Makefile"
+        )
+        assert found == [os.path.join("src", "deep", expected)]
