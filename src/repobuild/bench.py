@@ -76,7 +76,9 @@ class RunConfig:
 
 @dataclass
 class RepoOutcome:
-    session: dict  # serialized session summary
+    # the session summary; a resume leaves ``turns`` out of the records that
+    # were in the store before it, and keeps every other key
+    session: dict
     verdict: Verdict
     failure_mode: Optional[str] = None
     dossier: Optional[dict] = None
@@ -101,17 +103,21 @@ class AggregateReport:
 # -- persistence --------------------------------------------------------------
 
 
-def _read_records(path: Path, start: int = 0) -> Tuple[List[dict], int]:
+def _read_records(
+    path: Path, start: int = 0, drop_turns: bool = False
+) -> Tuple[List[dict], int]:
     """Parse the store's records from byte offset ``start``, line by line.
 
     Returns the records and the offset just past the last newline-terminated
     line. An unterminated tail is parsed if it can be but lies beyond that
     offset, so a later read from it sees the tail again once complete. A
-    store now shorter than ``start`` is read again from 0.
+    store now shorter than ``start`` is read again from 0. With
+    ``drop_turns`` each record's session loses its ``turns`` as soon as the
+    line is parsed, so at most one transcript is held at a time.
     """
     records: List[dict] = []
     try:
-        fh = open(path, "rb")
+        fh = open(path, "rb", buffering=1 << 16)
     except FileNotFoundError:
         return records, 0
     with fh:
@@ -128,9 +134,13 @@ def _read_records(path: Path, start: int = 0) -> Tuple[List[dict], int]:
             # a crash mid-append leaves a torn record, possibly cut inside a
             # UTF-8 sequence; treat it as never written
             try:
-                records.append(json.loads(line.decode("utf-8")))
+                record = json.loads(line.decode("utf-8"))
             except ValueError:
                 logger.warning("skipping torn record in %s", path)
+                continue
+            if drop_turns:
+                record["session"].pop("turns", None)
+            records.append(record)
     return records, end
 
 
@@ -376,7 +386,9 @@ def run_benchmark(
     """Execute `runs` repetitions over the manifest, resuming past work found
     in the store. Returns what ``load_results`` would rebuild from the store
     at the end, records other writers appended included, so a recomputation
-    sees exactly what was persisted.
+    sees exactly what was persisted; only the records already in the store
+    when the call began come back without their sessions' ``turns``, which
+    keeps a resume's memory to the record count, not the transcripts.
 
     Sessions start in manifest order, run by run, on ``parallelism``
     threads. When one starts, the workspace of the job ``parallelism`` places
@@ -385,7 +397,7 @@ def run_benchmark(
     """
     store = ResultStore(store_path)
     # one pass over the store gives both the results so far and what is done
-    records, end = _read_records(store.path)
+    records, end = _read_records(store.path, drop_turns=True)
     by_run: Dict[int, RunResult] = {}
     _merge_records(by_run, records)
     done = {(rec["run"], rec["repo"]) for rec in records}
@@ -435,7 +447,8 @@ def run_benchmark(
             for future in ahead:
                 future.cancel()
 
-    # parse only what was appended since, by this run or by another writer
+    # parse only what was appended since, by this run or by another writer,
+    # turns included
     appended, new_end = _read_records(store.path, end)
     if new_end < end:
         # the store shrank, so it was read again whole

@@ -368,11 +368,13 @@ def function_coverage(
     symbol_extractor: Optional[SymbolExtractor] = None,
 ) -> FunctionCoverageReport:
     """Fraction of source-defined functions present in the produced binaries'
-    debug info, with the directories losing the most functions."""
+    debug info, with the directories losing the most functions. Only regular
+    source files that resolve inside the workspace are read."""
     extractor = symbol_extractor or default_symbol_extractor
     source: Set[Tuple[str, str]] = set()
     for rel, full in walk_paths(ws):
-        if not rel.endswith(_SOURCE_EXTS) or not resolves_inside(ws, full):
+        if not (rel.endswith(_SOURCE_EXTS) and os.path.isfile(full)
+                and resolves_inside(ws, full)):
             continue
         try:
             text = Path(full).read_text("utf-8", errors="replace")

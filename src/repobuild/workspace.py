@@ -312,7 +312,8 @@ def resolves_inside(ws: Workspace, path: str | Path) -> bool:
 
 def read_readme(ws: Workspace) -> Optional[tuple]:
     """Shallowest readme file, preferring bare README over suffixed names.
-    A readme that resolves outside the workspace is skipped.
+    A readme that is not a regular file, such as a FIFO, or that resolves
+    outside the workspace is skipped.
 
     Returns (content, relative path), or None when the repository has none.
     """
@@ -322,7 +323,7 @@ def read_readme(ws: Workspace) -> Optional[tuple]:
         if name in _README_NAMES:
             candidates.append((rel.count(os.sep), _README_NAMES.index(name), rel, full))
     for _depth, _pref, rel, full in sorted(candidates):
-        if resolves_inside(ws, full):
+        if os.path.isfile(full) and resolves_inside(ws, full):
             return Path(full).read_text("utf-8", errors="replace"), rel
     return None
 

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import pytest
 
@@ -123,10 +124,16 @@ def _record(run, repo, output="build failed"):
     }
 
 
-def _view(results):
-    """What a result holds, per run and repo."""
+def _view(results, stored=frozenset()):
+    """What a result holds, per run and repo; the sessions of the (run, repo)
+    keys in ``stored`` without their turns, as a resume returns them."""
+    def session(run, repo, s):
+        if (run, repo) in stored:
+            return {k: v for k, v in s.items() if k != "turns"}
+        return s
+
     return [
-        (r.run_index, {repo: (o.verdict, o.failure_mode, o.session)
+        (r.run_index, {repo: (o.verdict, o.failure_mode, session(r.run_index, repo, o.session))
                        for repo, o in r.per_repo.items()})
         for r in results
     ]
@@ -670,10 +677,11 @@ class TestRunBenchmark:
             "\n" + lines[0] + "\n\n" + lines[1][:30] + "\n" + lines[2] + "\n \n" + lines[3][:50],
             "utf-8",
         )
+        stored = {(r.run_index, repo) for r in load_results(store) for repo in r.per_repo}
         results = run_benchmark(cfg, store, tmp_path / "work2")
         reloaded = load_results(store)
         assert [sorted(r.per_repo) for r in results] == [sorted(r.id for r in records)] * 2
-        assert _view(results) == _view(reloaded)
+        assert _view(results) == _view(reloaded, stored)
         assert emit_report(aggregate(results), "machine", cfg.method) == emit_report(
             aggregate(reloaded), "machine", cfg.method
         )
@@ -692,7 +700,7 @@ class TestRunBenchmark:
                     RepoRecord(id="a/todo", clone_url="unused")])
         results = run_benchmark(cfg, store_path, tmp_path / "work")
         assert list(results[0].per_repo) == ["a/done", "other/writer", "a/todo"]
-        assert _view(results) == _view(load_results(store_path))
+        assert _view(results) == _view(load_results(store_path), {(0, "a/done")})
 
     def test_store_rewritten_shorter_during_the_run(self, tmp_path, monkeypatch):
         store_path = tmp_path / "store.jsonl"
@@ -709,27 +717,71 @@ class TestRunBenchmark:
         assert list(results[0].per_repo) == ["a/done1", "a/todo"]
         assert _view(results) == _view(load_results(store_path))
 
-    def test_resume_with_nothing_left_reads_the_store_once(self, tmp_path, monkeypatch):
+    @staticmethod
+    def _store_with_nothing_left(tmp_path, monkeypatch):
+        """A store of 100 repos x 2 runs with 105 KiB outputs, and a config
+        whose every (run, repo) is in it."""
         records = [RepoRecord(id=f"big/r{i}", clone_url="unused") for i in range(100)]
         store_path = tmp_path / "store.jsonl"
         store = ResultStore(store_path)
         for run in range(2):
             for record in records:
                 store.append(_record(run, record.id, output="x" * (105 << 10)))
-        size = store_path.stat().st_size
-        assert size >= 20 << 20
+        assert store_path.stat().st_size >= 20 << 20
 
         def must_not_run(*args):
             raise AssertionError("every record is already in the store")
 
         monkeypatch.setattr("repobuild.bench.run_one_repo", must_not_run)
+        return _cfg(records, runs=2), store_path
+
+    def test_resume_with_nothing_left_reads_the_store_once(self, tmp_path, monkeypatch):
+        cfg, store_path = self._store_with_nothing_left(tmp_path, monkeypatch)
+        size = store_path.stat().st_size
         before = bytes_read()
         if before is None:
             pytest.skip("/proc/self/io is not readable")
-        results = run_benchmark(_cfg(records, runs=2), store_path, tmp_path / "work")
+        results = run_benchmark(cfg, store_path, tmp_path / "work")
         read = bytes_read() - before
         assert [len(r.per_repo) for r in results] == [100, 100]
         assert read < 1.2 * size
+
+    def test_resume_holds_no_stored_transcript(self, tmp_path, monkeypatch):
+        cfg, store_path = self._store_with_nothing_left(tmp_path, monkeypatch)
+        tracemalloc.start()
+        try:
+            results = run_benchmark(cfg, store_path, tmp_path / "work")
+            _size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [len(r.per_repo) for r in results] == [100, 100]
+        # holding every output would take over 20 MiB; one at a time, a few
+        assert peak < 4 << 20
+
+    def test_stored_records_come_back_without_turns_and_new_ones_whole(
+        self, tmp_path, monkeypatch
+    ):
+        store_path = tmp_path / "store.jsonl"
+        ResultStore(store_path).append(_record(0, "a/done", output="stored transcript"))
+        fresh = _session_dict("succeeded", turns=[_turn_dict(output="fresh transcript")])
+
+        def run_fresh(record, cfg, session_dir, prepared):
+            return fresh, _vd(True, True, True), None, None
+
+        monkeypatch.setattr("repobuild.bench.run_one_repo", run_fresh)
+        cfg = _cfg([RepoRecord(id="a/done", clone_url="unused"),
+                    RepoRecord(id="a/todo", clone_url="unused")])
+        results = run_benchmark(cfg, store_path, tmp_path / "work")
+        [reloaded] = load_results(store_path)
+        done, todo = results[0].per_repo["a/done"], results[0].per_repo["a/todo"]
+        want = reloaded.per_repo["a/done"]
+        assert "turns" not in done.session
+        assert done.session == {k: v for k, v in want.session.items() if k != "turns"}
+        assert (done.verdict, done.failure_mode, done.dossier) == (
+            want.verdict, want.failure_mode, want.dossier
+        )
+        assert todo == reloaded.per_repo["a/todo"]
+        assert todo.session == fresh
 
 
 def _masked(record):

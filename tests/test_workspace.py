@@ -1,6 +1,7 @@
 import json
 import os
 import subprocess
+import threading
 import time
 from pathlib import Path
 from types import SimpleNamespace
@@ -300,6 +301,39 @@ class TestScanPolicy:
             (d / "main.c").write_text("int main(void) { return 0; }\n", "utf-8")
         (root / "vendor").symlink_to(outside, target_is_directory=True)
         found = _SCANNERS[scanner](workspace_at(root))
+        expected = {"read_readme": "README", "function_coverage": "main.c"}.get(
+            scanner, "Makefile"
+        )
+        assert found == [os.path.join("src", "deep", expected)]
+
+    @pytest.mark.parametrize("scanner", ["read_readme", "find_makefiles", "function_coverage"])
+    def test_fifos_are_not_opened(self, scanner, tmp_path):
+        # opening a FIFO for reading blocks until a writer opens it too, so
+        # the scan runs on a thread and a blocked one fails the test
+        root = tmp_path / "r"
+        real = root / "src" / "deep"
+        real.mkdir(parents=True)
+        files = {"Makefile": "all:\n\tcc -o app main.c\n", "README": "build with make",
+                 "main.c": "int main(void) { return 0; }\n"}
+        for name, text in files.items():
+            (real / name).write_text(text, "utf-8")
+            os.mkfifo(root / name)
+        found = []
+        scan = threading.Thread(
+            target=lambda: found.extend(_SCANNERS[scanner](workspace_at(root))), daemon=True
+        )
+        scan.start()
+        scan.join(10)
+        if scan.is_alive():
+            # a writer's open and close lets a blocked reader see EOF
+            for _ in range(100):
+                for name in files:
+                    try:
+                        os.close(os.open(root / name, os.O_WRONLY | os.O_NONBLOCK))
+                    except OSError:  # no reader waits on this one
+                        pass
+                scan.join(0.05)
+            pytest.fail(f"{scanner} blocked on a FIFO")
         expected = {"read_readme": "README", "function_coverage": "main.c"}.get(
             scanner, "Makefile"
         )
