@@ -1,5 +1,5 @@
 """Files shipped with the package: prompts, build routines, failure
-signatures, Makefile cleaning rules, keywords and the sandbox image."""
+signatures, Makefile cleaning rules and the sandbox image."""
 
 from functools import cache
 from importlib import resources

@@ -212,6 +212,26 @@ def session_summary(session: BuildSession) -> dict:
     }
 
 
+def store_record(
+    run_idx: int,
+    repo_id: str,
+    summary: dict,
+    verdict: Verdict,
+    failure: Optional[str],
+    dossier: Optional[dict],
+) -> dict:
+    """One session as the store records it and `repobuild build --json`
+    prints it; the last four arguments are what ``run_one_repo`` returns."""
+    return {
+        "run": run_idx,
+        "repo": repo_id,
+        "session": summary,
+        "verdict": _verdict_to_dict(verdict),
+        "failure_mode": failure,
+        "dossier": dossier,
+    }
+
+
 def dossier_to_dict(dossier: Optional[InstructionDossier]) -> Optional[dict]:
     """The dossier as the store records it and `repobuild retrieve --json` prints it."""
     if dossier is None:
@@ -412,17 +432,8 @@ def run_benchmark(
     width = cfg.parallelism
 
     def run_job(run_idx: int, record: RepoRecord, session_dir: Path, prepared: Future) -> None:
-        summary, verdict, failure, dossier = run_one_repo(record, cfg, session_dir, prepared)
-        store.append(
-            {
-                "run": run_idx,
-                "repo": record.id,
-                "session": summary,
-                "verdict": _verdict_to_dict(verdict),
-                "failure_mode": failure,
-                "dossier": dossier,
-            }
-        )
+        store.append(store_record(run_idx, record.id,
+                                  *run_one_repo(record, cfg, session_dir, prepared)))
 
     # leaving the block waits for the running sessions first, and they may
     # still wait on a workspace being prepared

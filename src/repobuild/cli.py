@@ -16,22 +16,35 @@ from typing import List, Optional
 
 from . import bench as bench_mod
 from .agent import DEFAULT_MAX_TURNS, VARIANTS
-from .corpus import CorpusManifest, RepoRecord, load_manifest, required_sample_size
+from .corpus import (
+    CorpusManifest,
+    RepoRecord,
+    load_manifest,
+    required_sample_size,
+    sample_repos,
+    save_manifest,
+)
 from .errors import (
     DomainError,
     ManifestParseError,
     ManifestValidationError,
     RepobuildError,
+    SampleSizeError,
     UsageError,
 )
 from .gateway import LlmConfig, ScriptedScenario
 from .retrieval import run_retrieval
 from .sandbox import SandboxSpec
 from .targets import predict_targets
-from .validation import discover_new_binaries, judge
-from .workspace import Workspace, load_snapshot
+from .validation import discover_new_binaries, function_coverage, judge
+from .workspace import Workspace, load_snapshot, save_snapshot, snapshot_files
 
 logger = logging.getLogger(__name__)
+
+# bad input from the command line or a manifest; each maps to exit code 2
+_USAGE_ERRORS = (
+    UsageError, ManifestParseError, ManifestValidationError, DomainError, SampleSizeError
+)
 
 
 def load_config_file(path: Optional[str]) -> dict:
@@ -171,6 +184,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_retrieve.add_argument("--json", action="store_true")
     _add_llm_flags(p_retrieve)
 
+    p_snapshot = sub.add_parser("snapshot", help="save a snapshot of a repository's files")
+    p_snapshot.add_argument("workspace", help="path of a prepared repository")
+    p_snapshot.add_argument("--out", required=True, help="snapshot file to write")
+
     p_validate = sub.add_parser("validate", help="judge produced binaries against labels")
     p_validate.add_argument("--workspace", required=True)
     p_validate.add_argument("--before", required=True, help="pre-build snapshot file")
@@ -192,13 +209,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_plan.add_argument("--population", type=int, required=True)
     p_plan.add_argument("--json", action="store_true")
 
+    p_sample = sub.add_parser("sample", help="draw a seeded random sample of a manifest")
+    p_sample.add_argument("--manifest", required=True)
+    p_sample.add_argument("--n", type=int, required=True, help="records to draw")
+    p_sample.add_argument("--seed", type=int, required=True)
+    p_sample.add_argument("--out", required=True, help="manifest file to write")
+
     return parser
 
 
 def _cmd_build(args, config: dict) -> int:
     repo_id = args.id
     if not repo_id:
-        name = Path(args.source.rstrip("/")).name.removesuffix(".git")
+        # a local source is named by its resolved path, so `.` is named too
+        source = Path(args.source)
+        name = (source.resolve() if source.exists() else source).name.removesuffix(".git")
         repo_id = f"local/{name}"
     record = RepoRecord(
         id=repo_id,
@@ -215,36 +240,28 @@ def _cmd_build(args, config: dict) -> int:
     )
     with tempfile.TemporaryDirectory(prefix="repobuild-") as tmp:
         session_dir = Path(args.work_dir) if args.work_dir else Path(tmp) / "session"
-        summary, verdict, failure, _ = bench_mod.run_one_repo(record, cfg, session_dir)
-    doc = {
-        "repo": record.id,
-        "outcome": summary["outcome"],
-        "fix_attempts": summary["fix_attempts"],
-        "completion": verdict.completion,
-        "strict": verdict.strict,
-        "flexible": verdict.flexible,
-        "new_binaries": [a.rel_path for a in verdict.new_binaries],
-        "failure_mode": failure,
-    }
+        doc = bench_mod.store_record(
+            0, record.id, *bench_mod.run_one_repo(record, cfg, session_dir)
+        )
+    session, verdict = doc["session"], doc["verdict"]
     if args.json:
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
-        for key in ("repo", "outcome", "fix_attempts", "completion", "strict",
-                    "flexible", "failure_mode"):
-            print(f"{key}: {doc[key]}")
-        for rel in doc["new_binaries"]:
-            print(f"binary: {rel}")
-    passed = verdict.strict if args.require_strict else verdict.completion
+        print(f"repo: {doc['repo']}")
+        print(f"outcome: {session['outcome']}")
+        print(f"fix_attempts: {session['fix_attempts']}")
+        for key in ("completion", "strict", "flexible"):
+            print(f"{key}: {verdict[key]}")
+        print(f"failure_mode: {doc['failure_mode']}")
+        for artifact in verdict["new_binaries"]:
+            print(f"binary: {artifact['rel_path']}")
+    passed = verdict["strict"] if args.require_strict else verdict["completion"]
     return 0 if passed else 1
 
 
 def _cmd_bench(args, config: dict) -> int:
-    try:
-        manifest = load_manifest(args.manifest)
-    except (ManifestParseError, ManifestValidationError) as exc:
-        raise UsageError(str(exc)) from exc
     cfg = bench_mod.RunConfig(
-        manifest=manifest,
+        manifest=load_manifest(args.manifest),
         method=args.method,
         llm=_llm_config(args, config),
         sandbox=_sandbox_spec(args, config),
@@ -274,6 +291,16 @@ def _cmd_retrieve(args, config: dict) -> int:
     return 0
 
 
+def _cmd_snapshot(args, config: dict) -> int:
+    snapshot = snapshot_files(_workspace_from_path(args.workspace))
+    try:
+        save_snapshot(snapshot, args.out)
+    except OSError as exc:
+        raise UsageError(f"cannot write snapshot file: {exc}") from exc
+    print(f"files: {len(snapshot.entries)}")
+    return 0
+
+
 def _cmd_validate(args, config: dict) -> int:
     ws = _workspace_from_path(args.workspace)
     try:
@@ -283,6 +310,7 @@ def _cmd_validate(args, config: dict) -> int:
         raise UsageError(f"cannot read snapshot file: {exc}") from exc
     artifacts = discover_new_binaries(before, after, ws)
     verdict = judge(artifacts, _expected_list(args.expected))
+    coverage = function_coverage(ws, artifacts)
     doc = {
         "completion": verdict.completion,
         "strict": verdict.strict,
@@ -291,6 +319,11 @@ def _cmd_validate(args, config: dict) -> int:
         "new_binaries": [
             {"rel_path": a.rel_path, "classify": a.classify} for a in verdict.new_binaries
         ],
+        "function_coverage": {
+            "coverage_pct": None if coverage.undefined else coverage.coverage_pct,
+            "undefined": coverage.undefined,
+            "top_uncompiled_dirs": [list(d) for d in coverage.top_uncompiled_dirs],
+        },
     }
     if args.json:
         print(json.dumps(doc, indent=2, sort_keys=True))
@@ -300,6 +333,8 @@ def _cmd_validate(args, config: dict) -> int:
         print(f"flexible: {verdict.flexible}")
         for a in verdict.new_binaries:
             print(f"binary: {a.rel_path} ({a.classify})")
+        print("coverage: undefined" if coverage.undefined
+              else f"coverage: {coverage.coverage_pct:.1f}%")
     passed = verdict.strict if args.require_strict else verdict.completion
     return 0 if passed else 1
 
@@ -320,10 +355,7 @@ def _cmd_predict_targets(args, config: dict) -> int:
 
 
 def _cmd_plan_sample(args, config: dict) -> int:
-    try:
-        plan = required_sample_size(args.z, args.e, args.p, args.population)
-    except DomainError as exc:
-        raise UsageError(str(exc)) from exc
+    plan = required_sample_size(args.z, args.e, args.p, args.population)
     if args.json:
         print(json.dumps({
             "n0": plan.n0,
@@ -337,13 +369,26 @@ def _cmd_plan_sample(args, config: dict) -> int:
     return 0
 
 
+def _cmd_sample(args, config: dict) -> int:
+    sample = sample_repos(load_manifest(args.manifest), args.n, args.seed)
+    try:
+        save_manifest(sample, args.out)
+    except OSError as exc:
+        raise UsageError(f"cannot write manifest file: {exc}") from exc
+    for record in sample.records:
+        print(record.id)
+    return 0
+
+
 _COMMANDS = {
     "build": _cmd_build,
     "bench": _cmd_bench,
     "retrieve": _cmd_retrieve,
+    "snapshot": _cmd_snapshot,
     "validate": _cmd_validate,
     "predict-targets": _cmd_predict_targets,
     "plan-sample": _cmd_plan_sample,
+    "sample": _cmd_sample,
 }
 
 
@@ -360,7 +405,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         config = load_config_file(args.config)
         return _COMMANDS[args.subcommand](args, config)
-    except UsageError as exc:
+    except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RepobuildError as exc:

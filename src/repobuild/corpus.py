@@ -1,4 +1,4 @@
-"""Repository manifests: loading, keyword/star filtering, and sample planning.
+"""Repository manifests: loading, saving, seeded sampling, and sample planning.
 
 A manifest is a UTF-8 file with one self-describing JSON object per line,
 using exactly the :class:`RepoRecord` field names. Unknown keys are ignored
@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
-from . import assets
 from .errors import DomainError, ManifestParseError, ManifestValidationError, SampleSizeError
 
 logger = logging.getLogger(__name__)
@@ -48,9 +47,13 @@ class RepoRecord:
     languages: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if not self.id or self.id.count("/") != 1:
+        owner, _, name = self.id.partition("/")
+        # each part names a directory: the session dir is owner__name and
+        # the workspace is named after the name part
+        if "/" in name or {owner, name} & {"", ".", ".."}:
             raise ManifestValidationError(
-                f"record {self.id!r}: id must be non-empty 'owner/name'"
+                f"record {self.id!r}: id must be 'owner/name', and neither part "
+                "may be empty, '.' or '..'"
             )
         if self.stargazers < 0:
             raise ManifestValidationError(f"record {self.id!r}: stargazers must be >= 0")
@@ -91,22 +94,6 @@ class CorpusManifest:
 
 
 @dataclass(frozen=True)
-class FilterPolicy:
-    """Exclusion policy: banned keywords, minimum stars, fork handling."""
-
-    banned_keywords: tuple[str, ...] = ()
-    min_stars: int = 0
-    exclude_forks: bool = True
-
-    def __post_init__(self):
-        for kw in self.banned_keywords:
-            if not kw or kw != kw.lower():
-                raise ManifestValidationError(
-                    f"banned keyword {kw!r} must be non-empty lowercase"
-                )
-
-
-@dataclass(frozen=True)
 class SamplePlan:
     """Sample-size computation for estimating a population proportion.
 
@@ -122,34 +109,6 @@ class SamplePlan:
     n0: float
     n_fpc: float
     required_n: int
-
-
-def default_filter_policy() -> FilterPolicy:
-    """Policy shipped with the package: keyword list asset, 50 stars, no forks.
-
-    The keyword list is user-extensible; edit a copy of the asset and load it
-    with :func:`load_keyword_file`.
-    """
-    text = assets.text("default_keywords.txt")
-    return FilterPolicy(
-        banned_keywords=tuple(_parse_keyword_lines(text)),
-        min_stars=50,
-        exclude_forks=True,
-    )
-
-
-def load_keyword_file(path: str | Path) -> tuple[str, ...]:
-    """Read a newline-separated lowercase keyword file."""
-    return tuple(_parse_keyword_lines(Path(path).read_text("utf-8")))
-
-
-def _parse_keyword_lines(text: str) -> list[str]:
-    out = []
-    for line in text.splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            out.append(line.lower())
-    return out
 
 
 def load_manifest(path: str | Path) -> CorpusManifest:
@@ -204,26 +163,6 @@ def save_manifest(manifest: CorpusManifest, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), "utf-8")
 
 
-def filter_repos(manifest: CorpusManifest, policy: FilterPolicy) -> CorpusManifest:
-    """Keep records meeting the star floor, fork rule, and keyword exclusions.
-
-    Keyword matching is a case-insensitive substring test over the record id
-    and description; the star threshold is inclusive (exactly ``min_stars``
-    stars is kept). Record order is preserved.
-    """
-    kept = []
-    for rec in manifest.records:
-        if rec.stargazers < policy.min_stars:
-            continue
-        if policy.exclude_forks and rec.is_fork:
-            continue
-        haystack = f"{rec.id}\n{rec.description}".lower()
-        if any(kw in haystack for kw in policy.banned_keywords):
-            continue
-        kept.append(rec)
-    return CorpusManifest(records=kept, name=manifest.name, created_at=manifest.created_at)
-
-
 def required_sample_size(z: float, e: float, p: float, n_population: int) -> SamplePlan:
     """Minimum sample size for a proportion estimate, with finite-population correction.
 
@@ -254,7 +193,7 @@ def required_sample_size(z: float, e: float, p: float, n_population: int) -> Sam
 
 def sample_repos(manifest: CorpusManifest, n: int, seed: int) -> CorpusManifest:
     """Uniform sample without replacement; deterministic for a fixed seed."""
-    if n > len(manifest.records):
+    if not 1 <= n <= len(manifest.records):
         raise SampleSizeError(
             f"cannot sample {n} records from a manifest of {len(manifest.records)}"
         )

@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import logging
 import os
-import re
 import time
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Pattern, Sequence, Tuple, TypeVar, Union
@@ -94,10 +93,6 @@ class LlmConfig:
             raise ValueError("max_retries must be >= 0")
         if self.backend == "scripted" and self.scenario is None:
             raise ValueError("scripted backend requires a scenario")
-
-
-def scripted_config(scenario: ScriptedScenario, **overrides) -> LlmConfig:
-    return LlmConfig(backend="scripted", scenario=scenario, **overrides)
 
 
 def complete(config: LlmConfig, messages: Sequence[ChatMessage]) -> str:
@@ -185,12 +180,3 @@ def _live_complete(config: LlmConfig, messages: Sequence[ChatMessage]) -> str:
             raise TransportError(f"malformed completion response: {exc}") from exc
     raise TransportError(f"chat completion failed after retries: {last_err}")
 
-
-def substring(s: str) -> str:
-    """Identity helper that documents a matcher as a substring test."""
-    return s
-
-
-def pattern(p: str) -> Pattern:
-    """Compile a regex matcher for a scripted step."""
-    return re.compile(p, re.DOTALL)

@@ -15,9 +15,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, List, Optional, Sequence, Set, Tuple
 
-from . import assets
-from .errors import ProtocolError
-from .gateway import ChatMessage, LlmConfig, ask_structured
 from .workspace import (
     FileSnapshot, Workspace, file_entry, resolves_inside, stat_key, walk_files, walk_paths
 )
@@ -411,43 +408,3 @@ def function_coverage(
         top_uncompiled_dirs=top,
     )
 
-
-# -- LLM verdict --------------------------------------------------------------
-
-
-_VERDICT_REMINDER = (
-    "Reply with exactly:\nVERDICT: yes|no\nRATIONALE: <one or two sentences>"
-)
-
-
-def llm_verdict(
-    log: str,
-    report: FunctionCoverageReport,
-    artifacts: Sequence[BinaryArtifact],
-    cfg: LlmConfig,
-    log_tail_chars: int = 4000,
-) -> Tuple[bool, str]:
-    """Render the multi-signal validation prompt and parse a yes/no verdict."""
-    executables = [a.file_name for a in artifacts if a.classify == "executable"]
-    coverage = "undefined" if report.undefined else f"{report.coverage_pct:.1f}%"
-    top = "\n".join(f"{d}: {c} functions missing" for d, c in report.top_uncompiled_dirs)
-    prompt = assets.text("prompts/validation.txt").format(
-        log_tail=log[-log_tail_chars:] or "(empty log)",
-        executables=", ".join(executables) or "(none)",
-        coverage_pct=coverage,
-        top_uncompiled=top or "(none)",
-    )
-    parsed, _, _ = ask_structured(
-        cfg, [ChatMessage("user", prompt)], _parse_verdict, _VERDICT_REMINDER
-    )
-    if parsed is None:
-        raise ProtocolError("validation reply is missing the VERDICT label")
-    return parsed
-
-
-def _parse_verdict(raw: str) -> Optional[Tuple[bool, str]]:
-    m = re.search(r"^\s*VERDICT:\s*(yes|no)\b", raw, re.IGNORECASE | re.MULTILINE)
-    if not m:
-        return None
-    rat = re.search(r"^\s*RATIONALE:\s*(.+)$", raw, re.IGNORECASE | re.MULTILINE)
-    return (m.group(1).lower() == "yes", rat.group(1).strip() if rat else "")

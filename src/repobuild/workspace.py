@@ -257,17 +257,6 @@ def load_snapshot(path: str | Path) -> FileSnapshot:
     return FileSnapshot(entries=entries, taken_at=doc["taken_at"])
 
 
-def diff_snapshots(before: FileSnapshot, after: FileSnapshot) -> dict:
-    """Paths added, modified (size/digest/mode change), and removed."""
-    added = sorted(set(after.entries) - set(before.entries))
-    removed = sorted(set(before.entries) - set(after.entries))
-    modified = sorted(
-        p for p in set(before.entries) & set(after.entries)
-        if before.entries[p] != after.entries[p]
-    )
-    return {"added": added, "modified": modified, "removed": removed}
-
-
 def _evidence_kind(name: str) -> Optional[BuildSystemKind]:
     if name == "CMakeLists.txt":
         return BuildSystemKind.CMAKE

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from repobuild.corpus import RepoRecord
+from repobuild.gateway import LlmConfig, ScriptedScenario
 from repobuild.sandbox import SandboxSpec
 from repobuild.workspace import Workspace, prepare_workspace
 
@@ -65,6 +66,10 @@ def prepare_fixture(name: str, tmp_path: Path) -> Workspace:
 
 def workspace_at(root: Path, repo_id: str = "fixture/adhoc") -> Workspace:
     return Workspace(repo_id=repo_id, root_path=root, commit="unversioned")
+
+
+def scripted_config(scenario: ScriptedScenario, **overrides) -> LlmConfig:
+    return LlmConfig(backend="scripted", scenario=scenario, **overrides)
 
 
 @pytest.fixture

@@ -31,7 +31,7 @@ from repobuild.bench import (
     run_one_repo,
 )
 from repobuild.corpus import CorpusManifest, required_sample_size
-from repobuild.gateway import ScriptedScenario, scripted_config, substring
+from repobuild.gateway import ScriptedScenario
 from repobuild.retrieval import (
     FetchOutcome,
     InstructionDossier,
@@ -58,6 +58,7 @@ from conftest import (
     needs_cmake,
     needs_gdb,
     prepare_fixture,
+    scripted_config,
     workspace_at,
 )
 
@@ -268,8 +269,8 @@ class TestAgentLoopMechanics:
     def test_error_feedback_leads_to_one_fix_attempt(self, tmp_path, local_spec):
         scenario = ScriptedScenario(
             steps=[
-                (substring("No such file or directory"), FIX_HEADER),
-                (substring(""), INITIAL_MAKE),
+                ("No such file or directory", FIX_HEADER),
+                ("", INITIAL_MAKE),
             ]
         )
         signatures = set()
@@ -408,9 +409,9 @@ class TestRetrievalBudgets:
         )
         scenario = ScriptedScenario(
             steps=[
-                (substring("## https://docs.example.com/r2-a"), r3),
-                (substring("## https://docs.example.com/r1-a"), r2),
-                (substring(""), r1),
+                ("## https://docs.example.com/r2-a", r3),
+                ("## https://docs.example.com/r1-a", r2),
+                ("", r1),
             ]
         )
 
@@ -549,8 +550,8 @@ class TestScriptedAgentEndToEnd:
     def test_dependency_fix_yields_full_verdict(self, tmp_path, local_spec):
         scenario = ScriptedScenario(
             steps=[
-                (substring("No such file or directory"), FIX_HEADER),
-                (substring(""), INITIAL_MAKE),
+                ("No such file or directory", FIX_HEADER),
+                ("", INITIAL_MAKE),
             ]
         )
         cfg = RunConfig(
@@ -572,7 +573,7 @@ class TestScriptedAgentEndToEnd:
     def test_second_session_starts_from_a_clean_environment(self, tmp_path, local_spec):
         # session 1 leaves a marker in its home directory
         plant = ScriptedScenario(
-            steps=[(substring(""), '```bash\ntouch "$HOME/.leftover"\n```')]
+            steps=[("", '```bash\ntouch "$HOME/.leftover"\n```')]
         )
         ws1 = prepare_fixture("needs_header", tmp_path / "first")
         session1 = run_build_loop(
@@ -596,8 +597,8 @@ class TestScriptedAgentEndToEnd:
         )
         rebuild = ScriptedScenario(
             steps=[
-                (substring("No such file or directory"), FIX_HEADER),
-                (substring(""), guarded_make),
+                ("No such file or directory", FIX_HEADER),
+                ("", guarded_make),
             ]
         )
         ws2 = prepare_fixture("needs_header", tmp_path / "second")

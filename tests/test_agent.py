@@ -12,10 +12,10 @@ from repobuild.agent import (
     run_single_turn,
 )
 from repobuild.errors import UsageError
-from repobuild.gateway import ScriptedScenario, scripted_config, substring
+from repobuild.gateway import ScriptedScenario
 from repobuild.sandbox import CommandScript, ExecutionResult
 
-from conftest import prepare_fixture
+from conftest import prepare_fixture, scripted_config
 
 
 def ctx(repo="fixture/hello_make", mount="/app/hello_make"):
@@ -241,8 +241,8 @@ class TestBuildLoop:
     def test_missing_dependency_fixed_in_one_attempt(self, tmp_path, local_spec):
         ws = prepare_fixture("needs_header", tmp_path)
         scenario = ScriptedScenario(steps=[
-            (substring("No such file or directory"), FIX_HEADER),
-            (substring(""), "```bash\ncd /app/needs_header\nmake\n```"),
+            ("No such file or directory", FIX_HEADER),
+            ("", "```bash\ncd /app/needs_header\nmake\n```"),
         ])
         session = run_build_loop(
             ws, ctx("fixture/needs_header", "/app/needs_header"),
@@ -280,8 +280,8 @@ class TestBuildLoop:
     def test_format_reminder_recovers(self, tmp_path, local_spec):
         ws = prepare_fixture("hello_make", tmp_path)
         scenario = ScriptedScenario(steps=[
-            (substring("did not follow the required format"), INITIAL_MAKE),
-            (substring(""), "Let me look around the repo first."),
+            ("did not follow the required format", INITIAL_MAKE),
+            ("", "Let me look around the repo first."),
         ])
         session = run_build_loop(ws, ctx(), scripted_config(scenario),
                                  local_spec, make_probe("hello"))
@@ -301,9 +301,9 @@ class TestBuildLoop:
     def test_sandbox_reused_across_turns(self, tmp_path, local_spec):
         ws = prepare_fixture("hello_make", tmp_path)
         scenario = ScriptedScenario(steps=[
-            (substring("stamp-made"),
+            ("stamp-made",
              "```bash\ntest -f $HOME/stamp && cd /app/hello_make && make\n```"),
-            (substring(""), "```bash\ntouch $HOME/stamp\necho stamp-made\nfalse\n```"),
+            ("", "```bash\ntouch $HOME/stamp\necho stamp-made\nfalse\n```"),
         ])
         # turn 0 plants a stamp in the sandbox home and fails; turn 1 only
         # builds if that stamp survived into the same sandbox

@@ -1,19 +1,28 @@
+import argparse
 import json
 import os
+import re
 import subprocess
+from pathlib import Path
 
 import pytest
 
 from repobuild.cli import (
+    _COMMANDS,
     build_parser,
     load_config_file,
     load_scenario_file,
     main,
 )
+from repobuild.corpus import load_manifest
 from repobuild.errors import UsageError
 from repobuild.workspace import save_snapshot, snapshot_files
 
 from conftest import FIXTURES, REPOS, copy_fixture_tree, workspace_at
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+SUBCOMMANDS = ["build", "bench", "retrieve", "snapshot", "validate", "predict-targets",
+               "plan-sample", "sample"]
 
 
 def _write_manifest(tmp_path, names_and_expected):
@@ -40,9 +49,7 @@ class TestParsing:
         assert main(["--help"]) == 0
         assert "repobuild" in capsys.readouterr().out
 
-    @pytest.mark.parametrize(
-        "sub", ["build", "bench", "retrieve", "validate", "predict-targets", "plan-sample"]
-    )
+    @pytest.mark.parametrize("sub", SUBCOMMANDS)
     def test_subcommand_help_exits_zero(self, sub, capsys):
         assert main([sub, "--help"]) == 0
         assert sub in capsys.readouterr().out
@@ -59,9 +66,14 @@ class TestParsing:
 
     def test_parser_lists_all_subcommands(self):
         text = build_parser().format_help()
-        for sub in ("build", "bench", "retrieve", "validate", "predict-targets",
-                    "plan-sample"):
+        for sub in SUBCOMMANDS:
             assert sub in text
+
+    def test_readme_documents_exactly_the_subcommands(self):
+        subparsers = next(a for a in build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        mentioned = set(re.findall(r"\brepobuild ([a-z][a-z-]*)", README.read_text("utf-8")))
+        assert mentioned == set(subparsers.choices) == set(_COMMANDS)
 
 
 class TestConfigLoading:
@@ -169,11 +181,40 @@ class TestBuild:
         ])
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
+        assert doc["run"] == 0
         assert doc["repo"] == "local/hello_make"
-        assert doc["outcome"] == "succeeded"
-        assert doc["strict"] is True
+        assert doc["session"]["outcome"] == "succeeded"
+        assert doc["verdict"]["strict"] is True
         assert doc["failure_mode"] is None
-        assert "hello" in doc["new_binaries"]
+        assert doc["dossier"] is None
+        assert "hello" in [a["rel_path"] for a in doc["verdict"]["new_binaries"]]
+
+    def test_json_build_report_is_the_store_record(self, tmp_path, capsys):
+        manifest = _write_manifest(tmp_path, [("hello_make", ["hello"])])
+        store = tmp_path / "store.jsonl"
+        assert main([
+            "bench", "--manifest", str(manifest), "--store", str(store),
+            "--work-dir", str(tmp_path / "work"), "--sandbox-backend", "local",
+        ]) == 0
+        capsys.readouterr()
+        assert main([
+            "build", str(REPOS / "hello_make"), "--id", "fixture/hello_make",
+            "--expected", "hello", "--json", "--sandbox-backend", "local",
+        ]) == 0
+        built = json.loads(capsys.readouterr().out)
+        stored = json.loads(store.read_text("utf-8"))
+
+        def shape(doc):
+            # keys all the way down; timings and outputs may differ
+            if isinstance(doc, dict):
+                return {k: shape(v) for k, v in doc.items()}
+            if isinstance(doc, list):
+                return [shape(v) for v in doc]
+            return type(doc).__name__
+
+        assert shape(built) == shape(stored)
+        for key in ("run", "repo", "verdict", "failure_mode", "dossier"):
+            assert built[key] == stored[key]
 
     def test_strict_gate_fails_on_wrong_name(self, capsys):
         rc = main([
@@ -207,6 +248,25 @@ class TestBuild:
         ])
         assert rc == 0
         assert json.loads(capsys.readouterr().out)["repo"] == "team/renamed"
+
+    def test_local_dot_source_is_named_after_its_directory(self, tmp_path, capsys,
+                                                            monkeypatch):
+        ws_dir = copy_fixture_tree("hello_make", tmp_path / "mine")
+        monkeypatch.chdir(ws_dir)
+        rc = main(["build", ".", "--expected", "hello", "--require-strict", "--json",
+                   "--sandbox-backend", "local"])
+        assert rc == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["repo"] == "local/mine"
+        assert doc["session"]["outcome"] == "succeeded"
+
+    def test_id_without_a_slash_is_usage_error(self, capsys):
+        rc = main([
+            "build", str(REPOS / "hello_make"), "--id", "noslash",
+            "--sandbox-backend", "local",
+        ])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_agent_method_with_scenario_file(self, tmp_path, capsys):
         scenario = _scenario_file(tmp_path, {
@@ -285,6 +345,21 @@ class TestBench:
         assert doc["method"] == "rule-based"
         assert doc["strict_pct"] == [100.0]
         assert doc["pass_at_k"]["1"]["strict"] == 100.0
+
+    def test_record_id_naming_no_directory_is_usage_error(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.jsonl"
+        manifest.write_text(json.dumps({
+            "id": "own/..", "clone_url": str(REPOS / "hello_make"),
+        }) + "\n")
+        rc = main([
+            "bench", "--manifest", str(manifest),
+            "--store", str(tmp_path / "store.jsonl"),
+            "--work-dir", str(tmp_path / "w"),
+            "--sandbox-backend", "local",
+        ])
+        assert rc == 2
+        assert "own/.." in capsys.readouterr().err
+        assert not (tmp_path / "store.jsonl").exists()
 
     def test_missing_manifest_is_usage_error(self, tmp_path, capsys):
         rc = main([
@@ -424,6 +499,26 @@ class TestValidate:
         ])
         assert rc == 1
 
+    def test_coverage_of_a_debug_build(self, tmp_path, capsys):
+        ws_dir = copy_fixture_tree("coverage_repo", tmp_path / "repo")
+        before_path = tmp_path / "before.json"
+        assert main(["snapshot", str(ws_dir), "--out", str(before_path)]) == 0
+        subprocess.run(["make"], cwd=ws_dir, check=True, capture_output=True)
+        argv = ["validate", "--workspace", str(ws_dir), "--before", str(before_path)]
+        capsys.readouterr()
+        assert main(argv + ["--json"]) == 0
+        coverage = json.loads(capsys.readouterr().out)["function_coverage"]
+        assert coverage["undefined"] is False
+        assert coverage["coverage_pct"] == pytest.approx(100.0 * 2 / 3)
+        assert coverage["top_uncompiled_dirs"] == [["tests", 1]]
+        assert main(argv) == 0
+        assert "coverage: 66.7%" in capsys.readouterr().out.splitlines()
+
+    def test_coverage_undefined_without_debug_info(self, tmp_path, capsys):
+        ws_dir, before_path = self._prepared(tmp_path)
+        assert main(["validate", "--workspace", str(ws_dir), "--before", str(before_path)]) == 0
+        assert "coverage: undefined" in capsys.readouterr().out.splitlines()
+
     def test_missing_snapshot_is_usage_error(self, tmp_path, capsys):
         ws_dir = copy_fixture_tree("hello_make", tmp_path / "repo")
         rc = main([
@@ -431,6 +526,72 @@ class TestValidate:
             "--before", str(tmp_path / "absent.json"),
         ])
         assert rc == 2
+
+
+class TestSnapshot:
+    def test_cli_snapshot_validates_like_the_python_one(self, tmp_path, capsys):
+        ws_dir = copy_fixture_tree("hello_make", tmp_path / "repo")
+        cli_path, py_path = tmp_path / "cli.json", tmp_path / "py.json"
+        assert main(["snapshot", str(ws_dir), "--out", str(cli_path)]) == 0
+        assert capsys.readouterr().out == "files: 3\n"
+        save_snapshot(snapshot_files(workspace_at(ws_dir)), py_path)
+        cli_doc, py_doc = (json.loads(p.read_text("utf-8")) for p in (cli_path, py_path))
+        assert cli_doc["entries"] == py_doc["entries"]
+        subprocess.run(["make"], cwd=ws_dir, check=True, capture_output=True)
+        outputs = []
+        for before in (cli_path, py_path):
+            assert main(["validate", "--workspace", str(ws_dir), "--before", str(before),
+                         "--expected", "hello", "--require-strict", "--json"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert "function_coverage" in json.loads(outputs[0])
+
+    def test_snapshot_hashes_every_file(self, tmp_path, capsys):
+        ws_dir = copy_fixture_tree("hello_make", tmp_path / "repo")
+        out = tmp_path / "snap.json"
+        assert main(["snapshot", str(ws_dir), "--out", str(out)]) == 0
+        entries = json.loads(out.read_text("utf-8"))["entries"]
+        assert all(digest for _size, digest, _exec in entries.values())
+
+    def test_nondirectory_is_usage_error(self, tmp_path, capsys):
+        rc = main(["snapshot", str(tmp_path / "nowhere"), "--out", str(tmp_path / "s.json")])
+        assert rc == 2
+        assert "not a directory" in capsys.readouterr().err
+
+
+
+class TestSample:
+    MANIFEST = FIXTURES / "corpus" / "manifest.jsonl"
+
+    def _sample(self, tmp_path, n, seed, name="out.jsonl"):
+        out = tmp_path / name
+        rc = main(["sample", "--manifest", str(self.MANIFEST), "--n", str(n),
+                   "--seed", str(seed), "--out", str(out)])
+        return rc, out
+
+    def test_writes_a_seeded_sample(self, tmp_path, capsys):
+        rc, out = self._sample(tmp_path, 3, 11)
+        assert rc == 0
+        records = load_manifest(out).records
+        assert capsys.readouterr().out.split() == [r.id for r in records]
+        assert len(records) == 3
+        by_id = {r.id: r for r in load_manifest(self.MANIFEST).records}
+        assert all(r == by_id[r.id] for r in records)
+        _, again = self._sample(tmp_path, 3, 11, name="again.jsonl")
+        assert again.read_bytes() == out.read_bytes()
+
+    @pytest.mark.parametrize("n", [0, 9])
+    def test_size_outside_the_manifest_is_usage_error(self, tmp_path, capsys, n):
+        rc, out = self._sample(tmp_path, n, 1)
+        assert rc == 2
+        assert "cannot sample" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_missing_manifest_is_usage_error(self, tmp_path, capsys):
+        rc = main(["sample", "--manifest", str(tmp_path / "absent.jsonl"), "--n", "1",
+                   "--seed", "1", "--out", str(tmp_path / "out.jsonl")])
+        assert rc == 2
+        assert "manifest file not found" in capsys.readouterr().err
 
 
 class TestPredictTargets:
@@ -467,6 +628,16 @@ class TestErrorMapping:
         ])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["snapshot", str(REPOS / "hello_make")],
+        ["sample", "--manifest", str(FIXTURES / "corpus" / "manifest.jsonl"),
+         "--n", "1", "--seed", "1"],
+    ])
+    def test_unwritable_out_is_usage_error(self, tmp_path, capsys, argv):
+        rc = main(argv + ["--out", str(tmp_path / "no" / "out.json")])
+        assert rc == 2
+        assert "cannot write" in capsys.readouterr().err
 
     def test_repobuild_errors_map_to_one(self, tmp_path, capsys, monkeypatch):
         # a live-backend transport failure is an action failure, not misuse

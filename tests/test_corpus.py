@@ -5,10 +5,7 @@ import pytest
 
 from repobuild.corpus import (
     CorpusManifest,
-    FilterPolicy,
     RepoRecord,
-    default_filter_policy,
-    filter_repos,
     load_manifest,
     required_sample_size,
     sample_repos,
@@ -40,6 +37,17 @@ class TestRecordValidation:
             RepoRecord(id="a/b/c", clone_url="x")
         with pytest.raises(ManifestValidationError):
             RepoRecord(id="", clone_url="x")
+
+    @pytest.mark.parametrize("repo_id", ["local/", "/name", "own/..", "../name", "own/.", "./name"])
+    def test_id_parts_must_name_a_directory(self, repo_id):
+        with pytest.raises(ManifestValidationError):
+            RepoRecord(id=repo_id, clone_url="x")
+
+    def test_manifest_with_a_dot_dot_name_fails_to_load(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        path.write_text('{"id": "own/..", "clone_url": "u"}\n', "utf-8")
+        with pytest.raises(ManifestValidationError, match="own/"):
+            load_manifest(path)
 
     def test_expected_binaries_reject_separators(self):
         with pytest.raises(ManifestValidationError):
@@ -109,61 +117,6 @@ class TestManifestIo:
             load_manifest(tmp_path / "absent.jsonl")
 
 
-class TestFiltering:
-    def test_keyword_exclusion_case_insensitive(self):
-        manifest = load_manifest(MANIFEST)
-        policy = FilterPolicy(banned_keywords=("homework", "tutorial"), min_stars=0,
-                              exclude_forks=False)
-        kept = filter_repos(manifest, policy)
-        ids = {r.id for r in kept.records}
-        # carol has "Homework" in description, frank has "Tutorial" + id keyword
-        assert "carol/cs101-homework" not in ids
-        assert "frank/compiler-tutorial" not in ids
-        assert "alice/fastgrep" in ids
-
-    def test_keyword_matches_repo_id_too(self):
-        manifest = CorpusManifest(records=[
-            rec(1, id="user/demo-project", description="serious tool"),
-            rec(2, id="user/realtool", description="serious tool"),
-        ])
-        policy = FilterPolicy(banned_keywords=("demo",), exclude_forks=False)
-        kept = filter_repos(manifest, policy)
-        assert [r.id for r in kept.records] == ["user/realtool"]
-
-    def test_star_floor_is_inclusive(self):
-        manifest = CorpusManifest(records=[
-            rec(1, stargazers=49), rec(2, stargazers=50), rec(3, stargazers=51),
-        ])
-        kept = filter_repos(manifest, FilterPolicy(min_stars=50, exclude_forks=False))
-        assert [r.stargazers for r in kept.records] == [50, 51]
-
-    def test_fork_exclusion(self):
-        manifest = CorpusManifest(records=[rec(1, is_fork=True), rec(2, is_fork=False)])
-        kept = filter_repos(manifest, FilterPolicy(exclude_forks=True))
-        assert [r.id for r in kept.records] == ["owner/repo2"]
-        kept_all = filter_repos(manifest, FilterPolicy(exclude_forks=False))
-        assert len(kept_all) == 2
-
-    def test_default_policy_on_fixture(self):
-        manifest = load_manifest(MANIFEST)
-        kept = filter_repos(manifest, default_filter_policy())
-        ids = {r.id for r in kept.records}
-        # homework + tutorial keywords, the fork, and the 49-star repo all go
-        assert ids == {
-            "alice/fastgrep", "bob/netkit", "grace/tinyhttpd", "heidi/mathbench",
-        }
-
-    def test_policy_requires_lowercase_keywords(self):
-        with pytest.raises(ManifestValidationError):
-            FilterPolicy(banned_keywords=("Homework",))
-
-    def test_order_preserved(self):
-        manifest = load_manifest(MANIFEST)
-        kept = filter_repos(manifest, default_filter_policy())
-        ids = [r.id for r in kept.records]
-        assert ids == sorted(ids, key=lambda i: [r.id for r in manifest.records].index(i))
-
-
 class TestSampleSize:
     def test_documented_population(self):
         plan = required_sample_size(1.96, 0.05, 0.5, 6_568_809)
@@ -217,3 +170,8 @@ class TestSampling:
         manifest = load_manifest(MANIFEST)
         with pytest.raises(SampleSizeError):
             sample_repos(manifest, len(manifest) + 1, seed=0)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_empty_or_negative_request_raises(self, n):
+        with pytest.raises(SampleSizeError):
+            sample_repos(load_manifest(MANIFEST), n, seed=0)

@@ -14,10 +14,9 @@ from repobuild.gateway import (
     ScriptedScenario,
     ask_structured,
     complete,
-    pattern,
-    scripted_config,
-    substring,
 )
+
+from conftest import scripted_config
 
 
 def user(text):
@@ -43,30 +42,30 @@ class TestChatMessage:
 class TestScriptedScenario:
     def test_first_match_wins(self):
         scenario = ScriptedScenario(steps=[
-            (substring("compile"), "first"),
-            (substring("compile please"), "second"),
+            ("compile", "first"),
+            ("compile please", "second"),
         ])
         assert scenario.resolve("compile please") == "first"
 
     def test_substring_and_pattern_matchers(self):
         scenario = ScriptedScenario(steps=[
-            (pattern(r"error \d+"), "patterned"),
-            (substring("plain"), "plain-reply"),
+            (re.compile(r"error \d+"), "patterned"),
+            ("plain", "plain-reply"),
         ])
         assert scenario.resolve("saw error 42 here") == "patterned"
         assert scenario.resolve("just plain text") == "plain-reply"
 
     def test_default_reply_fallback(self):
-        scenario = ScriptedScenario(steps=[(substring("x"), "a")], default_reply="dflt")
+        scenario = ScriptedScenario(steps=[("x", "a")], default_reply="dflt")
         assert scenario.resolve("nothing matches") == "dflt"
 
     def test_exhausted_without_default(self):
-        scenario = ScriptedScenario(steps=[(substring("x"), "a")])
+        scenario = ScriptedScenario(steps=[("x", "a")])
         with pytest.raises(ScenarioExhaustedError):
             scenario.resolve("nothing matches")
 
     def test_stateless_resolution(self):
-        scenario = ScriptedScenario(steps=[(substring("q"), "r")])
+        scenario = ScriptedScenario(steps=[("q", "r")])
         for _ in range(5):
             assert scenario.resolve("q?") == "r"
 
@@ -74,14 +73,14 @@ class TestScriptedScenario:
 class TestComplete:
     def test_scripted_reply_verbatim(self):
         cfg = scripted_config(ScriptedScenario(
-            steps=[(substring("compile"), "```bash\nmake\n```")]
+            steps=[("compile", "```bash\nmake\n```")]
         ))
         out = complete(cfg, [user("please compile this")])
         assert out == "```bash\nmake\n```"
 
     def test_matches_latest_user_message_only(self):
         cfg = scripted_config(ScriptedScenario(
-            steps=[(substring("earlier"), "WRONG"), (substring("now"), "ok")]
+            steps=[("earlier", "WRONG"), ("now", "ok")]
         ))
         msgs = [user("earlier words"), ChatMessage("assistant", "mid"), user("now")]
         assert complete(cfg, msgs) == "ok"
@@ -95,7 +94,7 @@ class TestComplete:
 
     def test_determinism(self):
         cfg = scripted_config(ScriptedScenario(
-            steps=[(substring("a"), "r1"), (substring("b"), "r2")]
+            steps=[("a", "r1"), ("b", "r2")]
         ))
         msgs = [user("a and b")]
         assert {complete(cfg, msgs) for _ in range(20)} == {"r1"}

@@ -6,7 +6,7 @@ import pytest
 
 from repobuild.bench import repo_context
 from repobuild.errors import ProtocolError, ScenarioExhaustedError
-from repobuild.gateway import ScriptedScenario, scripted_config, substring
+from repobuild.gateway import ScriptedScenario
 from repobuild.retrieval import (
     FETCH_CAP_BYTES,
     RAW_BODY_CEILING,
@@ -21,7 +21,7 @@ from repobuild.retrieval import (
     score_retrieval,
 )
 
-from conftest import bytes_read, prepare_fixture
+from conftest import bytes_read, prepare_fixture, scripted_config
 
 GOOD_REPLY = (
     "INSTRUCTIONS:\nRun make in the root.\n\nSUFFICIENT: yes\n\nLINKS:\n"
@@ -293,9 +293,9 @@ class TestRunRetrieval:
     def test_two_rounds_with_internal_link(self, tmp_path):
         ws = prepare_fixture("hello_make", tmp_path)
         scenario = ScriptedScenario(steps=[
-            (substring("content fetched from the links"),
+            ("content fetched from the links",
              reply("full instructions now", "yes")),
-            (substring("Distill"), reply("partial", "no", ["README.md"])),
+            ("Distill", reply("partial", "no", ["README.md"])),
         ])
         fetch = fake_fetcher({"README.md": FetchOutcome(True, content="make all")})
         dossier = run_retrieval(ws, scripted_config(scenario), repo_context(ws), fetcher=fetch)
@@ -309,9 +309,9 @@ class TestRunRetrieval:
         # always insufficient; fresh links every round via per-round matchers
         page = "https://example.com/page{}"
         scenario = ScriptedScenario(steps=[
-            (substring("page3"), reply("more", "no", [page.format(i) for i in (7, 8, 9, 10, 11)])),
-            (substring("Distill"), reply("more", "no", [page.format(i) for i in (1, 2, 3)])),
-            (substring(""), reply("more", "no", [page.format(i) for i in (1, 2, 3)])),
+            ("page3", reply("more", "no", [page.format(i) for i in (7, 8, 9, 10, 11)])),
+            ("Distill", reply("more", "no", [page.format(i) for i in (1, 2, 3)])),
+            ("", reply("more", "no", [page.format(i) for i in (1, 2, 3)])),
         ])
         fetch = fake_fetcher({
             page.format(i): FetchOutcome(True, content=f"page{i}") for i in range(1, 12)
@@ -357,8 +357,8 @@ class TestRunRetrieval:
     def test_fetch_failures_recorded_but_loop_continues(self, tmp_path):
         ws = prepare_fixture("hello_make", tmp_path)
         scenario = ScriptedScenario(steps=[
-            (substring("fetch failed"), reply("gave up on links", "yes")),
-            (substring("Distill"), reply("try the wiki", "no",
+            ("fetch failed", reply("gave up on links", "yes")),
+            ("Distill", reply("try the wiki", "no",
                                          ["https://example.com/dead"])),
         ])
         fetch = fake_fetcher({
@@ -371,8 +371,8 @@ class TestRunRetrieval:
     def test_malformed_reply_reasked_once(self, tmp_path):
         ws = prepare_fixture("hello_make", tmp_path)
         scenario = ScriptedScenario(steps=[
-            (substring("did not follow the required format"), GOOD_REPLY),
-            (substring("Distill"), "Sure! You should probably run make."),
+            ("did not follow the required format", GOOD_REPLY),
+            ("Distill", "Sure! You should probably run make."),
         ])
         dossier = run_retrieval(
             ws, scripted_config(scenario), repo_context(ws), fetcher=fake_fetcher({})

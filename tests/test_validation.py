@@ -1,6 +1,5 @@
 import os
 import random
-import re
 import shutil
 import subprocess
 import time
@@ -9,18 +8,14 @@ from types import SimpleNamespace
 
 import pytest
 
-from repobuild.errors import ProtocolError, ScenarioExhaustedError
-from repobuild.gateway import LlmConfig, ScriptedScenario
 from repobuild.validation import (
     BinaryArtifact,
-    FunctionCoverageReport,
     classify_file,
     default_symbol_extractor,
     discover_new_binaries,
     function_coverage,
     has_binary_magic,
     judge,
-    llm_verdict,
     scan_source_functions,
 )
 from repobuild import validation, workspace
@@ -730,105 +725,3 @@ class TestFunctionCoverage:
         report = function_coverage(ws, arts, symbol_extractor=lambda p: ["hit"])
         assert report.top_uncompiled_dirs == [(".", 1)]
 
-
-def _report(pct=66.7, top=None, undefined=False):
-    return FunctionCoverageReport(
-        source_functions={("main", "src/main.c")},
-        compiled_functions={"main"},
-        coverage_pct=pct,
-        top_uncompiled_dirs=top or [],
-        undefined=undefined,
-    )
-
-
-def _cfg(scenario):
-    return LlmConfig(backend="scripted", scenario=scenario)
-
-
-class TestLlmVerdict:
-    def test_yes_with_rationale(self):
-        scenario = ScriptedScenario(
-            default_reply="VERDICT: yes\nRATIONALE: binaries and log both look healthy."
-        )
-        ok, rationale = llm_verdict("make: done", _report(), [], _cfg(scenario))
-        assert ok is True
-        assert rationale == "binaries and log both look healthy."
-
-    def test_no_verdict_parses_without_rationale(self):
-        scenario = ScriptedScenario(default_reply="VERDICT: no")
-        ok, rationale = llm_verdict("errors", _report(), [], _cfg(scenario))
-        assert ok is False
-        assert rationale == ""
-
-    def test_labels_case_insensitive(self):
-        scenario = ScriptedScenario(default_reply="verdict: YES\nrationale: fine")
-        ok, rationale = llm_verdict("log", _report(), [], _cfg(scenario))
-        assert ok is True
-        assert rationale == "fine"
-
-    def test_prompt_carries_all_signals(self):
-        arts = [
-            BinaryArtifact("build/tool", "tool", "executable", True),
-            BinaryArtifact("x.o", "x.o", "object-file", True),
-        ]
-        report = _report(pct=81.5, top=[("lib", 4)])
-        scenario = ScriptedScenario(
-            steps=[
-                (
-                    re.compile(
-                        r"(?s)unique-log-line.*tool.*81\.5%.*lib: 4 functions missing"
-                    ),
-                    "VERDICT: yes\nRATIONALE: ok",
-                )
-            ]
-        )
-        ok, _ = llm_verdict("unique-log-line at tail", report, arts, _cfg(scenario))
-        assert ok is True
-
-    def test_object_files_not_listed_as_executables(self):
-        arts = [BinaryArtifact("x.o", "x.o", "object-file", True)]
-        scenario = ScriptedScenario(
-            steps=[("Produced executables: (none)", "VERDICT: no\nRATIONALE: nothing")]
-        )
-        ok, _ = llm_verdict("log", _report(), arts, _cfg(scenario))
-        assert ok is False
-
-    def test_undefined_coverage_rendered_as_text(self):
-        scenario = ScriptedScenario(
-            steps=[("undefined", "VERDICT: no\nRATIONALE: no coverage signal")]
-        )
-        ok, _ = llm_verdict("log", _report(undefined=True), [], _cfg(scenario))
-        assert ok is False
-
-    def test_log_truncated_to_tail(self):
-        log = "EARLY-MARKER " + "x" * 5000 + " LATE-MARKER"
-        scenario = ScriptedScenario(
-            steps=[
-                (re.compile("LATE-MARKER"), "VERDICT: yes\nRATIONALE: ok"),
-            ]
-        )
-        llm_verdict(log, _report(), [], _cfg(scenario), log_tail_chars=100)
-        early_scenario = ScriptedScenario(steps=[("EARLY-MARKER", "unused")])
-        with pytest.raises(ScenarioExhaustedError):
-            llm_verdict(log, _report(), [], _cfg(early_scenario), log_tail_chars=100)
-
-    def test_malformed_reply_reasked_once(self):
-        scenario = ScriptedScenario(
-            steps=[
-                ("did not follow the required format", "VERDICT: yes\nRATIONALE: fixed"),
-            ],
-            default_reply="I think it went well overall.",
-        )
-        ok, rationale = llm_verdict("log", _report(), [], _cfg(scenario))
-        assert ok is True
-        assert rationale == "fixed"
-
-    def test_persistent_malformed_reply_raises(self):
-        scenario = ScriptedScenario(default_reply="no labels here")
-        with pytest.raises(ProtocolError, match="VERDICT"):
-            llm_verdict("log", _report(), [], _cfg(scenario))
-
-    def test_verdict_must_be_a_whole_word(self):
-        scenario = ScriptedScenario(default_reply="VERDICT: yesterday\nRATIONALE: x")
-        with pytest.raises(ProtocolError):
-            llm_verdict("log", _report(), [], _cfg(scenario))
