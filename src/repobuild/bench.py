@@ -102,6 +102,10 @@ class AggregateReport:
 
 # -- persistence --------------------------------------------------------------
 
+# where a session's transcript opens and ends in a line ResultStore.append wrote
+_TURNS_OPEN = b'"turns": ['
+_TURNS_CLOSE = b'], "variant": '
+
 
 def _read_records(
     path: Path, start: int = 0, drop_turns: bool = False
@@ -111,9 +115,18 @@ def _read_records(
     Returns the records and the offset just past the last newline-terminated
     line. An unterminated tail is parsed if it can be but lies beyond that
     offset, so a later read from it sees the tail again once complete. A
-    store now shorter than ``start`` is read again from 0. With
-    ``drop_turns`` each record's session loses its ``turns`` as soon as the
-    line is parsed, so at most one transcript is held at a time.
+    store now shorter than ``start`` is read again from 0.
+
+    With ``drop_turns`` each record comes back without its session's
+    ``turns``, which are never decoded: the transcript is cut out of the
+    line's bytes, from ``"turns": [`` to the first ``], "variant": ``
+    after it, and the rest is parsed. This is exact because every line is a
+    whole record from ``ResultStore.append`` (sorted keys, default
+    separators) or a prefix of one that a crash left: neither marker can
+    occur inside a JSON string, no turn has a ``variant`` key, and a
+    prefix cut inside or after the transcript still fails to parse. A line
+    missing either marker, such as one with compact separators or no
+    ``turns``, is parsed whole.
     """
     records: List[dict] = []
     try:
@@ -131,6 +144,11 @@ def _read_records(
                 end = offset
             if line.isspace():
                 continue
+            if drop_turns:
+                i = line.find(_TURNS_OPEN)
+                j = line.find(_TURNS_CLOSE, i) if i >= 0 else -1
+                if j >= 0:
+                    line = line[:i + len(_TURNS_OPEN)] + line[j:]
             # a crash mid-append leaves a torn record, possibly cut inside a
             # UTF-8 sequence; treat it as never written
             try:
@@ -139,7 +157,7 @@ def _read_records(
                 logger.warning("skipping torn record in %s", path)
                 continue
             if drop_turns:
-                record["session"].pop("turns", None)
+                record.get("session", {}).pop("turns", None)
             records.append(record)
     return records, end
 
@@ -151,7 +169,7 @@ class ResultStore:
         self.path = Path(path)
 
     def existing_keys(self) -> set:
-        records, _ = _read_records(self.path)
+        records, _ = _read_records(self.path, drop_turns=True)
         return {(rec["run"], rec["repo"]) for rec in records}
 
     def append(self, record: dict) -> None:

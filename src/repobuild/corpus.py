@@ -2,7 +2,8 @@
 
 A manifest is a UTF-8 file with one self-describing JSON object per line,
 using exactly the :class:`RepoRecord` field names. Unknown keys are ignored
-with a warning so manifests can carry extra annotations.
+with a warning so manifests can carry extra annotations; a known key whose
+value has the wrong JSON type fails the load.
 """
 
 from __future__ import annotations
@@ -19,16 +20,30 @@ from .errors import DomainError, ManifestParseError, ManifestValidationError, Sa
 
 logger = logging.getLogger(__name__)
 
+
+def _is_str(v) -> bool:
+    return isinstance(v, str)
+
+
+def _is_str_or_null(v) -> bool:
+    return v is None or isinstance(v, str)
+
+
+def _is_str_list(v) -> bool:
+    return isinstance(v, list) and all(isinstance(x, str) for x in v)
+
+
+# each manifest field with the check its JSON value must pass and what it names
 _RECORD_FIELDS = {
-    "id",
-    "clone_url",
-    "commit",
-    "description",
-    "stargazers",
-    "is_fork",
-    "expected_binaries",
-    "instruction_url",
-    "languages",
+    "id": (_is_str, "a string"),
+    "clone_url": (_is_str, "a string"),
+    "commit": (_is_str_or_null, "a string or null"),
+    "description": (_is_str, "a string"),
+    "stargazers": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    "is_fork": (lambda v: isinstance(v, bool), "true or false"),
+    "expected_binaries": (_is_str_list, "a list of strings"),
+    "instruction_url": (_is_str_or_null, "a string or null"),
+    "languages": (_is_str_list, "a list of strings"),
 }
 
 
@@ -126,12 +141,18 @@ def load_manifest(path: str | Path) -> CorpusManifest:
             raise ManifestParseError(f"{path}:{lineno}: not a valid record object: {exc}") from exc
         if not isinstance(raw, dict):
             raise ManifestParseError(f"{path}:{lineno}: record must be a key/value object")
-        unknown = set(raw) - _RECORD_FIELDS
+        unknown = raw.keys() - _RECORD_FIELDS
         if unknown:
             logger.warning("%s:%d: ignoring unknown keys %s", path, lineno, sorted(unknown))
         known = {k: v for k, v in raw.items() if k in _RECORD_FIELDS}
+        for key, value in known.items():
+            check, kind = _RECORD_FIELDS[key]
+            if not check(value):
+                raise ManifestParseError(
+                    f"{path}:{lineno}: {key} must be {kind}, got {json.dumps(value)[:80]}"
+                )
         for tuple_key in ("expected_binaries", "languages"):
-            if tuple_key in known and known[tuple_key] is not None:
+            if tuple_key in known:
                 known[tuple_key] = tuple(known[tuple_key])
         try:
             records.append(RepoRecord(**known))

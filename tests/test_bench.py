@@ -237,6 +237,66 @@ class TestResultStore:
         assert all(r["blob"] == str(r["run"]) * blob for r in records)
 
 
+def _without_turns(records):
+    for record in records:
+        record.get("session", {}).pop("turns", None)
+    return records
+
+
+class TestOpeningPass:
+    """A resume's opening pass, ``_read_records(..., drop_turns=True)``,
+    gives the whole parse's records without their turns."""
+
+    @staticmethod
+    def _line():
+        # the output holds a UTF-8 sequence and both transcript markers as text
+        record = _record(0, "é/b", output='café "turns": [1], "variant": "x" ]')
+        record["session"]["turns"].append(_turn_dict(k=1, output="ünïcode"))
+        return json.dumps(record, ensure_ascii=False, sort_keys=True).encode("utf-8")
+
+    @staticmethod
+    def _both_reads(path):
+        whole, end = bench._read_records(path)
+        return bench._read_records(path, drop_turns=True), (_without_turns(whole), end)
+
+    def test_every_torn_prefix_reads_as_the_whole_parse(self, tmp_path):
+        line = self._line()
+        path = tmp_path / "store.jsonl"
+        for k in range(len(line) + 1):
+            # a torn record closed by a later append, then an unterminated one
+            for data in (line[:k] + b"\n" + line + b"\n", line + b"\n" + line[:k]):
+                path.write_bytes(data)
+                opening, whole = self._both_reads(path)
+                assert opening == whole
+                assert len(opening[0]) == (2 if k == len(line) else 1)
+
+    @pytest.mark.parametrize("dumps", [
+        lambda r: json.dumps(r, ensure_ascii=False),
+        lambda r: json.dumps(r, ensure_ascii=False, sort_keys=True, separators=(",", ":")),
+        lambda r: json.dumps({**r, "session": _session_dict()}, sort_keys=True),
+        lambda r: json.dumps({**r, "session": {"outcome": "succeeded"}}, sort_keys=True),
+    ], ids=["unsorted-keys", "compact-separators", "empty-turns", "no-turns-key"])
+    def test_other_layouts_read_as_the_whole_parse(self, tmp_path, dumps):
+        record = json.loads(self._line())
+        path = tmp_path / "store.jsonl"
+        path.write_text(dumps(record) + "\n" + dumps({**record, "run": 1}) + "\n", "utf-8")
+        opening, whole = self._both_reads(path)
+        assert opening == whole
+        assert [r["run"] for r in opening[0]] == [0, 1]
+
+    def test_fixture_store_reads_as_load_results_without_turns(self):
+        path = FIXTURES / "bench" / "hello_pair_runs2_store.jsonl"
+        lines = path.read_text("utf-8").splitlines()
+        records, _ = bench._read_records(path, drop_turns=True)
+        assert records == _without_turns([json.loads(line) for line in lines])
+        by_run = {}
+        bench._merge_records(by_run, records)
+        reloaded = load_results(path)
+        every = {(r.run_index, repo) for r in reloaded for repo in r.per_repo}
+        assert len(every) == len(lines)
+        assert _view([by_run[k] for k in sorted(by_run)]) == _view(reloaded, every)
+
+
 class TestSessionSummary:
     def test_command_turn_serialized(self):
         script = CommandScript(commands=("cd /app/x", "make"), origin_turn=0)
@@ -756,6 +816,33 @@ class TestRunBenchmark:
             tracemalloc.stop()
         assert [len(r.per_repo) for r in results] == [100, 100]
         # holding every output would take over 20 MiB; one at a time, a few
+        assert peak < 4 << 20
+
+    def test_resume_decodes_no_stored_transcript(self, tmp_path, monkeypatch):
+        cfg, store_path = self._store_with_nothing_left(tmp_path, monkeypatch)
+        parsed = []
+        loads = json.loads
+
+        def measured_loads(text, *args, **kwargs):
+            parsed.append(len(text))
+            return loads(text, *args, **kwargs)
+
+        monkeypatch.setattr(bench.json, "loads", measured_loads)
+        results = run_benchmark(cfg, store_path, tmp_path / "work")
+        assert [len(r.per_repo) for r in results] == [100, 100]
+        assert len(parsed) == 200
+        # each stored line holds a 105 KiB output; without it, under 1 KiB
+        assert max(parsed) < 1 << 10
+
+    def test_existing_keys_holds_no_stored_transcript(self, tmp_path, monkeypatch):
+        _, store_path = self._store_with_nothing_left(tmp_path, monkeypatch)
+        tracemalloc.start()
+        try:
+            keys = ResultStore(store_path).existing_keys()
+            _size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert keys == {(run, f"big/r{i}") for run in range(2) for i in range(100)}
         assert peak < 4 << 20
 
     def test_stored_records_come_back_without_turns_and_new_ones_whole(

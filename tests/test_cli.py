@@ -587,6 +587,15 @@ class TestSample:
         assert "cannot sample" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_mistyped_manifest_field_is_usage_error(self, tmp_path, capsys):
+        manifest, out = tmp_path / "m.jsonl", tmp_path / "out.jsonl"
+        manifest.write_text('{"id": 5, "clone_url": "u"}\n', "utf-8")
+        rc = main(["sample", "--manifest", str(manifest), "--n", "1",
+                   "--seed", "1", "--out", str(out)])
+        assert rc == 2
+        assert f"{manifest}:1: id must be a string" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_manifest_is_usage_error(self, tmp_path, capsys):
         rc = main(["sample", "--manifest", str(tmp_path / "absent.jsonl"), "--n", "1",
                    "--seed", "1", "--out", str(tmp_path / "out.jsonl")])

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 
@@ -111,6 +112,30 @@ class TestManifestIo:
         p = tmp_path / "m.jsonl"
         p.write_text('\n{"id": "a/b", "clone_url": "u"}\n\n', "utf-8")
         assert len(load_manifest(p)) == 1
+
+    @pytest.mark.parametrize("field, value", [
+        ("id", 5),
+        ("clone_url", ["u"]),
+        ("description", None),
+        ("commit", 7),
+        ("instruction_url", False),
+        ("stargazers", "10"),
+        ("stargazers", True),
+        ("is_fork", "yes"),
+        ("expected_binaries", "xyz"),
+        ("expected_binaries", ["app", 1]),
+        ("languages", "C"),
+        ("languages", None),
+    ])
+    def test_mistyped_field_names_line_and_field(self, tmp_path, field, value):
+        path = tmp_path / "m.jsonl"
+        good = {"id": "a/b", "clone_url": "u"}
+        path.write_text(
+            json.dumps(good) + "\n" + json.dumps({**good, "id": "a/c", field: value}) + "\n",
+            "utf-8",
+        )
+        with pytest.raises(ManifestParseError, match="^" + re.escape(f"{path}:2: {field} must be ")):
+            load_manifest(path)
 
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(ManifestParseError):
