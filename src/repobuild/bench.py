@@ -108,14 +108,17 @@ _TURNS_CLOSE = b'], "variant": '
 
 
 def _read_records(
-    path: Path, start: int = 0, drop_turns: bool = False
+    path: Path, start: int = 0, drop_turns: bool = False, report_tail: bool = True
 ) -> Tuple[List[dict], int]:
     """Parse the store's records from byte offset ``start``, line by line.
 
     Returns the records and the offset just past the last newline-terminated
     line. An unterminated tail is parsed if it can be but lies beyond that
     offset, so a later read from it sees the tail again once complete. A
-    store now shorter than ``start`` is read again from 0.
+    store now shorter than ``start`` is read again from 0. A torn line is
+    logged once, by the read that settles it: ``report_tail=False`` is for a
+    read whose unterminated tail a later read from the returned offset
+    parses again.
 
     With ``drop_turns`` each record comes back without its session's
     ``turns``, which are never decoded: the transcript is cut out of the
@@ -154,7 +157,8 @@ def _read_records(
             try:
                 record = json.loads(line.decode("utf-8"))
             except ValueError:
-                logger.warning("skipping torn record in %s", path)
+                if report_tail or line.endswith(b"\n"):
+                    logger.warning("skipping torn record in %s", path)
                 continue
             if drop_turns:
                 record.get("session", {}).pop("turns", None)
@@ -435,7 +439,7 @@ def run_benchmark(
     """
     store = ResultStore(store_path)
     # one pass over the store gives both the results so far and what is done
-    records, end = _read_records(store.path, drop_turns=True)
+    records, end = _read_records(store.path, drop_turns=True, report_tail=False)
     by_run: Dict[int, RunResult] = {}
     _merge_records(by_run, records)
     done = {(rec["run"], rec["repo"]) for rec in records}

@@ -14,8 +14,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Pattern, Sequence, Tuple, TypeVar, Union
 
-import requests
-
 from .errors import OversizeReplyError, ScenarioExhaustedError, TransportError
 
 logger = logging.getLogger(__name__)
@@ -142,6 +140,11 @@ def ask_structured(
 
 
 def _live_complete(config: LlmConfig, messages: Sequence[ChatMessage]) -> str:
+    # loaded here, so a process that makes no live call carries no HTTP stack
+    import http.client
+    import urllib.error
+    import urllib.request
+
     base = os.environ.get(ENV_BASE_URL)
     if not base:
         raise TransportError(f"{ENV_BASE_URL} is not set; live backend unavailable")
@@ -155,6 +158,7 @@ def _live_complete(config: LlmConfig, messages: Sequence[ChatMessage]) -> str:
         "temperature": config.temperature,
         "messages": [{"role": m.role, "content": m.content} for m in messages],
     }
+    data = json.dumps(payload).encode("utf-8")
 
     last_err: Optional[str] = None
     for attempt in range(config.max_retries + 1):
@@ -163,20 +167,27 @@ def _live_complete(config: LlmConfig, messages: Sequence[ChatMessage]) -> str:
             logger.info("retrying chat completion in %.1fs (attempt %d)", delay, attempt + 1)
             time.sleep(delay)
         try:
-            resp = requests.post(
-                url, headers=headers, data=json.dumps(payload), timeout=config.request_timeout
-            )
-        except requests.RequestException as exc:
+            request = urllib.request.Request(url, data=data, headers=headers, method="POST")
+            with urllib.request.urlopen(request, timeout=config.request_timeout) as resp:
+                status, body = resp.status, resp.read()
+        except urllib.error.HTTPError as exc:
+            exc.close()
+            status, body = exc.code, b""
+        except (OSError, ValueError, http.client.HTTPException) as exc:
             last_err = str(exc)
             continue
-        if resp.status_code in _RETRYABLE_STATUS:
-            last_err = f"status {resp.status_code}"
+        if status in _RETRYABLE_STATUS:
+            last_err = f"status {status}"
             continue
-        if resp.status_code != 200:
-            raise TransportError(f"chat completion failed: status {resp.status_code}")
+        if status != 200:
+            raise TransportError(f"chat completion failed: status {status}")
         try:
-            return resp.json()["choices"][0]["message"]["content"]
-        except (ValueError, KeyError, IndexError) as exc:
+            content = json.loads(body)["choices"][0]["message"]["content"]
+        except (ValueError, TypeError, KeyError, IndexError) as exc:
             raise TransportError(f"malformed completion response: {exc}") from exc
+        if not isinstance(content, str):
+            raise TransportError(
+                f"malformed completion response: content is {type(content).__name__}"
+            )
+        return content
     raise TransportError(f"chat completion failed after retries: {last_err}")
-

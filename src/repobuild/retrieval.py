@@ -12,8 +12,6 @@ from pathlib import Path
 from typing import Callable, List, Optional, Tuple
 from urllib.parse import urljoin, urlsplit
 
-import requests
-
 from . import assets
 from .agent import PromptContext
 from .errors import ProtocolError
@@ -30,6 +28,7 @@ LINKS_PER_ROUND = 3
 FETCH_CAP_BYTES = 64 * 1024  # text kept per fetched link
 RAW_BODY_CEILING = 4 * 1024 * 1024  # refuse to process bodies beyond this
 DEFAULT_FETCH_TIMEOUT = 20.0
+MAX_REDIRECTS = 5
 USER_AGENT = "repobuild/0.1 (build-instruction retrieval)"
 
 _TEXTUAL_TYPES = ("application/json", "application/xml", "application/xhtml+xml")
@@ -135,38 +134,45 @@ def fetch_link(
             data = fh.read(FETCH_CAP_BYTES)
         return FetchOutcome(True, content=data.decode("utf-8", errors="replace"))
 
+    # loaded here, so a process that fetches no URL carries no HTTP stack
+    import http.client
+    import urllib.error
+    import urllib.request
+
+    class LimitedRedirects(urllib.request.HTTPRedirectHandler):
+        max_redirections = MAX_REDIRECTS
+
+    opener = urllib.request.build_opener(LimitedRedirects)
     try:
-        with requests.Session() as session:
-            session.max_redirects = 5
-            with session.get(
-                link.target,
-                timeout=timeout,
-                headers={"User-Agent": USER_AGENT},
-                allow_redirects=True,
-                stream=True,
-            ) as resp:
-                if not resp.ok:
+        request = urllib.request.Request(link.target, headers={"User-Agent": USER_AGENT})
+        with opener.open(request, timeout=timeout) as resp:
+            # keep at most one byte past the ceiling, whatever Content-Length says
+            raw = bytearray()
+            while chunk := resp.read(64 * 1024):
+                raw += chunk[: RAW_BODY_CEILING + 1 - len(raw)]
+                if len(raw) > RAW_BODY_CEILING:
                     return FetchOutcome(
-                        False, failure_kind="non-success", detail=f"status {resp.status_code}"
+                        False, failure_kind="oversize",
+                        detail=f"more than {RAW_BODY_CEILING} bytes",
                     )
-                # keep at most one byte past the ceiling, whatever Content-Length says
-                raw = bytearray()
-                for chunk in resp.iter_content(64 * 1024):
-                    raw += chunk[: RAW_BODY_CEILING + 1 - len(raw)]
-                    if len(raw) > RAW_BODY_CEILING:
-                        return FetchOutcome(
-                            False, failure_kind="oversize",
-                            detail=f"more than {RAW_BODY_CEILING} bytes",
-                        )
-                headers, encoding = resp.headers, resp.encoding
-    except requests.Timeout:
-        return FetchOutcome(False, failure_kind="timeout", detail=link.target)
-    except requests.RequestException as exc:
+            headers = resp.headers
+    except urllib.error.HTTPError as exc:
+        exc.close()
+        return FetchOutcome(False, failure_kind="non-success", detail=f"status {exc.code}")
+    except (OSError, ValueError, http.client.HTTPException) as exc:
+        # a connect timeout comes wrapped in URLError, a read timeout bare
+        if isinstance(exc, TimeoutError) or isinstance(
+            getattr(exc, "reason", None), TimeoutError
+        ):
+            return FetchOutcome(False, failure_kind="timeout", detail=link.target)
         return FetchOutcome(False, failure_kind="non-success", detail=str(exc))
     ctype = (headers.get("Content-Type") or "").split(";")[0].strip().lower()
     if ctype and not ctype.startswith("text/") and ctype not in _TEXTUAL_TYPES:
         return FetchOutcome(False, failure_kind="non-text", detail=ctype)
-    body = raw.decode(encoding or "utf-8", errors="replace")
+    try:
+        body = raw.decode(headers.get_content_charset() or "utf-8", errors="replace")
+    except LookupError:  # a charset Python does not know
+        body = raw.decode("utf-8", errors="replace")
     if ctype in ("text/html", "application/xhtml+xml"):
         body = html_to_text(body)
     return FetchOutcome(True, content=body[:FETCH_CAP_BYTES])

@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -776,6 +777,39 @@ class TestRunBenchmark:
         results = run_benchmark(cfg, store_path, tmp_path / "work")
         assert list(results[0].per_repo) == ["a/done1", "a/todo"]
         assert _view(results) == _view(load_results(store_path))
+
+    @pytest.mark.parametrize("left", [1, 0], ids=["appends", "nothing-left"])
+    def test_unterminated_torn_tail_is_logged_once(self, tmp_path, monkeypatch, caplog, left):
+        def run(record, cfg, session_dir, prepared):
+            return _session_dict("succeeded"), _vd(True, True, True), None, None
+
+        monkeypatch.setattr("repobuild.bench.run_one_repo", run)
+        records = [RepoRecord(id=f"a/r{i}", clone_url="unused") for i in range(2 + left)]
+        cfg = _cfg(records)
+        lines = [json.dumps(_record(0, r.id), sort_keys=True) for r in records[:2]]
+        clean, torn = tmp_path / "clean.jsonl", tmp_path / "torn.jsonl"
+        clean.write_text("".join(line + "\n" for line in lines))
+        torn.write_text(clean.read_text() + lines[0][:60])
+        expected = run_benchmark(cfg, clean, tmp_path / "work-clean")
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="repobuild.bench"):
+            results = run_benchmark(cfg, torn, tmp_path / "work-torn")
+        assert [r.getMessage() for r in caplog.records] == [f"skipping torn record in {torn}"]
+        assert _view(results) == _view(expected)
+        assert emit_report(aggregate(results), "machine", cfg.method) == emit_report(
+            aggregate(expected), "machine", cfg.method
+        )
+        assert len(torn.read_text().splitlines()) == 3 + left
+
+    def test_torn_line_inside_the_store_is_logged_once(self, tmp_path, caplog):
+        line = json.dumps(_record(0, "a/done"), sort_keys=True)
+        store = tmp_path / "store.jsonl"
+        store.write_text(line[:60] + "\n" + line + "\n")
+        cfg = _cfg([RepoRecord(id="a/done", clone_url="unused")])
+        with caplog.at_level(logging.WARNING, logger="repobuild.bench"):
+            results = run_benchmark(cfg, store, tmp_path / "work")
+        assert [r.getMessage() for r in caplog.records] == [f"skipping torn record in {store}"]
+        assert list(results[0].per_repo) == ["a/done"]
 
     @staticmethod
     def _store_with_nothing_left(tmp_path, monkeypatch):

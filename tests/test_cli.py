@@ -3,10 +3,12 @@ import json
 import os
 import re
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import repobuild
 from repobuild.cli import (
     _COMMANDS,
     build_parser,
@@ -658,3 +660,19 @@ class TestErrorMapping:
         rc = main(["--config", str(cfg), "retrieve", str(ws_dir)])
         assert rc == 1
         assert "failed:" in capsys.readouterr().err
+
+
+class TestImportFootprint:
+    def test_cli_import_loads_no_http_stack(self):
+        # HTTP is loaded by the first live model call or URL fetch; a run that
+        # makes none (rule-based, scripted, offline) must not carry it
+        http_modules = ["requests", "urllib3", "http.client", "urllib.request", "ssl"]
+        code = (
+            "import sys, repobuild.cli\n"
+            f"print(' '.join(m for m in {http_modules!r} if m in sys.modules))\n"
+        )
+        src = Path(repobuild.__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.split() == []

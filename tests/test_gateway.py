@@ -1,4 +1,7 @@
+import json
 import re
+import threading
+from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
@@ -7,6 +10,7 @@ from repobuild.errors import (
     ScenarioExhaustedError,
     TransportError,
 )
+from repobuild import gateway
 from repobuild.gateway import (
     REMINDER_PREFIX,
     ChatMessage,
@@ -173,3 +177,118 @@ class TestConfigValidation:
         cfg = LlmConfig(backend="live", max_retries=0)
         with pytest.raises(TransportError):
             complete(cfg, [user("hi")])
+
+
+def _completion(content):
+    return {"choices": [{"message": {"role": "assistant", "content": content}}]}
+
+
+@pytest.fixture
+def chat_server(monkeypatch):
+    """A local chat endpoint that answers each POST with the next of
+    ``server.replies`` (status, JSON-able body or raw bytes) and records
+    ``server.received`` (path, headers, payload); ``server.sleeps`` holds the
+    backoff delays, which are not waited out."""
+
+    class Handler(BaseHTTPRequestHandler):
+        def do_POST(self):
+            raw = self.rfile.read(int(self.headers["Content-Length"]))
+            server.received.append((self.path, dict(self.headers), json.loads(raw)))
+            status, body = server.replies.pop(0)
+            if not isinstance(body, bytes):
+                body = json.dumps(body).encode("utf-8")
+            self.send_response(status)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, *a):
+            pass
+
+    server = HTTPServer(("127.0.0.1", 0), Handler)
+    server.replies, server.received, server.sleeps = [], [], []
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
+    thread.start()
+    monkeypatch.setenv("REPOBUILD_LLM_BASE_URL", f"http://127.0.0.1:{server.server_port}/v1/")
+    monkeypatch.delenv("REPOBUILD_LLM_API_KEY", raising=False)
+    monkeypatch.setattr(gateway.time, "sleep", server.sleeps.append)
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join()
+
+
+class TestLiveBackend:
+    def test_reply_payload_and_bearer_key(self, chat_server, monkeypatch):
+        monkeypatch.setenv("REPOBUILD_LLM_API_KEY", "sk-test")
+        chat_server.replies = [(200, _completion("hello back"))]
+        cfg = LlmConfig(backend="live", model_name="m-1", temperature=0.5)
+        messages = [ChatMessage("system", "be brief"), user("hello")]
+        assert complete(cfg, messages) == "hello back"
+        [(path, headers, payload)] = chat_server.received
+        assert path == "/v1/chat/completions"
+        assert headers["Authorization"] == "Bearer sk-test"
+        assert headers["Content-Type"] == "application/json"
+        assert payload == {
+            "model": "m-1",
+            "temperature": 0.5,
+            "messages": [{"role": "system", "content": "be brief"},
+                         {"role": "user", "content": "hello"}],
+        }
+        assert chat_server.sleeps == []
+
+    def test_no_key_sends_no_authorization(self, chat_server):
+        chat_server.replies = [(200, _completion("ok"))]
+        assert complete(LlmConfig(backend="live"), [user("hi")]) == "ok"
+        [(_, headers, _)] = chat_server.received
+        assert "Authorization" not in headers
+
+    def test_retryable_status_is_retried(self, chat_server):
+        chat_server.replies = [(429, {"error": "slow down"}), (200, _completion("ok"))]
+        assert complete(LlmConfig(backend="live"), [user("hi")]) == "ok"
+        assert len(chat_server.received) == 2
+        assert chat_server.sleeps == [2.0]
+
+    def test_server_error_on_every_attempt_raises_after_the_retries(self, chat_server):
+        chat_server.replies = [(500, {"error": "down"})] * 3
+        with pytest.raises(TransportError, match="after retries: status 500"):
+            complete(LlmConfig(backend="live", max_retries=2), [user("hi")])
+        assert len(chat_server.received) == 3
+        assert chat_server.sleeps == [2.0, 4.0]
+
+    def test_client_error_is_not_retried(self, chat_server):
+        chat_server.replies = [(400, {"error": "bad request"})]
+        with pytest.raises(TransportError, match="status 400"):
+            complete(LlmConfig(backend="live"), [user("hi")])
+        assert len(chat_server.received) == 1
+        assert chat_server.sleeps == []
+
+    @pytest.mark.parametrize(
+        "body",
+        [b"not json", b"[]", {"choices": []}, _completion(None), _completion(["a"])],
+        ids=["not-json", "not-an-object", "no-choices", "null-content", "list-content"],
+    )
+    def test_malformed_reply_is_a_transport_error(self, chat_server, body):
+        chat_server.replies = [(200, body)]
+        with pytest.raises(TransportError, match="malformed completion response"):
+            complete(LlmConfig(backend="live"), [user("hi")])
+        assert len(chat_server.received) == 1
+
+    def test_refused_connection_is_retried_then_raises(self, chat_server, monkeypatch):
+        monkeypatch.setenv("REPOBUILD_LLM_BASE_URL", "http://127.0.0.1:1")
+        with pytest.raises(TransportError, match="after retries"):
+            complete(LlmConfig(backend="live", max_retries=2), [user("hi")])
+        assert chat_server.sleeps == [2.0, 4.0]
+        assert chat_server.received == []
+
+    @pytest.mark.parametrize("base", ["http://[::1", "http://127.0.0.1:port"])
+    def test_unusable_base_url_is_a_transport_error(self, chat_server, monkeypatch, base):
+        monkeypatch.setenv("REPOBUILD_LLM_BASE_URL", base)
+        with pytest.raises(TransportError, match="after retries"):
+            complete(LlmConfig(backend="live", max_retries=1), [user("hi")])
+        assert chat_server.sleeps == [2.0]

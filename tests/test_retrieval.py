@@ -1,4 +1,6 @@
+import socket
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
@@ -10,6 +12,7 @@ from repobuild.gateway import ScriptedScenario
 from repobuild.retrieval import (
     FETCH_CAP_BYTES,
     RAW_BODY_CEILING,
+    USER_AGENT,
     FetchOutcome,
     InstructionDossier,
     LinkRef,
@@ -257,11 +260,118 @@ class TestFetchLink:
             server.shutdown()
             server.server_close()
 
+    @pytest.mark.parametrize("url", ["http://[::1/x", "http://127.0.0.1:port/x"])
+    def test_unusable_url_is_non_success(self, tmp_path, url):
+        ws = prepare_fixture("hello_make", tmp_path)
+        outcome = fetch_link(ws, LinkRef("external-url", url))
+        assert outcome.failure_kind == "non-success"
+
     def test_connection_refused_is_non_success(self, tmp_path):
         ws = prepare_fixture("hello_make", tmp_path)
         outcome = fetch_link(ws, LinkRef("external-url", "http://127.0.0.1:1/x"))
         assert not outcome.ok
         assert outcome.failure_kind == "non-success"
+
+
+class TestFetchOverHttp:
+    @pytest.fixture
+    def serve(self):
+        """Start a local server for ``routes``: path -> (status, headers,
+        body); yields a function that returns the server's base URL and
+        records each request's path and headers in its ``received``."""
+        servers = []
+
+        def start(routes):
+            class Handler(BaseHTTPRequestHandler):
+                def do_GET(self):
+                    start.received.append((self.path, dict(self.headers)))
+                    status, headers, body = routes[self.path]
+                    self.send_response(status)
+                    for name, value in headers.items():
+                        self.send_header(name, value)
+                    self.send_header("Content-Length", str(len(body)))
+                    self.end_headers()
+                    self.wfile.write(body)
+
+                def log_message(self, *a):
+                    pass
+
+            server = HTTPServer(("127.0.0.1", 0), Handler)
+            thread = threading.Thread(
+                target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+            )
+            thread.start()
+            servers.append((server, thread))
+            return f"http://127.0.0.1:{server.server_port}"
+
+        start.received = []
+        yield start
+        for server, thread in servers:
+            server.shutdown()
+            server.server_close()
+            thread.join()
+
+    @staticmethod
+    def redirect_chain(hops):
+        """/r0 redirects to /r1 and so on; /r{hops} is the page."""
+        routes = {f"/r{i}": (302, {"Location": f"/r{i + 1}"}, b"") for i in range(hops)}
+        routes[f"/r{hops}"] = (200, {"Content-Type": "text/plain"}, b"arrived")
+        return routes
+
+    def test_five_redirects_are_followed(self, tmp_path, serve):
+        ws = prepare_fixture("hello_make", tmp_path)
+        base = serve(self.redirect_chain(5))
+        outcome = fetch_link(ws, LinkRef("external-url", f"{base}/r0"))
+        assert outcome.ok
+        assert outcome.content == "arrived"
+
+    def test_a_sixth_redirect_is_non_success(self, tmp_path, serve):
+        ws = prepare_fixture("hello_make", tmp_path)
+        base = serve(self.redirect_chain(6))
+        outcome = fetch_link(ws, LinkRef("external-url", f"{base}/r0"))
+        assert not outcome.ok
+        assert outcome.failure_kind == "non-success"
+
+    @pytest.mark.parametrize(
+        "ctype, body, text",
+        [
+            ("text/plain; charset=utf-8", "café".encode("utf-8"), "café"),
+            ("text/plain; charset=iso-8859-1", "café".encode("latin-1"), "café"),
+            # no charset: UTF-8, not ISO-8859-1
+            ("text/plain", "café".encode("utf-8"), "café"),
+            ("text/html", "<p>café</p>".encode("utf-8"), "café"),
+            # a charset Python does not know falls back to UTF-8
+            ("text/plain; charset=no-such-charset", "café".encode("utf-8"), "café"),
+        ],
+    )
+    def test_body_decoding(self, tmp_path, serve, ctype, body, text):
+        ws = prepare_fixture("hello_make", tmp_path)
+        base = serve({"/page": (200, {"Content-Type": ctype}, body)})
+        outcome = fetch_link(ws, LinkRef("external-url", f"{base}/page"))
+        assert outcome.ok
+        assert outcome.content == text
+
+    def test_user_agent_is_sent(self, tmp_path, serve):
+        ws = prepare_fixture("hello_make", tmp_path)
+        base = serve({"/page": (200, {"Content-Type": "text/plain"}, b"text")})
+        assert fetch_link(ws, LinkRef("external-url", f"{base}/page")).ok
+        [(path, headers)] = serve.received
+        assert path == "/page"
+        assert headers["User-Agent"] == USER_AGENT
+
+    def test_server_that_never_answers_is_a_timeout(self, tmp_path):
+        ws = prepare_fixture("hello_make", tmp_path)
+        # the kernel completes the handshake on a listening socket, and
+        # nothing ever accepts or answers
+        with socket.socket() as listener:
+            listener.bind(("127.0.0.1", 0))
+            listener.listen(1)
+            url = f"http://127.0.0.1:{listener.getsockname()[1]}/slow"
+            started = time.monotonic()
+            outcome = fetch_link(ws, LinkRef("external-url", url), timeout=0.5)
+            elapsed = time.monotonic() - started
+        assert outcome.failure_kind == "timeout"
+        assert elapsed < 5
 
 
 def fake_fetcher(responses):
