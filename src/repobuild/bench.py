@@ -120,20 +120,26 @@ def _read_records(
     read whose unterminated tail a later read from the returned offset
     parses again.
 
-    With ``drop_turns`` each record comes back without its session's
-    ``turns``, which are never decoded: the transcript is cut out of the
-    line's bytes, from ``"turns": [`` to the first ``], "variant": ``
-    after it, and the rest is parsed. This is exact because every line is a
-    whole record from ``ResultStore.append`` (sorted keys, default
-    separators) or a prefix of one that a crash left: neither marker can
-    occur inside a JSON string, no turn has a ``variant`` key, and a
-    prefix cut inside or after the transcript still fails to parse. A line
-    missing either marker, such as one with compact separators or no
-    ``turns``, is parsed whole.
+    The file is read through a 256 KiB buffer. With ``drop_turns`` each
+    record comes back without its session's ``turns``, which are never
+    decoded: the transcript is cut out of the line's bytes, from the first
+    ``"turns": [`` to the last ``], "variant": `` after it, found by
+    searching back from the end of the line, and the rest is parsed. Only
+    the session's ``variant`` and the fixed-schema verdict follow the
+    transcript, so the backward search crosses those few hundred bytes, not
+    the transcript. This is exact because every line is a whole record from
+    ``ResultStore.append`` (sorted keys, default separators) or a prefix of
+    one that a crash left. Neither marker can occur inside a JSON string,
+    and in a whole record the session's close is the only ``], "variant": ``
+    after ``"turns": [``: no turn has a ``variant`` key, and the verdict's
+    lists (``matched_names``, ``new_binaries``) are followed by other keys.
+    A prefix keeps its torn end under the cut, so it still fails to parse.
+    A line missing either marker, such as one with compact separators or
+    no ``turns``, is parsed whole.
     """
     records: List[dict] = []
     try:
-        fh = open(path, "rb", buffering=1 << 16)
+        fh = open(path, "rb", buffering=1 << 18)
     except FileNotFoundError:
         return records, 0
     with fh:
@@ -149,7 +155,7 @@ def _read_records(
                 continue
             if drop_turns:
                 i = line.find(_TURNS_OPEN)
-                j = line.find(_TURNS_CLOSE, i) if i >= 0 else -1
+                j = line.rfind(_TURNS_CLOSE, i) if i >= 0 else -1
                 if j >= 0:
                     line = line[:i + len(_TURNS_OPEN)] + line[j:]
             # a crash mid-append leaves a torn record, possibly cut inside a

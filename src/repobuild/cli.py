@@ -74,13 +74,31 @@ def load_scenario_file(path: Optional[str]) -> Optional[ScriptedScenario]:
         doc = json.loads(p.read_text("utf-8"))
     except json.JSONDecodeError as exc:
         raise UsageError(f"scenario file is not valid: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise UsageError(f"scenario file {path} must hold an object")
+    raw_steps = doc.get("steps", [])
+    if not isinstance(raw_steps, list):
+        raise UsageError(f"scenario file {path}: steps must be a list")
     steps = []
-    for step in doc.get("steps", []):
+    for i, step in enumerate(raw_steps):
+        if not isinstance(step, dict):
+            raise UsageError(f"scenario file {path}: step {i} is not an object")
+        for key in ("match", "reply"):
+            if not isinstance(step.get(key), str):
+                raise UsageError(f"scenario file {path}: step {i} needs a string {key!r}")
         matcher = step["match"]
         if step.get("regex"):
-            matcher = re.compile(matcher, re.DOTALL)
+            try:
+                matcher = re.compile(matcher, re.DOTALL)
+            except re.error as exc:
+                raise UsageError(
+                    f"scenario file {path}: step {i} match is not a valid regex: {exc}"
+                ) from exc
         steps.append((matcher, step["reply"]))
-    return ScriptedScenario(steps=steps, default_reply=doc.get("default_reply"))
+    default_reply = doc.get("default_reply")
+    if default_reply is not None and not isinstance(default_reply, str):
+        raise UsageError(f"scenario file {path}: default_reply must be a string or null")
+    return ScriptedScenario(steps=steps, default_reply=default_reply)
 
 
 def _llm_config(args, config: dict) -> LlmConfig:

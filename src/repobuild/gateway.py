@@ -143,11 +143,21 @@ def _live_complete(config: LlmConfig, messages: Sequence[ChatMessage]) -> str:
     # loaded here, so a process that makes no live call carries no HTTP stack
     import http.client
     import urllib.error
+    import urllib.parse
     import urllib.request
 
     base = os.environ.get(ENV_BASE_URL)
     if not base:
         raise TransportError(f"{ENV_BASE_URL} is not set; live backend unavailable")
+    # no retry can mend a URL that cannot be requested, so it fails at once
+    try:
+        parts = urllib.parse.urlsplit(base)
+        usable = parts.scheme in ("http", "https") and parts.hostname
+        parts.port  # raises ValueError unless the port is absent or a valid number
+    except ValueError:
+        usable = False
+    if not usable:
+        raise TransportError(f"{ENV_BASE_URL} is not a usable http(s) URL: {base!r}")
     url = base.rstrip("/") + "/chat/completions"
     headers = {"Content-Type": "application/json"}
     key = os.environ.get(ENV_API_KEY)

@@ -30,8 +30,9 @@ from repobuild.bench import (
 from repobuild.corpus import CorpusManifest, RepoRecord
 from repobuild.errors import UsageError
 from repobuild.gateway import LlmConfig, ScriptedScenario
+from repobuild.retrieval import InstructionDossier, LinkRef
 from repobuild.sandbox import CommandScript, ExecutionResult, SandboxSpec
-from repobuild.validation import Verdict
+from repobuild.validation import BinaryArtifact, Verdict
 from repobuild.workspace import snapshot_files
 
 from conftest import (
@@ -296,6 +297,71 @@ class TestOpeningPass:
         every = {(r.run_index, repo) for r in reloaded for repo in r.per_repo}
         assert len(every) == len(lines)
         assert _view([by_run[k] for k in sorted(by_run)]) == _view(reloaded, every)
+
+
+class TestTranscriptMarkers:
+    """The opening pass cuts a transcript at the last ``], "variant": `` of
+    its line, so a stored record may hold that marker only where the
+    session's transcript ends. A field added to a record after ``session``
+    that breaks this fails here."""
+
+    @staticmethod
+    def _record():
+        script = CommandScript(commands=("cd /app/y", "make"), origin_turn=0)
+        result = ExecutionResult(
+            per_command=(("cd /app/y", 0, 0.0), ("make", 2, 0.4)),
+            combined_output="make: *** [all] Error 2",
+            overall_exit=2,
+            timed_out=False,
+        )
+        session = BuildSession(
+            repo_id="x/y",
+            variant="agent-with-retrieval",
+            max_turns=12,
+            turns=[
+                Turn(k=0, kind="command-turn", agent_reply_raw="```bash\nmake\n```",
+                     script=script, result=result),
+                Turn(k=1, kind="protocol-violation", agent_reply_raw="no script",
+                     violation_note="reply holds no command block"),
+                Turn(k=2, kind="termination-turn", agent_reply_raw="terminate"),
+            ],
+            outcome="agent-terminated",
+        )
+        verdict = Verdict(
+            completion=True,
+            strict=False,
+            flexible=True,
+            matched_names=frozenset({"app", "libx"}),
+            new_binaries=(
+                BinaryArtifact("build/app", "app", "executable", True),
+                BinaryArtifact("build/libx.a", "libx.a", "static-archive", False),
+            ),
+        )
+        dossier = InstructionDossier(
+            instructions="run make",
+            sufficient=True,
+            visited=[LinkRef("internal-file", "README.md", 0),
+                     LinkRef("external-url", "https://example.org/build", 1)],
+            rounds_used=2,
+            fetch_failures=[("https://example.org/gone", "non-success")],
+        )
+        summary = session_summary(session)
+        return bench.store_record(
+            0, "x/y", summary, verdict, tag_failure_mode(summary, verdict),
+            bench.dossier_to_dict(dossier),
+        )
+
+    def test_a_stored_record_closes_its_transcript_once(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        record = self._record()
+        ResultStore(path).append(record)
+        ResultStore(path).append({**record, "run": 1})
+        line = path.read_bytes().splitlines()[0]
+        assert line.count(bench._TURNS_OPEN) == 1
+        assert line.count(bench._TURNS_CLOSE, line.find(bench._TURNS_OPEN)) == 1
+        whole, end = bench._read_records(path)
+        assert [len(r["session"]["turns"]) for r in whole] == [3, 3]
+        assert bench._read_records(path, drop_turns=True) == (_without_turns(whole), end)
 
 
 class TestSessionSummary:

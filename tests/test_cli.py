@@ -131,6 +131,25 @@ class TestScenarioLoading:
         with pytest.raises(UsageError, match="not valid"):
             load_scenario_file(str(path))
 
+    @pytest.mark.parametrize("doc, message", [
+        ([{"match": "a", "reply": "b"}], "must hold an object"),
+        ({"steps": {"match": "a", "reply": "b"}}, "steps must be a list"),
+        ({"steps": ["hello"]}, "step 0 is not an object"),
+        ({"steps": [{"match": "a", "reply": "b"}, {"reply": "b"}]}, "step 1 needs a string 'match'"),
+        ({"steps": [{"match": "a", "reply": 5}]}, "step 0 needs a string 'reply'"),
+        ({"steps": [{"match": "(", "reply": "b", "regex": True}]}, "step 0 match is not a valid regex"),
+        ({"default_reply": 5}, "default_reply must be a string or null"),
+    ], ids=["not-an-object", "steps-not-a-list", "step-not-an-object", "no-match",
+            "reply-not-a-string", "bad-regex", "default-reply-not-a-string"])
+    def test_malformed_scenario_is_a_usage_error(self, tmp_path, capsys, doc, message):
+        ws_dir = copy_fixture_tree("pred_direct", tmp_path / "repo")
+        scenario = _scenario_file(tmp_path, doc)
+        rc = main(["predict-targets", str(ws_dir), "--llm", "--scenario", str(scenario)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(scenario) in err
+        assert message in err
+
 
 class TestPlanSample:
     def test_documented_population(self, capsys):

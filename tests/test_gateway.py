@@ -286,9 +286,12 @@ class TestLiveBackend:
         assert chat_server.sleeps == [2.0, 4.0]
         assert chat_server.received == []
 
-    @pytest.mark.parametrize("base", ["http://[::1", "http://127.0.0.1:port"])
+    @pytest.mark.parametrize(
+        "base", ["http://[::1", "http://127.0.0.1:port", "127.0.0.1:8080", "localhost/v1"]
+    )
     def test_unusable_base_url_is_a_transport_error(self, chat_server, monkeypatch, base):
         monkeypatch.setenv("REPOBUILD_LLM_BASE_URL", base)
-        with pytest.raises(TransportError, match="after retries"):
+        with pytest.raises(TransportError, match="REPOBUILD_LLM_BASE_URL is not a usable"):
             complete(LlmConfig(backend="live", max_retries=1), [user("hi")])
-        assert chat_server.sleeps == [2.0]
+        assert chat_server.sleeps == []
+        assert chat_server.received == []
