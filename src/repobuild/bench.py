@@ -14,7 +14,7 @@ from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass, field, replace
 from functools import cache
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from . import assets
 from .agent import (
@@ -108,20 +108,29 @@ _TURNS_CLOSE = b'], "variant": '
 
 
 def _read_records(
-    path: Path, start: int = 0, drop_turns: bool = False, report_tail: bool = True
-) -> Tuple[List[dict], int]:
-    """Parse the store's records from byte offset ``start``, line by line.
+    path: Path,
+    take: Callable[[object], None],
+    start: int = 0,
+    drop_turns: bool = False,
+    report_tail: bool = True,
+) -> int:
+    """Parse the store's records from byte offset ``start``, line by line,
+    and hand each to ``take`` as it is parsed, in store order, so no list
+    of them is ever held.
 
-    Returns the records and the offset just past the last newline-terminated
-    line. An unterminated tail is parsed if it can be but lies beyond that
-    offset, so a later read from it sees the tail again once complete. A
-    store now shorter than ``start`` is read again from 0. A torn line is
-    logged once, by the read that settles it: ``report_tail=False`` is for a
-    read whose unterminated tail a later read from the returned offset
-    parses again.
+    Returns the offset just past the last newline-terminated line. An
+    unterminated tail is parsed, and taken, if it can be but lies beyond
+    that offset, so a later read from it sees the tail again once complete.
+    A store now shorter than ``start`` is read again from 0. A torn line is
+    skipped and logged once, by the read that settles it:
+    ``report_tail=False`` is for a read whose unterminated tail a later read
+    from the returned offset parses again. A line that parses is taken
+    whatever it holds; ``take`` raises ``UsageError(reason)`` for one that
+    is not a record, and it comes out as ``UsageError("STORE:LINE: not a
+    stored record: reason")``.
 
     The file is read through a 256 KiB buffer. With ``drop_turns`` each
-    record comes back without its session's ``turns``, which are never
+    record comes without its session's ``turns``, which are never
     decoded: the transcript is cut out of the line's bytes, from the first
     ``"turns": [`` to the last ``], "variant": `` after it, found by
     searching back from the end of the line, and the rest is parsed. Only
@@ -137,17 +146,17 @@ def _read_records(
     A line missing either marker, such as one with compact separators or
     no ``turns``, is parsed whole.
     """
-    records: List[dict] = []
     try:
         fh = open(path, "rb", buffering=1 << 18)
     except FileNotFoundError:
-        return records, 0
+        return 0
     with fh:
         if os.fstat(fh.fileno()).st_size < start:
             start = 0
         fh.seek(start)
         offset = end = start
         for line in fh:
+            at = offset
             offset += len(line)
             if line.endswith(b"\n"):
                 end = offset
@@ -166,10 +175,28 @@ def _read_records(
                 if report_tail or line.endswith(b"\n"):
                     logger.warning("skipping torn record in %s", path)
                 continue
-            if drop_turns:
-                record.get("session", {}).pop("turns", None)
-            records.append(record)
-    return records, end
+            if drop_turns and isinstance(record, dict) and isinstance(record.get("session"), dict):
+                record["session"].pop("turns", None)
+            try:
+                take(record)
+            except UsageError as exc:
+                raise UsageError(
+                    f"{path}:{_line_number(fh, at)}: not a stored record: {exc}"
+                ) from None
+    return end
+
+
+def _line_number(fh, offset: int) -> int:
+    """The 1-based number of the line that starts at byte ``offset``."""
+    fh.seek(0)
+    number = 1
+    while offset > 0:
+        chunk = fh.read(min(offset, 1 << 18))
+        if not chunk:
+            break
+        number += chunk.count(b"\n")
+        offset -= len(chunk)
+    return number
 
 
 class ResultStore:
@@ -179,8 +206,10 @@ class ResultStore:
         self.path = Path(path)
 
     def existing_keys(self) -> set:
-        records, _ = _read_records(self.path, drop_turns=True)
-        return {(rec["run"], rec["repo"]) for rec in records}
+        keys = set()
+        _read_records(self.path, lambda rec: keys.add((rec["run"], rec["repo"])),
+                      drop_turns=True)
+        return keys
 
     def append(self, record: dict) -> None:
         """Append one record; safe across threads and processes, since each
@@ -205,12 +234,25 @@ def _verdict_to_dict(v: Verdict) -> dict:
     return {**asdict(v), "matched_names": sorted(v.matched_names)}
 
 
-def _verdict_from_dict(d: dict) -> Verdict:
-    return Verdict(**{
-        **d,
-        "matched_names": frozenset(d["matched_names"]),
-        "new_binaries": tuple(BinaryArtifact(**a) for a in d["new_binaries"]),
-    })
+def _verdict_from_dict(d) -> Verdict:
+    """The stored verdict ``d``; a ``UsageError`` if it is not one."""
+    if not isinstance(d, dict):
+        raise UsageError("verdict must be an object")
+    if not all(type(d.get(k)) is bool for k in ("completion", "strict", "flexible")):
+        raise UsageError("completion, strict and flexible must be booleans")
+    names, binaries = d.get("matched_names"), d.get("new_binaries")
+    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+        raise UsageError("matched_names must be a list of strings")
+    if not isinstance(binaries, list) or not all(isinstance(a, dict) for a in binaries):
+        raise UsageError("new_binaries must be a list of objects")
+    try:
+        return Verdict(**{
+            **d,
+            "matched_names": frozenset(names),
+            "new_binaries": tuple(BinaryArtifact(**a) for a in binaries),
+        })
+    except (TypeError, ValueError) as exc:
+        raise UsageError(str(exc)) from None
 
 
 def session_summary(session: BuildSession) -> dict:
@@ -276,24 +318,34 @@ def dossier_to_dict(dossier: Optional[InstructionDossier]) -> Optional[dict]:
     }
 
 
-def _merge_records(by_run: Dict[int, RunResult], records: List[dict]) -> None:
-    """Add records in store order; a later record for a (run, repo) wins. The
-    outcomes keep the parsed session and dossier dicts rather than copies."""
-    for rec in records:
-        run = by_run.setdefault(rec["run"], RunResult(run_index=rec["run"]))
-        run.per_repo[rec["repo"]] = RepoOutcome(
-            session=rec["session"],
-            verdict=_verdict_from_dict(rec["verdict"]),
-            failure_mode=rec.get("failure_mode"),
-            dossier=rec.get("dossier"),
-        )
+def _merge_record(by_run: Dict[int, RunResult], rec) -> None:
+    """Add one record, read in store order: a later record for a (run, repo)
+    replaces an earlier one. The outcome keeps the parsed session and
+    dossier dicts rather than copies. This is where a stored line becomes an
+    outcome, so a line that is not a record is a ``UsageError`` here."""
+    if not isinstance(rec, dict):
+        raise UsageError("not an object")
+    run, repo, session = rec.get("run"), rec.get("repo"), rec.get("session")
+    failure, dossier = rec.get("failure_mode"), rec.get("dossier")
+    if type(run) is not int or not isinstance(repo, str):
+        raise UsageError("run must be an integer and repo a string")
+    if not isinstance(session, dict):
+        raise UsageError("session must be an object")
+    if not (failure is None or isinstance(failure, str)):
+        raise UsageError("failure_mode must be a string or null")
+    if not (dossier is None or isinstance(dossier, dict)):
+        raise UsageError("dossier must be an object or null")
+    verdict = _verdict_from_dict(rec.get("verdict"))
+    by_run.setdefault(run, RunResult(run_index=run)).per_repo[repo] = RepoOutcome(
+        session=session, verdict=verdict, failure_mode=failure, dossier=dossier,
+    )
 
 
 def load_results(store_path: Path) -> List[RunResult]:
     """Rebuild RunResults from the persisted store; the store is the source of
     truth, so recomputing metrics from it reproduces the original report."""
     by_run: Dict[int, RunResult] = {}
-    _merge_records(by_run, _read_records(Path(store_path))[0])
+    _read_records(Path(store_path), lambda rec: _merge_record(by_run, rec))
     return [by_run[k] for k in sorted(by_run)]
 
 
@@ -444,12 +496,12 @@ def run_benchmark(
     the sessions before them.
     """
     store = ResultStore(store_path)
-    # one pass over the store gives both the results so far and what is done
-    records, end = _read_records(store.path, drop_turns=True, report_tail=False)
+    # one pass over the store gives both the results so far and what is
+    # done; each record becomes an outcome as it is read
     by_run: Dict[int, RunResult] = {}
-    _merge_records(by_run, records)
-    done = {(rec["run"], rec["repo"]) for rec in records}
-    del records
+    end = _read_records(store.path, lambda rec: _merge_record(by_run, rec),
+                        drop_turns=True, report_tail=False)
+    done = {(result.run_index, repo) for result in by_run.values() for repo in result.per_repo}
     work_dir = Path(work_dir)
     jobs = [
         (run_idx, record, work_dir / f"run{run_idx}" / record.id.replace("/", "__"))
@@ -488,11 +540,13 @@ def run_benchmark(
 
     # parse only what was appended since, by this run or by another writer,
     # turns included
-    appended, new_end = _read_records(store.path, end)
+    appended: Dict[int, RunResult] = {}
+    new_end = _read_records(store.path, lambda rec: _merge_record(appended, rec), end)
     if new_end < end:
         # the store shrank, so it was read again whole
         by_run = {}
-    _merge_records(by_run, appended)
+    for run_idx, result in appended.items():
+        by_run.setdefault(run_idx, RunResult(run_index=run_idx)).per_repo.update(result.per_repo)
     return [by_run[k] for k in sorted(by_run)]
 
 

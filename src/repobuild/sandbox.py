@@ -12,6 +12,7 @@ from __future__ import annotations
 import logging
 import os
 import re
+import select
 import selectors
 import shutil
 import signal
@@ -231,6 +232,30 @@ def _spawn_shell(handle: SandboxHandle) -> subprocess.Popen:
     )
 
 
+def _wait_shell(proc: subprocess.Popen, timeout: float) -> int:
+    """Reap the shell within ``timeout`` seconds and return its exit code, or
+    raise ``subprocess.TimeoutExpired``.
+
+    Where the OS gives a pidfd of the shell, the wait blocks on it until the
+    shell exits. Elsewhere it falls back to ``Popen.wait(timeout)``, which
+    polls with short sleeps.
+    """
+    if proc.returncode is not None:
+        return proc.returncode
+    try:
+        pidfd = os.pidfd_open(proc.pid)
+    except (AttributeError, OSError):
+        return proc.wait(timeout)
+    try:
+        poller = select.poll()
+        poller.register(pidfd, select.POLLIN)
+        if not poller.poll(timeout * 1000):
+            raise subprocess.TimeoutExpired(proc.args, timeout)
+    finally:
+        os.close(pidfd)
+    return proc.wait()
+
+
 def _kill_shell(proc: subprocess.Popen) -> None:
     try:
         os.killpg(proc.pid, signal.SIGKILL)
@@ -327,7 +352,7 @@ def exec_script(handle: SandboxHandle, script: CommandScript) -> ExecutionResult
                             # the shell ended before reporting (`exit 3`): once
                             # it is reaped its own code is the command's, if not 0
                             try:
-                                exit_code = proc.wait(timeout=max(0.0, remaining)) or 1
+                                exit_code = _wait_shell(proc, max(0.0, remaining)) or 1
                             except subprocess.TimeoutExpired:
                                 exit_code = 1
                             break
@@ -343,7 +368,7 @@ def exec_script(handle: SandboxHandle, script: CommandScript) -> ExecutionResult
             except OSError:
                 pass
             try:
-                proc.wait(timeout=5)
+                _wait_shell(proc, 5)
             except subprocess.TimeoutExpired:
                 _kill_shell(proc)
             if handle.spec.backend != "container":

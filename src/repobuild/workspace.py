@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import os
@@ -155,8 +154,16 @@ def prepare_workspace(record: RepoRecord, session_dir: str | Path) -> Workspace:
 _RACY_MARGIN_NS = 50_000_000
 
 
+def _sha256(data: bytes = b""):
+    """A SHA-256 hash object. ``hashlib`` maps OpenSSL, so it is imported on
+    the first digest: a run over source trees may take none."""
+    import hashlib
+
+    return hashlib.sha256(data)
+
+
 def _digest_file(path: str) -> str:
-    h = hashlib.sha256()
+    h = _sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 16), b""):
             h.update(chunk)
@@ -173,7 +180,7 @@ def file_entry(full: str, st: os.stat_result) -> tuple:
     by the digest of its target string."""
     if stat.S_ISLNK(st.st_mode):
         target = os.readlink(full)
-        digest = hashlib.sha256(target.encode("utf-8", "surrogateescape")).hexdigest()
+        digest = _sha256(target.encode("utf-8", "surrogateescape")).hexdigest()
         return (len(target), digest, False)
     return (st.st_size, _digest_file(full), bool(st.st_mode & 0o111))
 

@@ -239,6 +239,13 @@ class TestResultStore:
         assert all(r["blob"] == str(r["run"]) * blob for r in records)
 
 
+def _read(path, **kw):
+    """``bench._read_records`` as (the records it takes, the end offset)."""
+    records = []
+    end = bench._read_records(path, records.append, **kw)
+    return records, end
+
+
 def _without_turns(records):
     for record in records:
         record.get("session", {}).pop("turns", None)
@@ -258,8 +265,8 @@ class TestOpeningPass:
 
     @staticmethod
     def _both_reads(path):
-        whole, end = bench._read_records(path)
-        return bench._read_records(path, drop_turns=True), (_without_turns(whole), end)
+        whole, end = _read(path)
+        return _read(path, drop_turns=True), (_without_turns(whole), end)
 
     def test_every_torn_prefix_reads_as_the_whole_parse(self, tmp_path):
         line = self._line()
@@ -289,10 +296,11 @@ class TestOpeningPass:
     def test_fixture_store_reads_as_load_results_without_turns(self):
         path = FIXTURES / "bench" / "hello_pair_runs2_store.jsonl"
         lines = path.read_text("utf-8").splitlines()
-        records, _ = bench._read_records(path, drop_turns=True)
+        records, _ = _read(path, drop_turns=True)
         assert records == _without_turns([json.loads(line) for line in lines])
         by_run = {}
-        bench._merge_records(by_run, records)
+        for record in records:
+            bench._merge_record(by_run, record)
         reloaded = load_results(path)
         every = {(r.run_index, repo) for r in reloaded for repo in r.per_repo}
         assert len(every) == len(lines)
@@ -359,9 +367,9 @@ class TestTranscriptMarkers:
         line = path.read_bytes().splitlines()[0]
         assert line.count(bench._TURNS_OPEN) == 1
         assert line.count(bench._TURNS_CLOSE, line.find(bench._TURNS_OPEN)) == 1
-        whole, end = bench._read_records(path)
+        whole, end = _read(path)
         assert [len(r["session"]["turns"]) for r in whole] == [3, 3]
-        assert bench._read_records(path, drop_turns=True) == (_without_turns(whole), end)
+        assert _read(path, drop_turns=True) == (_without_turns(whole), end)
 
 
 class TestSessionSummary:

@@ -382,6 +382,55 @@ class TestBench:
         assert "own/.." in capsys.readouterr().err
         assert not (tmp_path / "store.jsonl").exists()
 
+    @pytest.mark.parametrize("bad", [
+        "[1, 2]",
+        '"x"',
+        '{"run": 0}',
+        {"run": "0"},
+        {"run": True},
+        {"repo": 7},
+        {"session": []},
+        {"verdict": None},
+        {"verdict": {"completion": True, "strict": True, "flexible": True,
+                     "new_binaries": []}},
+        {"verdict": {"completion": "yes", "strict": True, "flexible": True,
+                     "matched_names": [], "new_binaries": []}},
+        {"verdict": {"completion": True, "strict": True, "flexible": True,
+                     "matched_names": [1], "new_binaries": []}},
+        {"verdict": {"completion": True, "strict": True, "flexible": True,
+                     "matched_names": [], "new_binaries": [{"rel_path": "hello"}]}},
+        {"verdict": {"completion": True, "strict": True, "flexible": True,
+                     "matched_names": [], "new_binaries": [{
+                         "rel_path": "hello", "file_name": "hello",
+                         "classify": "no-such-class", "has_debug_info": True}]}},
+        {"failure_mode": 3},
+        {"dossier": []},
+    ], ids=["list", "string", "run-only", "string-run", "bool-run", "int-repo",
+            "list-session", "null-verdict", "no-matched-names", "string-completion",
+            "int-matched-name", "short-binary", "unknown-binary-class",
+            "int-failure-mode", "list-dossier"])
+    def test_store_line_that_is_not_a_record_is_usage_error(self, tmp_path, capsys, bad):
+        # a stored record of the manifest's one repo, then the bad line: a
+        # literal one, or that record for run 1 with some fields replaced
+        stored = (FIXTURES / "bench" / "hello_pair_runs2_store.jsonl").read_text("utf-8")
+        good = json.loads(stored.splitlines()[0])
+        if isinstance(bad, dict):
+            bad = json.dumps({**good, "run": 1, **bad})
+        store = tmp_path / "store.jsonl"
+        store.write_text(json.dumps(good) + "\n" + bad + "\n", "utf-8")
+        before = store.read_bytes()
+        manifest = _write_manifest(tmp_path, [("hello_make", ["hello"])])
+        rc = main([
+            "bench", "--manifest", str(manifest), "--runs", "2",
+            "--store", str(store),
+            "--work-dir", str(tmp_path / "work"),
+            "--sandbox-backend", "local",
+        ])
+        assert rc == 2
+        assert f"{store}:2: not a stored record" in capsys.readouterr().err
+        assert store.read_bytes() == before
+        assert not (tmp_path / "work").exists()
+
     def test_missing_manifest_is_usage_error(self, tmp_path, capsys):
         rc = main([
             "bench", "--manifest", str(tmp_path / "absent.jsonl"),
@@ -689,6 +738,19 @@ class TestImportFootprint:
         code = (
             "import sys, repobuild.cli\n"
             f"print(' '.join(m for m in {http_modules!r} if m in sys.modules))\n"
+        )
+        src = Path(repobuild.__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.split() == []
+
+    def test_cli_import_loads_no_openssl(self):
+        # hashlib maps OpenSSL; it is loaded by the first digest, and a run
+        # over source trees may take none
+        code = (
+            "import sys, repobuild.cli\n"
+            "print(' '.join(m for m in ('hashlib', '_hashlib') if m in sys.modules))\n"
         )
         src = Path(repobuild.__file__).resolve().parent.parent
         env = {**os.environ, "PYTHONPATH": str(src)}

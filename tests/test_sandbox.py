@@ -322,6 +322,25 @@ class TestSingleThreadReader:
             time.sleep(0.05)
         assert not _alive(pid)
 
+    def test_shell_is_reaped_without_sleeping(self, tmp_path, local_spec, monkeypatch):
+        # Popen.wait(timeout) polls with sleeps while the shell exits
+        ws = prepare_fixture("hello_make", tmp_path)
+        sleeps = []
+        monkeypatch.setattr(time, "sleep", sleeps.append)
+        with create_sandbox(local_spec, ws) as handle:
+            results = [run(handle, "true") for _ in range(5)]
+        assert [r.overall_exit for r in results] == [0] * 5
+        assert sleeps == []
+
+    def test_without_a_pidfd_the_shell_is_still_reaped(self, tmp_path, local_spec,
+                                                       monkeypatch):
+        ws = prepare_fixture("hello_make", tmp_path)
+        monkeypatch.delattr(os, "pidfd_open", raising=False)
+        with create_sandbox(local_spec, ws) as handle:
+            assert run(handle, "true").overall_exit == 0
+            result = run(handle, "exit 7", "echo unreachable")
+        assert [pc[1] for pc in result.per_command] == [7]
+
     def test_no_thread_is_started(self, tmp_path, local_spec):
         ws = prepare_fixture("hello_make", tmp_path)
         counts = []

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -17,6 +18,7 @@ from repobuild.workspace import (
     BuildSystemKind,
     FileSnapshot,
     detect_build_systems,
+    file_entry,
     list_root_entries,
     load_snapshot,
     prepare_workspace,
@@ -128,6 +130,17 @@ class TestSnapshots:
         os.remove(ws.root_path / "alias")
         os.symlink("Makefile", ws.root_path / "alias")
         assert snapshot_files(ws).entries["alias"] != snap.entries["alias"]
+
+    def test_entries_are_sha256_of_content_and_of_link_target(self, tmp_path):
+        data = b"int main(void){return 0;}\n" * 5000  # several read chunks
+        (tmp_path / "f.c").write_bytes(data)
+        os.chmod(tmp_path / "f.c", 0o755)
+        os.symlink("f.c", tmp_path / "link")
+        full, link = str(tmp_path / "f.c"), str(tmp_path / "link")
+        assert file_entry(full, os.lstat(full)) == (
+            len(data), hashlib.sha256(data).hexdigest(), True)
+        assert file_entry(link, os.lstat(link)) == (
+            3, hashlib.sha256(b"f.c").hexdigest(), False)
 
     def test_dangling_symlink_still_snapshots(self, tmp_path):
         ws = prepare_fixture("hello_make", tmp_path)
