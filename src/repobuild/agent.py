@@ -230,35 +230,31 @@ def assemble_generator_prompt(
     command_turns = [t for t in history if t.kind == "command-turn"]
     feedback_tpl = assets.text("prompts/generator_user_feedback.txt")
 
+    def feedback(i: int, output: str) -> ChatMessage:
+        return ChatMessage("user", feedback_tpl.format(
+            **fields,
+            command_history=_render_history(command_turns[: i + 1]),
+            execution_output=output,
+        ))
+
     outputs = []
     for i, turn in enumerate(command_turns):
         messages.append(ChatMessage("assistant", turn.agent_reply_raw))
         output = turn.result.combined_output if turn.result else "(no output captured)"
         outputs.append(output)
-        messages.append(
-            ChatMessage(
-                "user",
-                feedback_tpl.format(
-                    **fields,
-                    command_history=_render_history(command_turns[: i + 1]),
-                    execution_output=output,
-                ),
-            )
-        )
+        messages.append(feedback(i, output))
 
     def total() -> int:
         return sum(len(m.content) for m in messages)
 
-    # feedback messages sit at odd offsets after the first two; the newest
-    # (last) one is never elided
-    feedback_idx = [i for i in range(2, len(messages)) if messages[i].role == "user"]
-    for pos, idx in enumerate(feedback_idx[:-1] if feedback_idx else []):
+    # the feedback of command turn i is message 3 + 2i; the newest one is
+    # never elided, and an elided one is rendered again so only its output
+    # is cut
+    for i in range(len(command_turns) - 1):
         if total() <= budget:
             break
-        if outputs[pos]:
-            messages[idx] = ChatMessage(
-                "user", messages[idx].content.replace(outputs[pos], ELIDED_MARKER)
-            )
+        if outputs[i]:
+            messages[3 + 2 * i] = feedback(i, ELIDED_MARKER)
     return messages
 
 

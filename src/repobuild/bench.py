@@ -207,7 +207,7 @@ class ResultStore:
 
     def existing_keys(self) -> set:
         keys = set()
-        _read_records(self.path, lambda rec: keys.add((rec["run"], rec["repo"])),
+        _read_records(self.path, lambda rec: keys.add(decode_record(rec)[:2]),
                       drop_turns=True)
         return keys
 
@@ -230,35 +230,24 @@ class ResultStore:
             os.close(fd)  # releases the lock
 
 
-def _verdict_to_dict(v: Verdict) -> dict:
-    return {**asdict(v), "matched_names": sorted(v.matched_names)}
-
-
-def _verdict_from_dict(d) -> Verdict:
-    """The stored verdict ``d``; a ``UsageError`` if it is not one."""
-    if not isinstance(d, dict):
-        raise UsageError("verdict must be an object")
-    if not all(type(d.get(k)) is bool for k in ("completion", "strict", "flexible")):
-        raise UsageError("completion, strict and flexible must be booleans")
-    names, binaries = d.get("matched_names"), d.get("new_binaries")
-    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
-        raise UsageError("matched_names must be a list of strings")
-    if not isinstance(binaries, list) or not all(isinstance(a, dict) for a in binaries):
-        raise UsageError("new_binaries must be a list of objects")
-    try:
-        return Verdict(**{
-            **d,
-            "matched_names": frozenset(names),
-            "new_binaries": tuple(BinaryArtifact(**a) for a in binaries),
-        })
-    except (TypeError, ValueError) as exc:
-        raise UsageError(str(exc)) from None
-
-
-def session_summary(session: BuildSession) -> dict:
-    turns = []
-    for t in session.turns:
-        turns.append(
+def store_record(
+    run_idx: int,
+    repo_id: str,
+    session: BuildSession,
+    verdict: Verdict,
+    dossier: Optional[InstructionDossier],
+) -> dict:
+    """A finished session as the store records it and `repobuild build
+    --json` prints it. This is the one place a record is written, as
+    ``decode_record`` is the one place it is read back."""
+    summary = {
+        "repo_id": session.repo_id,
+        "variant": session.variant,
+        "max_turns": session.max_turns,
+        "outcome": session.outcome,
+        "fix_attempts": session.fix_attempts,
+        "error_detail": session.error_detail,
+        "turns": [
             {
                 "k": t.k,
                 "kind": t.kind,
@@ -270,35 +259,23 @@ def session_summary(session: BuildSession) -> dict:
                 "timed_out": t.result.timed_out if t.result else None,
                 "violation_note": t.violation_note,
             }
-        )
-    return {
-        "repo_id": session.repo_id,
-        "variant": session.variant,
-        "max_turns": session.max_turns,
-        "outcome": session.outcome,
-        "fix_attempts": session.fix_attempts,
-        "error_detail": session.error_detail,
-        "turns": turns,
+            for t in session.turns
+        ],
     }
-
-
-def store_record(
-    run_idx: int,
-    repo_id: str,
-    summary: dict,
-    verdict: Verdict,
-    failure: Optional[str],
-    dossier: Optional[dict],
-) -> dict:
-    """One session as the store records it and `repobuild build --json`
-    prints it; the last four arguments are what ``run_one_repo`` returns."""
+    dossier_dict = dossier_to_dict(dossier)
     return {
         "run": run_idx,
         "repo": repo_id,
         "session": summary,
-        "verdict": _verdict_to_dict(verdict),
-        "failure_mode": failure,
-        "dossier": dossier,
+        "verdict": {
+            "completion": verdict.completion,
+            "strict": verdict.strict,
+            "flexible": verdict.flexible,
+            "matched_names": sorted(verdict.matched_names),
+            "new_binaries": [asdict(a) for a in verdict.new_binaries],
+        },
+        "failure_mode": tag_failure_mode(summary, verdict, dossier_dict),
+        "dossier": dossier_dict,
     }
 
 
@@ -318,34 +295,62 @@ def dossier_to_dict(dossier: Optional[InstructionDossier]) -> Optional[dict]:
     }
 
 
-def _merge_record(by_run: Dict[int, RunResult], rec) -> None:
-    """Add one record, read in store order: a later record for a (run, repo)
-    replaces an earlier one. The outcome keeps the parsed session and
-    dossier dicts rather than copies. This is where a stored line becomes an
-    outcome, so a line that is not a record is a ``UsageError`` here."""
-    if not isinstance(rec, dict):
+def decode_record(rec) -> Tuple[int, str, RepoOutcome]:
+    """A parsed store line as (run, repo, outcome), or a ``UsageError`` that
+    says why it is not a stored record. The outcome keeps the parsed session
+    and dossier dicts rather than copies."""
+    if type(rec) is not dict:
         raise UsageError("not an object")
     run, repo, session = rec.get("run"), rec.get("repo"), rec.get("session")
-    failure, dossier = rec.get("failure_mode"), rec.get("dossier")
-    if type(run) is not int or not isinstance(repo, str):
+    failure, dossier, v = rec.get("failure_mode"), rec.get("dossier"), rec.get("verdict")
+    if type(run) is not int or type(repo) is not str:
         raise UsageError("run must be an integer and repo a string")
-    if not isinstance(session, dict):
+    if type(session) is not dict:
         raise UsageError("session must be an object")
-    if not (failure is None or isinstance(failure, str)):
+    if failure is not None and type(failure) is not str:
         raise UsageError("failure_mode must be a string or null")
-    if not (dossier is None or isinstance(dossier, dict)):
+    if dossier is not None and type(dossier) is not dict:
         raise UsageError("dossier must be an object or null")
-    verdict = _verdict_from_dict(rec.get("verdict"))
-    by_run.setdefault(run, RunResult(run_index=run)).per_repo[repo] = RepoOutcome(
-        session=session, verdict=verdict, failure_mode=failure, dossier=dossier,
-    )
+    if type(v) is not dict:
+        raise UsageError("verdict must be an object")
+    completion, strict, flexible = v.get("completion"), v.get("strict"), v.get("flexible")
+    if type(completion) is not bool or type(strict) is not bool or type(flexible) is not bool:
+        raise UsageError("completion, strict and flexible must be booleans")
+    names, binaries = v.get("matched_names"), v.get("new_binaries")
+    if type(names) is not list or not all(type(n) is str for n in names):
+        raise UsageError("matched_names must be a list of strings")
+    if type(binaries) is not list or not all(type(a) is dict for a in binaries):
+        raise UsageError("new_binaries must be a list of objects")
+    try:
+        artifacts = tuple(BinaryArtifact(**a) for a in binaries)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(str(exc)) from None
+    if len(v) != 5:
+        # the five keys checked above are there, so the rest are unknown
+        extra = set(v) - {"completion", "strict", "flexible", "matched_names", "new_binaries"}
+        raise UsageError(f"verdict has unknown keys {sorted(extra)}")
+    verdict = Verdict(completion, strict, flexible, frozenset(names), artifacts)
+    return run, repo, RepoOutcome(session, verdict, failure, dossier)
+
+
+def _merge_into(by_run: Dict[int, RunResult]) -> Callable[[object], None]:
+    """A ``take`` for ``_read_records`` that decodes each record into
+    ``by_run``. Records come in store order, so a later record for a (run,
+    repo) replaces an earlier one."""
+    def take(rec) -> None:
+        run, repo, outcome = decode_record(rec)
+        result = by_run.get(run)
+        if result is None:
+            result = by_run[run] = RunResult(run_index=run)
+        result.per_repo[repo] = outcome
+    return take
 
 
 def load_results(store_path: Path) -> List[RunResult]:
     """Rebuild RunResults from the persisted store; the store is the source of
     truth, so recomputing metrics from it reproduces the original report."""
     by_run: Dict[int, RunResult] = {}
-    _read_records(Path(store_path), lambda rec: _merge_record(by_run, rec))
+    _read_records(Path(store_path), _merge_into(by_run))
     return [by_run[k] for k in sorted(by_run)]
 
 
@@ -428,8 +433,10 @@ def run_one_repo(
     cfg: RunConfig,
     session_dir: Path,
     prepared: Optional[Future] = None,
-) -> Tuple[dict, Verdict, Optional[str], Optional[dict]]:
-    """Workspace, optional retrieval, one method session, verdict, failure tag.
+    run_idx: int = 0,
+) -> dict:
+    """Workspace, optional retrieval, one method session and its verdict,
+    returned as the store record of run ``run_idx``.
 
     ``prepared`` is a future of the workspace and baseline that the benchmark
     loop prepared ahead in ``session_dir``; without it they are prepared here.
@@ -464,10 +471,7 @@ def run_one_repo(
         session = BuildSession(repo_id=record.id, variant=cfg.method, max_turns=cfg.max_turns)
         session.end_on_error(exc)
         verdict = judge([], record.expected_binaries)
-    summary = session_summary(session)
-    dossier_dict = dossier_to_dict(dossier)
-    failure = tag_failure_mode(summary, verdict, dossier_dict)
-    return summary, verdict, failure, dossier_dict
+    return store_record(run_idx, record.id, session, verdict, dossier)
 
 
 def _materialize(record: RepoRecord, session_dir: Path) -> Tuple[Workspace, FileSnapshot]:
@@ -499,8 +503,7 @@ def run_benchmark(
     # one pass over the store gives both the results so far and what is
     # done; each record becomes an outcome as it is read
     by_run: Dict[int, RunResult] = {}
-    end = _read_records(store.path, lambda rec: _merge_record(by_run, rec),
-                        drop_turns=True, report_tail=False)
+    end = _read_records(store.path, _merge_into(by_run), drop_turns=True, report_tail=False)
     done = {(result.run_index, repo) for result in by_run.values() for repo in result.per_repo}
     work_dir = Path(work_dir)
     jobs = [
@@ -512,8 +515,7 @@ def run_benchmark(
     width = cfg.parallelism
 
     def run_job(run_idx: int, record: RepoRecord, session_dir: Path, prepared: Future) -> None:
-        store.append(store_record(run_idx, record.id,
-                                  *run_one_repo(record, cfg, session_dir, prepared)))
+        store.append(run_one_repo(record, cfg, session_dir, prepared, run_idx))
 
     # leaving the block waits for the running sessions first, and they may
     # still wait on a workspace being prepared
@@ -541,7 +543,7 @@ def run_benchmark(
     # parse only what was appended since, by this run or by another writer,
     # turns included
     appended: Dict[int, RunResult] = {}
-    new_end = _read_records(store.path, lambda rec: _merge_record(appended, rec), end)
+    new_end = _read_records(store.path, _merge_into(appended), end)
     if new_end < end:
         # the store shrank, so it was read again whole
         by_run = {}

@@ -258,9 +258,7 @@ def _cmd_build(args, config: dict) -> int:
     )
     with tempfile.TemporaryDirectory(prefix="repobuild-") as tmp:
         session_dir = Path(args.work_dir) if args.work_dir else Path(tmp) / "session"
-        doc = bench_mod.store_record(
-            0, record.id, *bench_mod.run_one_repo(record, cfg, session_dir)
-        )
+        doc = bench_mod.run_one_repo(record, cfg, session_dir)
     session, verdict = doc["session"], doc["verdict"]
     if args.json:
         print(json.dumps(doc, indent=2, sort_keys=True))

@@ -12,8 +12,7 @@ import json
 import logging
 import math
 import random
-from dataclasses import dataclass, field
-from datetime import datetime, timezone
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import DomainError, ManifestParseError, ManifestValidationError, SampleSizeError
@@ -95,7 +94,6 @@ class CorpusManifest:
 
     records: list[RepoRecord]
     name: str = ""
-    created_at: str = field(default_factory=lambda: datetime.now(timezone.utc).isoformat())
 
     def __post_init__(self):
         seen = set()
@@ -220,4 +218,4 @@ def sample_repos(manifest: CorpusManifest, n: int, seed: int) -> CorpusManifest:
         )
     rng = random.Random(seed)
     chosen = rng.sample(manifest.records, n)
-    return CorpusManifest(records=chosen, name=manifest.name, created_at=manifest.created_at)
+    return CorpusManifest(records=chosen, name=manifest.name)

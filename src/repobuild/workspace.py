@@ -55,7 +55,6 @@ class Workspace:
     repo_id: str
     root_path: Path
     commit: str
-    created_at: str = field(default_factory=lambda: datetime.now(timezone.utc).isoformat())
 
     @property
     def repo_name(self) -> str:

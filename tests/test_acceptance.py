@@ -24,6 +24,7 @@ from repobuild.bench import (
     ResultStore,
     RunConfig,
     aggregate,
+    decode_record,
     emit_report,
     load_results,
     repo_context,
@@ -560,15 +561,16 @@ class TestScriptedAgentEndToEnd:
             llm=scripted_config(scenario),
             sandbox=local_spec,
         )
-        summary, verdict, failure, dossier = run_one_repo(
+        _run, _repo, outcome = decode_record(run_one_repo(
             fixture_record("needs_header"), cfg, tmp_path / "session"
-        )
+        ))
+        summary, verdict = outcome.session, outcome.verdict
         assert summary["outcome"] == "succeeded"
         assert summary["fix_attempts"] == 1
         assert verdict.completion and verdict.strict and verdict.flexible
         assert verdict.matched_names == frozenset({"app"})
-        assert failure is None
-        assert dossier is None
+        assert outcome.failure_mode is None
+        assert outcome.dossier is None
 
     def test_second_session_starts_from_a_clean_environment(self, tmp_path, local_spec):
         # session 1 leaves a marker in its home directory

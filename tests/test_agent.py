@@ -174,6 +174,18 @@ class TestPromptAssembly:
         assert ELIDED_MARKER not in feedbacks[-1]
         assert big + "-3" in feedbacks[-1]
 
+    def test_elision_cuts_only_the_output(self):
+        # the elided output "ok\n" also ends the command "echo ok" in the history
+        history = [command_turn(0, ("echo ok",), output="ok\n"),
+                   command_turn(1, ("make",), output="Z" * 5000)]
+        messages = assemble_generator_prompt(ctx(), history, budget=3000)
+        elided = messages[3].content
+        assert ELIDED_MARKER in elided
+        assert "echo ok" in elided
+        assert f"echo {ELIDED_MARKER}" not in elided
+        full = assemble_generator_prompt(ctx(), history, budget=10 ** 9)[3].content
+        assert elided == full.replace("output:\nok\n", f"output:\n{ELIDED_MARKER}")
+
     def test_system_and_initial_never_elided(self):
         big = "Y" * 8000
         history = [command_turn(k, (f"s{k}",), output=big) for k in range(5)]

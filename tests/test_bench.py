@@ -18,13 +18,13 @@ from repobuild.bench import (
     RepoOutcome,
     aggregate,
     compute_metrics,
+    decode_record,
     emit_report,
     load_results,
     make_completion_probe,
     pass_at_k,
     run_benchmark,
     run_one_repo,
-    session_summary,
     tag_failure_mode,
 )
 from repobuild.corpus import CorpusManifest, RepoRecord
@@ -126,6 +126,25 @@ def _record(run, repo, output="build failed"):
     }
 
 
+def _finished(run, repo, session=None):
+    """The record of a session that built every expected binary."""
+    return {
+        "run": run,
+        "repo": repo,
+        "session": session or _session_dict("succeeded"),
+        "verdict": _verdict_dict(True),
+        "failure_mode": None,
+        "dossier": None,
+    }
+
+
+def _decoded(record):
+    """A record from ``run_one_repo`` decoded as (session, verdict, failure
+    tag, dossier)."""
+    _run, _repo, outcome = decode_record(record)
+    return outcome.session, outcome.verdict, outcome.failure_mode, outcome.dossier
+
+
 def _view(results, stored=frozenset()):
     """What a result holds, per run and repo; the sessions of the (run, repo)
     keys in ``stored`` without their turns, as a resume returns them."""
@@ -160,8 +179,8 @@ class TestRunConfig:
 class TestResultStore:
     def test_append_then_keys(self, tmp_path):
         store = ResultStore(tmp_path / "store.jsonl")
-        store.append({"run": 0, "repo": "a/b", "session": {}})
-        store.append({"run": 1, "repo": "a/b", "session": {}})
+        store.append(_record(0, "a/b"))
+        store.append(_record(1, "a/b"))
         assert store.existing_keys() == {(0, "a/b"), (1, "a/b")}
 
     def test_missing_file_is_empty(self, tmp_path):
@@ -169,19 +188,19 @@ class TestResultStore:
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "store.jsonl"
-        path.write_text('{"run": 0, "repo": "a/b"}\n\n')
+        path.write_text(json.dumps(_record(0, "a/b")) + "\n\n")
         assert ResultStore(path).existing_keys() == {(0, "a/b")}
 
     def test_torn_trailing_record_ignored(self, tmp_path):
         path = tmp_path / "store.jsonl"
-        path.write_text('{"run": 0, "repo": "a/b"}\n{"run": 1, "repo"')
+        path.write_text(json.dumps(_record(0, "a/b")) + '\n{"run": 1, "repo"')
         assert ResultStore(path).existing_keys() == {(0, "a/b")}
 
     def test_append_heals_torn_tail(self, tmp_path):
         path = tmp_path / "store.jsonl"
-        path.write_text('{"run": 0, "repo": "a"}\n{"run": 1, "re')
+        path.write_text(json.dumps(_record(0, "a")) + '\n{"run": 1, "re')
         store = ResultStore(path)
-        store.append({"run": 1, "repo": "a"})
+        store.append(_record(1, "a"))
         assert store.existing_keys() == {(0, "a"), (1, "a")}
         assert len(path.read_text().splitlines()) == 3
 
@@ -202,12 +221,20 @@ class TestResultStore:
 
     def test_record_torn_inside_a_utf8_sequence(self, tmp_path):
         path = tmp_path / "store.jsonl"
-        line = json.dumps({"run": 1, "repo": "é/b"}, ensure_ascii=False).encode("utf-8")
-        path.write_bytes(b'{"run": 0, "repo": "a/b"}\n' + line[: line.index(b"\xc3") + 1])
+        line = json.dumps(_record(1, "é/b"), ensure_ascii=False).encode("utf-8")
+        first = json.dumps(_record(0, "a/b")).encode("utf-8")
+        path.write_bytes(first + b"\n" + line[: line.index(b"\xc3") + 1])
         store = ResultStore(path)
         assert store.existing_keys() == {(0, "a/b")}
-        store.append({"run": 1, "repo": "é/b"})
+        store.append(_record(1, "é/b"))
         assert store.existing_keys() == {(0, "a/b"), (1, "é/b")}
+
+    def test_line_that_is_not_a_record_is_usage_error(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        path.write_text("[1, 2]\n")
+        with pytest.raises(UsageError) as exc:
+            ResultStore(path).existing_keys()
+        assert str(exc.value) == f"{path}:1: not a stored record: not an object"
 
     def test_appends_from_four_processes_stay_whole(self, tmp_path):
         path, go = tmp_path / "store.jsonl", tmp_path / "go"
@@ -299,8 +326,9 @@ class TestOpeningPass:
         records, _ = _read(path, drop_turns=True)
         assert records == _without_turns([json.loads(line) for line in lines])
         by_run = {}
+        take = bench._merge_into(by_run)
         for record in records:
-            bench._merge_record(by_run, record)
+            take(record)
         reloaded = load_results(path)
         every = {(r.run_index, repo) for r in reloaded for repo in r.per_repo}
         assert len(every) == len(lines)
@@ -314,7 +342,8 @@ class TestTranscriptMarkers:
     that breaks this fails here."""
 
     @staticmethod
-    def _record():
+    def _parts():
+        """The session, verdict and dossier the record encodes."""
         script = CommandScript(commands=("cd /app/y", "make"), origin_turn=0)
         result = ExecutionResult(
             per_command=(("cd /app/y", 0, 0.0), ("make", 2, 0.4)),
@@ -353,11 +382,11 @@ class TestTranscriptMarkers:
             rounds_used=2,
             fetch_failures=[("https://example.org/gone", "non-success")],
         )
-        summary = session_summary(session)
-        return bench.store_record(
-            0, "x/y", summary, verdict, tag_failure_mode(summary, verdict),
-            bench.dossier_to_dict(dossier),
-        )
+        return session, verdict, dossier
+
+    @staticmethod
+    def _record():
+        return bench.store_record(0, "x/y", *TestTranscriptMarkers._parts())
 
     def test_a_stored_record_closes_its_transcript_once(self, tmp_path):
         path = tmp_path / "store.jsonl"
@@ -370,6 +399,93 @@ class TestTranscriptMarkers:
         whole, end = _read(path)
         assert [len(r["session"]["turns"]) for r in whole] == [3, 3]
         assert _read(path, drop_turns=True) == (_without_turns(whole), end)
+
+
+class TestRecordCodec:
+    """``store_record`` is the one encoder and ``decode_record`` the one
+    decoder of a stored line."""
+
+    # what ResultStore.append writes for TestTranscriptMarkers' record
+    _GOLDEN_LINE = (
+        b'{"dossier": {"fetch_failures": [["https://example.org/gone", '
+        b'"non-success"]], "instructions": "run make", "rounds_used": 2, '
+        b'"sufficient": true, "visited": [{"kind": "internal-file", "round": 0, '
+        b'"target": "README.md"}, {"kind": "external-url", "round": 1, '
+        b'"target": "https://example.org/build"}]}, '
+        b'"failure_mode": "unresolved-after-max-attempts", "repo": "x/y", '
+        b'"run": 0, "session": {"error_detail": null, "fix_attempts": 0, '
+        b'"max_turns": 12, "outcome": "agent-terminated", "repo_id": "x/y", '
+        b'"turns": [{"agent_reply_raw": "```bash\\nmake\\n```", '
+        b'"commands": ["cd /app/y", "make"], "k": 0, "kind": "command-turn", '
+        b'"output": "make: *** [all] Error 2", "overall_exit": 2, '
+        b'"per_command": [["cd /app/y", 0, 0.0], ["make", 2, 0.4]], '
+        b'"timed_out": false, "violation_note": null}, '
+        b'{"agent_reply_raw": "no script", "commands": null, "k": 1, '
+        b'"kind": "protocol-violation", "output": null, "overall_exit": null, '
+        b'"per_command": null, "timed_out": null, '
+        b'"violation_note": "reply holds no command block"}, '
+        b'{"agent_reply_raw": "terminate", "commands": null, "k": 2, '
+        b'"kind": "termination-turn", "output": null, "overall_exit": null, '
+        b'"per_command": null, "timed_out": null, "violation_note": null}], '
+        b'"variant": "agent-with-retrieval"}, "verdict": {"completion": true, '
+        b'"flexible": true, "matched_names": ["app", "libx"], '
+        b'"new_binaries": [{"classify": "executable", "file_name": "app", '
+        b'"has_debug_info": true, "rel_path": "build/app"}, '
+        b'{"classify": "static-archive", "file_name": "libx.a", '
+        b'"has_debug_info": false, "rel_path": "build/libx.a"}], '
+        b'"strict": false}}\n'
+    )
+
+    def test_append_writes_the_pinned_bytes(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        ResultStore(path).append(TestTranscriptMarkers._record())
+        assert path.read_bytes() == self._GOLDEN_LINE
+
+    def test_a_stored_line_decodes_to_what_was_encoded(self, tmp_path):
+        session, verdict, dossier = TestTranscriptMarkers._parts()
+        path = tmp_path / "store.jsonl"
+        ResultStore(path).append(bench.store_record(3, "x/y", session, verdict, dossier))
+        run, repo, outcome = decode_record(json.loads(path.read_bytes()))
+        assert (run, repo) == (3, "x/y")
+        assert outcome.verdict == verdict
+        assert outcome.dossier == bench.dossier_to_dict(dossier)
+        assert outcome.failure_mode == "unresolved-after-max-attempts"
+        assert outcome.failure_mode == tag_failure_mode(outcome.session, verdict, outcome.dossier)
+        stored = outcome.session
+        assert (stored["repo_id"], stored["variant"], stored["max_turns"], stored["outcome"],
+                stored["fix_attempts"], stored["error_detail"]) == (
+            session.repo_id, session.variant, session.max_turns, session.outcome,
+            session.fix_attempts, session.error_detail)
+        assert len(stored["turns"]) == len(session.turns)
+        for got, turn in zip(stored["turns"], session.turns):
+            assert (got["k"], got["kind"], got["agent_reply_raw"], got["violation_note"]) == (
+                turn.k, turn.kind, turn.agent_reply_raw, turn.violation_note)
+            if turn.script is None:
+                assert got["commands"] is None
+            else:
+                assert got["commands"] == list(turn.script.commands)
+            if turn.result is None:
+                assert (got["per_command"], got["output"], got["overall_exit"],
+                        got["timed_out"]) == (None, None, None, None)
+            else:
+                assert got["per_command"] == [list(pc) for pc in turn.result.per_command]
+                assert (got["output"], got["overall_exit"], got["timed_out"]) == (
+                    turn.result.combined_output, turn.result.overall_exit,
+                    turn.result.timed_out)
+        [result] = load_results(path)
+        assert result.run_index == 3
+        assert result.per_repo == {"x/y": outcome}
+
+    def test_a_verdict_key_that_verdict_lacks_is_not_a_record(self):
+        record = json.loads(json.dumps(TestTranscriptMarkers._record()))
+        record["verdict"]["score"] = 1
+        with pytest.raises(UsageError, match=r"^verdict has unknown keys \['score'\]$"):
+            decode_record(record)
+
+
+def _summary(session):
+    """The session as ``store_record`` encodes it."""
+    return bench.store_record(0, session.repo_id, session, _vd(), None)["session"]
 
 
 class TestSessionSummary:
@@ -396,7 +512,7 @@ class TestSessionSummary:
             ],
             outcome="succeeded",
         )
-        summary = session_summary(session)
+        summary = _summary(session)
         assert summary["repo_id"] == "x/y"
         assert summary["outcome"] == "succeeded"
         assert summary["fix_attempts"] == 0
@@ -414,7 +530,7 @@ class TestSessionSummary:
             turns=[Turn(k=1, kind="termination-turn", agent_reply_raw="terminate")],
             outcome="agent-terminated",
         )
-        turn = session_summary(session)["turns"][0]
+        turn = _summary(session)["turns"][0]
         assert turn["commands"] is None
         assert turn["output"] is None
 
@@ -423,7 +539,7 @@ class TestSessionSummary:
             repo_id="x/y", variant="rule-based", max_turns=1, outcome="infra-error"
         )
         session.error_detail = "boom"
-        text = json.dumps(session_summary(session))
+        text = json.dumps(_summary(session))
         assert json.loads(text)["error_detail"] == "boom"
 
 
@@ -538,9 +654,9 @@ class TestRunOneRepo:
     def test_rule_based_fixture(self, tmp_path):
         record = fixture_record("hello_make")
         cfg = _cfg([record])
-        summary, verdict, failure, dossier = run_one_repo(
+        summary, verdict, failure, dossier = _decoded(run_one_repo(
             record, cfg, tmp_path / "session"
-        )
+        ))
         assert summary["outcome"] == "succeeded"
         assert summary["variant"] == "rule-based"
         assert verdict.strict is True
@@ -551,9 +667,9 @@ class TestRunOneRepo:
         record = fixture_record("hello_make")
         llm = _llm(default_reply="```bash\ncd /app/hello_make\nmake\n```")
         cfg = _cfg([record], method="agent-no-retrieval", llm=llm)
-        summary, verdict, failure, dossier = run_one_repo(
+        summary, verdict, failure, dossier = _decoded(run_one_repo(
             record, cfg, tmp_path / "session"
-        )
+        ))
         assert summary["outcome"] == "succeeded"
         assert summary["variant"] == "agent-no-retrieval"
         assert verdict.strict is True
@@ -590,7 +706,7 @@ class TestRunOneRepo:
         monkeypatch.setattr(bench, "judge", judge_from_mark)
         llm = _llm(default_reply="```bash\ncd /app/hello_make\nmake\n```")
         cfg = _cfg([record], method="agent-no-retrieval", llm=llm)
-        summary, verdict, failure, _ = run_one_repo(record, cfg, tmp_path / "session")
+        summary, verdict, failure, _ = _decoded(run_one_repo(record, cfg, tmp_path / "session"))
         assert summary["outcome"] == "succeeded"
         assert verdict.strict is True
         # the 8 MiB data file has no binary magic: neither read is near it
@@ -614,9 +730,9 @@ class TestRunOneRepo:
             default_reply=None,
         )
         cfg = _cfg([record], method="agent-with-retrieval", llm=llm)
-        summary, verdict, failure, dossier = run_one_repo(
+        summary, verdict, failure, dossier = _decoded(run_one_repo(
             record, cfg, tmp_path / "session"
-        )
+        ))
         assert summary["outcome"] == "succeeded"
         assert verdict.strict is True
         assert dossier["sufficient"] is True
@@ -639,7 +755,7 @@ class TestRunOneRepo:
             default_reply="```bash\ncd /app/hello_make\nmake\n```",
         )
         cfg = _cfg([record], method="agent-with-retrieval", llm=llm)
-        summary, _, _, _ = run_one_repo(record, cfg, tmp_path / "session")
+        summary, _, _, _ = _decoded(run_one_repo(record, cfg, tmp_path / "session"))
         assert summary["outcome"] == "succeeded"
         assert calls == [record.id]
 
@@ -647,9 +763,9 @@ class TestRunOneRepo:
         record = fixture_record("hello_make")
         llm = _llm(default_reply="```bash\ncd /app/hello_make\nmake\n```")
         cfg = _cfg([record], method="single-turn", llm=llm)
-        summary, verdict, failure, dossier = run_one_repo(
+        summary, verdict, failure, dossier = _decoded(run_one_repo(
             record, cfg, tmp_path / "session"
-        )
+        ))
         assert summary["outcome"] == "succeeded"
         assert summary["variant"] == "single-turn"
         assert len(summary["turns"]) == 1
@@ -662,9 +778,9 @@ class TestRunOneRepo:
             expected_binaries=("app",),
         )
         cfg = _cfg([record])
-        summary, verdict, failure, dossier = run_one_repo(
+        summary, verdict, failure, dossier = _decoded(run_one_repo(
             record, cfg, tmp_path / "session"
-        )
+        ))
         assert summary["outcome"] == "infra-error"
         assert summary["error_detail"]
         assert verdict.completion is False
@@ -673,9 +789,9 @@ class TestRunOneRepo:
     def test_scenario_running_out_in_retrieval_is_protocol_error(self, tmp_path):
         record = fixture_record("hello_make")
         cfg = _cfg([record], method="agent-with-retrieval", llm=_llm(default_reply=None))
-        summary, verdict, failure, dossier = run_one_repo(
+        summary, verdict, failure, dossier = _decoded(run_one_repo(
             record, cfg, tmp_path / "session"
-        )
+        ))
         assert summary["outcome"] == "protocol-error"
         assert summary["error_detail"]
         assert verdict.completion is False
@@ -690,9 +806,9 @@ class TestRunOneRepo:
             scenario=ScriptedScenario(steps=[], default_reply="```bash\nmake\n```" + "#" * 200),
         )
         cfg = _cfg([record], method=method, llm=llm)
-        summary, verdict, failure, dossier = run_one_repo(
+        summary, verdict, failure, dossier = _decoded(run_one_repo(
             record, cfg, tmp_path / "session"
-        )
+        ))
         assert summary["outcome"] == "protocol-error"
         assert "exceeds cap 100" in summary["error_detail"]
         assert failure == "protocol-error"
@@ -700,9 +816,9 @@ class TestRunOneRepo:
     def test_dependency_failure_tagged(self, tmp_path):
         record = fixture_record("needs_header")
         cfg = _cfg([record])
-        summary, verdict, failure, dossier = run_one_repo(
+        summary, verdict, failure, dossier = _decoded(run_one_repo(
             record, cfg, tmp_path / "session"
-        )
+        ))
         assert summary["outcome"] == "turn-budget-exhausted"
         assert verdict.strict is False
         assert failure == "dependency-error"
@@ -826,9 +942,9 @@ class TestRunBenchmark:
         ResultStore(store_path).append(_record(0, "a/done"))
         other = ResultStore(store_path)
 
-        def run_and_append_elsewhere(record, cfg, session_dir, prepared):
+        def run_and_append_elsewhere(record, cfg, session_dir, prepared, run_idx):
             other.append(_record(0, "other/writer", output="from another process"))
-            return _session_dict("succeeded"), _vd(True, True, True), None, None
+            return _finished(run_idx, record.id)
 
         monkeypatch.setattr("repobuild.bench.run_one_repo", run_and_append_elsewhere)
         cfg = _cfg([RepoRecord(id="a/done", clone_url="unused"),
@@ -842,9 +958,9 @@ class TestRunBenchmark:
         for i in range(3):
             ResultStore(store_path).append(_record(0, f"a/done{i}"))
 
-        def compact_then_run(record, cfg, session_dir, prepared):
+        def compact_then_run(record, cfg, session_dir, prepared, run_idx):
             store_path.write_text(json.dumps(_record(0, "a/done1")) + "\n")
-            return _session_dict("succeeded"), _vd(True, True, True), None, None
+            return _finished(run_idx, record.id)
 
         monkeypatch.setattr("repobuild.bench.run_one_repo", compact_then_run)
         cfg = _cfg([RepoRecord(id="a/todo", clone_url="unused")])
@@ -854,8 +970,8 @@ class TestRunBenchmark:
 
     @pytest.mark.parametrize("left", [1, 0], ids=["appends", "nothing-left"])
     def test_unterminated_torn_tail_is_logged_once(self, tmp_path, monkeypatch, caplog, left):
-        def run(record, cfg, session_dir, prepared):
-            return _session_dict("succeeded"), _vd(True, True, True), None, None
+        def run(record, cfg, session_dir, prepared, run_idx):
+            return _finished(run_idx, record.id)
 
         monkeypatch.setattr("repobuild.bench.run_one_repo", run)
         records = [RepoRecord(id=f"a/r{i}", clone_url="unused") for i in range(2 + left)]
@@ -960,8 +1076,8 @@ class TestRunBenchmark:
         ResultStore(store_path).append(_record(0, "a/done", output="stored transcript"))
         fresh = _session_dict("succeeded", turns=[_turn_dict(output="fresh transcript")])
 
-        def run_fresh(record, cfg, session_dir, prepared):
-            return fresh, _vd(True, True, True), None, None
+        def run_fresh(record, cfg, session_dir, prepared, run_idx):
+            return _finished(run_idx, record.id, fresh)
 
         monkeypatch.setattr("repobuild.bench.run_one_repo", run_fresh)
         cfg = _cfg([RepoRecord(id="a/done", clone_url="unused"),
@@ -1024,13 +1140,13 @@ class TestLookAhead:
         by_repo = {r["repo"]: r for r in _store_lines(store_path)}
         assert set(by_repo) == {r.id for r in records}
 
-        summary, verdict, failure, _ = run_one_repo(ghost, cfg, tmp_path / "inline")
+        inline = run_one_repo(ghost, cfg, tmp_path / "inline")
+        summary = inline["session"]
         assert summary["outcome"] == "infra-error"
         assert "clone of" in summary["error_detail"]
         assert by_repo["ghost/missing"]["session"] == summary
-        assert by_repo["ghost/missing"]["verdict"] == json.loads(
-            json.dumps(bench._verdict_to_dict(verdict)))
-        assert by_repo["ghost/missing"]["failure_mode"] == failure == "infra-error"
+        assert by_repo["ghost/missing"]["verdict"] == inline["verdict"]
+        assert by_repo["ghost/missing"]["failure_mode"] == inline["failure_mode"] == "infra-error"
         for neighbour in ("fixture/hello_make", "fixture/hello_autotools"):
             assert by_repo[neighbour]["session"]["outcome"] == "succeeded"
             assert by_repo[neighbour]["verdict"]["strict"] is True
@@ -1057,7 +1173,7 @@ class TestLookAhead:
                 second_prepared.set()
             return prepare(record, session_dir)
 
-        def counting_session(record, cfg, session_dir, prepared_ws=None):
+        def counting_session(record, cfg, session_dir, prepared_ws=None, run_idx=0):
             with lock:
                 started.append(session_dir)
                 if len(started) - len(finished) > parallelism:
@@ -1065,7 +1181,7 @@ class TestLookAhead:
             if session_dir == jobs[0] and not second_prepared.wait(timeout=30):
                 problems.append("the next workspace was not prepared during the first session")
             try:
-                return session(record, cfg, session_dir, prepared_ws)
+                return session(record, cfg, session_dir, prepared_ws, run_idx)
             finally:
                 with lock:
                     finished.append(session_dir)
