@@ -9,6 +9,7 @@ import logging
 import os
 import re
 import shutil
+import sys
 from collections import Counter, deque
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass, field, replace
@@ -74,7 +75,7 @@ class RunConfig:
             raise UsageError("runs, parallelism, and max_turns must be >= 1")
 
 
-@dataclass
+@dataclass(slots=True)
 class RepoOutcome:
     # the session summary; a resume leaves ``turns`` out of the records that
     # were in the store before it, and keeps every other key
@@ -295,10 +296,19 @@ def dossier_to_dict(dossier: Optional[InstructionDossier]) -> Optional[dict]:
     }
 
 
+def _shared_keys(obj: dict) -> dict:
+    """``obj`` rebuilt with interned keys: ``json.loads`` shares a key string
+    only within one call, so without this each decoded record would hold its
+    own copy of every field name."""
+    return {sys.intern(k): v for k, v in obj.items()}
+
+
 def decode_record(rec) -> Tuple[int, str, RepoOutcome]:
     """A parsed store line as (run, repo, outcome), or a ``UsageError`` that
-    says why it is not a stored record. The outcome keeps the parsed session
-    and dossier dicts rather than copies."""
+    says why it is not a stored record. The outcome holds copies of the
+    parsed session and dossier dicts (and of the dossier's ``visited``
+    entries) whose keys are interned, so every record decoded in a process
+    shares one string per field name; the values are the parsed ones."""
     if type(rec) is not dict:
         raise UsageError("not an object")
     run, repo, session = rec.get("run"), rec.get("repo"), rec.get("session")
@@ -330,7 +340,12 @@ def decode_record(rec) -> Tuple[int, str, RepoOutcome]:
         extra = set(v) - {"completion", "strict", "flexible", "matched_names", "new_binaries"}
         raise UsageError(f"verdict has unknown keys {sorted(extra)}")
     verdict = Verdict(completion, strict, flexible, frozenset(names), artifacts)
-    return run, repo, RepoOutcome(session, verdict, failure, dossier)
+    if dossier is not None:
+        dossier = _shared_keys(dossier)
+        visited = dossier.get("visited")
+        if type(visited) is list:
+            dossier["visited"] = [_shared_keys(v) if type(v) is dict else v for v in visited]
+    return run, repo, RepoOutcome(_shared_keys(session), verdict, failure, dossier)
 
 
 def _merge_into(by_run: Dict[int, RunResult]) -> Callable[[object], None]:

@@ -286,7 +286,18 @@ def _cmd_bench(args, config: dict) -> int:
         parallelism=args.parallelism,
     )
     results = bench_mod.run_benchmark(cfg, Path(args.store), Path(args.work_dir))
-    report = bench_mod.aggregate(results)
+    # a store may also hold other manifests' repos; the report covers this one's
+    ids = {record.id for record in cfg.manifest.records}
+    kept, left_out = [], 0
+    for result in results:
+        per_repo = {repo: o for repo, o in result.per_repo.items() if repo in ids}
+        left_out += len(result.per_repo) - len(per_repo)
+        if per_repo:
+            kept.append(bench_mod.RunResult(result.run_index, per_repo))
+    if left_out:
+        print(f"note: the report leaves out {left_out} stored record"
+              f"{'' if left_out == 1 else 's'} of repos not in the manifest", file=sys.stderr)
+    report = bench_mod.aggregate(kept)
     print(bench_mod.emit_report(report, "machine" if args.json else "table",
                                 method=args.method))
     return 0

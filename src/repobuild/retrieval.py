@@ -7,7 +7,6 @@ import logging
 import os
 import re
 from dataclasses import asdict, dataclass, field
-from html.parser import HTMLParser
 from pathlib import Path
 from typing import Callable, List, Optional, Tuple
 from urllib.parse import urljoin, urlsplit
@@ -85,31 +84,33 @@ class InstructionDossier:
             raise ValueError("visited links must be unique")
 
 
-class _TextExtractor(HTMLParser):
-    """Collects visible text, skipping script and style elements."""
-
-    def __init__(self):
-        super().__init__()
-        self.chunks: List[str] = []
-        self._skip_depth = 0
-
-    def handle_starttag(self, tag, attrs):
-        if tag in ("script", "style"):
-            self._skip_depth += 1
-        elif tag in ("p", "br", "li", "tr", "div", "h1", "h2", "h3", "h4", "pre"):
-            self.chunks.append("\n")
-
-    def handle_endtag(self, tag):
-        if tag in ("script", "style") and self._skip_depth:
-            self._skip_depth -= 1
-
-    def handle_data(self, data):
-        if not self._skip_depth:
-            self.chunks.append(data)
-
-
 def html_to_text(html: str) -> str:
-    parser = _TextExtractor()
+    """The visible text of an HTML page, skipping script and style elements."""
+    # loaded here, as fetch_link loads the HTTP stack, so a process that
+    # fetches no page carries no HTML parser
+    from html.parser import HTMLParser
+
+    class TextExtractor(HTMLParser):
+        def __init__(self):
+            super().__init__()
+            self.chunks: List[str] = []
+            self._skip_depth = 0
+
+        def handle_starttag(self, tag, attrs):
+            if tag in ("script", "style"):
+                self._skip_depth += 1
+            elif tag in ("p", "br", "li", "tr", "div", "h1", "h2", "h3", "h4", "pre"):
+                self.chunks.append("\n")
+
+        def handle_endtag(self, tag):
+            if tag in ("script", "style") and self._skip_depth:
+                self._skip_depth -= 1
+
+        def handle_data(self, data):
+            if not self._skip_depth:
+                self.chunks.append(data)
+
+    parser = TextExtractor()
     parser.feed(html)
     text = "".join(parser.chunks)
     lines = [ln.strip() for ln in text.splitlines()]

@@ -19,7 +19,6 @@ import signal
 import subprocess
 import tempfile
 import time
-import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
@@ -278,7 +277,7 @@ def exec_script(handle: SandboxHandle, script: CommandScript) -> ExecutionResult
     if not handle.alive:
         raise SandboxDeadError("sandbox already destroyed")
 
-    marker = f"__RC_{uuid.uuid4().hex}__:"
+    marker = f"__RC_{os.urandom(16).hex()}__:"
     sentinel = marker.encode()
     cap = handle.spec.output_cap_bytes
     tail = bytearray()

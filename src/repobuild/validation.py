@@ -40,7 +40,7 @@ _BINARY_MAGICS = (b"\x7fELF", b"!<arch>\n", b"MZ") + _MACHO_MAGICS
 SymbolExtractor = Callable[[Path], List[str]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BinaryArtifact:
     rel_path: str
     file_name: str
@@ -52,7 +52,7 @@ class BinaryArtifact:
             raise ValueError(f"unknown artifact class {self.classify!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Verdict:
     completion: bool
     strict: bool

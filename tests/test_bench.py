@@ -1,6 +1,8 @@
+import copy
 import json
 import logging
 import os
+import pickle
 import subprocess
 import sys
 import threading
@@ -481,6 +483,67 @@ class TestRecordCodec:
         record["verdict"]["score"] = 1
         with pytest.raises(UsageError, match=r"^verdict has unknown keys \['score'\]$"):
             decode_record(record)
+
+
+class TestRecordFootprint:
+    """A decoded record shares its field names with every other record
+    decoded in the process, and its verdict, artifacts and outcome carry no
+    per-instance dict."""
+
+    @staticmethod
+    def _resume_over(tmp_path, monkeypatch, repos, runs=1):
+        """``run_benchmark`` over a store that holds TestTranscriptMarkers'
+        record for every run and repo, so nothing is left to run."""
+        record = TestTranscriptMarkers._record()
+        path = tmp_path / "store.jsonl"
+        with open(path, "w", encoding="utf-8") as fh:
+            for run in range(runs):
+                for repo in repos:
+                    fh.write(json.dumps({**record, "run": run, "repo": repo},
+                                        ensure_ascii=False, sort_keys=True) + "\n")
+
+        def must_not_run(*args):
+            raise AssertionError("every record is already in the store")
+
+        monkeypatch.setattr("repobuild.bench.run_one_repo", must_not_run)
+        cfg = _cfg([RepoRecord(id=repo, clone_url="unused") for repo in repos], runs=runs)
+        return lambda: run_benchmark(cfg, path, tmp_path / "work"), path
+
+    @pytest.mark.parametrize("reader", ["resume", "load_results"])
+    def test_records_share_their_field_names(self, tmp_path, monkeypatch, reader):
+        resume, path = self._resume_over(tmp_path, monkeypatch, ["x/a", "x/b"])
+        [result] = resume() if reader == "resume" else load_results(path)
+        a, b = result.per_repo["x/a"], result.per_repo["x/b"]
+        pairs = [(a.session, b.session), (a.dossier, b.dossier),
+                 *zip(a.dossier["visited"], b.dossier["visited"], strict=True)]
+        for mine, theirs in pairs:
+            assert list(mine) == list(theirs)
+            assert all(k is t for k, t in zip(mine, theirs))
+
+    def test_verdicts_artifacts_and_outcomes_carry_no_instance_dict(self):
+        record = json.loads(json.dumps(TestTranscriptMarkers._record()))
+        _run, _repo, outcome = decode_record(record)
+        objects = [outcome, outcome.verdict, *outcome.verdict.new_binaries]
+        assert len(objects) == 4
+        for obj in objects:
+            assert not hasattr(obj, "__dict__")
+            assert pickle.loads(pickle.dumps(obj)) == obj
+            assert copy.copy(obj) == obj
+
+    def test_resume_retains_a_bounded_size_per_record(self, tmp_path, monkeypatch):
+        repos = [f"many/r{i}" for i in range(1000)]
+        resume, _path = self._resume_over(tmp_path, monkeypatch, repos, runs=2)
+        tracemalloc.start()
+        try:
+            results = resume()
+            retained, _peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [len(r.per_repo) for r in results] == [1000, 1000]
+        # 2,760-3,170 bytes per record on CPython 3.10-3.13; a copy of every
+        # field name in each record and a dict in each verdict, artifact and
+        # outcome take it to 3,590-4,320
+        assert retained / 2000 < 3400
 
 
 def _summary(session):

@@ -431,6 +431,33 @@ class TestBench:
         assert store.read_bytes() == before
         assert not (tmp_path / "work").exists()
 
+    def test_report_covers_only_the_manifests_repos(self, tmp_path, capsys):
+        # the store holds the manifest's one repo, built, and another repo
+        # that failed in run 0 and is the only repo of run 1
+        stored = (FIXTURES / "bench" / "hello_pair_runs2_store.jsonl").read_text("utf-8")
+        mine, other = (json.loads(line) for line in stored.splitlines()[:2])
+        assert (mine["repo"], other["repo"]) == ("fixture/hello_make", "fixture/hello_autotools")
+        other["verdict"] = {**other["verdict"], "completion": False, "strict": False,
+                            "flexible": False, "matched_names": [], "new_binaries": []}
+        store = tmp_path / "store.jsonl"
+        store.write_text("".join(json.dumps(r) + "\n" for r in
+                                 (mine, other, {**other, "run": 1})), "utf-8")
+        manifest = _write_manifest(tmp_path, [("hello_make", ["hello"])])
+        rc = main([
+            "bench", "--manifest", str(manifest),
+            "--store", str(store),
+            "--work-dir", str(tmp_path / "work"),
+            "--sandbox-backend", "local",
+            "--json",
+        ])
+        assert rc == 0
+        captured = capsys.readouterr()
+        doc = json.loads(captured.out)
+        assert (doc["completion_pct"], doc["strict_pct"]) == ([100.0], [100.0])
+        assert list(doc["pass_at_k"]) == ["1"]
+        assert "leaves out 2 stored records of repos not in the manifest" in captured.err
+        assert len(store.read_text("utf-8").splitlines()) == 3
+
     def test_missing_manifest_is_usage_error(self, tmp_path, capsys):
         rc = main([
             "bench", "--manifest", str(tmp_path / "absent.jsonl"),
@@ -730,30 +757,32 @@ class TestErrorMapping:
         assert "failed:" in capsys.readouterr().err
 
 
+def _loaded_by_cli_import(modules):
+    """Which of ``modules`` a fresh interpreter holds after ``import repobuild.cli``."""
+    code = (
+        "import sys, repobuild.cli\n"
+        f"print(' '.join(m for m in {list(modules)!r} if m in sys.modules))\n"
+    )
+    src = Path(repobuild.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    return proc.stdout.split()
+
+
 class TestImportFootprint:
     def test_cli_import_loads_no_http_stack(self):
         # HTTP is loaded by the first live model call or URL fetch; a run that
         # makes none (rule-based, scripted, offline) must not carry it
         http_modules = ["requests", "urllib3", "http.client", "urllib.request", "ssl"]
-        code = (
-            "import sys, repobuild.cli\n"
-            f"print(' '.join(m for m in {http_modules!r} if m in sys.modules))\n"
-        )
-        src = Path(repobuild.__file__).resolve().parent.parent
-        env = {**os.environ, "PYTHONPATH": str(src)}
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, check=True)
-        assert proc.stdout.split() == []
+        assert _loaded_by_cli_import(http_modules) == []
+
+    def test_cli_import_loads_no_html_parser_uuid_or_platform(self):
+        # the HTML parser is loaded by the first HTML page fetched, and a
+        # script's marker comes from os.urandom, not uuid (which loads platform)
+        assert _loaded_by_cli_import(["html.parser", "uuid", "platform"]) == []
 
     def test_cli_import_loads_no_openssl(self):
         # hashlib maps OpenSSL; it is loaded by the first digest, and a run
         # over source trees may take none
-        code = (
-            "import sys, repobuild.cli\n"
-            "print(' '.join(m for m in ('hashlib', '_hashlib') if m in sys.modules))\n"
-        )
-        src = Path(repobuild.__file__).resolve().parent.parent
-        env = {**os.environ, "PYTHONPATH": str(src)}
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, check=True)
-        assert proc.stdout.split() == []
+        assert _loaded_by_cli_import(["hashlib", "_hashlib"]) == []

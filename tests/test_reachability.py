@@ -19,9 +19,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "repobuild"
 # Definitions no command reaches on purpose, each with the reason. The list
 # may only shrink: a test below fails on an entry that is reached or gone.
 ALLOWED_UNREACHED = {
-    "retrieval._TextExtractor.handle_starttag": "HTMLParser callback, called by feed()",
-    "retrieval._TextExtractor.handle_endtag": "HTMLParser callback, called by feed()",
-    "retrieval._TextExtractor.handle_data": "HTMLParser callback, called by feed()",
     "bench.load_results": "perfbench/tracer.py wraps it by name; goes with the in-package trace",
     "bench.ResultStore.existing_keys": (
         "perfbench/tracer.py wraps it by name; goes with the in-package trace"
