@@ -5,37 +5,7 @@ loop running in disposable sandboxes, rule-based baseline builders, binary
 validation, and a benchmark harness with pass@k reporting.
 """
 
-from .errors import (
-    CloneError,
-    DomainError,
-    ManifestParseError,
-    ManifestValidationError,
-    OversizeReplyError,
-    ProtocolError,
-    RepobuildError,
-    SampleSizeError,
-    SandboxDeadError,
-    SandboxUnavailableError,
-    ScenarioExhaustedError,
-    TransportError,
-    UsageError,
-)
+# every error class, as repobuild.<Name>, and the input reader beside them
+from .errors import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "CloneError",
-    "DomainError",
-    "ManifestParseError",
-    "ManifestValidationError",
-    "OversizeReplyError",
-    "ProtocolError",
-    "RepobuildError",
-    "SampleSizeError",
-    "SandboxDeadError",
-    "SandboxUnavailableError",
-    "ScenarioExhaustedError",
-    "TransportError",
-    "UsageError",
-    "__version__",
-]

@@ -271,8 +271,9 @@ def run_session(
     the protocol, or the replies run out (turn budget exhausted).
 
     Scripts share one sandbox, created for the first of them, unless
-    ``fresh_sandbox`` asks for a new one per script. An error from the
-    replies or the sandbox ends the session through ``end_on_error``.
+    ``fresh_sandbox`` asks for a new one per script. Any error from the
+    replies or the sandbox ends the session through ``end_on_error``,
+    keeping the turns before it; an interrupt propagates.
     """
     handle = None
     try:
@@ -311,8 +312,10 @@ def run_session(
                 break
         else:
             session.outcome = "turn-budget-exhausted"
-    except RepobuildError as exc:
-        logger.warning("%s session for %s ended early: %s", session.variant, ws.repo_id, exc)
+    except Exception as exc:
+        # an error outside the package's own is a defect: keep its traceback
+        logger.warning("%s session for %s ended early: %s", session.variant, ws.repo_id, exc,
+                       exc_info=not isinstance(exc, RepobuildError))
         session.end_on_error(exc)
     finally:
         if handle is not None:

@@ -11,6 +11,7 @@ import re
 import signal
 import sys
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 from typing import List, Optional
 
@@ -24,14 +25,7 @@ from .corpus import (
     sample_repos,
     save_manifest,
 )
-from .errors import (
-    DomainError,
-    ManifestParseError,
-    ManifestValidationError,
-    RepobuildError,
-    SampleSizeError,
-    UsageError,
-)
+from .errors import RepobuildError, UsageError, read_input
 from .gateway import LlmConfig, ScriptedScenario
 from .retrieval import run_retrieval
 from .sandbox import SandboxSpec
@@ -41,22 +35,14 @@ from .workspace import Workspace, load_snapshot, save_snapshot, snapshot_files
 
 logger = logging.getLogger(__name__)
 
-# bad input from the command line or a manifest; each maps to exit code 2
-_USAGE_ERRORS = (
-    UsageError, ManifestParseError, ManifestValidationError, DomainError, SampleSizeError
-)
-
 
 def load_config_file(path: Optional[str]) -> dict:
     if not path:
         return {}
-    p = Path(path)
-    if not p.exists():
-        raise UsageError(f"config file not found: {path}")
     try:
-        data = json.loads(p.read_text("utf-8"))
+        data = json.loads(read_input(path, "config"))
     except json.JSONDecodeError as exc:
-        raise UsageError(f"config file is not valid: {exc}") from exc
+        raise UsageError(f"config file {path} is not valid: {exc}") from exc
     if not isinstance(data, dict):
         raise UsageError("config file must hold a key/value object")
     return data
@@ -67,13 +53,10 @@ def load_scenario_file(path: Optional[str]) -> Optional[ScriptedScenario]:
     ([{match, reply, regex?}]) and an optional `default_reply`."""
     if not path:
         return None
-    p = Path(path)
-    if not p.exists():
-        raise UsageError(f"scenario file not found: {path}")
     try:
-        doc = json.loads(p.read_text("utf-8"))
+        doc = json.loads(read_input(path, "scenario"))
     except json.JSONDecodeError as exc:
-        raise UsageError(f"scenario file is not valid: {exc}") from exc
+        raise UsageError(f"scenario file {path} is not valid: {exc}") from exc
     if not isinstance(doc, dict):
         raise UsageError(f"scenario file {path} must hold an object")
     raw_steps = doc.get("steps", [])
@@ -117,16 +100,11 @@ def _llm_config(args, config: dict) -> LlmConfig:
 
 def _sandbox_spec(args, config: dict) -> SandboxSpec:
     section = dict(config.get("sandbox", {}))
-    for flag, key in [
-        ("sandbox_backend", "backend"),
-        ("base_image", "base_image"),
-        ("per_command_timeout", "per_command_timeout"),
-        ("total_timeout", "total_timeout"),
-        ("output_cap", "output_cap_bytes"),
-    ]:
-        value = getattr(args, flag, None)
+    # each sandbox flag stores under the name of the field it sets
+    for f in fields(SandboxSpec):
+        value = getattr(args, f.name, None)
         if value is not None:
-            section[key] = value
+            section[f.name] = value
     try:
         return SandboxSpec(**section)
     except (TypeError, ValueError) as exc:
@@ -152,11 +130,11 @@ def _add_llm_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_sandbox_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--sandbox-backend", choices=["container", "local"])
+    p.add_argument("--sandbox-backend", dest="backend", choices=["container", "local"])
     p.add_argument("--base-image")
     p.add_argument("--per-command-timeout", type=float)
     p.add_argument("--total-timeout", type=float)
-    p.add_argument("--output-cap", type=int)
+    p.add_argument("--output-cap", dest="output_cap_bytes", type=int)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -285,18 +263,31 @@ def _cmd_bench(args, config: dict) -> int:
         runs=args.runs,
         parallelism=args.parallelism,
     )
-    results = bench_mod.run_benchmark(cfg, Path(args.store), Path(args.work_dir))
-    # a store may also hold other manifests' repos; the report covers this one's
+    store, work_dir = Path(args.store), Path(args.work_dir)
+    if store.is_dir() or not store.parent.is_dir():
+        raise UsageError(f"store path names no file in an existing directory: {store}")
+    # the work dir is made by the first session; what stands in its way now
+    # would end every session as an infra error
+    nearest = next(p for p in (work_dir, *work_dir.parents) if p.exists())
+    if not nearest.is_dir():
+        raise UsageError(f"work dir {work_dir} cannot be made: {nearest} is not a directory")
+    results = bench_mod.run_benchmark(cfg, store, work_dir)
+    # a store may also hold other manifests' repos and more runs; the report
+    # covers this manifest's repos in the runs asked for
     ids = {record.id for record in cfg.manifest.records}
-    kept, left_out = [], 0
+    kept, left_out, later_runs = [], 0, 0
     for result in results:
         per_repo = {repo: o for repo, o in result.per_repo.items() if repo in ids}
         left_out += len(result.per_repo) - len(per_repo)
-        if per_repo:
+        if per_repo and result.run_index >= cfg.runs:
+            later_runs += 1
+        elif per_repo:
             kept.append(bench_mod.RunResult(result.run_index, per_repo))
-    if left_out:
-        print(f"note: the report leaves out {left_out} stored record"
-              f"{'' if left_out == 1 else 's'} of repos not in the manifest", file=sys.stderr)
+    for count, noun, which in ((left_out, "record", "of repos not in the manifest"),
+                               (later_runs, "run", f"beyond --runs {cfg.runs}")):
+        if count:
+            print(f"note: the report leaves out {count} stored {noun}"
+                  f"{'' if count == 1 else 's'} {which}", file=sys.stderr)
     report = bench_mod.aggregate(kept)
     print(bench_mod.emit_report(report, "machine" if args.json else "table",
                                 method=args.method))
@@ -330,11 +321,8 @@ def _cmd_snapshot(args, config: dict) -> int:
 
 def _cmd_validate(args, config: dict) -> int:
     ws = _workspace_from_path(args.workspace)
-    try:
-        before = load_snapshot(args.before)
-        after = load_snapshot(args.after) if args.after else None
-    except OSError as exc:
-        raise UsageError(f"cannot read snapshot file: {exc}") from exc
+    before = load_snapshot(args.before)
+    after = load_snapshot(args.after) if args.after else None
     artifacts = discover_new_binaries(before, after, ws)
     verdict = judge(artifacts, _expected_list(args.expected))
     coverage = function_coverage(ws, artifacts)
@@ -432,7 +420,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         config = load_config_file(args.config)
         return _COMMANDS[args.subcommand](args, config)
-    except _USAGE_ERRORS as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RepobuildError as exc:

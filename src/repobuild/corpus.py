@@ -12,10 +12,16 @@ import json
 import logging
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .errors import DomainError, ManifestParseError, ManifestValidationError, SampleSizeError
+from .errors import (
+    DomainError,
+    ManifestParseError,
+    ManifestValidationError,
+    SampleSizeError,
+    read_input,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -110,15 +116,10 @@ class CorpusManifest:
 class SamplePlan:
     """Sample-size computation for estimating a population proportion.
 
-    ``n0`` is the infinite-population size for confidence ``confidence_z``,
-    margin ``margin`` and proportion ``proportion``; ``n_fpc`` applies the
-    finite population correction for ``population``; ``required_n`` rounds up.
+    ``n0`` is the infinite-population size; ``n_fpc`` applies the finite
+    population correction; ``required_n`` rounds up.
     """
 
-    confidence_z: float
-    margin: float
-    proportion: float
-    population: int
     n0: float
     n_fpc: float
     required_n: int
@@ -127,10 +128,9 @@ class SamplePlan:
 def load_manifest(path: str | Path) -> CorpusManifest:
     """Parse a one-record-per-line manifest file and validate every record."""
     path = Path(path)
-    if not path.exists():
-        raise ManifestParseError(f"manifest file not found: {path}")
+    text = read_input(path, "manifest", ManifestParseError)
     records: list[RepoRecord] = []
-    for lineno, line in enumerate(path.read_text("utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
@@ -149,9 +149,7 @@ def load_manifest(path: str | Path) -> CorpusManifest:
                 raise ManifestParseError(
                     f"{path}:{lineno}: {key} must be {kind}, got {json.dumps(value)[:80]}"
                 )
-        for tuple_key in ("expected_binaries", "languages"):
-            if tuple_key in known:
-                known[tuple_key] = tuple(known[tuple_key])
+        known = {k: tuple(v) if isinstance(v, list) else v for k, v in known.items()}
         try:
             records.append(RepoRecord(**known))
         except TypeError as exc:
@@ -161,24 +159,7 @@ def load_manifest(path: str | Path) -> CorpusManifest:
 
 def save_manifest(manifest: CorpusManifest, path: str | Path) -> None:
     """Write a manifest in the one-record-per-line format."""
-    lines = []
-    for rec in manifest.records:
-        lines.append(
-            json.dumps(
-                {
-                    "id": rec.id,
-                    "clone_url": rec.clone_url,
-                    "commit": rec.commit,
-                    "description": rec.description,
-                    "stargazers": rec.stargazers,
-                    "is_fork": rec.is_fork,
-                    "expected_binaries": list(rec.expected_binaries),
-                    "instruction_url": rec.instruction_url,
-                    "languages": list(rec.languages),
-                },
-                ensure_ascii=False,
-            )
-        )
+    lines = [json.dumps(asdict(rec), ensure_ascii=False) for rec in manifest.records]
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), "utf-8")
 
 
@@ -198,16 +179,7 @@ def required_sample_size(z: float, e: float, p: float, n_population: int) -> Sam
         raise DomainError(f"population must be >= 1, got {n_population}")
     n0 = (z * z) * p * (1.0 - p) / (e * e)
     n_fpc = n0 / (1.0 + (n0 - 1.0) / n_population)
-    required_n = max(1, math.ceil(n_fpc))
-    return SamplePlan(
-        confidence_z=z,
-        margin=e,
-        proportion=p,
-        population=n_population,
-        n0=n0,
-        n_fpc=n_fpc,
-        required_n=required_n,
-    )
+    return SamplePlan(n0=n0, n_fpc=n_fpc, required_n=max(1, math.ceil(n_fpc)))
 
 
 def sample_repos(manifest: CorpusManifest, n: int, seed: int) -> CorpusManifest:

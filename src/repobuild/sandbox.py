@@ -19,6 +19,7 @@ import signal
 import subprocess
 import tempfile
 import time
+from contextlib import suppress
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
@@ -100,7 +101,7 @@ class SandboxHandle:
     # -- path illusion (local backend) -------------------------------------
 
     def map_command(self, text: str) -> str:
-        if self.spec.backend == "container" or self._jail is None:
+        if self._jail is None:
             return text
         return _APP_RE.sub(str(self._jail / "app"), text)
 
@@ -133,7 +134,7 @@ def _start_container(handle: SandboxHandle) -> None:
     if shutil.which("docker") is None:
         raise SandboxUnavailableError("docker CLI not found on host")
     _ensure_image(spec.base_image)
-    mount = f"{ws.root_path}:/app/{ws.repo_name}"
+    mount = f"{ws.root_path}:{ws.mount_path}"
     cmd = ["docker", "run", "-d", "--rm", "-w", "/app", "-v", mount]
     for key, val in spec.env.items():
         cmd += ["-e", f"{key}={val}"]
@@ -182,8 +183,8 @@ def _start_jail(handle: SandboxHandle) -> None:
     # reverse-map host spellings of the workspace back to the /app illusion,
     # longest prefix first so nested paths rewrite before their parents
     pairs = {
-        str(ws.root_path): f"/app/{ws.repo_name}",
-        os.path.realpath(ws.root_path): f"/app/{ws.repo_name}",
+        str(ws.root_path): ws.mount_path,
+        os.path.realpath(ws.root_path): ws.mount_path,
         str(app): "/app",
         os.path.realpath(app): "/app",
     }
@@ -255,15 +256,17 @@ def _wait_shell(proc: subprocess.Popen, timeout: float) -> int:
     return proc.wait()
 
 
-def _kill_shell(proc: subprocess.Popen) -> None:
-    try:
+def _end_shell(proc: subprocess.Popen, grace: float) -> None:
+    """Wait up to ``grace`` seconds for the shell to exit, then kill its
+    process group, with any job a script left in the background, and reap
+    the shell. Every script ends here, on either backend: a timed-out one
+    with no grace, any other after its last command."""
+    with suppress(subprocess.TimeoutExpired):
+        _wait_shell(proc, grace)
+    with suppress(ProcessLookupError, PermissionError):
         os.killpg(proc.pid, signal.SIGKILL)
-    except (ProcessLookupError, PermissionError):
-        pass
-    try:
-        proc.wait(timeout=10)
-    except subprocess.TimeoutExpired:
-        pass
+    with suppress(subprocess.TimeoutExpired):
+        _wait_shell(proc, 10)
 
 
 def exec_script(handle: SandboxHandle, script: CommandScript) -> ExecutionResult:
@@ -342,7 +345,7 @@ def exec_script(handle: SandboxHandle, script: CommandScript) -> ExecutionResult
                 while exit_code is None:
                     remaining = deadline - time.monotonic()
                     if remaining <= 0:
-                        _kill_shell(proc)
+                        _end_shell(proc, 0)
                         exit_code = TIMEOUT_EXIT
                         timed_out = True
                     elif ready.select(remaining):
@@ -366,16 +369,9 @@ def exec_script(handle: SandboxHandle, script: CommandScript) -> ExecutionResult
                 proc.stdin.close()
             except OSError:
                 pass
-            try:
-                _wait_shell(proc, 5)
-            except subprocess.TimeoutExpired:
-                _kill_shell(proc)
-            if handle.spec.backend != "container":
-                # a job the script left in the background holds stdout open
-                try:
-                    os.killpg(proc.pid, signal.SIGKILL)
-                except (ProcessLookupError, PermissionError):
-                    pass
+            # also kills a job the script left in the background, which
+            # would hold stdout open
+            _end_shell(proc, 5)
             keep(pending)
             # one bound for the whole drain: a job that left the process group
             # can write forever; closing the pipe then ends it with EPIPE

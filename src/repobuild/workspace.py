@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Callable, Iterator, Optional, Tuple
 
 from .corpus import RepoRecord
-from .errors import CloneError
+from .errors import CloneError, UsageError, read_input
 
 logger = logging.getLogger(__name__)
 
@@ -258,9 +258,13 @@ def save_snapshot(snapshot: FileSnapshot, path: str | Path) -> None:
 
 
 def load_snapshot(path: str | Path) -> FileSnapshot:
-    doc = json.loads(Path(path).read_text("utf-8"))
-    entries = {rel: tuple(vals) for rel, vals in doc["entries"].items()}
-    return FileSnapshot(entries=entries, taken_at=doc["taken_at"])
+    text = read_input(path, "snapshot")
+    try:
+        doc = json.loads(text)
+        entries = {rel: tuple(vals) for rel, vals in doc["entries"].items()}
+        return FileSnapshot(entries=entries, taken_at=doc["taken_at"])
+    except (ValueError, TypeError, KeyError, AttributeError) as exc:
+        raise UsageError(f"snapshot file {path} is not valid: {exc!r}") from exc
 
 
 def _evidence_kind(name: str) -> Optional[BuildSystemKind]:

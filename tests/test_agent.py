@@ -310,6 +310,20 @@ class TestBuildLoop:
         assert session.turns[-1].kind == "protocol-violation"
         assert "two consecutive" in session.error_detail
 
+    def test_an_unexpected_error_keeps_the_turns_before_it(self, tmp_path, local_spec):
+        # a lone surrogate cannot be encoded for the shell: UnicodeEncodeError,
+        # which is no RepobuildError
+        ws = prepare_fixture("hello_make", tmp_path)
+        scenario = ScriptedScenario(steps=[
+            ("first-turn-ran", "```bash\necho \ud800\n```"),
+            ("", "```bash\necho first-turn-ran\nfalse\n```"),
+        ])
+        session = run_build_loop(ws, ctx(), scripted_config(scenario),
+                                 local_spec, make_probe("hello"))
+        assert session.outcome == "infra-error"
+        assert "surrogates not allowed" in session.error_detail
+        assert [(t.k, t.kind) for t in session.turns] == [(0, "command-turn")]
+
     def test_sandbox_reused_across_turns(self, tmp_path, local_spec):
         ws = prepare_fixture("hello_make", tmp_path)
         scenario = ScriptedScenario(steps=[

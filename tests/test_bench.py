@@ -834,6 +834,16 @@ class TestRunOneRepo:
         assert len(summary["turns"]) == 1
         assert verdict.strict is True
 
+    def test_an_unexpected_error_keeps_the_single_turn_session(self, tmp_path):
+        # the shell pipe cannot encode a lone surrogate: UnicodeEncodeError
+        record = fixture_record("hello_make")
+        llm = _llm(default_reply="```bash\necho \ud800\n```")
+        cfg = _cfg([record], method="single-turn", llm=llm)
+        summary, verdict, failure, _ = _decoded(run_one_repo(record, cfg, tmp_path / "session"))
+        assert (summary["outcome"], summary["variant"]) == ("infra-error", "single-turn")
+        assert summary["max_turns"] == 1
+        assert failure == "infra-error"
+
     def test_clone_failure_becomes_infra_error(self, tmp_path):
         record = RepoRecord(
             id="ghost/missing",

@@ -9,15 +9,17 @@ from pathlib import Path
 import pytest
 
 import repobuild
+from repobuild import errors
 from repobuild.cli import (
     _COMMANDS,
+    _sandbox_spec,
     build_parser,
     load_config_file,
     load_scenario_file,
     main,
 )
 from repobuild.corpus import load_manifest
-from repobuild.errors import UsageError
+from repobuild.errors import RepobuildError, UsageError
 from repobuild.workspace import save_snapshot, snapshot_files
 
 from conftest import FIXTURES, REPOS, copy_fixture_tree, workspace_at
@@ -458,6 +460,29 @@ class TestBench:
         assert "leaves out 2 stored records of repos not in the manifest" in captured.err
         assert len(store.read_text("utf-8").splitlines()) == 3
 
+    def test_report_covers_only_the_runs_asked_for(self, tmp_path, capsys):
+        store = tmp_path / "store.jsonl"
+        store.write_bytes((FIXTURES / "bench" / "hello_pair_runs2_store.jsonl").read_bytes())
+        before = store.read_bytes()
+        manifest = _write_manifest(tmp_path, [
+            ("hello_make", ["hello"]),
+            ("hello_autotools", ["hat"]),
+        ])
+        rc = main([
+            "bench", "--manifest", str(manifest), "--runs", "1",
+            "--store", str(store),
+            "--work-dir", str(tmp_path / "work"),
+            "--sandbox-backend", "local",
+            "--json",
+        ])
+        assert rc == 0
+        captured = capsys.readouterr()
+        doc = json.loads(captured.out)
+        assert len(doc["completion_pct"]) == 1
+        assert list(doc["pass_at_k"]) == ["1"]
+        assert "leaves out 1 stored run beyond --runs 1" in captured.err
+        assert store.read_bytes() == before
+
     def test_missing_manifest_is_usage_error(self, tmp_path, capsys):
         rc = main([
             "bench", "--manifest", str(tmp_path / "absent.jsonl"),
@@ -757,6 +782,35 @@ class TestErrorMapping:
         assert "failed:" in capsys.readouterr().err
 
 
+class TestOneDefinition:
+    def test_every_error_class_is_importable_from_the_package(self):
+        classes = {name: cls for name, cls in vars(errors).items()
+                   if isinstance(cls, type) and issubclass(cls, RepobuildError)}
+        assert {"RepobuildError", "UsageError", "CloneError"} <= classes.keys()
+        for name, cls in classes.items():
+            assert getattr(repobuild, name) is cls
+
+    @pytest.mark.parametrize("name", [
+        "ManifestParseError", "ManifestValidationError", "DomainError", "SampleSizeError",
+    ])
+    def test_misuse_errors_are_usage_errors(self, name):
+        assert issubclass(getattr(errors, name), UsageError)
+
+    @pytest.mark.parametrize("flag, value, field, expected", [
+        ("--sandbox-backend", "local", "backend", "local"),
+        ("--base-image", "img:1", "base_image", "img:1"),
+        ("--per-command-timeout", "5", "per_command_timeout", 5.0),
+        ("--total-timeout", "5000", "total_timeout", 5000.0),
+        ("--output-cap", "77", "output_cap_bytes", 77),
+    ])
+    def test_each_sandbox_flag_sets_its_spec_field(self, flag, value, field, expected):
+        for sub in ("build", "bench"):
+            argv = [sub, "src"] if sub == "build" else [
+                sub, "--manifest", "m", "--store", "s", "--work-dir", "w"]
+            spec = _sandbox_spec(build_parser().parse_args([*argv, flag, value]), {})
+            assert getattr(spec, field) == expected
+
+
 def _loaded_by_cli_import(modules):
     """Which of ``modules`` a fresh interpreter holds after ``import repobuild.cli``."""
     code = (
@@ -768,6 +822,66 @@ def _loaded_by_cli_import(modules):
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     return proc.stdout.split()
+
+
+def _unusable_path(tmp_path, kind):
+    path = tmp_path / f"bad-{kind}"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "in-a-missing-directory":
+        path = path / "store.jsonl"
+    else:
+        path.write_bytes({
+            "not-utf8": b'{"x": "caf\xe9"}',
+            "not-json": b"not json",
+            "entries-not-an-object": b'{"entries": 3}',
+            "file": b"",
+        }[kind])
+    return path
+
+
+class TestUnusableInputs:
+    @pytest.mark.parametrize("flag, kind", [
+        ("--config", "directory"),
+        ("--config", "not-utf8"),
+        ("--scenario", "directory"),
+        ("--scenario", "not-utf8"),
+        ("--manifest", "directory"),
+        ("--manifest", "not-utf8"),
+        ("--store", "directory"),
+        ("--store", "in-a-missing-directory"),
+        ("--work-dir", "file"),
+        ("--before", "not-json"),
+        ("--before", "entries-not-an-object"),
+    ])
+    def test_is_a_usage_error_naming_it_before_any_session(self, tmp_path, capsys,
+                                                           flag, kind):
+        bad = str(_unusable_path(tmp_path, kind))
+        store = tmp_path / "store.jsonl"
+        stored = (FIXTURES / "bench" / "hello_pair_runs2_store.jsonl").read_text("utf-8")
+        store.write_text(stored.splitlines()[0] + "\n", "utf-8")
+        before = store.read_bytes()
+        if flag == "--before":
+            ws_dir = copy_fixture_tree("hello_make", tmp_path / "repo")
+            argv = ["validate", "--workspace", str(ws_dir), "--before", bad]
+        else:
+            paths = {
+                "--manifest": str(_write_manifest(tmp_path, [("hello_make", ["hello"])])),
+                "--store": str(store),
+                "--work-dir": str(tmp_path / "work"),
+            }
+            if flag != "--config":
+                paths[flag] = bad
+            argv = ["bench", "--runs", "2", "--sandbox-backend", "local",
+                    *(arg for pair in paths.items() for arg in pair)]
+            if flag == "--config":
+                argv = [flag, bad, *argv]
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and bad in err
+        assert store.read_bytes() == before
+        assert not (tmp_path / "work").exists()
 
 
 class TestImportFootprint:

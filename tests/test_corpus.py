@@ -1,10 +1,12 @@
 import json
 import math
 import re
+from dataclasses import fields
 
 import pytest
 
 from repobuild.corpus import (
+    _RECORD_FIELDS,
     CorpusManifest,
     RepoRecord,
     load_manifest,
@@ -90,6 +92,14 @@ class TestManifestIo:
         again = load_manifest(out)
         assert [r.id for r in again.records] == [r.id for r in manifest.records]
         assert again.records[1].expected_binaries == manifest.records[1].expected_binaries
+
+    def test_round_trip_keeps_every_field(self, tmp_path):
+        manifest = load_manifest(MANIFEST)
+        save_manifest(manifest, tmp_path / "copy.jsonl")
+        assert load_manifest(tmp_path / "copy.jsonl").records == manifest.records
+
+    def test_checked_fields_are_the_record_fields(self):
+        assert _RECORD_FIELDS.keys() == {f.name for f in fields(RepoRecord)}
 
     def test_malformed_line_raises_with_line_number(self, tmp_path):
         bad = tmp_path / "bad.jsonl"

@@ -332,6 +332,16 @@ class TestSingleThreadReader:
         assert [r.overall_exit for r in results] == [0] * 5
         assert sleeps == []
 
+    def test_timed_out_shell_is_reaped_without_sleeping(self, tmp_path, monkeypatch):
+        ws = prepare_fixture("hello_make", tmp_path)
+        spec = SandboxSpec(backend="local", per_command_timeout=0.5, total_timeout=30)
+        sleeps = []
+        monkeypatch.setattr(time, "sleep", sleeps.append)
+        with create_sandbox(spec, ws) as handle:
+            result = run(handle, "sleep 5")
+        assert result.timed_out
+        assert sleeps == []
+
     def test_without_a_pidfd_the_shell_is_still_reaped(self, tmp_path, local_spec,
                                                        monkeypatch):
         ws = prepare_fixture("hello_make", tmp_path)
