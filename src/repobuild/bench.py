@@ -20,6 +20,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from . import assets
 from .agent import (
     DEFAULT_MAX_TURNS,
+    OUTCOMES,
     VARIANTS,
     BuildSession,
     PromptContext,
@@ -32,7 +33,14 @@ from .gateway import LlmConfig
 from .retrieval import InstructionDossier, run_retrieval
 from .rules import build_with_rules
 from .sandbox import SandboxSpec, base_image_description
-from .validation import BinaryArtifact, Verdict, discover_new_binaries, has_binary_magic, judge
+from .validation import (
+    CLASSES,
+    BinaryArtifact,
+    Verdict,
+    discover_new_binaries,
+    has_binary_magic,
+    judge,
+)
 from .workspace import (
     FileSnapshot,
     Workspace,
@@ -77,8 +85,9 @@ class RunConfig:
 
 @dataclass(slots=True)
 class RepoOutcome:
-    # the session summary; a resume leaves ``turns`` out of the records that
-    # were in the store before it, and keeps every other key
+    # the session summary and the retrieval dossier; a resume leaves the
+    # session's ``turns`` and the dossier out of the records that were in the
+    # store before it, and keeps every other key
     session: dict
     verdict: Verdict
     failure_mode: Optional[str] = None
@@ -214,8 +223,15 @@ class ResultStore:
 
     def append(self, record: dict) -> None:
         """Append one record; safe across threads and processes, since each
-        call takes an exclusive ``flock`` on its own descriptor."""
-        data = (json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n").encode("utf-8")
+        call takes an exclusive ``flock`` on its own descriptor.
+
+        A lone surrogate, which a reply parsed from JSON or a file name that
+        is not UTF-8 can hold, has no UTF-8 encoding; it is written as its
+        JSON escape (``\\udXXX``), which parses back to the same string. (A
+        high surrogate right before a low one reads back as the character
+        the pair encodes.)"""
+        line = json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n"
+        data = line.encode("utf-8", "backslashreplace")
         # read access is for the pread of the last byte
         fd = os.open(self.path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o644)
         try:
@@ -303,12 +319,30 @@ def _shared_keys(obj: dict) -> dict:
     return {sys.intern(k): v for k, v in obj.items()}
 
 
-def decode_record(rec) -> Tuple[int, str, RepoOutcome]:
+# each enumerated field's values, mapped to the package's own strings
+_VARIANTS, _OUTCOMES, _FAILURE_MODES, _CLASSES = (
+    dict(zip(values, values)) for values in (VARIANTS, OUTCOMES, FAILURE_MODES, CLASSES)
+)
+
+
+def _share_value(obj: dict, key: str, shared: dict) -> None:
+    """Point ``obj[key]`` at the equal string in ``shared``, if it has one."""
+    value = obj.get(key)
+    if type(value) is str:
+        obj[key] = shared.get(value, value)
+
+
+def decode_record(rec, with_dossier: bool = True) -> Tuple[int, str, RepoOutcome]:
     """A parsed store line as (run, repo, outcome), or a ``UsageError`` that
     says why it is not a stored record. The outcome holds copies of the
     parsed session and dossier dicts (and of the dossier's ``visited``
     entries) whose keys are interned, so every record decoded in a process
-    shares one string per field name; the values are the parsed ones."""
+    shares one string per field name. Enumerated values (the session's
+    ``variant`` and ``outcome``, the failure tag, each binary's class) are
+    the package's own strings, and the session's ``repo_id`` is ``repo``
+    when the two are equal; every other value is the parsed one. Without
+    ``with_dossier`` the dossier is checked but not kept: the outcome's is
+    None."""
     if type(rec) is not dict:
         raise UsageError("not an object")
     run, repo, session = rec.get("run"), rec.get("repo"), rec.get("session")
@@ -331,6 +365,8 @@ def decode_record(rec) -> Tuple[int, str, RepoOutcome]:
         raise UsageError("matched_names must be a list of strings")
     if type(binaries) is not list or not all(type(a) is dict for a in binaries):
         raise UsageError("new_binaries must be a list of objects")
+    for a in binaries:
+        _share_value(a, "classify", _CLASSES)
     try:
         artifacts = tuple(BinaryArtifact(**a) for a in binaries)
     except (TypeError, ValueError) as exc:
@@ -340,20 +376,30 @@ def decode_record(rec) -> Tuple[int, str, RepoOutcome]:
         extra = set(v) - {"completion", "strict", "flexible", "matched_names", "new_binaries"}
         raise UsageError(f"verdict has unknown keys {sorted(extra)}")
     verdict = Verdict(completion, strict, flexible, frozenset(names), artifacts)
-    if dossier is not None:
+    if not with_dossier:
+        dossier = None
+    elif dossier is not None:
         dossier = _shared_keys(dossier)
         visited = dossier.get("visited")
         if type(visited) is list:
             dossier["visited"] = [_shared_keys(v) if type(v) is dict else v for v in visited]
-    return run, repo, RepoOutcome(_shared_keys(session), verdict, failure, dossier)
+    session = _shared_keys(session)
+    _share_value(session, "variant", _VARIANTS)
+    _share_value(session, "outcome", _OUTCOMES)
+    if session.get("repo_id") == repo:
+        session["repo_id"] = repo
+    failure = _FAILURE_MODES.get(failure, failure)
+    return run, repo, RepoOutcome(session, verdict, failure, dossier)
 
 
-def _merge_into(by_run: Dict[int, RunResult]) -> Callable[[object], None]:
+def _merge_into(
+    by_run: Dict[int, RunResult], with_dossier: bool = True
+) -> Callable[[object], None]:
     """A ``take`` for ``_read_records`` that decodes each record into
-    ``by_run``. Records come in store order, so a later record for a (run,
-    repo) replaces an earlier one."""
+    ``by_run``, with its dossier or without. Records come in store order, so
+    a later record for a (run, repo) replaces an earlier one."""
     def take(rec) -> None:
-        run, repo, outcome = decode_record(rec)
+        run, repo, outcome = decode_record(rec, with_dossier)
         result = by_run.get(run)
         if result is None:
             result = by_run[run] = RunResult(run_index=run)
@@ -506,8 +552,10 @@ def run_benchmark(
     in the store. Returns what ``load_results`` would rebuild from the store
     at the end, records other writers appended included, so a recomputation
     sees exactly what was persisted; only the records already in the store
-    when the call began come back without their sessions' ``turns``, which
-    keeps a resume's memory to the record count, not the transcripts.
+    when the call began come back without their sessions' ``turns`` and
+    without their retrieval dossiers, which the report does not read. That
+    keeps a resume's memory to the record count, not the transcripts, and
+    both stay in the store for ``load_results``.
 
     Sessions start in manifest order, run by run, on ``parallelism``
     threads. When one starts, the workspace of the job ``parallelism`` places
@@ -518,7 +566,8 @@ def run_benchmark(
     # one pass over the store gives both the results so far and what is
     # done; each record becomes an outcome as it is read
     by_run: Dict[int, RunResult] = {}
-    end = _read_records(store.path, _merge_into(by_run), drop_turns=True, report_tail=False)
+    end = _read_records(store.path, _merge_into(by_run, with_dossier=False),
+                        drop_turns=True, report_tail=False)
     done = {(result.run_index, repo) for result in by_run.values() for repo in result.per_repo}
     work_dir = Path(work_dir)
     jobs = [

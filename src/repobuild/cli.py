@@ -118,6 +118,14 @@ def _workspace_from_path(path: str) -> Workspace:
     return Workspace(repo_id=f"local/{root.name}", root_path=root, commit="unversioned")
 
 
+def _check_work_dir(work_dir: Path) -> None:
+    """Refuse a work dir that a file stands in the way of: the session makes
+    the directory, and that file would end it as an infra error."""
+    nearest = next(p for p in (work_dir, *work_dir.parents) if p.exists())
+    if not nearest.is_dir():
+        raise UsageError(f"work dir {work_dir} cannot be made: {nearest} is not a directory")
+
+
 def _expected_list(raw: Optional[str]) -> List[str]:
     if not raw:
         return []
@@ -234,6 +242,8 @@ def _cmd_build(args, config: dict) -> int:
         sandbox=_sandbox_spec(args, config),
         max_turns=args.max_turns,
     )
+    if args.work_dir:
+        _check_work_dir(Path(args.work_dir))
     with tempfile.TemporaryDirectory(prefix="repobuild-") as tmp:
         session_dir = Path(args.work_dir) if args.work_dir else Path(tmp) / "session"
         doc = bench_mod.run_one_repo(record, cfg, session_dir)
@@ -266,11 +276,7 @@ def _cmd_bench(args, config: dict) -> int:
     store, work_dir = Path(args.store), Path(args.work_dir)
     if store.is_dir() or not store.parent.is_dir():
         raise UsageError(f"store path names no file in an existing directory: {store}")
-    # the work dir is made by the first session; what stands in its way now
-    # would end every session as an infra error
-    nearest = next(p for p in (work_dir, *work_dir.parents) if p.exists())
-    if not nearest.is_dir():
-        raise UsageError(f"work dir {work_dir} cannot be made: {nearest} is not a directory")
+    _check_work_dir(work_dir)
     results = bench_mod.run_benchmark(cfg, store, work_dir)
     # a store may also hold other manifests' repos and more runs; the report
     # covers this manifest's repos in the runs asked for

@@ -11,7 +11,7 @@ import tracemalloc
 import pytest
 
 from repobuild import bench, retrieval
-from repobuild.agent import VARIANTS, BuildSession, Turn
+from repobuild.agent import OUTCOMES, VARIANTS, BuildSession, Turn
 from repobuild.bench import (
     FAILURE_MODES,
     ResultStore,
@@ -34,7 +34,7 @@ from repobuild.errors import UsageError
 from repobuild.gateway import LlmConfig, ScriptedScenario
 from repobuild.retrieval import InstructionDossier, LinkRef
 from repobuild.sandbox import CommandScript, ExecutionResult, SandboxSpec
-from repobuild.validation import BinaryArtifact, Verdict
+from repobuild.validation import CLASSES, BinaryArtifact, Verdict
 from repobuild.workspace import snapshot_files
 
 from conftest import (
@@ -230,6 +230,19 @@ class TestResultStore:
         assert store.existing_keys() == {(0, "a/b")}
         store.append(_record(1, "é/b"))
         assert store.existing_keys() == {(0, "a/b"), (1, "é/b")}
+
+    def test_lone_surrogate_is_stored_as_its_escape_and_reads_back(self, tmp_path):
+        # os.walk gives a file name that is not UTF-8 surrogate-escaped
+        record = TestTranscriptMarkers._record()
+        record["verdict"]["new_binaries"][0]["rel_path"] = "build/\udcff"
+        path = tmp_path / "store.jsonl"
+        ResultStore(path).append(record)
+        data = path.read_bytes()
+        assert b'"rel_path": "build/\\udcff"' in data
+        assert json.loads(data.decode("utf-8")) == record
+        [result] = load_results(path)
+        assert result.per_repo["x/y"] == decode_record(record)[2]
+        assert result.per_repo["x/y"].verdict.new_binaries[0].rel_path == "build/\udcff"
 
     def test_line_that_is_not_a_record_is_usage_error(self, tmp_path):
         path = tmp_path / "store.jsonl"
@@ -514,8 +527,13 @@ class TestRecordFootprint:
         resume, path = self._resume_over(tmp_path, monkeypatch, ["x/a", "x/b"])
         [result] = resume() if reader == "resume" else load_results(path)
         a, b = result.per_repo["x/a"], result.per_repo["x/b"]
-        pairs = [(a.session, b.session), (a.dossier, b.dossier),
-                 *zip(a.dossier["visited"], b.dossier["visited"], strict=True)]
+        pairs = [(a.session, b.session)]
+        if reader == "resume":
+            # a resume keeps no dossier of a record already in the store
+            assert a.dossier is None and b.dossier is None
+        else:
+            pairs += [(a.dossier, b.dossier),
+                      *zip(a.dossier["visited"], b.dossier["visited"], strict=True)]
         for mine, theirs in pairs:
             assert list(mine) == list(theirs)
             assert all(k is t for k, t in zip(mine, theirs))
@@ -540,10 +558,93 @@ class TestRecordFootprint:
         finally:
             tracemalloc.stop()
         assert [len(r.per_repo) for r in results] == [1000, 1000]
-        # 2,760-3,170 bytes per record on CPython 3.10-3.13; a copy of every
-        # field name in each record and a dict in each verdict, artifact and
-        # outcome take it to 3,590-4,320
-        assert retained / 2000 < 3400
+        # 1,260-1,440 bytes per record on CPython 3.10-3.13; keeping each
+        # stored dossier takes it to 2,750-3,170, and a copy of each
+        # enumerated value adds about 300
+        assert retained / 2000 < 1500
+
+
+def _own(values, value):
+    """The package's own string among ``values`` that equals ``value``."""
+    return values[values.index(value)]
+
+
+class TestResumedRecord:
+    """A record already in the store comes back from a resume with what the
+    report and the resume read: no transcript, no dossier, and enumerated
+    values that are the package's own strings."""
+
+    @staticmethod
+    def _resume(tmp_path, monkeypatch, records, run_fresh=None):
+        """``run_benchmark`` over a store of ``records`` (all of run 0) and a
+        manifest of their repos and ``a/todo``, which ``run_fresh`` runs."""
+        path = tmp_path / "store.jsonl"
+        for record in records:
+            ResultStore(path).append(record)
+
+        def must_not_run(*args):
+            raise AssertionError("every record is already in the store")
+
+        repos = [r["repo"] for r in records] + (["a/todo"] if run_fresh else [])
+        monkeypatch.setattr("repobuild.bench.run_one_repo", run_fresh or must_not_run)
+        cfg = _cfg([RepoRecord(id=repo, clone_url="unused") for repo in repos])
+        [result] = run_benchmark(cfg, path, tmp_path / "work")
+        return result, path
+
+    def test_a_stored_record_comes_back_without_its_dossier(self, tmp_path, monkeypatch):
+        record = TestTranscriptMarkers._record()
+
+        def run_fresh(repo_record, cfg, session_dir, prepared, run_idx):
+            return {**record, "run": run_idx, "repo": repo_record.id}
+
+        result, path = self._resume(tmp_path, monkeypatch, [{**record, "repo": "a/done"}],
+                                    run_fresh)
+        [reloaded] = load_results(path)
+        dossier = bench.dossier_to_dict(TestTranscriptMarkers._parts()[2])
+        assert record["dossier"] == dossier
+        assert result.per_repo["a/done"].dossier is None
+        assert reloaded.per_repo["a/done"].dossier == dossier
+        # a record appended during the call comes back whole
+        assert result.per_repo["a/todo"].dossier == dossier
+        assert result.per_repo["a/todo"] == reloaded.per_repo["a/todo"]
+
+    def test_enumerated_values_are_the_packages_own_strings(self, tmp_path, monkeypatch):
+        record = TestTranscriptMarkers._record()
+        failed = {**record, "repo": "x/b", "failure_mode": "protocol-error",
+                  "session": {**record["session"], "outcome": "protocol-error"}}
+        result, _path = self._resume(tmp_path, monkeypatch, [{**record, "repo": "x/a"}, failed])
+        a, b = result.per_repo["x/a"], result.per_repo["x/b"]
+        assert (a.session["outcome"], b.session["outcome"]) == ("agent-terminated",
+                                                                "protocol-error")
+        for outcome in (a, b):
+            session = outcome.session
+            assert session["variant"] is _own(VARIANTS, "agent-with-retrieval")
+            assert session["outcome"] is _own(OUTCOMES, session["outcome"])
+            assert outcome.failure_mode is _own(FAILURE_MODES, outcome.failure_mode)
+            classes = [artifact.classify for artifact in outcome.verdict.new_binaries]
+            assert classes == ["executable", "static-archive"]
+            assert all(c is _own(CLASSES, c) for c in classes)
+
+    def test_a_sessions_repo_id_is_its_key(self, tmp_path, monkeypatch):
+        record = TestTranscriptMarkers._record()
+        assert record["session"]["repo_id"] == record["repo"] == "x/y"
+        result, _path = self._resume(tmp_path, monkeypatch, [record, {**record, "repo": "x/z"}])
+        key = next(k for k in result.per_repo if k == "x/y")
+        assert result.per_repo[key].session["repo_id"] is key
+        # a repo_id other than the record's repo is kept as stored
+        assert result.per_repo["x/z"].session["repo_id"] == "x/y"
+
+    def test_values_outside_the_enumerations_come_back_as_parsed(self, tmp_path, monkeypatch):
+        record = TestTranscriptMarkers._record()
+        record["session"].update(variant="custom-variant", outcome="custom")
+        record["failure_mode"] = "custom-tag"
+        result, path = self._resume(tmp_path, monkeypatch, [record])
+        [reloaded] = load_results(path)
+        got, want = result.per_repo["x/y"], reloaded.per_repo["x/y"]
+        assert (got.session["variant"], got.session["outcome"], got.failure_mode) == (
+            "custom-variant", "custom", "custom-tag")
+        want.session.pop("turns")
+        assert got == RepoOutcome(want.session, want.verdict, want.failure_mode, None)
 
 
 def _summary(session):

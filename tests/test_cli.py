@@ -18,6 +18,7 @@ from repobuild.cli import (
     load_scenario_file,
     main,
 )
+from repobuild.bench import load_results
 from repobuild.corpus import load_manifest
 from repobuild.errors import RepobuildError, UsageError
 from repobuild.workspace import save_snapshot, snapshot_files
@@ -315,6 +316,17 @@ class TestBuild:
         assert rc == 0
         assert (work / "hello_make" / "hello").exists()
 
+    def test_work_dir_naming_a_file_is_usage_error(self, tmp_path, capsys):
+        work = tmp_path / "not-a-dir"
+        work.write_text("")
+        rc = main([
+            "build", str(REPOS / "hello_make"),
+            "--work-dir", str(work),
+            "--sandbox-backend", "local",
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: work dir {work} cannot be made")
+
     def test_bad_sandbox_flags_are_usage_error(self, capsys):
         rc = main([
             "build", str(REPOS / "hello_make"),
@@ -368,6 +380,23 @@ class TestBench:
         assert doc["method"] == "rule-based"
         assert doc["strict_pct"] == [100.0]
         assert doc["pass_at_k"]["1"]["strict"] == 100.0
+
+    def test_reply_holding_a_lone_surrogate_is_stored(self, tmp_path, capsys):
+        # json.loads accepts the escape of a lone surrogate in a scenario file
+        reply = "cannot build \ud800 terminate"
+        scenario = _scenario_file(tmp_path, {"default_reply": reply})
+        manifest = _write_manifest(tmp_path, [("hello_make", ["hello"])])
+        store = tmp_path / "store.jsonl"
+        rc = main([
+            "bench", "--manifest", str(manifest), "--method", "single-turn",
+            "--scenario", str(scenario), "--store", str(store),
+            "--work-dir", str(tmp_path / "work"), "--sandbox-backend", "local",
+        ])
+        assert rc == 0
+        store.read_bytes().decode("utf-8")
+        [result] = load_results(store)
+        turns = result.per_repo["fixture/hello_make"].session["turns"]
+        assert reply in [turn["agent_reply_raw"] for turn in turns]
 
     def test_record_id_naming_no_directory_is_usage_error(self, tmp_path, capsys):
         manifest = tmp_path / "manifest.jsonl"
