@@ -156,7 +156,7 @@ def _continues(line: str) -> bool:
     return stripped.endswith(("\\", "&&", "||", "|"))
 
 
-def parse_agent_reply(raw: str, origin_turn: int = 0) -> ParsedReply:
+def parse_agent_reply(raw: str) -> ParsedReply:
     """Classify one agent reply as a command script, a termination, or a violation.
 
     The last shell-tagged fenced block wins; an untagged fenced block counts
@@ -182,7 +182,7 @@ def parse_agent_reply(raw: str, origin_turn: int = 0) -> ParsedReply:
                 note = "reply mixed a code block with the word 'terminate'"
             return ParsedReply(
                 kind="command",
-                script=CommandScript(commands=tuple(commands), origin_turn=origin_turn),
+                script=CommandScript(commands=tuple(commands)),
                 violation=note,
             )
     if has_terminate:
@@ -346,15 +346,13 @@ def run_build_loop(
     session = BuildSession(repo_id=ws.repo_id, variant=variant, max_turns=max_turns)
 
     def replies():
-        for k in range(max_turns + 1):
-            yield _ask_with_retry(cfg, assemble_generator_prompt(ctx, session.turns), k)
+        for _ in range(max_turns + 1):
+            yield _ask_with_retry(cfg, assemble_generator_prompt(ctx, session.turns))
 
     return run_session(ws, spec, success_probe, session, replies())
 
 
-def _ask_with_retry(
-    cfg: LlmConfig, messages: List[ChatMessage], origin_turn: int
-) -> Tuple[str, ParsedReply]:
+def _ask_with_retry(cfg: LlmConfig, messages: List[ChatMessage]) -> Tuple[str, ParsedReply]:
     """One completion, with a single format-reminder re-ask on a violation.
 
     Two violations in a row surface as a violation result; the caller decides
@@ -362,7 +360,7 @@ def _ask_with_retry(
     """
 
     def parse(raw: str) -> Optional[ParsedReply]:
-        parsed = parse_agent_reply(raw, origin_turn=origin_turn)
+        parsed = parse_agent_reply(raw)
         return None if parsed.kind == "violation" else parsed
 
     reminder = assets.text("prompts/format_reminder.txt")
@@ -387,6 +385,6 @@ def run_single_turn(
 
     def replies():
         raw = complete(cfg, [ChatMessage("user", prompt)])
-        yield raw, parse_agent_reply(raw, origin_turn=0)
+        yield raw, parse_agent_reply(raw)
 
     return run_session(ws, spec, success_probe, session, replies())

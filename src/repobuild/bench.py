@@ -15,7 +15,7 @@ from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass, field, replace
 from functools import cache
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from . import assets
 from .agent import (
@@ -117,49 +117,48 @@ _TURNS_OPEN = b'"turns": ['
 _TURNS_CLOSE = b'], "variant": '
 
 
-def _read_records(
-    path: Path,
-    take: Callable[[object], None],
-    start: int = 0,
-    drop_turns: bool = False,
-    report_tail: bool = True,
-) -> int:
-    """Parse the store's records from byte offset ``start``, line by line,
-    and hand each to ``take`` as it is parsed, in store order, so no list
-    of them is ever held.
+def _read_store(
+    path: Path, start: int = 0, resumed: bool = False
+) -> Tuple[Dict[int, RunResult], int]:
+    """The store's records from byte offset ``start``, each decoded into its
+    run's result as its line is parsed, so no list of them is ever held.
+    Records come in store order, so a later record for a (run, repo)
+    replaces an earlier one.
 
-    Returns the offset just past the last newline-terminated line. An
-    unterminated tail is parsed, and taken, if it can be but lies beyond
-    that offset, so a later read from it sees the tail again once complete.
-    A store now shorter than ``start`` is read again from 0. A torn line is
-    skipped and logged once, by the read that settles it:
-    ``report_tail=False`` is for a read whose unterminated tail a later read
-    from the returned offset parses again. A line that parses is taken
-    whatever it holds; ``take`` raises ``UsageError(reason)`` for one that
-    is not a record, and it comes out as ``UsageError("STORE:LINE: not a
-    stored record: reason")``.
+    Returns the results and the offset just past the last newline-terminated
+    line. An unterminated tail is decoded if it parses but lies beyond that
+    offset, so a later read from it sees the tail again once complete. A
+    store now shorter than ``start`` is read again from 0. A torn line is
+    skipped and logged. A line that parses is decoded whatever it holds;
+    one that is not a record raises ``UsageError("STORE:LINE: not a stored
+    record: reason")``.
 
-    The file is read through a 256 KiB buffer. With ``drop_turns`` each
-    record comes without its session's ``turns``, which are never
-    decoded: the transcript is cut out of the line's bytes, from the first
-    ``"turns": [`` to the last ``], "variant": `` after it, found by
-    searching back from the end of the line, and the rest is parsed. Only
-    the session's ``variant`` and the fixed-schema verdict follow the
-    transcript, so the backward search crosses those few hundred bytes, not
-    the transcript. This is exact because every line is a whole record from
-    ``ResultStore.append`` (sorted keys, default separators) or a prefix of
-    one that a crash left. Neither marker can occur inside a JSON string,
-    and in a whole record the session's close is the only ``], "variant": ``
-    after ``"turns": [``: no turn has a ``variant`` key, and the verdict's
-    lists (``matched_names``, ``new_binaries``) are followed by other keys.
-    A prefix keeps its torn end under the cut, so it still fails to parse.
-    A line missing either marker, such as one with compact separators or
-    no ``turns``, is parsed whole.
+    ``resumed`` is a resume's opening pass, whose outcomes hold only what
+    the report and the resume read: each session comes without its
+    ``turns`` and each dossier, once checked, is None. A torn unterminated
+    tail is left unlogged, for the read from the returned offset that
+    follows. The transcript is never decoded: it is cut out of the line's
+    bytes, from the first ``"turns": [`` to the last ``], "variant": ``
+    after it, found by searching back from the end of the line, and the rest
+    is parsed. Only the session's ``variant`` and the fixed-schema verdict
+    follow the transcript, so the backward search crosses those few hundred
+    bytes, not the transcript. This is exact because every line is a whole
+    record from ``ResultStore.append`` (sorted keys, default separators) or
+    a prefix of one that a crash left. Neither marker can occur inside a
+    JSON string, and in a whole record the session's close is the only
+    ``], "variant": `` after ``"turns": [``: no turn has a ``variant`` key,
+    and the verdict's lists (``matched_names``, ``new_binaries``) are
+    followed by other keys. A prefix keeps its torn end under the cut, so
+    it still fails to parse. A line missing either marker, such as one with
+    compact separators or no ``turns``, is parsed whole.
+
+    The file is read through a 256 KiB buffer.
     """
+    by_run: Dict[int, RunResult] = {}
     try:
         fh = open(path, "rb", buffering=1 << 18)
     except FileNotFoundError:
-        return 0
+        return by_run, 0
     with fh:
         if os.fstat(fh.fileno()).st_size < start:
             start = 0
@@ -172,7 +171,7 @@ def _read_records(
                 end = offset
             if line.isspace():
                 continue
-            if drop_turns:
+            if resumed:
                 i = line.find(_TURNS_OPEN)
                 j = line.rfind(_TURNS_CLOSE, i) if i >= 0 else -1
                 if j >= 0:
@@ -182,18 +181,24 @@ def _read_records(
             try:
                 record = json.loads(line.decode("utf-8"))
             except ValueError:
-                if report_tail or line.endswith(b"\n"):
+                if not resumed or line.endswith(b"\n"):
                     logger.warning("skipping torn record in %s", path)
                 continue
-            if drop_turns and isinstance(record, dict) and isinstance(record.get("session"), dict):
+            if resumed and type(record) is dict and type(record.get("session")) is dict:
                 record["session"].pop("turns", None)
             try:
-                take(record)
+                run, repo, outcome = decode_record(record)
             except UsageError as exc:
                 raise UsageError(
                     f"{path}:{_line_number(fh, at)}: not a stored record: {exc}"
                 ) from None
-    return end
+            if resumed:
+                outcome.dossier = None
+            result = by_run.get(run)
+            if result is None:
+                result = by_run[run] = RunResult(run_index=run)
+            result.per_repo[repo] = outcome
+    return by_run, end
 
 
 def _line_number(fh, offset: int) -> int:
@@ -216,10 +221,9 @@ class ResultStore:
         self.path = Path(path)
 
     def existing_keys(self) -> set:
-        keys = set()
-        _read_records(self.path, lambda rec: keys.add(decode_record(rec)[:2]),
-                      drop_turns=True)
-        return keys
+        """The (run, repo) keys a resume finds done."""
+        by_run, _end = _read_store(self.path, resumed=True)
+        return {(run, repo) for run, result in by_run.items() for repo in result.per_repo}
 
     def append(self, record: dict) -> None:
         """Append one record; safe across threads and processes, since each
@@ -314,8 +318,8 @@ def dossier_to_dict(dossier: Optional[InstructionDossier]) -> Optional[dict]:
 
 def _shared_keys(obj: dict) -> dict:
     """``obj`` rebuilt with interned keys: ``json.loads`` shares a key string
-    only within one call, so without this each decoded record would hold its
-    own copy of every field name."""
+    only within one call, so without this each decoded session would hold
+    its own copy of every field name."""
     return {sys.intern(k): v for k, v in obj.items()}
 
 
@@ -332,17 +336,15 @@ def _share_value(obj: dict, key: str, shared: dict) -> None:
         obj[key] = shared.get(value, value)
 
 
-def decode_record(rec, with_dossier: bool = True) -> Tuple[int, str, RepoOutcome]:
+def decode_record(rec) -> Tuple[int, str, RepoOutcome]:
     """A parsed store line as (run, repo, outcome), or a ``UsageError`` that
-    says why it is not a stored record. The outcome holds copies of the
-    parsed session and dossier dicts (and of the dossier's ``visited``
-    entries) whose keys are interned, so every record decoded in a process
-    shares one string per field name. Enumerated values (the session's
-    ``variant`` and ``outcome``, the failure tag, each binary's class) are
-    the package's own strings, and the session's ``repo_id`` is ``repo``
-    when the two are equal; every other value is the parsed one. Without
-    ``with_dossier`` the dossier is checked but not kept: the outcome's is
-    None."""
+    says why it is not a stored record. The outcome holds a copy of the
+    parsed session dict whose keys are interned, so every session decoded in
+    a process shares one string per field name, and the dossier as parsed.
+    Enumerated values (the session's ``variant`` and ``outcome``, the
+    failure tag, each binary's class) are the package's own strings, and the
+    session's ``repo_id`` is ``repo`` when the two are equal; every other
+    value is the parsed one."""
     if type(rec) is not dict:
         raise UsageError("not an object")
     run, repo, session = rec.get("run"), rec.get("repo"), rec.get("session")
@@ -376,13 +378,6 @@ def decode_record(rec, with_dossier: bool = True) -> Tuple[int, str, RepoOutcome
         extra = set(v) - {"completion", "strict", "flexible", "matched_names", "new_binaries"}
         raise UsageError(f"verdict has unknown keys {sorted(extra)}")
     verdict = Verdict(completion, strict, flexible, frozenset(names), artifacts)
-    if not with_dossier:
-        dossier = None
-    elif dossier is not None:
-        dossier = _shared_keys(dossier)
-        visited = dossier.get("visited")
-        if type(visited) is list:
-            dossier["visited"] = [_shared_keys(v) if type(v) is dict else v for v in visited]
     session = _shared_keys(session)
     _share_value(session, "variant", _VARIANTS)
     _share_value(session, "outcome", _OUTCOMES)
@@ -392,26 +387,10 @@ def decode_record(rec, with_dossier: bool = True) -> Tuple[int, str, RepoOutcome
     return run, repo, RepoOutcome(session, verdict, failure, dossier)
 
 
-def _merge_into(
-    by_run: Dict[int, RunResult], with_dossier: bool = True
-) -> Callable[[object], None]:
-    """A ``take`` for ``_read_records`` that decodes each record into
-    ``by_run``, with its dossier or without. Records come in store order, so
-    a later record for a (run, repo) replaces an earlier one."""
-    def take(rec) -> None:
-        run, repo, outcome = decode_record(rec, with_dossier)
-        result = by_run.get(run)
-        if result is None:
-            result = by_run[run] = RunResult(run_index=run)
-        result.per_repo[repo] = outcome
-    return take
-
-
 def load_results(store_path: Path) -> List[RunResult]:
     """Rebuild RunResults from the persisted store; the store is the source of
     truth, so recomputing metrics from it reproduces the original report."""
-    by_run: Dict[int, RunResult] = {}
-    _read_records(Path(store_path), _merge_into(by_run))
+    by_run, _end = _read_store(Path(store_path))
     return [by_run[k] for k in sorted(by_run)]
 
 
@@ -563,11 +542,8 @@ def run_benchmark(
     the sessions before them.
     """
     store = ResultStore(store_path)
-    # one pass over the store gives both the results so far and what is
-    # done; each record becomes an outcome as it is read
-    by_run: Dict[int, RunResult] = {}
-    end = _read_records(store.path, _merge_into(by_run, with_dossier=False),
-                        drop_turns=True, report_tail=False)
+    # one pass over the store gives both the results so far and what is done
+    by_run, end = _read_store(store.path, resumed=True)
     done = {(result.run_index, repo) for result in by_run.values() for repo in result.per_repo}
     work_dir = Path(work_dir)
     jobs = [
@@ -606,8 +582,7 @@ def run_benchmark(
 
     # parse only what was appended since, by this run or by another writer,
     # turns included
-    appended: Dict[int, RunResult] = {}
-    new_end = _read_records(store.path, _merge_into(appended), end)
+    appended, new_end = _read_store(store.path, end)
     if new_end < end:
         # the store shrank, so it was read again whole
         by_run = {}

@@ -258,9 +258,17 @@ def _cmd_build(args, config: dict) -> int:
             print(f"{key}: {verdict[key]}")
         print(f"failure_mode: {doc['failure_mode']}")
         for artifact in verdict["new_binaries"]:
-            print(f"binary: {artifact['rel_path']}")
+            _print_escaped(f"binary: {artifact['rel_path']}")
     passed = verdict["strict"] if args.require_strict else verdict["completion"]
     return 0 if passed else 1
+
+
+def _print_escaped(line: str) -> None:
+    """Print ``line`` with each character stdout cannot encode as its
+    backslash escape, such as the lone surrogate that stands for a byte of a
+    file name that is not UTF-8."""
+    encoding = sys.stdout.encoding or "utf-8"
+    print(line.encode(encoding, "backslashreplace").decode(encoding))
 
 
 def _cmd_bench(args, config: dict) -> int:
@@ -353,7 +361,7 @@ def _cmd_validate(args, config: dict) -> int:
         print(f"strict: {verdict.strict}")
         print(f"flexible: {verdict.flexible}")
         for a in verdict.new_binaries:
-            print(f"binary: {a.rel_path} ({a.classify})")
+            _print_escaped(f"binary: {a.rel_path} ({a.classify})")
         print("coverage: undefined" if coverage.undefined
               else f"coverage: {coverage.coverage_pct:.1f}%")
     passed = verdict.strict if args.require_strict else verdict.completion

@@ -39,15 +39,7 @@ class SampleSizeError(UsageError):
 
 
 class CloneError(RepobuildError):
-    """Repository could not be materialized.
-
-    ``kind`` distinguishes failure classes: "unreachable", "missing-revision",
-    "auth", "other".
-    """
-
-    def __init__(self, message: str, kind: str = "other"):
-        super().__init__(message)
-        self.kind = kind
+    """Repository could not be materialized."""
 
 
 class TransportError(RepobuildError):

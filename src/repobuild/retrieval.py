@@ -129,7 +129,8 @@ def fetch_link(
         target = ws.root_path / link.target
         if not resolves_inside(ws, target):
             return FetchOutcome(False, failure_kind="escape", detail=link.target)
-        if not target.is_file():
+        # os.path reads an OSError, such as a name too long, as no file
+        if not os.path.isfile(target):
             return FetchOutcome(False, failure_kind="missing", detail=link.target)
         with open(target, "rb") as fh:
             data = fh.read(FETCH_CAP_BYTES)
@@ -195,13 +196,14 @@ def _parse_links(
         if line.startswith(("http://", "https://")):
             links.append(LinkRef("external-url", line, round_no))
             continue
-        if ws_root is not None and (ws_root / line).exists():
+        # os.path reads an OSError, such as a name too long, as no file
+        if ws_root is not None and os.path.exists(ws_root / line):
             links.append(LinkRef("internal-file", line, round_no))
             continue
         if base_dir and ws_root is not None:
             # relative link echoed from an internal file: try its directory
             joined = os.path.normpath(os.path.join(base_dir, line))
-            if not joined.startswith("..") and (ws_root / joined).exists():
+            if not joined.startswith("..") and os.path.exists(ws_root / joined):
                 links.append(LinkRef("internal-file", joined, round_no))
                 continue
         if base_url:

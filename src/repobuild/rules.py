@@ -56,8 +56,7 @@ def build_with_rules(
     session = BuildSession(repo_id=ws.repo_id, variant="rule-based",
                            max_turns=max(1, len(attempts)))
     replies = (
-        (f"routine:{r.kind.value}",
-         ParsedReply(kind="command", script=CommandScript(commands=r.steps, origin_turn=idx)))
-        for idx, r in enumerate(attempts)
+        (f"routine:{r.kind.value}", ParsedReply(kind="command", script=CommandScript(r.steps)))
+        for r in attempts
     )
     return run_session(ws, spec, success_probe, session, replies, fresh_sandbox=True)

@@ -62,7 +62,6 @@ class SandboxSpec:
 @dataclass(frozen=True)
 class CommandScript:
     commands: Tuple[str, ...]
-    origin_turn: int = 0
 
     def __post_init__(self):
         if not self.commands:
@@ -70,8 +69,6 @@ class CommandScript:
         for cmd in self.commands:
             if cmd.strip().lower() == "terminate":
                 raise ValueError("the bare word 'terminate' is not a command")
-        if self.origin_turn < 0:
-            raise ValueError("origin_turn must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -92,22 +92,6 @@ def _run_git(args: list, cwd: Optional[Path] = None) -> subprocess.CompletedProc
     )
 
 
-def _classify_clone_failure(stderr: str) -> str:
-    low = stderr.lower()
-    if "authentication" in low or "permission denied" in low or "403" in low:
-        return "auth"
-    if (
-        "could not resolve" in low
-        or "unable to access" in low
-        or "does not exist" in low
-        or "not found" in low
-        or "no such file or directory" in low
-        or "repository" in low and "not found" in low
-    ):
-        return "unreachable"
-    return "other"
-
-
 def prepare_workspace(record: RepoRecord, session_dir: str | Path) -> Workspace:
     """Materialize ``record`` under ``session_dir`` and pin the requested revision.
 
@@ -116,7 +100,7 @@ def prepare_workspace(record: RepoRecord, session_dir: str | Path) -> Workspace:
     """
     session_dir = Path(session_dir)
     if session_dir.exists() and any(session_dir.iterdir()):
-        raise CloneError(f"session dir {session_dir} is not empty", kind="other")
+        raise CloneError(f"session dir {session_dir} is not empty")
     session_dir.mkdir(parents=True, exist_ok=True)
     dest = session_dir / record.name
 
@@ -131,18 +115,14 @@ def prepare_workspace(record: RepoRecord, session_dir: str | Path) -> Workspace:
 
     proc = _run_git(["clone", src, str(dest)])
     if proc.returncode != 0:
-        kind = _classify_clone_failure(proc.stderr)
-        raise CloneError(f"clone of {record.clone_url} failed: {proc.stderr.strip()}", kind=kind)
+        raise CloneError(f"clone of {record.clone_url} failed: {proc.stderr.strip()}")
     if record.commit:
         proc = _run_git(["-c", "advice.detachedHead=false", "checkout", record.commit], cwd=dest)
         if proc.returncode != 0:
-            raise CloneError(
-                f"revision {record.commit} not found in {record.clone_url}",
-                kind="missing-revision",
-            )
+            raise CloneError(f"revision {record.commit} not found in {record.clone_url}")
     proc = _run_git(["rev-parse", "HEAD"], cwd=dest)
     if proc.returncode != 0:
-        raise CloneError(f"cannot resolve HEAD in {dest}: {proc.stderr.strip()}", kind="other")
+        raise CloneError(f"cannot resolve HEAD in {dest}: {proc.stderr.strip()}")
     return Workspace(repo_id=record.id, root_path=dest.resolve(), commit=proc.stdout.strip())
 
 

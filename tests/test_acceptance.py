@@ -321,10 +321,9 @@ class TestAgentLoopMechanics:
         for _ in range(self.REPEATS):
             snapshot = []
 
-            p = parse_agent_reply("```bash\nmake\n```", origin_turn=7)
+            p = parse_agent_reply("```bash\nmake\n```")
             assert p.kind == "command"
             assert p.script.commands == ("make",)
-            assert p.script.origin_turn == 7
             snapshot.append((p.kind, p.script.commands))
 
             p = parse_agent_reply("Build is done.\n\nTERMINATE")

@@ -42,7 +42,7 @@ def command_turn(k, commands=("make",), output="ok", raw="```bash\nmake\n```"):
         k=k,
         kind="command-turn",
         agent_reply_raw=raw,
-        script=CommandScript(commands=tuple(commands), origin_turn=k),
+        script=CommandScript(commands=tuple(commands)),
         result=fake_result(output),
     )
 

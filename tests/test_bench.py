@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 
@@ -281,45 +282,55 @@ class TestResultStore:
         assert all(r["blob"] == str(r["run"]) * blob for r in records)
 
 
-def _read(path, **kw):
-    """``bench._read_records`` as (the records it takes, the end offset)."""
-    records = []
-    end = bench._read_records(path, records.append, **kw)
-    return records, end
+def _outcomes(by_run):
+    """What ``bench._read_store`` decoded, per (run, repo)."""
+    return {(run, repo): outcome
+            for run, result in by_run.items() for repo, outcome in result.per_repo.items()}
 
 
-def _without_turns(records):
-    for record in records:
-        record.get("session", {}).pop("turns", None)
-    return records
+def _stripped(by_run):
+    """The outcomes of a whole read as a resume's opening pass gives them:
+    sessions without their turns, and no dossiers."""
+    return {
+        key: replace(o, session={k: v for k, v in o.session.items() if k != "turns"},
+                     dossier=None)
+        for key, o in _outcomes(by_run).items()
+    }
+
+
+def _both_reads(path):
+    """The opening pass's outcomes and end offset, and the whole read's
+    stripped as ``_stripped`` strips them."""
+    opening, opening_end = bench._read_store(path, resumed=True)
+    whole, end = bench._read_store(path)
+    return (_outcomes(opening), opening_end), (_stripped(whole), end)
 
 
 class TestOpeningPass:
-    """A resume's opening pass, ``_read_records(..., drop_turns=True)``,
-    gives the whole parse's records without their turns."""
+    """A resume's opening pass, ``_read_store(..., resumed=True)``, gives
+    the whole read's outcomes without their turns and dossiers."""
 
     @staticmethod
-    def _line():
+    def _line(run=0):
         # the output holds a UTF-8 sequence and both transcript markers as text
-        record = _record(0, "é/b", output='café "turns": [1], "variant": "x" ]')
+        record = _record(run, "é/b", output='café "turns": [1], "variant": "x" ]')
         record["session"]["turns"].append(_turn_dict(k=1, output="ünïcode"))
         return json.dumps(record, ensure_ascii=False, sort_keys=True).encode("utf-8")
 
-    @staticmethod
-    def _both_reads(path):
-        whole, end = _read(path)
-        return _read(path, drop_turns=True), (_without_turns(whole), end)
-
     def test_every_torn_prefix_reads_as_the_whole_parse(self, tmp_path):
-        line = self._line()
+        first, second = self._line(0), self._line(1)
         path = tmp_path / "store.jsonl"
-        for k in range(len(line) + 1):
+        for k in range(len(first) + 1):
             # a torn record closed by a later append, then an unterminated one
-            for data in (line[:k] + b"\n" + line + b"\n", line + b"\n" + line[:k]):
+            for data, whole_run, torn_run in (
+                (first[:k] + b"\n" + second + b"\n", 1, 0),
+                (first + b"\n" + second[:k], 0, 1),
+            ):
                 path.write_bytes(data)
-                opening, whole = self._both_reads(path)
+                opening, whole = _both_reads(path)
                 assert opening == whole
-                assert len(opening[0]) == (2 if k == len(line) else 1)
+                runs = {whole_run, torn_run} if k == len(first) else {whole_run}
+                assert {run for run, _repo in opening[0]} == runs
 
     @pytest.mark.parametrize("dumps", [
         lambda r: json.dumps(r, ensure_ascii=False),
@@ -331,23 +342,18 @@ class TestOpeningPass:
         record = json.loads(self._line())
         path = tmp_path / "store.jsonl"
         path.write_text(dumps(record) + "\n" + dumps({**record, "run": 1}) + "\n", "utf-8")
-        opening, whole = self._both_reads(path)
+        opening, whole = _both_reads(path)
         assert opening == whole
-        assert [r["run"] for r in opening[0]] == [0, 1]
+        assert [run for run, _repo in opening[0]] == [0, 1]
 
     def test_fixture_store_reads_as_load_results_without_turns(self):
         path = FIXTURES / "bench" / "hello_pair_runs2_store.jsonl"
         lines = path.read_text("utf-8").splitlines()
-        records, _ = _read(path, drop_turns=True)
-        assert records == _without_turns([json.loads(line) for line in lines])
-        by_run = {}
-        take = bench._merge_into(by_run)
-        for record in records:
-            take(record)
+        opening, whole = _both_reads(path)
+        assert opening == whole
+        assert len(opening[0]) == len(lines)
         reloaded = load_results(path)
-        every = {(r.run_index, repo) for r in reloaded for repo in r.per_repo}
-        assert len(every) == len(lines)
-        assert _view([by_run[k] for k in sorted(by_run)]) == _view(reloaded, every)
+        assert _stripped({r.run_index: r for r in reloaded}) == opening[0]
 
 
 class TestTranscriptMarkers:
@@ -359,7 +365,7 @@ class TestTranscriptMarkers:
     @staticmethod
     def _parts():
         """The session, verdict and dossier the record encodes."""
-        script = CommandScript(commands=("cd /app/y", "make"), origin_turn=0)
+        script = CommandScript(commands=("cd /app/y", "make"))
         result = ExecutionResult(
             per_command=(("cd /app/y", 0, 0.0), ("make", 2, 0.4)),
             combined_output="make: *** [all] Error 2",
@@ -411,9 +417,10 @@ class TestTranscriptMarkers:
         line = path.read_bytes().splitlines()[0]
         assert line.count(bench._TURNS_OPEN) == 1
         assert line.count(bench._TURNS_CLOSE, line.find(bench._TURNS_OPEN)) == 1
-        whole, end = _read(path)
-        assert [len(r["session"]["turns"]) for r in whole] == [3, 3]
-        assert _read(path, drop_turns=True) == (_without_turns(whole), end)
+        whole, _end = bench._read_store(path)
+        assert [len(o.session["turns"]) for o in _outcomes(whole).values()] == [3, 3]
+        opening, stripped = _both_reads(path)
+        assert opening == stripped
 
 
 class TestRecordCodec:
@@ -527,16 +534,11 @@ class TestRecordFootprint:
         resume, path = self._resume_over(tmp_path, monkeypatch, ["x/a", "x/b"])
         [result] = resume() if reader == "resume" else load_results(path)
         a, b = result.per_repo["x/a"], result.per_repo["x/b"]
-        pairs = [(a.session, b.session)]
         if reader == "resume":
             # a resume keeps no dossier of a record already in the store
             assert a.dossier is None and b.dossier is None
-        else:
-            pairs += [(a.dossier, b.dossier),
-                      *zip(a.dossier["visited"], b.dossier["visited"], strict=True)]
-        for mine, theirs in pairs:
-            assert list(mine) == list(theirs)
-            assert all(k is t for k, t in zip(mine, theirs))
+        assert list(a.session) == list(b.session)
+        assert all(k is t for k, t in zip(a.session, b.session))
 
     def test_verdicts_artifacts_and_outcomes_carry_no_instance_dict(self):
         record = json.loads(json.dumps(TestTranscriptMarkers._record()))
@@ -654,7 +656,7 @@ def _summary(session):
 
 class TestSessionSummary:
     def test_command_turn_serialized(self):
-        script = CommandScript(commands=("cd /app/x", "make"), origin_turn=0)
+        script = CommandScript(commands=("cd /app/x", "make"))
         result = ExecutionResult(
             per_command=(("cd /app/x", 0, 0.0), ("make", 0, 0.3)),
             combined_output="it built",
@@ -922,6 +924,24 @@ class TestRunOneRepo:
         summary, _, _, _ = _decoded(run_one_repo(record, cfg, tmp_path / "session"))
         assert summary["outcome"] == "succeeded"
         assert calls == [record.id]
+
+    def test_a_link_line_too_long_for_a_file_name_is_a_missing_fetch(self, tmp_path):
+        # a name over 255 bytes makes a file check raise ENAMETOOLONG
+        line = "Build it the usual way, " * 16
+        record = fixture_record("hello_make")
+        llm = _llm(
+            steps=[
+                ("Distill", f"INSTRUCTIONS:\nRun make.\nSUFFICIENT: no\nLINKS:\n{line}"),
+                ("[fetch failed: missing]",
+                 "INSTRUCTIONS:\nRun make.\nSUFFICIENT: yes\nLINKS:\nnone"),
+            ],
+            default_reply="```bash\ncd /app/hello_make\nmake\n```",
+        )
+        cfg = _cfg([record], method="agent-with-retrieval", llm=llm)
+        summary, verdict, _, dossier = _decoded(run_one_repo(record, cfg, tmp_path / "session"))
+        assert summary["outcome"] == "succeeded"
+        assert verdict.strict is True
+        assert dossier["fetch_failures"] == [[line.strip(), "missing"]]
 
     def test_single_turn_method(self, tmp_path):
         record = fixture_record("hello_make")

@@ -43,6 +43,13 @@ def _write_manifest(tmp_path, names_and_expected):
     return path
 
 
+def _not_utf8_product_repo(tmp_path):
+    """A repository whose Makefile builds a binary named b"h\\xff"."""
+    repo = copy_fixture_tree("hello_make", tmp_path / "repo")
+    (repo / "Makefile").write_text("all:\n\tcc -o \"$$(printf 'h\\377')\" hello.c\n")
+    return repo
+
+
 def _scenario_file(tmp_path, doc, name="scenario.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -196,6 +203,11 @@ class TestBuild:
         assert "outcome: succeeded" in out
         assert "strict: True" in out
         assert "binary: hello" in out
+
+    def test_a_binary_name_that_is_not_utf8_is_printed_escaped(self, tmp_path, capsys):
+        repo = _not_utf8_product_repo(tmp_path)
+        assert main(["build", str(repo), "--sandbox-backend", "local"]) == 0
+        assert "binary: h\\udcff" in capsys.readouterr().out.splitlines()
 
     def test_json_build_report(self, capsys):
         rc = main([
@@ -590,6 +602,14 @@ class TestValidate:
         out = capsys.readouterr().out
         assert "strict: True" in out
         assert "binary: hello (executable)" in out
+
+    def test_a_binary_name_that_is_not_utf8_is_printed_escaped(self, tmp_path, capsys):
+        ws_dir = _not_utf8_product_repo(tmp_path)
+        before_path = tmp_path / "before.json"
+        save_snapshot(snapshot_files(workspace_at(ws_dir)), before_path)
+        subprocess.run(["make"], cwd=ws_dir, check=True, capture_output=True)
+        assert main(["validate", "--workspace", str(ws_dir), "--before", str(before_path)]) == 0
+        assert "binary: h\\udcff (executable)" in capsys.readouterr().out.splitlines()
 
     def test_after_snapshot_file(self, tmp_path, capsys):
         ws_dir, before_path = self._prepared(tmp_path)

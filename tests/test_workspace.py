@@ -84,15 +84,13 @@ class TestPrepareWorkspace:
         make_git_repo(tmp_path / "origin")
         record = RepoRecord(id="t/origin", clone_url=str(tmp_path / "origin"),
                             commit="0" * 40)
-        with pytest.raises(CloneError) as err:
+        with pytest.raises(CloneError, match=f"revision {'0' * 40} not found"):
             prepare_workspace(record, tmp_path / "session")
-        assert err.value.kind == "missing-revision"
 
     def test_unreachable_source_raises(self, tmp_path):
         record = RepoRecord(id="t/none", clone_url=str(tmp_path / "no-such-dir"))
-        with pytest.raises(CloneError) as err:
+        with pytest.raises(CloneError):
             prepare_workspace(record, tmp_path / "session")
-        assert err.value.kind in ("unreachable", "other")
 
     def test_nonempty_session_dir_rejected(self, tmp_path):
         session = tmp_path / "session"
