@@ -45,6 +45,9 @@ def load_config_file(path: Optional[str]) -> dict:
         raise UsageError(f"config file {path} is not valid: {exc}") from exc
     if not isinstance(data, dict):
         raise UsageError("config file must hold a key/value object")
+    for section in ("llm", "sandbox"):
+        if not isinstance(data.get(section, {}), dict):
+            raise UsageError(f"config file {path}: the {section} section must be an object")
     return data
 
 

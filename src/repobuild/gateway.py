@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+import re
 import time
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Pattern, Sequence, Tuple, TypeVar, Union
@@ -137,6 +138,19 @@ def ask_structured(
                 ChatMessage("user", REMINDER_PREFIX + reminder)]
     raw = complete(config, messages)
     return parse(raw), raw, messages
+
+
+def list_items(block: str) -> List[str]:
+    """The items of a list block in a reply, one a line: bullets, `1.` or `2)`
+    numbering and enclosing `<...>` stripped, blank lines and `none`,
+    `(empty)` or `n/a` dropped."""
+    items = []
+    for line in block.splitlines():
+        line = re.sub(r"^\d+[.)]\s*", "", line.strip().lstrip("-*").strip())
+        line = line.strip("<>").strip()
+        if line and line.lower() not in ("none", "(empty)", "n/a"):
+            items.append(line)
+    return items
 
 
 def _live_complete(config: LlmConfig, messages: Sequence[ChatMessage]) -> str:

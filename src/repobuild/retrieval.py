@@ -7,6 +7,7 @@ import logging
 import os
 import re
 from dataclasses import asdict, dataclass, field
+from itertools import islice
 from pathlib import Path
 from typing import Callable, List, Optional, Tuple
 from urllib.parse import urljoin, urlsplit
@@ -14,7 +15,7 @@ from urllib.parse import urljoin, urlsplit
 from . import assets
 from .agent import PromptContext
 from .errors import ProtocolError
-from .gateway import ChatMessage, LlmConfig, ask_structured
+from .gateway import ChatMessage, LlmConfig, ask_structured, list_items
 # not called here; perfbench/tracer.py patches them by name until ROADMAP item 1
 from .gateway import complete  # noqa: F401
 from .workspace import list_root_entries, read_readme  # noqa: F401
@@ -65,7 +66,7 @@ class FetchOutcome:
 class RetrievalReply:
     distilled: str
     sufficient: bool
-    candidate_links: Tuple[LinkRef, ...]
+    links: Tuple[str, ...]  # the LINKS items as written
 
 
 @dataclass
@@ -180,66 +181,47 @@ def fetch_link(
     return FetchOutcome(True, content=body[:FETCH_CAP_BYTES])
 
 
-def _parse_links(
-    block: str,
-    ws_root: Optional[Path],
-    base_url: Optional[str],
-    round_no: int,
-    base_dir: Optional[str] = None,
-):
-    links: List[LinkRef] = []
-    for line in block.splitlines():
-        line = line.strip().lstrip("-*").strip()
-        line = re.sub(r"^\d+[.)]\s*", "", line).strip("<>").strip()
-        if not line or line.lower() in ("none", "(empty)", "n/a"):
-            continue
-        if line.startswith(("http://", "https://")):
-            links.append(LinkRef("external-url", line, round_no))
-            continue
-        # os.path reads an OSError, such as a name too long, as no file
-        if ws_root is not None and os.path.exists(ws_root / line):
-            links.append(LinkRef("internal-file", line, round_no))
-            continue
-        if base_dir and ws_root is not None:
-            # relative link echoed from an internal file: try its directory
-            joined = os.path.normpath(os.path.join(base_dir, line))
-            if not joined.startswith("..") and os.path.exists(ws_root / joined):
-                links.append(LinkRef("internal-file", joined, round_no))
-                continue
-        if base_url:
-            # relative link echoed from an external page: resolve against it
-            links.append(LinkRef("external-url", urljoin(base_url, line), round_no))
-        else:
-            links.append(LinkRef("internal-file", line, round_no))
-    return links
-
-
-def parse_retrieval_reply(
-    raw: str,
-    round_no: int = 1,
-    ws_root: Optional[Path] = None,
-    base_url: Optional[str] = None,
-    base_dir: Optional[str] = None,
-) -> RetrievalReply:
-    """Parse the labeled three-block reply; raises ProtocolError when the
-    required labels are missing."""
+def parse_retrieval_reply(raw: str) -> Optional[RetrievalReply]:
+    """The labeled three-block reply, with its LINKS items as written; None
+    when the INSTRUCTIONS or SUFFICIENT label is missing."""
     m_suf = re.search(r"^\s*SUFFICIENT:\s*(yes|no)\b", raw, re.IGNORECASE | re.MULTILINE)
     m_ins = re.search(
         r"INSTRUCTIONS:\s*\n?(.*?)(?=^\s*SUFFICIENT:)", raw, re.DOTALL | re.MULTILINE
     )
     if not m_suf or not m_ins:
-        raise ProtocolError("reply is missing the INSTRUCTIONS or SUFFICIENT block")
+        return None
     m_links = re.search(r"^\s*LINKS:\s*\n?(.*)\Z", raw, re.DOTALL | re.MULTILINE)
-    links = (
-        _parse_links(m_links.group(1), ws_root, base_url, round_no, base_dir)
-        if m_links
-        else []
-    )
     return RetrievalReply(
         distilled=m_ins.group(1).strip(),
         sufficient=m_suf.group(1).lower() == "yes",
-        candidate_links=tuple(links[:LINKS_PER_ROUND]),
+        links=tuple(list_items(m_links.group(1))) if m_links else (),
     )
+
+
+def _link_ref(
+    text: str,
+    ws: Workspace,
+    base_url: Optional[str],
+    base_dir: Optional[str],
+    round_no: int,
+) -> Optional[LinkRef]:
+    """What a LINKS item points at, or None when it is prose. ``base_url`` is
+    the page fetched last and ``base_dir`` the directory of the repository
+    file fetched last."""
+    if text.startswith(("http://", "https://")):
+        return LinkRef("external-url", text, round_no)
+    # os.path reads an OSError, such as a name too long, as no file
+    if os.path.exists(ws.root_path / text):
+        return LinkRef("internal-file", text, round_no)
+    if base_dir:
+        joined = os.path.normpath(os.path.join(base_dir, text))
+        if not joined.startswith("..") and os.path.exists(ws.root_path / joined):
+            return LinkRef("internal-file", joined, round_no)
+    if re.search(r"\s", text):
+        return None  # a sentence that names no file
+    if base_url:
+        return LinkRef("external-url", urljoin(base_url, text), round_no)
+    return LinkRef("internal-file", text, round_no)  # fetches as missing
 
 
 def run_retrieval(
@@ -266,15 +248,9 @@ def run_retrieval(
     for round_no in range(1, MAX_ROUNDS + 1):
         rounds_used = round_no
 
-        def parse(raw: str) -> Optional[RetrievalReply]:
-            try:
-                return parse_retrieval_reply(
-                    raw, round_no, ws.root_path, last_external_base, last_internal_dir
-                )
-            except ProtocolError:
-                return None
-
-        reply, raw, messages = ask_structured(cfg, messages, parse, _FORMAT_REMINDER)
+        reply, raw, messages = ask_structured(
+            cfg, messages, parse_retrieval_reply, _FORMAT_REMINDER
+        )
         if reply is None:
             raise ProtocolError("reply is missing the INSTRUCTIONS or SUFFICIENT block")
         instructions = reply.distilled
@@ -282,13 +258,12 @@ def run_retrieval(
         if sufficient or round_no == MAX_ROUNDS:
             break
 
+        # prose takes no slot; the first links fill the round, then repeats go
+        refs = (_link_ref(text, ws, last_external_base, last_internal_dir, round_no)
+                for text in reply.links)
+        slots = list(islice(filter(None, refs), LINKS_PER_ROUND))
         seen = {link.target for link in visited}
-        fresh = []
-        for link in reply.candidate_links:
-            if link.target not in seen:
-                seen.add(link.target)
-                fresh.append(link)
-        fresh = fresh[:LINKS_PER_ROUND]
+        fresh = [link for link in dict.fromkeys(slots) if link.target not in seen]
         if not fresh:
             break
         summaries = []

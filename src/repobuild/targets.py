@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import assets
 from .errors import ProtocolError
-from .gateway import ChatMessage, LlmConfig, ask_structured
+from .gateway import ChatMessage, LlmConfig, ask_structured, list_items
 from .workspace import Workspace, resolves_inside, walk_paths
 
 logger = logging.getLogger(__name__)
@@ -273,14 +273,7 @@ def extract_targets_llm(
 
 def _parse_names(raw: str) -> Optional[List[str]]:
     m = re.search(r"^\s*NAMES:\s*\n?(.*)\Z", raw, re.DOTALL | re.MULTILINE)
-    if not m:
-        return None
-    names = []
-    for line in m.group(1).splitlines():
-        line = line.strip().lstrip("-*").strip()
-        if line and line.lower() not in ("none", "(empty)"):
-            names.append(line)
-    return names
+    return list_items(m.group(1)) if m else None
 
 
 def _chunk(text: str, budget: int, overlap_lines: int = 10) -> List[str]:

@@ -241,6 +241,11 @@ def load_snapshot(path: str | Path) -> FileSnapshot:
     text = read_input(path, "snapshot")
     try:
         doc = json.loads(text)
+        for rel, vals in doc["entries"].items():
+            if not (isinstance(vals, list) and len(vals) == 3 and type(vals[0]) is int
+                    and isinstance(vals[1], (str, type(None))) and isinstance(vals[2], bool)):
+                raise UsageError(f"snapshot file {path}: entry {rel!r} is not "
+                                 f"[size, digest or null, true/false]: {vals!r}")
         entries = {rel: tuple(vals) for rel, vals in doc["entries"].items()}
         return FileSnapshot(entries=entries, taken_at=doc["taken_at"])
     except (ValueError, TypeError, KeyError, AttributeError) as exc:

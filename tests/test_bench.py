@@ -927,7 +927,7 @@ class TestRunOneRepo:
 
     def test_a_link_line_too_long_for_a_file_name_is_a_missing_fetch(self, tmp_path):
         # a name over 255 bytes makes a file check raise ENAMETOOLONG
-        line = "Build it the usual way, " * 16
+        line = "BUILD-NOTES-" * 25
         record = fixture_record("hello_make")
         llm = _llm(
             steps=[
@@ -941,7 +941,7 @@ class TestRunOneRepo:
         summary, verdict, _, dossier = _decoded(run_one_repo(record, cfg, tmp_path / "session"))
         assert summary["outcome"] == "succeeded"
         assert verdict.strict is True
-        assert dossier["fetch_failures"] == [[line.strip(), "missing"]]
+        assert dossier["fetch_failures"] == [[line, "missing"]]
 
     def test_single_turn_method(self, tmp_path):
         record = fixture_record("hello_make")

@@ -698,6 +698,19 @@ class TestValidate:
         ])
         assert rc == 2
 
+    @pytest.mark.parametrize("entry", [
+        [1], "abc", [1, None], [1, None, False, 0], [True, None, False],
+        [1.5, None, False], [1, 7, False], [1, None, 0], None,
+    ])
+    def test_unusable_snapshot_entry_is_usage_error(self, tmp_path, capsys, entry):
+        ws_dir = copy_fixture_tree("hello_make", tmp_path / "repo")
+        before = tmp_path / "before.json"
+        before.write_text(json.dumps({"entries": {"hello.c": entry}, "taken_at": "t"}))
+        rc = main(["validate", "--workspace", str(ws_dir), "--before", str(before)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(before) in err and "'hello.c'" in err
+
 
 class TestSnapshot:
     def test_cli_snapshot_validates_like_the_python_one(self, tmp_path, capsys):
@@ -808,6 +821,22 @@ class TestErrorMapping:
         ])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, command", [
+        ('"llm": null', ["retrieve", str(REPOS / "hello_make")]),
+        ('"llm": "ab"', ["retrieve", str(REPOS / "hello_make")]),
+        ('"sandbox": [1, 2]', ["build", str(REPOS / "hello_make")]),
+    ])
+    def test_config_section_that_is_no_object_is_usage_error(
+        self, tmp_path, capsys, section, command
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("{" + section + "}")
+        rc = main(["--config", str(cfg), *command])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert str(cfg) in err and section.split(":")[0].strip('"') in err
 
     @pytest.mark.parametrize("argv", [
         ["snapshot", str(REPOS / "hello_make")],

@@ -16,6 +16,7 @@ from repobuild.retrieval import (
     FetchOutcome,
     InstructionDossier,
     LinkRef,
+    _link_ref,
     fetch_link,
     html_to_text,
     normalize_url,
@@ -24,7 +25,7 @@ from repobuild.retrieval import (
     score_retrieval,
 )
 
-from conftest import bytes_read, prepare_fixture, scripted_config
+from conftest import bytes_read, prepare_fixture, scripted_config, workspace_at
 
 GOOD_REPLY = (
     "INSTRUCTIONS:\nRun make in the root.\n\nSUFFICIENT: yes\n\nLINKS:\n"
@@ -54,7 +55,7 @@ class TestParseRetrievalReply:
         parsed = parse_retrieval_reply(reply("use cmake", "no", ["docs/a.md"]))
         assert parsed.distilled == "use cmake"
         assert parsed.sufficient is False
-        assert parsed.candidate_links[0].target == "docs/a.md"
+        assert parsed.links == ("docs/a.md",)
 
     def test_sufficient_yes(self):
         assert parse_retrieval_reply(reply(sufficient="yes")).sufficient is True
@@ -63,47 +64,40 @@ class TestParseRetrievalReply:
         raw = "INSTRUCTIONS:\nx\nSUFFICIENT: YES\nLINKS:\n"
         assert parse_retrieval_reply(raw).sufficient is True
 
-    def test_missing_labels_raise(self):
-        with pytest.raises(ProtocolError):
-            parse_retrieval_reply("here are some thoughts about the build")
-        with pytest.raises(ProtocolError):
-            parse_retrieval_reply("INSTRUCTIONS:\nstuff but no sufficiency")
-
-    def test_links_capped_at_three(self):
-        parsed = parse_retrieval_reply(
-            reply(links=["a.md", "b.md", "c.md", "d.md", "e.md"])
-        )
-        assert len(parsed.candidate_links) == 3
+    def test_missing_labels_give_none(self):
+        assert parse_retrieval_reply("here are some thoughts about the build") is None
+        assert parse_retrieval_reply("INSTRUCTIONS:\nstuff but no sufficiency") is None
 
     def test_bullets_numbers_and_angles_stripped(self):
         parsed = parse_retrieval_reply(
             reply(links=["- docs/a.md", "2) <https://example.com/b>", "* c.md"])
         )
-        targets = [l.target for l in parsed.candidate_links]
-        assert targets == ["docs/a.md", "https://example.com/b", "c.md"]
+        assert parsed.links == ("docs/a.md", "https://example.com/b", "c.md")
 
     def test_none_markers_ignored(self):
         parsed = parse_retrieval_reply(reply(links=["none"]))
-        assert parsed.candidate_links == ()
+        assert parsed.links == ()
 
-    def test_url_classified_external(self):
-        parsed = parse_retrieval_reply(reply(links=["http://example.com/docs"]))
-        assert parsed.candidate_links[0].kind == "external-url"
+
+class TestLinkResolution:
+    def _ref(self, text, tmp_path, base_url=None, base_dir=None):
+        ws = workspace_at(tmp_path)
+        return _link_ref(text, ws, base_url, base_dir, 1)
+
+    def test_url_classified_external(self, tmp_path):
+        link = self._ref("http://example.com/docs", tmp_path)
+        assert (link.kind, link.target) == ("external-url", "http://example.com/docs")
 
     def test_existing_path_classified_internal(self, tmp_path):
         (tmp_path / "INSTALL.md").write_text("instructions", "utf-8")
-        parsed = parse_retrieval_reply(
-            reply(links=["INSTALL.md"]), ws_root=tmp_path
-        )
-        assert parsed.candidate_links[0].kind == "internal-file"
+        link = self._ref("INSTALL.md", tmp_path)
+        assert (link.kind, link.target) == ("internal-file", "INSTALL.md")
 
     def test_relative_link_resolved_against_last_external_base(self, tmp_path):
-        parsed = parse_retrieval_reply(
-            reply(links=["guide/building.html"]),
-            ws_root=tmp_path,
+        link = self._ref(
+            "guide/building.html", tmp_path,
             base_url="https://docs.example.com/root/index.html",
         )
-        link = parsed.candidate_links[0]
         assert link.kind == "external-url"
         assert link.target == "https://docs.example.com/root/guide/building.html"
 
@@ -111,12 +105,21 @@ class TestParseRetrievalReply:
         (tmp_path / "docs").mkdir()
         (tmp_path / "docs" / "BUILD.md").write_text("see DEPS.md", "utf-8")
         (tmp_path / "docs" / "DEPS.md").write_text("apt install libfoo", "utf-8")
-        parsed = parse_retrieval_reply(
-            reply(links=["DEPS.md"]), ws_root=tmp_path, base_dir="docs",
-        )
-        link = parsed.candidate_links[0]
-        assert link.kind == "internal-file"
-        assert link.target == "docs/DEPS.md"
+        link = self._ref("DEPS.md", tmp_path, base_dir="docs")
+        assert (link.kind, link.target) == ("internal-file", "docs/DEPS.md")
+
+    def test_unknown_name_is_an_internal_file(self, tmp_path):
+        link = self._ref("docs/absent.md", tmp_path)
+        assert (link.kind, link.target) == ("internal-file", "docs/absent.md")
+
+    @pytest.mark.parametrize("base_url", [None, "https://example.com/docs/index.html"])
+    def test_prose_is_no_link(self, tmp_path, base_url):
+        assert self._ref("See the wiki page for details", tmp_path, base_url=base_url) is None
+
+    def test_existing_path_with_a_space_is_a_link(self, tmp_path):
+        (tmp_path / "build notes.txt").write_text("make", "utf-8")
+        link = self._ref("build notes.txt", tmp_path)
+        assert (link.kind, link.target) == ("internal-file", "build notes.txt")
 
 
 class TestHtmlToText:
@@ -496,6 +499,22 @@ class TestRunRetrieval:
         ))
         with pytest.raises(ProtocolError):
             run_retrieval(ws, cfg, repo_context(ws), fetcher=fake_fetcher({}))
+
+    def test_prose_takes_no_fetch_slot(self, tmp_path):
+        ws = prepare_fixture("hello_make", tmp_path)
+        scenario = ScriptedScenario(steps=[
+            ("content fetched from the links", reply("run make", "yes")),
+            ("Distill", reply("partial", "no", [
+                "See the wiki page for details.",
+                "README.md",
+                "The Makefile has the targets.",
+                "Makefile",
+            ])),
+        ])
+        fetch = fake_fetcher({})
+        dossier = run_retrieval(ws, scripted_config(scenario), repo_context(ws), fetcher=fetch)
+        assert fetch.calls == ["README.md", "Makefile"]
+        assert [l.target for l in dossier.visited] == ["README.md", "Makefile"]
 
 
 class TestScoring:

@@ -297,6 +297,12 @@ class TestLlmExtraction:
         pred = extract_targets_llm([], _cfg(scenario))
         assert pred.names == ("alpha", "beta")
 
+    def test_numbers_and_angles_stripped(self):
+        doc = _raw_doc("app: a.o\n\tcc -o app a.o\n")
+        scenario = ScriptedScenario(default_reply="NAMES:\n1. app\n2) <tool>")
+        pred = extract_targets_llm([doc], _cfg(scenario))
+        assert pred.names == ("app", "tool")
+
     def test_malformed_reply_reasked_once(self):
         scenario = ScriptedScenario(
             steps=[("did not follow the required format", "NAMES:\nfixed_tool")],
