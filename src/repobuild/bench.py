@@ -9,7 +9,6 @@ import logging
 import os
 import re
 import shutil
-import sys
 from collections import Counter, deque
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass, field, replace
@@ -20,7 +19,6 @@ from typing import Dict, List, Optional, Tuple
 from . import assets
 from .agent import (
     DEFAULT_MAX_TURNS,
-    OUTCOMES,
     VARIANTS,
     BuildSession,
     PromptContext,
@@ -34,7 +32,6 @@ from .retrieval import InstructionDossier, run_retrieval
 from .rules import build_with_rules
 from .sandbox import SandboxSpec, base_image_description
 from .validation import (
-    CLASSES,
     BinaryArtifact,
     Verdict,
     discover_new_binaries,
@@ -85,11 +82,12 @@ class RunConfig:
 
 @dataclass(slots=True)
 class RepoOutcome:
-    # the session summary and the retrieval dossier; a resume leaves the
-    # session's ``turns`` and the dossier out of the records that were in the
-    # store before it, and keeps every other key
-    session: dict
+    # the session summary and the retrieval dossier as stored; a resume
+    # leaves both out (None) of the records that were in the store before it,
+    # which keep only what the report reads
+    session: Optional[dict]
     verdict: Verdict
+    fix_attempts: int
     failure_mode: Optional[str] = None
     dossier: Optional[dict] = None
 
@@ -134,13 +132,13 @@ def _read_store(
     record: reason")``.
 
     ``resumed`` is a resume's opening pass, whose outcomes hold only what
-    the report and the resume read: each session comes without its
-    ``turns`` and each dossier, once checked, is None. A torn unterminated
-    tail is left unlogged, for the read from the returned offset that
-    follows. The transcript is never decoded: it is cut out of the line's
-    bytes, from the first ``"turns": [`` to the last ``], "variant": ``
-    after it, found by searching back from the end of the line, and the rest
-    is parsed. Only the session's ``variant`` and the fixed-schema verdict
+    the report and the resume read: the verdict, the failure tag and
+    ``fix_attempts``, with the session and the dossier, once checked, None.
+    A torn unterminated tail is left unlogged, for the read from the
+    returned offset that follows. The transcript is never decoded: it is
+    cut out of the line's bytes, from the first ``"turns": [`` to the last
+    ``], "variant": `` after it, found by searching back from the end of
+    the line, and the rest is parsed. Only the session's ``variant`` and the fixed-schema verdict
     follow the transcript, so the backward search crosses those few hundred
     bytes, not the transcript. This is exact because every line is a whole
     record from ``ResultStore.append`` (sorted keys, default separators) or
@@ -184,8 +182,6 @@ def _read_store(
                 if not resumed or line.endswith(b"\n"):
                     logger.warning("skipping torn record in %s", path)
                 continue
-            if resumed and type(record) is dict and type(record.get("session")) is dict:
-                record["session"].pop("turns", None)
             try:
                 run, repo, outcome = decode_record(record)
             except UsageError as exc:
@@ -193,7 +189,7 @@ def _read_store(
                     f"{path}:{_line_number(fh, at)}: not a stored record: {exc}"
                 ) from None
             if resumed:
-                outcome.dossier = None
+                outcome.session = outcome.dossier = None
             result = by_run.get(run)
             if result is None:
                 result = by_run[run] = RunResult(run_index=run)
@@ -316,43 +312,27 @@ def dossier_to_dict(dossier: Optional[InstructionDossier]) -> Optional[dict]:
     }
 
 
-def _shared_keys(obj: dict) -> dict:
-    """``obj`` rebuilt with interned keys: ``json.loads`` shares a key string
-    only within one call, so without this each decoded session would hold
-    its own copy of every field name."""
-    return {sys.intern(k): v for k, v in obj.items()}
-
-
-# each enumerated field's values, mapped to the package's own strings
-_VARIANTS, _OUTCOMES, _FAILURE_MODES, _CLASSES = (
-    dict(zip(values, values)) for values in (VARIANTS, OUTCOMES, FAILURE_MODES, CLASSES)
-)
-
-
-def _share_value(obj: dict, key: str, shared: dict) -> None:
-    """Point ``obj[key]`` at the equal string in ``shared``, if it has one."""
-    value = obj.get(key)
-    if type(value) is str:
-        obj[key] = shared.get(value, value)
+# the failure tags mapped to the package's own strings
+_FAILURE_MODES = dict(zip(FAILURE_MODES, FAILURE_MODES))
 
 
 def decode_record(rec) -> Tuple[int, str, RepoOutcome]:
     """A parsed store line as (run, repo, outcome), or a ``UsageError`` that
-    says why it is not a stored record. The outcome holds a copy of the
-    parsed session dict whose keys are interned, so every session decoded in
-    a process shares one string per field name, and the dossier as parsed.
-    Enumerated values (the session's ``variant`` and ``outcome``, the
-    failure tag, each binary's class) are the package's own strings, and the
-    session's ``repo_id`` is ``repo`` when the two are equal; every other
-    value is the parsed one."""
+    says why it is not a stored record. The outcome holds the session and
+    the dossier as parsed, and the session's ``fix_attempts`` (0 when the
+    key is missing). The failure tag and each binary's class are the
+    package's own strings; every other value is the parsed one."""
     if type(rec) is not dict:
         raise UsageError("not an object")
     run, repo, session = rec.get("run"), rec.get("repo"), rec.get("session")
     failure, dossier, v = rec.get("failure_mode"), rec.get("dossier"), rec.get("verdict")
-    if type(run) is not int or type(repo) is not str:
-        raise UsageError("run must be an integer and repo a string")
+    if type(run) is not int or run < 0 or type(repo) is not str:
+        raise UsageError("run must be a non-negative integer and repo a string")
     if type(session) is not dict:
         raise UsageError("session must be an object")
+    fix_attempts = session.get("fix_attempts", 0)
+    if type(fix_attempts) is not int or fix_attempts < 0:
+        raise UsageError("fix_attempts must be a non-negative integer")
     if failure is not None and type(failure) is not str:
         raise UsageError("failure_mode must be a string or null")
     if dossier is not None and type(dossier) is not dict:
@@ -367,8 +347,6 @@ def decode_record(rec) -> Tuple[int, str, RepoOutcome]:
         raise UsageError("matched_names must be a list of strings")
     if type(binaries) is not list or not all(type(a) is dict for a in binaries):
         raise UsageError("new_binaries must be a list of objects")
-    for a in binaries:
-        _share_value(a, "classify", _CLASSES)
     try:
         artifacts = tuple(BinaryArtifact(**a) for a in binaries)
     except (TypeError, ValueError) as exc:
@@ -378,13 +356,8 @@ def decode_record(rec) -> Tuple[int, str, RepoOutcome]:
         extra = set(v) - {"completion", "strict", "flexible", "matched_names", "new_binaries"}
         raise UsageError(f"verdict has unknown keys {sorted(extra)}")
     verdict = Verdict(completion, strict, flexible, frozenset(names), artifacts)
-    session = _shared_keys(session)
-    _share_value(session, "variant", _VARIANTS)
-    _share_value(session, "outcome", _OUTCOMES)
-    if session.get("repo_id") == repo:
-        session["repo_id"] = repo
     failure = _FAILURE_MODES.get(failure, failure)
-    return run, repo, RepoOutcome(session, verdict, failure, dossier)
+    return run, repo, RepoOutcome(session, verdict, fix_attempts, failure, dossier)
 
 
 def load_results(store_path: Path) -> List[RunResult]:
@@ -531,10 +504,10 @@ def run_benchmark(
     in the store. Returns what ``load_results`` would rebuild from the store
     at the end, records other writers appended included, so a recomputation
     sees exactly what was persisted; only the records already in the store
-    when the call began come back without their sessions' ``turns`` and
-    without their retrieval dossiers, which the report does not read. That
-    keeps a resume's memory to the record count, not the transcripts, and
-    both stay in the store for ``load_results``.
+    when the call began come back as their verdicts, failure tags and
+    ``fix_attempts``, with no session and no retrieval dossier, which the
+    report does not read. That keeps a resume's memory to the record count,
+    not the sessions, and both stay in the store for ``load_results``.
 
     Sessions start in manifest order, run by run, on ``parallelism``
     threads. When one starts, the workspace of the job ``parallelism`` places
@@ -602,7 +575,7 @@ def compute_metrics(result: RunResult, n: int) -> dict:
     completion = sum(1 for o in outcomes if o.verdict.completion)
     strict = sum(1 for o in outcomes if o.verdict.strict)
     flexible = sum(1 for o in outcomes if o.verdict.flexible)
-    attempts = [o.session.get("fix_attempts", 0) for o in outcomes]
+    attempts = [o.fix_attempts for o in outcomes]
     return {
         "run": result.run_index,
         "completion_pct": 100.0 * completion / n,

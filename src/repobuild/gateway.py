@@ -88,8 +88,12 @@ class LlmConfig:
             raise ValueError("temperature must be >= 0")
         if self.max_reply_chars <= 0:
             raise ValueError("max_reply_chars must be positive")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
+        if type(self.model_name) is not str:
+            raise ValueError("model_name must be a string")
+        if type(self.request_timeout) not in (int, float) or not self.request_timeout > 0:
+            raise ValueError("request_timeout must be a positive number")
+        if type(self.max_retries) is not int or self.max_retries < 0:
+            raise ValueError("max_retries must be an integer >= 0")
         if self.backend == "scripted" and self.scenario is None:
             raise ValueError("scripted backend requires a scenario")
 

@@ -55,8 +55,12 @@ class SandboxSpec:
             raise ValueError("timeouts must be positive")
         if self.total_timeout < self.per_command_timeout:
             raise ValueError("total_timeout must be >= per_command_timeout")
-        if self.output_cap_bytes <= 0:
-            raise ValueError("output_cap_bytes must be positive")
+        if type(self.output_cap_bytes) is not int or self.output_cap_bytes <= 0:
+            raise ValueError("output_cap_bytes must be a positive integer")
+        if type(self.env) is not dict or not all(
+            type(k) is str and type(v) is str for k, v in self.env.items()
+        ):
+            raise ValueError("env must map strings to strings")
 
 
 @dataclass(frozen=True)

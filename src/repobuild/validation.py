@@ -50,6 +50,8 @@ class BinaryArtifact:
     def __post_init__(self):
         if self.classify not in CLASSES:
             raise ValueError(f"unknown artifact class {self.classify!r}")
+        # the package's own string, shared by every artifact of the class
+        object.__setattr__(self, "classify", CLASSES[CLASSES.index(self.classify)])
 
 
 @dataclass(frozen=True, slots=True)

@@ -12,7 +12,7 @@ from dataclasses import replace
 import pytest
 
 from repobuild import bench, retrieval
-from repobuild.agent import OUTCOMES, VARIANTS, BuildSession, Turn
+from repobuild.agent import VARIANTS, BuildSession, Turn
 from repobuild.bench import (
     FAILURE_MODES,
     ResultStore,
@@ -81,8 +81,9 @@ def _vd(completion=False, strict=False, flexible=False):
 
 def _outcome(completion=False, strict=False, flexible=False, fix=0, failure=None):
     return RepoOutcome(
-        session={"fix_attempts": fix},
+        session=None,
         verdict=_vd(completion, strict, flexible),
+        fix_attempts=fix,
         failure_mode=failure,
     )
 
@@ -150,14 +151,10 @@ def _decoded(record):
 
 def _view(results, stored=frozenset()):
     """What a result holds, per run and repo; the sessions of the (run, repo)
-    keys in ``stored`` without their turns, as a resume returns them."""
-    def session(run, repo, s):
-        if (run, repo) in stored:
-            return {k: v for k, v in s.items() if k != "turns"}
-        return s
-
+    keys in ``stored`` as None, as a resume returns them."""
     return [
-        (r.run_index, {repo: (o.verdict, o.failure_mode, session(r.run_index, repo, o.session))
+        (r.run_index, {repo: (o.verdict, o.failure_mode, o.fix_attempts,
+                              None if (r.run_index, repo) in stored else o.session)
                        for repo, o in r.per_repo.items()})
         for r in results
     ]
@@ -245,12 +242,19 @@ class TestResultStore:
         assert result.per_repo["x/y"] == decode_record(record)[2]
         assert result.per_repo["x/y"].verdict.new_binaries[0].rel_path == "build/\udcff"
 
-    def test_line_that_is_not_a_record_is_usage_error(self, tmp_path):
+    @pytest.mark.parametrize("value, reason", [
+        ([1, 2], "not an object"),
+        ({**_record(0, "a/b"), "run": -1}, "run must be a non-negative integer and repo a string"),
+        *(({**_record(0, "a/b"), "session": {**_session_dict(), "fix_attempts": n}},
+           "fix_attempts must be a non-negative integer") for n in ("3", True, 1.5, -1)),
+    ], ids=["not-an-object", "negative-run", "string-fix-attempts", "bool-fix-attempts",
+            "float-fix-attempts", "negative-fix-attempts"])
+    def test_line_that_is_not_a_record_is_usage_error(self, tmp_path, value, reason):
         path = tmp_path / "store.jsonl"
-        path.write_text("[1, 2]\n")
+        path.write_text(json.dumps(value) + "\n")
         with pytest.raises(UsageError) as exc:
             ResultStore(path).existing_keys()
-        assert str(exc.value) == f"{path}:1: not a stored record: not an object"
+        assert str(exc.value) == f"{path}:1: not a stored record: {reason}"
 
     def test_appends_from_four_processes_stay_whole(self, tmp_path):
         path, go = tmp_path / "store.jsonl", tmp_path / "go"
@@ -290,12 +294,8 @@ def _outcomes(by_run):
 
 def _stripped(by_run):
     """The outcomes of a whole read as a resume's opening pass gives them:
-    sessions without their turns, and no dossiers."""
-    return {
-        key: replace(o, session={k: v for k, v in o.session.items() if k != "turns"},
-                     dossier=None)
-        for key, o in _outcomes(by_run).items()
-    }
+    no sessions and no dossiers."""
+    return {key: replace(o, session=None, dossier=None) for key, o in _outcomes(by_run).items()}
 
 
 def _both_reads(path):
@@ -472,6 +472,7 @@ class TestRecordCodec:
         assert outcome.verdict == verdict
         assert outcome.dossier == bench.dossier_to_dict(dossier)
         assert outcome.failure_mode == "unresolved-after-max-attempts"
+        assert outcome.fix_attempts == session.fix_attempts
         assert outcome.failure_mode == tag_failure_mode(outcome.session, verdict, outcome.dossier)
         stored = outcome.session
         assert (stored["repo_id"], stored["variant"], stored["max_turns"], stored["outcome"],
@@ -506,9 +507,8 @@ class TestRecordCodec:
 
 
 class TestRecordFootprint:
-    """A decoded record shares its field names with every other record
-    decoded in the process, and its verdict, artifacts and outcome carry no
-    per-instance dict."""
+    """A decoded record's verdict, artifacts and outcome carry no
+    per-instance dict, and a resume retains a bounded size per record."""
 
     @staticmethod
     def _resume_over(tmp_path, monkeypatch, repos, runs=1):
@@ -528,17 +528,6 @@ class TestRecordFootprint:
         monkeypatch.setattr("repobuild.bench.run_one_repo", must_not_run)
         cfg = _cfg([RepoRecord(id=repo, clone_url="unused") for repo in repos], runs=runs)
         return lambda: run_benchmark(cfg, path, tmp_path / "work"), path
-
-    @pytest.mark.parametrize("reader", ["resume", "load_results"])
-    def test_records_share_their_field_names(self, tmp_path, monkeypatch, reader):
-        resume, path = self._resume_over(tmp_path, monkeypatch, ["x/a", "x/b"])
-        [result] = resume() if reader == "resume" else load_results(path)
-        a, b = result.per_repo["x/a"], result.per_repo["x/b"]
-        if reader == "resume":
-            # a resume keeps no dossier of a record already in the store
-            assert a.dossier is None and b.dossier is None
-        assert list(a.session) == list(b.session)
-        assert all(k is t for k, t in zip(a.session, b.session))
 
     def test_verdicts_artifacts_and_outcomes_carry_no_instance_dict(self):
         record = json.loads(json.dumps(TestTranscriptMarkers._record()))
@@ -560,9 +549,9 @@ class TestRecordFootprint:
         finally:
             tracemalloc.stop()
         assert [len(r.per_repo) for r in results] == [1000, 1000]
-        # 1,260-1,440 bytes per record on CPython 3.10-3.13; keeping each
-        # stored dossier takes it to 2,750-3,170, and a copy of each
-        # enumerated value adds about 300
+        # about 1,020 bytes per record on CPython 3.11 (other versions not
+        # measured); keeping each stored session takes it to about 1,930,
+        # and its dossier as well to about 3,650
         assert retained / 2000 < 1500
 
 
@@ -573,8 +562,8 @@ def _own(values, value):
 
 class TestResumedRecord:
     """A record already in the store comes back from a resume with what the
-    report and the resume read: no transcript, no dossier, and enumerated
-    values that are the package's own strings."""
+    report reads: no session, no dossier, and a failure tag and binary
+    classes that are the package's own strings."""
 
     @staticmethod
     def _resume(tmp_path, monkeypatch, records, run_fresh=None):
@@ -616,37 +605,22 @@ class TestResumedRecord:
                   "session": {**record["session"], "outcome": "protocol-error"}}
         result, _path = self._resume(tmp_path, monkeypatch, [{**record, "repo": "x/a"}, failed])
         a, b = result.per_repo["x/a"], result.per_repo["x/b"]
-        assert (a.session["outcome"], b.session["outcome"]) == ("agent-terminated",
-                                                                "protocol-error")
+        assert (a.failure_mode, b.failure_mode) == ("unresolved-after-max-attempts",
+                                                    "protocol-error")
         for outcome in (a, b):
-            session = outcome.session
-            assert session["variant"] is _own(VARIANTS, "agent-with-retrieval")
-            assert session["outcome"] is _own(OUTCOMES, session["outcome"])
             assert outcome.failure_mode is _own(FAILURE_MODES, outcome.failure_mode)
             classes = [artifact.classify for artifact in outcome.verdict.new_binaries]
             assert classes == ["executable", "static-archive"]
             assert all(c is _own(CLASSES, c) for c in classes)
 
-    def test_a_sessions_repo_id_is_its_key(self, tmp_path, monkeypatch):
-        record = TestTranscriptMarkers._record()
-        assert record["session"]["repo_id"] == record["repo"] == "x/y"
-        result, _path = self._resume(tmp_path, monkeypatch, [record, {**record, "repo": "x/z"}])
-        key = next(k for k in result.per_repo if k == "x/y")
-        assert result.per_repo[key].session["repo_id"] is key
-        # a repo_id other than the record's repo is kept as stored
-        assert result.per_repo["x/z"].session["repo_id"] == "x/y"
-
     def test_values_outside_the_enumerations_come_back_as_parsed(self, tmp_path, monkeypatch):
         record = TestTranscriptMarkers._record()
-        record["session"].update(variant="custom-variant", outcome="custom")
         record["failure_mode"] = "custom-tag"
         result, path = self._resume(tmp_path, monkeypatch, [record])
         [reloaded] = load_results(path)
         got, want = result.per_repo["x/y"], reloaded.per_repo["x/y"]
-        assert (got.session["variant"], got.session["outcome"], got.failure_mode) == (
-            "custom-variant", "custom", "custom-tag")
-        want.session.pop("turns")
-        assert got == RepoOutcome(want.session, want.verdict, want.failure_mode, None)
+        assert got.failure_mode == "custom-tag"
+        assert got == replace(want, session=None, dossier=None)
 
 
 def _summary(session):
@@ -1072,13 +1046,13 @@ class TestRunBenchmark:
 
         # keep only the first record and plant a sentinel proving it survives
         first = json.loads(lines[0])
-        first["session"]["error_detail"] = "SENTINEL-not-recomputed"
+        first["session"]["fix_attempts"] = 4242
         store2 = tmp_path / "store2.jsonl"
         store2.write_text(json.dumps(first, sort_keys=True) + "\n")
         results = run_benchmark(cfg, store2, tmp_path / "work2")
         assert len(store2.read_text().splitlines()) == 2
         done = results[0].per_repo[first["repo"]]
-        assert done.session["error_detail"] == "SENTINEL-not-recomputed"
+        assert done.fix_attempts == 4242
 
     def test_crash_resume_rebuilds_in_flight_repo(self, tmp_path):
         records = [fixture_record("hello_make"), fixture_record("hello_autotools")]
@@ -1279,12 +1253,8 @@ class TestRunBenchmark:
         results = run_benchmark(cfg, store_path, tmp_path / "work")
         [reloaded] = load_results(store_path)
         done, todo = results[0].per_repo["a/done"], results[0].per_repo["a/todo"]
-        want = reloaded.per_repo["a/done"]
-        assert "turns" not in done.session
-        assert done.session == {k: v for k, v in want.session.items() if k != "turns"}
-        assert (done.verdict, done.failure_mode, done.dossier) == (
-            want.verdict, want.failure_mode, want.dossier
-        )
+        assert done.session is None and done.dossier is None
+        assert done == replace(reloaded.per_repo["a/done"], session=None, dossier=None)
         assert todo == reloaded.per_repo["a/todo"]
         assert todo.session == fresh
 

@@ -393,6 +393,20 @@ class TestBench:
         assert doc["strict_pct"] == [100.0]
         assert doc["pass_at_k"]["1"]["strict"] == 100.0
 
+    def test_config_env_of_the_wrong_type_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"sandbox": {"env": {"A": 1}}}')
+        manifest = _write_manifest(tmp_path, [("hello_make", ["hello"])])
+        store = tmp_path / "store.jsonl"
+        rc = main([
+            "--config", str(cfg), "bench", "--manifest", str(manifest),
+            "--store", str(store), "--work-dir", str(tmp_path / "work"),
+            "--sandbox-backend", "local",
+        ])
+        assert rc == 2
+        assert "env must map strings to strings" in capsys.readouterr().err
+        assert not store.exists()
+
     def test_reply_holding_a_lone_surrogate_is_stored(self, tmp_path, capsys):
         # json.loads accepts the escape of a lone surrogate in a scenario file
         reply = "cannot build \ud800 terminate"

@@ -171,6 +171,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             LlmConfig(backend="oracle")
 
+    @pytest.mark.parametrize("field, value", [
+        ("request_timeout", -1), ("request_timeout", 0), ("request_timeout", float("nan")),
+        ("request_timeout", "soon"), ("request_timeout", True),
+        ("max_retries", 1.5), ("max_retries", True), ("max_retries", -1),
+        ("model_name", 7),
+    ])
+    def test_value_of_the_wrong_type_or_range_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            LlmConfig(**{field: value})
+
     def test_live_backend_fails_without_endpoint(self, monkeypatch):
         monkeypatch.delenv("REPOBUILD_LLM_BASE_URL", raising=False)
         monkeypatch.delenv("REPOBUILD_LLM_API_KEY", raising=False)

@@ -62,6 +62,14 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             SandboxSpec(output_cap_bytes=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("output_cap_bytes", 1.5), ("output_cap_bytes", True),
+        ("env", {"A": 1}), ("env", ["A"]), ("env", {1: "a"}),
+    ])
+    def test_value_of_the_wrong_type_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SandboxSpec(**{field: value})
+
     def test_script_rejects_empty_and_bare_terminate(self):
         with pytest.raises(ValueError):
             CommandScript(commands=())
