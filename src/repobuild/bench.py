@@ -98,16 +98,6 @@ class RunResult:
     per_repo: Dict[str, RepoOutcome] = field(default_factory=dict)
 
 
-@dataclass
-class AggregateReport:
-    completion_pct: List[float]
-    strict_pct: List[float]
-    flexible_pct: List[float]
-    mean_fix_attempts: List[float]
-    pass_at_k: Dict[int, Tuple[float, float]]
-    failure_mode_histogram: Dict[str, int]
-
-
 # -- persistence --------------------------------------------------------------
 
 # where a session's transcript opens and ends in a line ResultStore.append wrote
@@ -567,109 +557,70 @@ def run_benchmark(
 # -- metrics ------------------------------------------------------------------
 
 
-def compute_metrics(result: RunResult, n: int) -> dict:
-    """Per-run percentages over the manifest size plus mean fix attempts."""
-    if n <= 0:
-        raise UsageError("manifest size must be positive")
-    outcomes = result.per_repo.values()
-    completion = sum(1 for o in outcomes if o.verdict.completion)
-    strict = sum(1 for o in outcomes if o.verdict.strict)
-    flexible = sum(1 for o in outcomes if o.verdict.flexible)
-    attempts = [o.fix_attempts for o in outcomes]
-    return {
-        "run": result.run_index,
-        "completion_pct": 100.0 * completion / n,
-        "strict_pct": 100.0 * strict / n,
-        "flexible_pct": 100.0 * flexible / n,
-        "mean_fix_attempts": sum(attempts) / len(attempts) if attempts else 0.0,
-    }
+def aggregate(results: List[RunResult]) -> dict:
+    """The report over ``results``, taken in run order, as the document
+    ``repobuild bench --json`` prints less its ``method``:
 
-
-def pass_at_k(results: List[RunResult], k: int, criterion: str) -> float:
-    """Share of repos meeting the criterion in at least one of the first k
-    chronologically ordered runs."""
-    if criterion not in ("strict", "flexible"):
-        raise UsageError(f"unknown criterion {criterion!r}")
-    if not (1 <= k <= len(results)):
-        raise UsageError(f"k={k} outside the available {len(results)} runs")
-    ordered = sorted(results, key=lambda r: r.run_index)
-    repo_ids = set()
-    for result in ordered:
-        repo_ids.update(result.per_repo)
-    n = len(repo_ids)
-    if n == 0:
-        return 0.0
-    hits = 0
-    for repo in repo_ids:
-        for result in ordered[:k]:
-            outcome = result.per_repo.get(repo)
-            if outcome is not None and getattr(outcome.verdict, criterion):
-                hits += 1
-                break
-    return 100.0 * hits / n
-
-
-def aggregate(results: List[RunResult]) -> AggregateReport:
+    - ``completion_pct``, ``strict_pct`` and ``flexible_pct``: one rate per
+      run, over the repo count of the largest run, and no rows at all when
+      every run is empty;
+    - ``mean_fix_attempts``: one mean per run alongside, 0.0 for an empty run;
+    - ``pass_at_k``: for each k from ``"1"`` to the run count, the strict and
+      flexible shares of every repo seen that met the criterion in one of
+      the first k runs (0.0 when no repo was seen);
+    - ``failure_mode_histogram``: the count of every outcome's failure tag.
+    """
     ordered = sorted(results, key=lambda r: r.run_index)
     n = max((len(r.per_repo) for r in ordered), default=0)
-    rows = [compute_metrics(r, n) for r in ordered] if n else []
+    report = {name: [] for name in
+              ("completion_pct", "strict_pct", "flexible_pct", "mean_fix_attempts")}
     histogram = Counter()
+    # the repos seen, and those that met each criterion, in the runs so far
+    repos, strict_hits, flexible_hits = set(), set(), set()
+    hits = []
     for result in ordered:
-        for outcome in result.per_repo.values():
-            if outcome.failure_mode:
-                histogram[outcome.failure_mode] += 1
-    return AggregateReport(
-        completion_pct=[r["completion_pct"] for r in rows],
-        strict_pct=[r["strict_pct"] for r in rows],
-        flexible_pct=[r["flexible_pct"] for r in rows],
-        mean_fix_attempts=[r["mean_fix_attempts"] for r in rows],
-        pass_at_k={
-            k: (pass_at_k(ordered, k, "strict"), pass_at_k(ordered, k, "flexible"))
-            for k in range(1, len(ordered) + 1)
-        },
-        failure_mode_histogram=dict(histogram),
-    )
+        outcomes = result.per_repo.values()
+        repos.update(result.per_repo)
+        strict_hits.update(repo for repo, o in result.per_repo.items() if o.verdict.strict)
+        flexible_hits.update(repo for repo, o in result.per_repo.items() if o.verdict.flexible)
+        hits.append((len(strict_hits), len(flexible_hits)))
+        histogram.update(o.failure_mode for o in outcomes if o.failure_mode)
+        if n:
+            for name in ("completion", "strict", "flexible"):
+                met = sum(getattr(o.verdict, name) for o in outcomes)
+                report[f"{name}_pct"].append(100.0 * met / n)
+            report["mean_fix_attempts"].append(
+                sum(o.fix_attempts for o in outcomes) / len(outcomes) if outcomes else 0.0
+            )
+    seen = len(repos) or 1  # with no repo seen every hit count is 0
+    report["pass_at_k"] = {
+        str(k): {"strict": 100.0 * s / seen, "flexible": 100.0 * f / seen}
+        for k, (s, f) in enumerate(hits, 1)
+    }
+    report["failure_mode_histogram"] = dict(histogram)
+    return report
 
 
-def emit_report(report: AggregateReport, fmt: str = "table", method: str = "") -> str:
-    """Render the aggregate as a human table or a stable machine document."""
+def emit_report(report: dict, fmt: str = "table", method: str = "") -> str:
+    """Render ``aggregate``'s report: ``machine`` is that document with
+    ``method`` added, as JSON with sorted keys; ``table`` is a human table,
+    its pass@k rows in numeric k order."""
     if fmt == "machine":
-        doc = {
-            "method": method,
-            "completion_pct": report.completion_pct,
-            "strict_pct": report.strict_pct,
-            "flexible_pct": report.flexible_pct,
-            "mean_fix_attempts": report.mean_fix_attempts,
-            "pass_at_k": {
-                str(k): {"strict": v[0], "flexible": v[1]}
-                for k, v in sorted(report.pass_at_k.items())
-            },
-            "failure_mode_histogram": dict(sorted(report.failure_mode_histogram.items())),
-        }
-        return json.dumps(doc, indent=2, sort_keys=True)
+        return json.dumps({**report, "method": method}, indent=2, sort_keys=True)
     if fmt != "table":
         raise UsageError(f"unknown report format {fmt!r}")
 
-    lines = []
-    header = "| run | completion % | strict % | flexible % | fix attempts |"
-    lines.append(header)
-    lines.append("|" + "---|" * 5)
-    for i in range(len(report.completion_pct)):
-        lines.append(
-            f"| {i + 1} | {report.completion_pct[i]:.1f} | {report.strict_pct[i]:.1f} "
-            f"| {report.flexible_pct[i]:.1f} | {report.mean_fix_attempts[i]:.1f} |"
-        )
-    if report.pass_at_k:
-        lines.append("")
-        lines.append("| k | pass@k strict % | pass@k flexible % |")
-        lines.append("|" + "---|" * 3)
-        for k in sorted(report.pass_at_k):
-            s, f = report.pass_at_k[k]
-            lines.append(f"| {k} | {s:.1f} | {f:.1f} |")
-    if report.failure_mode_histogram:
-        lines.append("")
-        lines.append("| failure mode | count |")
-        lines.append("|" + "---|" * 2)
-        for mode, count in sorted(report.failure_mode_histogram.items()):
+    lines = ["| run | completion % | strict % | flexible % | fix attempts |", "|" + "---|" * 5]
+    rows = zip(report["completion_pct"], report["strict_pct"], report["flexible_pct"],
+               report["mean_fix_attempts"])
+    for i, row in enumerate(rows, 1):
+        lines.append(f"| {i} | " + " | ".join(f"{v:.1f}" for v in row) + " |")
+    if report["pass_at_k"]:
+        lines += ["", "| k | pass@k strict % | pass@k flexible % |", "|" + "---|" * 3]
+        for k, v in sorted(report["pass_at_k"].items(), key=lambda item: int(item[0])):
+            lines.append(f"| {k} | {v['strict']:.1f} | {v['flexible']:.1f} |")
+    if report["failure_mode_histogram"]:
+        lines += ["", "| failure mode | count |", "|" + "---|" * 2]
+        for mode, count in sorted(report["failure_mode_histogram"].items()):
             lines.append(f"| {mode} | {count} |")
     return "\n".join(lines)

@@ -84,10 +84,10 @@ class LlmConfig:
     def __post_init__(self):
         if self.backend not in ("live", "scripted"):
             raise ValueError(f"unknown backend {self.backend!r}")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
-        if self.max_reply_chars <= 0:
-            raise ValueError("max_reply_chars must be positive")
+        if type(self.temperature) not in (int, float) or not self.temperature >= 0:
+            raise ValueError("temperature must be a number >= 0")
+        if type(self.max_reply_chars) is not int or self.max_reply_chars <= 0:
+            raise ValueError("max_reply_chars must be a positive integer")
         if type(self.model_name) is not str:
             raise ValueError("model_name must be a string")
         if type(self.request_timeout) not in (int, float) or not self.request_timeout > 0:

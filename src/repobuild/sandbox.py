@@ -51,8 +51,12 @@ class SandboxSpec:
     def __post_init__(self):
         if self.backend not in ("container", "local"):
             raise ValueError(f"unknown sandbox backend {self.backend!r}")
-        if self.per_command_timeout <= 0 or self.total_timeout <= 0:
-            raise ValueError("timeouts must be positive")
+        for name in ("per_command_timeout", "total_timeout"):
+            value = getattr(self, name)
+            if type(value) not in (int, float) or not value > 0:
+                raise ValueError(f"{name} must be a positive number")
+        if type(self.base_image) is not str:
+            raise ValueError("base_image must be a string")
         if self.total_timeout < self.per_command_timeout:
             raise ValueError("total_timeout must be >= per_command_timeout")
         if type(self.output_cap_bytes) is not int or self.output_cap_bytes <= 0:

@@ -33,13 +33,7 @@ _NAMES_REMINDER = (
 @dataclass(frozen=True)
 class MakefileDoc:
     rel_path: str
-    raw_lines: int
     cleaned_text: str
-    cleaned_lines: int
-
-    def __post_init__(self):
-        if self.cleaned_lines > self.raw_lines:
-            raise ValueError("cleaning may not grow a makefile")
 
 
 @dataclass(frozen=True)
@@ -156,15 +150,7 @@ def load_makefile_docs(
     docs = []
     for rel in find_makefiles(ws):
         raw = (ws.root_path / rel).read_text("utf-8", errors="replace")
-        cleaned = clean_makefile(raw, rules)
-        docs.append(
-            MakefileDoc(
-                rel_path=rel,
-                raw_lines=len(raw.split("\n")),
-                cleaned_text=cleaned,
-                cleaned_lines=len(cleaned.split("\n")) if cleaned else 0,
-            )
-        )
+        docs.append(MakefileDoc(rel_path=rel, cleaned_text=clean_makefile(raw, rules)))
     return docs
 
 

@@ -20,12 +20,10 @@ from repobuild.bench import (
     RunResult,
     RepoOutcome,
     aggregate,
-    compute_metrics,
     decode_record,
     emit_report,
     load_results,
     make_completion_probe,
-    pass_at_k,
     run_benchmark,
     run_one_repo,
     tag_failure_mode,
@@ -1002,8 +1000,8 @@ class TestRunBenchmark:
             assert set(result.per_repo) == {"fixture/hello_make", "fixture/hello_autotools"}
             assert all(o.verdict.strict for o in result.per_repo.values())
         report = aggregate(results)
-        assert report.strict_pct == [100.0, 100.0]
-        assert report.pass_at_k[1][0] == 100.0
+        assert report["strict_pct"] == [100.0, 100.0]
+        assert report["pass_at_k"]["1"]["strict"] == 100.0
 
     def test_session_dirs_laid_out_per_run(self, tmp_path):
         records = [fixture_record("hello_make")]
@@ -1387,6 +1385,9 @@ class TestLookAhead:
 
 
 class TestComputeMetrics:
+    """The per-run rows of ``aggregate``: rates over the repo count of the
+    largest run, and the mean fix attempts of each run."""
+
     def test_percentages_over_manifest_size(self):
         result = RunResult(
             run_index=0,
@@ -1396,23 +1397,25 @@ class TestComputeMetrics:
                 "c": _outcome(False, False, False, fix=0),
             },
         )
-        row = compute_metrics(result, 4)
-        assert row["completion_pct"] == 50.0
-        assert row["strict_pct"] == 25.0
-        assert row["flexible_pct"] == 50.0
-        assert row["mean_fix_attempts"] == 2.0
+        # a run of four repos sets the denominator
+        largest = RunResult(run_index=1, per_repo={r: _outcome() for r in "abcd"})
+        report = aggregate([result, largest])
+        assert report["completion_pct"][0] == 50.0
+        assert report["strict_pct"][0] == 25.0
+        assert report["flexible_pct"][0] == 50.0
+        assert report["mean_fix_attempts"][0] == 2.0
 
     def test_empty_run(self):
-        row = compute_metrics(RunResult(run_index=0), 5)
-        assert row["completion_pct"] == 0.0
-        assert row["mean_fix_attempts"] == 0.0
-
-    def test_nonpositive_size_rejected(self):
-        with pytest.raises(UsageError):
-            compute_metrics(RunResult(run_index=0), 0)
+        largest = RunResult(run_index=1, per_repo={r: _outcome() for r in "abcde"})
+        report = aggregate([RunResult(run_index=0), largest])
+        assert report["completion_pct"][0] == 0.0
+        assert report["mean_fix_attempts"][0] == 0.0
 
 
 class TestPassAtK:
+    """``aggregate``'s pass@k: the share of repos meeting a criterion in at
+    least one of the first k runs in run order."""
+
     def _results(self):
         return [
             RunResult(run_index=0, per_repo={
@@ -1426,28 +1429,21 @@ class TestPassAtK:
         ]
 
     def test_union_over_first_k_runs(self):
-        results = self._results()
-        assert pass_at_k(results, 1, "strict") == 50.0
-        assert pass_at_k(results, 2, "strict") == 100.0
+        pass_at = aggregate(self._results())["pass_at_k"]
+        assert pass_at["1"]["strict"] == 50.0
+        assert pass_at["2"]["strict"] == 100.0
 
     def test_run_order_is_chronological_not_list_order(self):
         results = list(reversed(self._results()))
-        assert pass_at_k(results, 1, "strict") == 50.0
+        assert aggregate(results)["pass_at_k"]["1"]["strict"] == 50.0
 
     def test_flexible_criterion(self):
-        assert pass_at_k(self._results(), 2, "flexible") == 100.0
-
-    def test_unknown_criterion_rejected(self):
-        with pytest.raises(UsageError, match="criterion"):
-            pass_at_k(self._results(), 1, "completion")
-
-    @pytest.mark.parametrize("k", [0, 3])
-    def test_k_must_be_within_available_runs(self, k):
-        with pytest.raises(UsageError, match="outside"):
-            pass_at_k(self._results(), k, "strict")
+        assert aggregate(self._results())["pass_at_k"]["2"]["flexible"] == 100.0
 
     def test_no_repos_gives_zero(self):
-        assert pass_at_k([RunResult(run_index=0)], 1, "strict") == 0.0
+        assert aggregate([RunResult(run_index=0)])["pass_at_k"] == {
+            "1": {"strict": 0.0, "flexible": 0.0}
+        }
 
 
 class TestAggregate:
@@ -1463,20 +1459,20 @@ class TestAggregate:
             }),
         ]
         report = aggregate(results)
-        assert report.strict_pct == [50.0, 50.0]
-        assert report.mean_fix_attempts == [0.0, 1.5]
-        assert set(report.pass_at_k) == {1, 2}
-        assert report.pass_at_k[2] == (100.0, 100.0)
-        assert report.failure_mode_histogram == {
+        assert report["strict_pct"] == [50.0, 50.0]
+        assert report["mean_fix_attempts"] == [0.0, 1.5]
+        assert set(report["pass_at_k"]) == {"1", "2"}
+        assert report["pass_at_k"]["2"] == {"strict": 100.0, "flexible": 100.0}
+        assert report["failure_mode_histogram"] == {
             "timeout": 1,
             "dependency-error": 1,
         }
 
     def test_empty_results(self):
         report = aggregate([])
-        assert report.completion_pct == []
-        assert report.pass_at_k == {}
-        assert report.failure_mode_histogram == {}
+        assert report["completion_pct"] == []
+        assert report["pass_at_k"] == {}
+        assert report["failure_mode_histogram"] == {}
 
 
 class TestEmitReport:
@@ -1503,6 +1499,33 @@ class TestEmitReport:
         assert "| 1 | 50.0 | 50.0 | 50.0 | 0.0 |" in text
         assert "| k | pass@k strict % | pass@k flexible % |" in text
         assert "| timeout | 1 |" in text
+
+    def test_eleven_runs_list_pass_at_k_in_numeric_order(self):
+        results = [
+            RunResult(run_index=i, per_repo={"a": _outcome(strict=i == 10, flexible=True)})
+            for i in range(11)
+        ]
+        table = emit_report(aggregate(results), "table")
+        ks = [line.split(" | ")[0].lstrip("| ") for line in
+              table.split("| k | pass@k strict % | pass@k flexible % |\n")[1].splitlines()[1:]]
+        assert ks == [str(k) for k in range(1, 12)]
+        assert "| 10 | 0.0 | 100.0 |" in table
+        assert "| 11 | 100.0 | 100.0 |" in table
+        doc = json.loads(emit_report(aggregate(results), "machine"))
+        assert sorted(doc["pass_at_k"], key=int) == [str(k) for k in range(1, 12)]
+        assert doc["pass_at_k"]["11"] == {"strict": 100.0, "flexible": 100.0}
+
+    def test_two_empty_runs_have_no_rows_and_zero_pass_at_k(self):
+        doc = json.loads(emit_report(
+            aggregate([RunResult(run_index=0), RunResult(run_index=1)]), "machine"
+        ))
+        for name in ("completion_pct", "strict_pct", "flexible_pct", "mean_fix_attempts"):
+            assert doc[name] == []
+        assert doc["pass_at_k"] == {
+            "1": {"strict": 0.0, "flexible": 0.0},
+            "2": {"strict": 0.0, "flexible": 0.0},
+        }
+        assert doc["failure_mode_histogram"] == {}
 
     def test_unknown_format_rejected(self):
         with pytest.raises(UsageError, match="format"):

@@ -393,6 +393,23 @@ class TestBench:
         assert doc["strict_pct"] == [100.0]
         assert doc["pass_at_k"]["1"]["strict"] == 100.0
 
+    def test_table_over_the_fixture_store_is_the_saved_one(self, tmp_path, capsys):
+        saved = FIXTURES / "bench"
+        store = tmp_path / "store.jsonl"
+        store.write_bytes((saved / "hello_pair_runs2_store.jsonl").read_bytes())
+        manifest = _write_manifest(tmp_path, [
+            ("hello_make", ["hello"]),
+            ("hello_autotools", ["hat"]),
+        ])
+        rc = main([
+            "bench", "--manifest", str(manifest), "--runs", "2",
+            "--store", str(store),
+            "--work-dir", str(tmp_path / "work"),
+            "--sandbox-backend", "local",
+        ])
+        assert rc == 0
+        assert capsys.readouterr().out == (saved / "hello_pair_runs2_table.txt").read_text("utf-8")
+
     def test_config_env_of_the_wrong_type_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"sandbox": {"env": {"A": 1}}}')
@@ -460,11 +477,24 @@ class TestBench:
                      "matched_names": [], "new_binaries": [{
                          "rel_path": "hello", "file_name": "hello",
                          "classify": "no-such-class", "has_debug_info": True}]}},
+        {"verdict": {"completion": True, "strict": True, "flexible": True,
+                     "matched_names": [], "new_binaries": [{
+                         "rel_path": 5, "file_name": "hello",
+                         "classify": "executable", "has_debug_info": True}]}},
+        {"verdict": {"completion": True, "strict": True, "flexible": True,
+                     "matched_names": [], "new_binaries": [{
+                         "rel_path": "hello", "file_name": None,
+                         "classify": "executable", "has_debug_info": True}]}},
+        {"verdict": {"completion": True, "strict": True, "flexible": True,
+                     "matched_names": [], "new_binaries": [{
+                         "rel_path": "hello", "file_name": "hello",
+                         "classify": "executable", "has_debug_info": "yes"}]}},
         {"failure_mode": 3},
         {"dossier": []},
     ], ids=["list", "string", "run-only", "string-run", "bool-run", "int-repo",
             "list-session", "null-verdict", "no-matched-names", "string-completion",
             "int-matched-name", "short-binary", "unknown-binary-class",
+            "int-binary-path", "null-binary-name", "string-debug-info",
             "int-failure-mode", "list-dossier"])
     def test_store_line_that_is_not_a_record_is_usage_error(self, tmp_path, capsys, bad):
         # a stored record of the manifest's one repo, then the bad line: a

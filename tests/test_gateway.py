@@ -176,6 +176,8 @@ class TestConfigValidation:
         ("request_timeout", "soon"), ("request_timeout", True),
         ("max_retries", 1.5), ("max_retries", True), ("max_retries", -1),
         ("model_name", 7),
+        ("temperature", True), ("temperature", float("nan")),
+        ("max_reply_chars", 1.5), ("max_reply_chars", True),
     ])
     def test_value_of_the_wrong_type_or_range_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):

@@ -65,6 +65,8 @@ class TestSpecValidation:
     @pytest.mark.parametrize("field, value", [
         ("output_cap_bytes", 1.5), ("output_cap_bytes", True),
         ("env", {"A": 1}), ("env", ["A"]), ("env", {1: "a"}),
+        ("per_command_timeout", True), ("per_command_timeout", float("nan")),
+        ("total_timeout", float("nan")), ("base_image", 5),
     ])
     def test_value_of_the_wrong_type_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):

@@ -21,21 +21,12 @@ from conftest import generated_makefile, prepare_fixture, workspace_at
 
 
 def _doc(text, rel="Makefile"):
-    cleaned = clean_makefile(text)
-    return MakefileDoc(
-        rel_path=rel,
-        raw_lines=len(text.split("\n")),
-        cleaned_text=cleaned,
-        cleaned_lines=len(cleaned.split("\n")) if cleaned else 0,
-    )
+    return MakefileDoc(rel_path=rel, cleaned_text=clean_makefile(text))
 
 
 def _raw_doc(cleaned_text, rel="Makefile"):
     """Doc wrapper that skips cleaning, for extraction-only tests."""
-    n = len(cleaned_text.split("\n"))
-    return MakefileDoc(
-        rel_path=rel, raw_lines=n, cleaned_text=cleaned_text, cleaned_lines=n
-    )
+    return MakefileDoc(rel_path=rel, cleaned_text=cleaned_text)
 
 
 class TestFindMakefiles:
@@ -178,17 +169,14 @@ class TestCleanMakefile:
 
 
 class TestMakefileDoc:
-    def test_cleaning_may_not_grow(self):
-        with pytest.raises(ValueError, match="grow"):
-            MakefileDoc(rel_path="Makefile", raw_lines=2, cleaned_text="x", cleaned_lines=3)
-
     def test_load_docs_counts_lines(self, tmp_path):
-        (tmp_path / "Makefile").write_text(generated_makefile(40))
+        raw = generated_makefile(40)
+        (tmp_path / "Makefile").write_text(raw)
         ws = workspace_at(tmp_path)
         docs = load_makefile_docs(ws)
         assert len(docs) == 1
         assert docs[0].rel_path == "Makefile"
-        assert docs[0].cleaned_lines < docs[0].raw_lines
+        assert len(docs[0].cleaned_text) < len(raw)
 
 
 class TestTargetPrediction:
