@@ -26,7 +26,8 @@ from .agent import (
     run_single_turn,
 )
 from .corpus import CorpusManifest, RepoRecord
-from .errors import UsageError
+from .errors import BOOL, INT, OBJECT, OBJECT_LIST, OBJECT_OR_NULL, STR, STR_LIST, STR_OR_NULL
+from .errors import UsageError, check
 from .gateway import LlmConfig
 from .retrieval import InstructionDossier, run_retrieval
 from .rules import build_with_rules
@@ -168,7 +169,7 @@ def _read_store(
             # UTF-8 sequence; treat it as never written
             try:
                 record = json.loads(line.decode("utf-8"))
-            except ValueError:
+            except (ValueError, RecursionError):
                 if not resumed or line.endswith(b"\n"):
                     logger.warning("skipping torn record in %s", path)
                 continue
@@ -306,48 +307,39 @@ def dossier_to_dict(dossier: Optional[InstructionDossier]) -> Optional[dict]:
 _FAILURE_MODES = dict(zip(FAILURE_MODES, FAILURE_MODES))
 
 
+_RECORD_FIELDS = {"run": INT, "repo": STR, "session": OBJECT, "failure_mode": STR_OR_NULL,
+                  "dossier": OBJECT_OR_NULL, "verdict": OBJECT}
+_SESSION_FIELDS = {"fix_attempts": INT}
+_VERDICT_FIELDS = {"completion": BOOL, "strict": BOOL, "flexible": BOOL,
+                   "matched_names": STR_LIST, "new_binaries": OBJECT_LIST}
+_ARTIFACT_FIELDS = {"rel_path": STR, "file_name": STR, "has_debug_info": BOOL}
+
+
 def decode_record(rec) -> Tuple[int, str, RepoOutcome]:
     """A parsed store line as (run, repo, outcome), or a ``UsageError`` that
     says why it is not a stored record. The outcome holds the session and
     the dossier as parsed, and the session's ``fix_attempts`` (0 when the
     key is missing). The failure tag and each binary's class are the
     package's own strings; every other value is the parsed one."""
-    if type(rec) is not dict:
-        raise UsageError("not an object")
-    run, repo, session = rec.get("run"), rec.get("repo"), rec.get("session")
-    failure, dossier, v = rec.get("failure_mode"), rec.get("dossier"), rec.get("verdict")
-    if type(run) is not int or run < 0 or type(repo) is not str:
-        raise UsageError("run must be a non-negative integer and repo a string")
-    if type(session) is not dict:
-        raise UsageError("session must be an object")
-    fix_attempts = session.get("fix_attempts", 0)
-    if type(fix_attempts) is not int or fix_attempts < 0:
-        raise UsageError("fix_attempts must be a non-negative integer")
-    if failure is not None and type(failure) is not str:
-        raise UsageError("failure_mode must be a string or null")
-    if dossier is not None and type(dossier) is not dict:
-        raise UsageError("dossier must be an object or null")
-    if type(v) is not dict:
-        raise UsageError("verdict must be an object")
-    completion, strict, flexible = v.get("completion"), v.get("strict"), v.get("flexible")
-    if type(completion) is not bool or type(strict) is not bool or type(flexible) is not bool:
-        raise UsageError("completion, strict and flexible must be booleans")
-    names, binaries = v.get("matched_names"), v.get("new_binaries")
-    if type(names) is not list or not all(type(n) is str for n in names):
-        raise UsageError("matched_names must be a list of strings")
-    if type(binaries) is not list or not all(type(a) is dict for a in binaries):
-        raise UsageError("new_binaries must be a list of objects")
-    try:
-        artifacts = tuple(BinaryArtifact(**a) for a in binaries)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(str(exc)) from None
+    check("record", rec, _RECORD_FIELDS, required=("run", "repo", "session", "verdict"))
+    session, v = rec["session"], rec["verdict"]
+    check("session", session, _SESSION_FIELDS)
+    check("verdict", v, _VERDICT_FIELDS, required=_VERDICT_FIELDS)
     if len(v) != 5:
         # the five keys checked above are there, so the rest are unknown
-        extra = set(v) - {"completion", "strict", "flexible", "matched_names", "new_binaries"}
-        raise UsageError(f"verdict has unknown keys {sorted(extra)}")
-    verdict = Verdict(completion, strict, flexible, frozenset(names), artifacts)
+        raise UsageError(f"verdict has unknown keys {sorted(v.keys() - _VERDICT_FIELDS)}")
+    for a in v["new_binaries"]:
+        check("new_binaries entry", a, _ARTIFACT_FIELDS)
+    try:
+        artifacts = tuple(BinaryArtifact(**a) for a in v["new_binaries"])
+    except (TypeError, ValueError) as exc:
+        raise UsageError(str(exc)) from None
+    verdict = Verdict(v["completion"], v["strict"], v["flexible"],
+                      frozenset(v["matched_names"]), artifacts)
+    failure = rec.get("failure_mode")
     failure = _FAILURE_MODES.get(failure, failure)
-    return run, repo, RepoOutcome(session, verdict, fix_attempts, failure, dossier)
+    return rec["run"], rec["repo"], RepoOutcome(
+        session, verdict, session.get("fix_attempts", 0), failure, rec.get("dossier"))
 
 
 def load_results(store_path: Path) -> List[RunResult]:

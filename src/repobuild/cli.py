@@ -25,7 +25,8 @@ from .corpus import (
     sample_repos,
     save_manifest,
 )
-from .errors import RepobuildError, UsageError, read_input
+from .errors import BOOL, OBJECT, OBJECT_LIST, STR, STR_OR_NULL, check, read_json
+from .errors import RepobuildError, UsageError
 from .gateway import LlmConfig, ScriptedScenario
 from .retrieval import run_retrieval
 from .sandbox import SandboxSpec
@@ -36,19 +37,15 @@ from .workspace import Workspace, load_snapshot, save_snapshot, snapshot_files
 logger = logging.getLogger(__name__)
 
 
+_CONFIG_FIELDS = {"llm": OBJECT, "sandbox": OBJECT}
+_SCENARIO_FIELDS = {"steps": OBJECT_LIST, "default_reply": STR_OR_NULL}
+_STEP_FIELDS = {"match": STR, "reply": STR, "regex": BOOL}
+
+
 def load_config_file(path: Optional[str]) -> dict:
     if not path:
         return {}
-    try:
-        data = json.loads(read_input(path, "config"))
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"config file {path} is not valid: {exc}") from exc
-    if not isinstance(data, dict):
-        raise UsageError("config file must hold a key/value object")
-    for section in ("llm", "sandbox"):
-        if not isinstance(data.get(section, {}), dict):
-            raise UsageError(f"config file {path}: the {section} section must be an object")
-    return data
+    return check(f"config file {path}", read_json(path, "config"), _CONFIG_FIELDS)
 
 
 def load_scenario_file(path: Optional[str]) -> Optional[ScriptedScenario]:
@@ -56,22 +53,10 @@ def load_scenario_file(path: Optional[str]) -> Optional[ScriptedScenario]:
     ([{match, reply, regex?}]) and an optional `default_reply`."""
     if not path:
         return None
-    try:
-        doc = json.loads(read_input(path, "scenario"))
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"scenario file {path} is not valid: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise UsageError(f"scenario file {path} must hold an object")
-    raw_steps = doc.get("steps", [])
-    if not isinstance(raw_steps, list):
-        raise UsageError(f"scenario file {path}: steps must be a list")
+    doc = check(f"scenario file {path}", read_json(path, "scenario"), _SCENARIO_FIELDS)
     steps = []
-    for i, step in enumerate(raw_steps):
-        if not isinstance(step, dict):
-            raise UsageError(f"scenario file {path}: step {i} is not an object")
-        for key in ("match", "reply"):
-            if not isinstance(step.get(key), str):
-                raise UsageError(f"scenario file {path}: step {i} needs a string {key!r}")
+    for i, step in enumerate(doc.get("steps", [])):
+        check(f"scenario file {path}: step {i}", step, _STEP_FIELDS, required=("match", "reply"))
         matcher = step["match"]
         if step.get("regex"):
             try:
@@ -81,37 +66,33 @@ def load_scenario_file(path: Optional[str]) -> Optional[ScriptedScenario]:
                     f"scenario file {path}: step {i} match is not a valid regex: {exc}"
                 ) from exc
         steps.append((matcher, step["reply"]))
-    default_reply = doc.get("default_reply")
-    if default_reply is not None and not isinstance(default_reply, str):
-        raise UsageError(f"scenario file {path}: default_reply must be a string or null")
-    return ScriptedScenario(steps=steps, default_reply=default_reply)
+    return ScriptedScenario(steps=steps, default_reply=doc.get("default_reply"))
 
 
 def _llm_config(args, config: dict) -> LlmConfig:
-    section = dict(config.get("llm", {}))
+    flags = {}
     scenario = load_scenario_file(getattr(args, "scenario", None))
     if scenario is not None:
-        section["backend"] = "scripted"
-        section["scenario"] = scenario
+        flags.update(backend="scripted", scenario=scenario)
     if getattr(args, "model", None):
-        section["model_name"] = args.model
-    try:
-        return LlmConfig(**section)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"bad llm configuration: {exc}") from exc
+        flags["model_name"] = args.model
+    return _configured(LlmConfig, "llm", args, config, flags)
 
 
 def _sandbox_spec(args, config: dict) -> SandboxSpec:
-    section = dict(config.get("sandbox", {}))
     # each sandbox flag stores under the name of the field it sets
-    for f in fields(SandboxSpec):
-        value = getattr(args, f.name, None)
-        if value is not None:
-            section[f.name] = value
+    flags = {f.name: getattr(args, f.name) for f in fields(SandboxSpec)
+             if getattr(args, f.name, None) is not None}
+    return _configured(SandboxSpec, "sandbox", args, config, flags)
+
+
+def _configured(cls, name: str, args, config: dict, flags: dict):
+    """``cls`` from the config's ``name`` section and the flags, or a usage error."""
     try:
-        return SandboxSpec(**section)
+        return cls(**{**config.get(name, {}), **flags})
     except (TypeError, ValueError) as exc:
-        raise UsageError(f"bad sandbox configuration: {exc}") from exc
+        source = f" (config file {args.config} or a flag)" if args.config else ""
+        raise UsageError(f"bad {name} configuration{source}: {exc}") from exc
 
 
 def _workspace_from_path(path: str) -> Workspace:

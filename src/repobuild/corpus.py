@@ -16,39 +16,18 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .errors import (
-    DomainError,
-    ManifestParseError,
-    ManifestValidationError,
-    SampleSizeError,
-    read_input,
+    BOOL, INT, STR, STR_LIST, STR_OR_NULL, DomainError, ManifestParseError,
+    ManifestValidationError, SampleSizeError, check, read_input,
 )
 
 logger = logging.getLogger(__name__)
 
 
-def _is_str(v) -> bool:
-    return isinstance(v, str)
-
-
-def _is_str_or_null(v) -> bool:
-    return v is None or isinstance(v, str)
-
-
-def _is_str_list(v) -> bool:
-    return isinstance(v, list) and all(isinstance(x, str) for x in v)
-
-
-# each manifest field with the check its JSON value must pass and what it names
+# each manifest field and the kind its JSON value must be
 _RECORD_FIELDS = {
-    "id": (_is_str, "a string"),
-    "clone_url": (_is_str, "a string"),
-    "commit": (_is_str_or_null, "a string or null"),
-    "description": (_is_str, "a string"),
-    "stargazers": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
-    "is_fork": (lambda v: isinstance(v, bool), "true or false"),
-    "expected_binaries": (_is_str_list, "a list of strings"),
-    "instruction_url": (_is_str_or_null, "a string or null"),
-    "languages": (_is_str_list, "a list of strings"),
+    "id": STR, "clone_url": STR, "commit": STR_OR_NULL, "description": STR,
+    "stargazers": INT, "is_fork": BOOL, "expected_binaries": STR_LIST,
+    "instruction_url": STR_OR_NULL, "languages": STR_LIST,
 }
 
 
@@ -75,8 +54,6 @@ class RepoRecord:
                 f"record {self.id!r}: id must be 'owner/name', and neither part "
                 "may be empty, '.' or '..'"
             )
-        if self.stargazers < 0:
-            raise ManifestValidationError(f"record {self.id!r}: stargazers must be >= 0")
         seen = set()
         for name in self.expected_binaries:
             if "/" in name or "\\" in name:
@@ -130,37 +107,33 @@ def load_manifest(path: str | Path) -> CorpusManifest:
     path = Path(path)
     text = read_input(path, "manifest", ManifestParseError)
     records: list[RepoRecord] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    # records end at "\n" alone: a string may hold U+2028 or U+0085 unescaped
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
+        where = f"{path}:{lineno}"
         try:
             raw = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ManifestParseError(f"{path}:{lineno}: not a valid record object: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ManifestParseError(f"{path}:{lineno}: record must be a key/value object")
+        except (ValueError, RecursionError) as exc:
+            raise ManifestParseError(f"{where}: not a valid record object: {exc}") from exc
+        check(where, raw, _RECORD_FIELDS, ManifestParseError, required=("id", "clone_url"))
         unknown = raw.keys() - _RECORD_FIELDS
         if unknown:
-            logger.warning("%s:%d: ignoring unknown keys %s", path, lineno, sorted(unknown))
-        known = {k: v for k, v in raw.items() if k in _RECORD_FIELDS}
-        for key, value in known.items():
-            check, kind = _RECORD_FIELDS[key]
-            if not check(value):
-                raise ManifestParseError(
-                    f"{path}:{lineno}: {key} must be {kind}, got {json.dumps(value)[:80]}"
-                )
-        known = {k: tuple(v) if isinstance(v, list) else v for k, v in known.items()}
+            logger.warning("%s: ignoring unknown keys %s", where, sorted(unknown))
+        known = {k: tuple(v) if _RECORD_FIELDS[k] is STR_LIST else v
+                 for k, v in raw.items() if k in _RECORD_FIELDS}
         try:
             records.append(RepoRecord(**known))
-        except TypeError as exc:
-            raise ManifestParseError(f"{path}:{lineno}: {exc}") from exc
+        except ManifestValidationError as exc:
+            raise ManifestValidationError(f"{where}: {exc}") from None
     return CorpusManifest(records=records, name=path.stem)
 
 
 def save_manifest(manifest: CorpusManifest, path: str | Path) -> None:
-    """Write a manifest in the one-record-per-line format."""
-    lines = [json.dumps(asdict(rec), ensure_ascii=False) for rec in manifest.records]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), "utf-8")
+    """Write a manifest in the one-record-per-line format, a lone surrogate
+    as its JSON escape, as ``ResultStore.append`` writes it."""
+    lines = [json.dumps(asdict(rec), ensure_ascii=False) + "\n" for rec in manifest.records]
+    Path(path).write_bytes("".join(lines).encode("utf-8", "backslashreplace"))
 
 
 def required_sample_size(z: float, e: float, p: float, n_population: int) -> SamplePlan:

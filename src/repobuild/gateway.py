@@ -15,6 +15,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Pattern, Sequence, Tuple, TypeVar, Union
 
+from .errors import INT, NUMBER, POSITIVE_INT, SECONDS, STR, check
 from .errors import OversizeReplyError, ScenarioExhaustedError, TransportError
 
 logger = logging.getLogger(__name__)
@@ -84,18 +85,13 @@ class LlmConfig:
     def __post_init__(self):
         if self.backend not in ("live", "scripted"):
             raise ValueError(f"unknown backend {self.backend!r}")
-        if type(self.temperature) not in (int, float) or not self.temperature >= 0:
-            raise ValueError("temperature must be a number >= 0")
-        if type(self.max_reply_chars) is not int or self.max_reply_chars <= 0:
-            raise ValueError("max_reply_chars must be a positive integer")
-        if type(self.model_name) is not str:
-            raise ValueError("model_name must be a string")
-        if type(self.request_timeout) not in (int, float) or not self.request_timeout > 0:
-            raise ValueError("request_timeout must be a positive number")
-        if type(self.max_retries) is not int or self.max_retries < 0:
-            raise ValueError("max_retries must be an integer >= 0")
+        check("LlmConfig", vars(self), _LLM_FIELDS, ValueError)
         if self.backend == "scripted" and self.scenario is None:
             raise ValueError("scripted backend requires a scenario")
+
+
+_LLM_FIELDS = {"model_name": STR, "temperature": NUMBER, "max_reply_chars": POSITIVE_INT,
+               "request_timeout": SECONDS, "max_retries": INT}
 
 
 def complete(config: LlmConfig, messages: Sequence[ChatMessage]) -> str:

@@ -25,6 +25,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from . import assets
+from .errors import ENV, POSITIVE_INT, SECONDS, STR, check
 from .errors import SandboxDeadError, SandboxUnavailableError
 from .workspace import Workspace
 
@@ -51,20 +52,13 @@ class SandboxSpec:
     def __post_init__(self):
         if self.backend not in ("container", "local"):
             raise ValueError(f"unknown sandbox backend {self.backend!r}")
-        for name in ("per_command_timeout", "total_timeout"):
-            value = getattr(self, name)
-            if type(value) not in (int, float) or not value > 0:
-                raise ValueError(f"{name} must be a positive number")
-        if type(self.base_image) is not str:
-            raise ValueError("base_image must be a string")
+        check("SandboxSpec", vars(self), _SANDBOX_FIELDS, ValueError)
         if self.total_timeout < self.per_command_timeout:
             raise ValueError("total_timeout must be >= per_command_timeout")
-        if type(self.output_cap_bytes) is not int or self.output_cap_bytes <= 0:
-            raise ValueError("output_cap_bytes must be a positive integer")
-        if type(self.env) is not dict or not all(
-            type(k) is str and type(v) is str for k, v in self.env.items()
-        ):
-            raise ValueError("env must map strings to strings")
+
+
+_SANDBOX_FIELDS = {"base_image": STR, "env": ENV, "per_command_timeout": SECONDS,
+                   "total_timeout": SECONDS, "output_cap_bytes": POSITIVE_INT}
 
 
 @dataclass(frozen=True)

@@ -48,10 +48,6 @@ class BinaryArtifact:
     has_debug_info: bool
 
     def __post_init__(self):
-        if type(self.rel_path) is not str or type(self.file_name) is not str:
-            raise ValueError("rel_path and file_name must be strings")
-        if type(self.has_debug_info) is not bool:
-            raise ValueError("has_debug_info must be a boolean")
         if self.classify not in CLASSES:
             raise ValueError(f"unknown artifact class {self.classify!r}")
         # the package's own string, shared by every artifact of the class

@@ -16,7 +16,8 @@ from pathlib import Path
 from typing import Callable, Iterator, Optional, Tuple
 
 from .corpus import RepoRecord
-from .errors import CloneError, UsageError, read_input
+from .errors import BOOL, INT, OBJECT, STR, STR_OR_NULL, check, read_json, shown
+from .errors import CloneError, UsageError
 
 logger = logging.getLogger(__name__)
 
@@ -237,19 +238,22 @@ def save_snapshot(snapshot: FileSnapshot, path: str | Path) -> None:
     Path(path).write_text(json.dumps(doc, sort_keys=True), "utf-8")
 
 
+_SNAPSHOT_FIELDS = {"entries": OBJECT, "taken_at": STR}
+_ENTRY_FIELDS = {"size": INT, "digest": STR_OR_NULL, "executable": BOOL}
+
+
 def load_snapshot(path: str | Path) -> FileSnapshot:
-    text = read_input(path, "snapshot")
-    try:
-        doc = json.loads(text)
-        for rel, vals in doc["entries"].items():
-            if not (isinstance(vals, list) and len(vals) == 3 and type(vals[0]) is int
-                    and isinstance(vals[1], (str, type(None))) and isinstance(vals[2], bool)):
-                raise UsageError(f"snapshot file {path}: entry {rel!r} is not "
-                                 f"[size, digest or null, true/false]: {vals!r}")
-        entries = {rel: tuple(vals) for rel, vals in doc["entries"].items()}
-        return FileSnapshot(entries=entries, taken_at=doc["taken_at"])
-    except (ValueError, TypeError, KeyError, AttributeError) as exc:
-        raise UsageError(f"snapshot file {path} is not valid: {exc!r}") from exc
+    where = f"snapshot file {path}"
+    doc = check(where, read_json(path, "snapshot"), _SNAPSHOT_FIELDS, required=_SNAPSHOT_FIELDS)
+    for rel, vals in doc["entries"].items():
+        match vals:
+            case [_, _, _]:
+                check(f"{where}: entry {rel!r}", dict(zip(_ENTRY_FIELDS, vals)), _ENTRY_FIELDS)
+            case _:
+                raise UsageError(f"{where}: entry {rel!r} must be [size, digest or null, "
+                                 f"true/false], got {shown(vals)}")
+    return FileSnapshot(entries={rel: tuple(vals) for rel, vals in doc["entries"].items()},
+                        taken_at=doc["taken_at"])
 
 
 def _evidence_kind(name: str) -> Optional[BuildSystemKind]:

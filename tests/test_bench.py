@@ -240,11 +240,18 @@ class TestResultStore:
         assert result.per_repo["x/y"] == decode_record(record)[2]
         assert result.per_repo["x/y"].verdict.new_binaries[0].rel_path == "build/\udcff"
 
+    def test_line_too_deep_to_parse_is_skipped_as_torn(self, tmp_path):
+        # json.loads ends a nesting this deep with RecursionError, not ValueError
+        path = tmp_path / "store.jsonl"
+        path.write_text("[" * 100_000 + "]" * 100_000 + "\n")
+        assert ResultStore(path).existing_keys() == set()
+
     @pytest.mark.parametrize("value, reason", [
-        ([1, 2], "not an object"),
-        ({**_record(0, "a/b"), "run": -1}, "run must be a non-negative integer and repo a string"),
+        ([1, 2], "record must be an object, got [1, 2]"),
+        ({**_record(0, "a/b"), "run": -1}, "record: run must be an integer >= 0, got -1"),
         *(({**_record(0, "a/b"), "session": {**_session_dict(), "fix_attempts": n}},
-           "fix_attempts must be a non-negative integer") for n in ("3", True, 1.5, -1)),
+           f"session: fix_attempts must be an integer >= 0, got {json.dumps(n)}")
+          for n in ("3", True, 1.5, -1)),
     ], ids=["not-an-object", "negative-run", "string-fix-attempts", "bool-fix-attempts",
             "float-fix-attempts", "negative-fix-attempts"])
     def test_line_that_is_not_a_record_is_usage_error(self, tmp_path, value, reason):

@@ -110,7 +110,7 @@ class TestConfigLoading:
     def test_non_object_config(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text("[1, 2]")
-        with pytest.raises(UsageError, match="key/value"):
+        with pytest.raises(UsageError, match="must be an object, got"):
             load_config_file(str(path))
 
 
@@ -142,15 +142,19 @@ class TestScenarioLoading:
             load_scenario_file(str(path))
 
     @pytest.mark.parametrize("doc, message", [
-        ([{"match": "a", "reply": "b"}], "must hold an object"),
+        ([{"match": "a", "reply": "b"}], "must be an object, got"),
         ({"steps": {"match": "a", "reply": "b"}}, "steps must be a list"),
-        ({"steps": ["hello"]}, "step 0 is not an object"),
-        ({"steps": [{"match": "a", "reply": "b"}, {"reply": "b"}]}, "step 1 needs a string 'match'"),
-        ({"steps": [{"match": "a", "reply": 5}]}, "step 0 needs a string 'reply'"),
+        ({"steps": ["hello"]}, 'steps must be a list of objects, got ["hello"]'),
+        ({"steps": [{"match": "a", "reply": "b"}, {"reply": "b"}]},
+         "step 1: match must be a string, got null"),
+        ({"steps": [{"match": "a", "reply": 5}]}, "step 0: reply must be a string, got 5"),
         ({"steps": [{"match": "(", "reply": "b", "regex": True}]}, "step 0 match is not a valid regex"),
         ({"default_reply": 5}, "default_reply must be a string or null"),
+        ({"steps": [{"match": "(", "reply": "b", "regex": "false"}]},
+         'step 0: regex must be true or false, got "false"'),
     ], ids=["not-an-object", "steps-not-a-list", "step-not-an-object", "no-match",
-            "reply-not-a-string", "bad-regex", "default-reply-not-a-string"])
+            "reply-not-a-string", "bad-regex", "default-reply-not-a-string",
+            "regex-not-a-bool"])
     def test_malformed_scenario_is_a_usage_error(self, tmp_path, capsys, doc, message):
         ws_dir = copy_fixture_tree("pred_direct", tmp_path / "repo")
         scenario = _scenario_file(tmp_path, doc)
@@ -348,6 +352,39 @@ class TestBuild:
         assert rc == 2
         assert "sandbox" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["Infinity", "1e300", "2592000"])
+    @pytest.mark.parametrize("source", ["config", "flags"])
+    def test_timeout_past_a_week_is_usage_error(self, tmp_path, capsys, source, value):
+        # a wait past about 24.8 days overflows poll's timeout; Infinity and
+        # 1e300 overflow before it
+        work, cfg = tmp_path / "work", tmp_path / "cfg.json"
+        argv = ["build", str(REPOS / "hello_make"), "--method", "rule-based",
+                "--sandbox-backend", "local", "--work-dir", str(work)]
+        if source == "flags":
+            argv += ["--per-command-timeout", value, "--total-timeout", value]
+        else:
+            cfg.write_text('{"sandbox": {"per_command_timeout": %s, "total_timeout": %s}}'
+                           % (value, value))
+            argv = ["--config", str(cfg), *argv]
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "per_command_timeout must be seconds in (0, 604800], got " in err
+        assert (str(cfg) in err) == (source == "config")
+        assert not work.exists()
+
+    @pytest.mark.parametrize("env", ['{"A": "\\ud800"}', '{"A=B": "x"}', '{"A": "x\\u0000"}'],
+                             ids=["lone-surrogate", "equals-in-name", "nul"])
+    def test_config_env_the_os_cannot_take_is_usage_error(self, tmp_path, capsys, env):
+        work, cfg = tmp_path / "work", tmp_path / "cfg.json"
+        cfg.write_text('{"sandbox": {"env": %s}}' % env)
+        rc = main(["--config", str(cfg), "build", str(REPOS / "hello_make"),
+                   "--sandbox-backend", "local", "--work-dir", str(work)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert str(cfg) in err and "env must be a map of strings to strings" in err
+        assert not work.exists()
+
     def test_bad_llm_config_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"llm": {"backend": "psychic"}}')
@@ -421,7 +458,8 @@ class TestBench:
             "--sandbox-backend", "local",
         ])
         assert rc == 2
-        assert "env must map strings to strings" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert str(cfg) in err and 'env must be a map of strings to strings' in err
         assert not store.exists()
 
     def test_reply_holding_a_lone_surrogate_is_stored(self, tmp_path, capsys):
@@ -815,6 +853,16 @@ class TestSample:
         assert "cannot sample" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_manifest_holding_a_lone_surrogate_is_sampled(self, tmp_path, capsys):
+        manifest, out = tmp_path / "m.jsonl", tmp_path / "out.jsonl"
+        manifest.write_text('{"id": "a/b", "clone_url": "u", "expected_binaries": ["\\ud800"]}\n',
+                            "utf-8")
+        rc = main(["sample", "--manifest", str(manifest), "--n", "1",
+                   "--seed", "1", "--out", str(out)])
+        assert rc == 0
+        assert load_manifest(out).records == load_manifest(manifest).records
+        assert load_manifest(out).records[0].expected_binaries == ("\ud800",)
+
     def test_mistyped_manifest_field_is_usage_error(self, tmp_path, capsys):
         manifest, out = tmp_path / "m.jsonl", tmp_path / "out.jsonl"
         manifest.write_text('{"id": 5, "clone_url": "u"}\n', "utf-8")
@@ -957,6 +1005,8 @@ def _unusable_path(tmp_path, kind):
             "not-utf8": b'{"x": "caf\xe9"}',
             "not-json": b"not json",
             "entries-not-an-object": b'{"entries": 3}',
+            # past the 4,300 digits Python converts to an int
+            "number-too-long": b'{"llm": {"max_retries": ' + b"1" * 5000 + b"}}",
             "file": b"",
         }[kind])
     return path
@@ -975,6 +1025,10 @@ class TestUnusableInputs:
         ("--work-dir", "file"),
         ("--before", "not-json"),
         ("--before", "entries-not-an-object"),
+        ("--config", "number-too-long"),
+        ("--scenario", "number-too-long"),
+        ("--manifest", "number-too-long"),
+        ("--before", "number-too-long"),
     ])
     def test_is_a_usage_error_naming_it_before_any_session(self, tmp_path, capsys,
                                                            flag, kind):

@@ -62,9 +62,12 @@ class TestRecordValidation:
         with pytest.raises(ManifestValidationError):
             rec(1, expected_binaries=("app", "app"))
 
-    def test_negative_stars_rejected(self):
-        with pytest.raises(ManifestValidationError):
-            rec(1, stargazers=-1)
+    def test_negative_stars_rejected(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        path.write_text('{"id": "a/b", "clone_url": "u", "stargazers": -1}\n', "utf-8")
+        with pytest.raises(ManifestParseError, match=re.escape(
+                f"{path}:1: stargazers must be an integer >= 0, got -1")):
+            load_manifest(path)
 
     def test_name_property(self):
         assert rec(7).name == "repo7"
@@ -95,6 +98,17 @@ class TestManifestIo:
 
     def test_round_trip_keeps_every_field(self, tmp_path):
         manifest = load_manifest(MANIFEST)
+        save_manifest(manifest, tmp_path / "copy.jsonl")
+        assert load_manifest(tmp_path / "copy.jsonl").records == manifest.records
+
+    def test_round_trip_keeps_surrogates_and_line_separators(self, tmp_path):
+        # json.loads accepts the escape of a lone surrogate, which has no
+        # UTF-8 encoding, and U+2028 and U+0085, which splitlines() breaks at
+        path = tmp_path / "m.jsonl"
+        path.write_text(json.dumps({"id": "a/b", "clone_url": "u", "description": "x\u2028y\x85z",
+                                    "expected_binaries": ["\ud800"], "languages": ["\udcff"]})
+                        + "\n", "utf-8")
+        manifest = load_manifest(path)
         save_manifest(manifest, tmp_path / "copy.jsonl")
         assert load_manifest(tmp_path / "copy.jsonl").records == manifest.records
 

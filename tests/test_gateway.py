@@ -178,6 +178,8 @@ class TestConfigValidation:
         ("model_name", 7),
         ("temperature", True), ("temperature", float("nan")),
         ("max_reply_chars", 1.5), ("max_reply_chars", True),
+        ("temperature", float("inf")), ("request_timeout", float("inf")),
+        ("request_timeout", 604801),
     ])
     def test_value_of_the_wrong_type_or_range_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):

@@ -67,6 +67,9 @@ class TestSpecValidation:
         ("env", {"A": 1}), ("env", ["A"]), ("env", {1: "a"}),
         ("per_command_timeout", True), ("per_command_timeout", float("nan")),
         ("total_timeout", float("nan")), ("base_image", 5),
+        ("total_timeout", float("inf")), ("total_timeout", 1e300),
+        ("total_timeout", 2592000), ("env", {"A": "\ud800"}),
+        ("env", {"A=B": "x"}), ("env", {"A": "x\0"}),
     ])
     def test_value_of_the_wrong_type_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
