@@ -32,13 +32,6 @@ logger = logging.getLogger(__name__)
 DEFAULT_MAX_TURNS = 12
 
 VARIANTS = ("agent-with-retrieval", "agent-no-retrieval", "single-turn", "rule-based")
-OUTCOMES = (
-    "succeeded",
-    "agent-terminated",
-    "turn-budget-exhausted",
-    "protocol-error",
-    "infra-error",
-)
 
 _FENCE_RE = re.compile(r"```([^\n`]*)\n(.*?)```", re.DOTALL)
 _TERMINATE_RE = re.compile(r"\bterminate\b", re.IGNORECASE)

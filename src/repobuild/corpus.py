@@ -16,16 +16,17 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .errors import (
-    BOOL, INT, STR, STR_LIST, STR_OR_NULL, DomainError, ManifestParseError,
-    ManifestValidationError, SampleSizeError, check, read_input,
+    BOOL, INT, OS_STR, OS_STR_OR_NULL, STR, STR_LIST, STR_OR_NULL, DomainError,
+    ManifestParseError, ManifestValidationError, SampleSizeError, check, read_input,
 )
 
 logger = logging.getLogger(__name__)
 
 
-# each manifest field and the kind its JSON value must be
+# each manifest field and the kind its JSON value must be; the id names the
+# session dir, and the clone URL and commit are git's arguments
 _RECORD_FIELDS = {
-    "id": STR, "clone_url": STR, "commit": STR_OR_NULL, "description": STR,
+    "id": OS_STR, "clone_url": OS_STR, "commit": OS_STR_OR_NULL, "description": STR,
     "stargazers": INT, "is_fork": BOOL, "expected_binaries": STR_LIST,
     "instruction_url": STR_OR_NULL, "languages": STR_LIST,
 }

@@ -41,19 +41,28 @@ def read_json(path, what: str):
 MAX_SECONDS = 7 * 24 * 3600
 
 
-def _is_env(v) -> bool:
-    """Whether ``v`` maps strings to strings that an environment can hold."""
+def _os_takes(s: str) -> bool:
+    """Whether the OS can take ``s`` as a path or an argument: it encodes to
+    bytes (a byte of a non-UTF-8 file name reads as U+DC80..U+DCFF), and the
+    bytes hold no NUL."""
     try:
-        return type(v) is dict and all(type(k) is str and type(x) is str and "=" not in k
-                                       and b"\0" not in os.fsencode(k + x) for k, x in v.items())
+        return b"\0" not in os.fsencode(s)
     except UnicodeEncodeError:
         return False
+
+
+def _is_env(v) -> bool:
+    """Whether ``v`` maps strings to strings that an environment can hold."""
+    return type(v) is dict and all(type(k) is str and type(x) is str and "=" not in k
+                                   and _os_takes(k + x) for k, x in v.items())
 
 
 # each kind as (predicate, name); a table maps field -> kind. A one-type kind
 # is that type's instance check, a C call, as decode_record runs per record
 STR = (str.__instancecheck__, "a string")
 STR_OR_NULL = (lambda v: v is None or type(v) is str, "a string or null")
+OS_STR = (lambda v: type(v) is str and _os_takes(v), "a string the OS can take")
+OS_STR_OR_NULL = (lambda v: v is None or OS_STR[0](v), "a string the OS can take, or null")
 STR_LIST = (lambda v: type(v) is list and {str}.issuperset(map(type, v)), "a list of strings")
 BOOL = (bool.__instancecheck__, "true or false")
 INT = (lambda v: type(v) is int and v >= 0, "an integer >= 0")

@@ -118,9 +118,7 @@ def html_to_text(html: str) -> str:
     return "\n".join(ln for ln in lines if ln)
 
 
-def fetch_link(
-    ws: Workspace, link: LinkRef, timeout: float = DEFAULT_FETCH_TIMEOUT
-) -> FetchOutcome:
+def fetch_link(ws: Workspace, link: LinkRef) -> FetchOutcome:
     """Fetch one link's text: repository files directly, URLs over HTTP.
 
     Never raises; failures come back as typed records so the retrieval loop
@@ -148,7 +146,7 @@ def fetch_link(
     opener = urllib.request.build_opener(LimitedRedirects)
     try:
         request = urllib.request.Request(link.target, headers={"User-Agent": USER_AGENT})
-        with opener.open(request, timeout=timeout) as resp:
+        with opener.open(request, timeout=DEFAULT_FETCH_TIMEOUT) as resp:
             # keep at most one byte past the ceiling, whatever Content-Length says
             raw = bytearray()
             while chunk := resp.read(64 * 1024):

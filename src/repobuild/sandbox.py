@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from . import assets
-from .errors import ENV, POSITIVE_INT, SECONDS, STR, check
+from .errors import ENV, OS_STR, POSITIVE_INT, SECONDS, check
 from .errors import SandboxDeadError, SandboxUnavailableError
 from .workspace import Workspace
 
@@ -57,7 +57,7 @@ class SandboxSpec:
             raise ValueError("total_timeout must be >= per_command_timeout")
 
 
-_SANDBOX_FIELDS = {"base_image": STR, "env": ENV, "per_command_timeout": SECONDS,
+_SANDBOX_FIELDS = {"base_image": OS_STR, "env": ENV, "per_command_timeout": SECONDS,
                    "total_timeout": SECONDS, "output_cap_bytes": POSITIVE_INT}
 
 
@@ -328,9 +328,12 @@ def exec_script(handle: SandboxHandle, script: CommandScript) -> ExecutionResult
                 mapped = handle.map_command(command)
                 try:
                     # brace group so multi-line commands stay one unit; stdin
-                    # from /dev/null so the command cannot eat the sentinel lines
+                    # from /dev/null so the command cannot eat the sentinel
+                    # lines; encoded as file names are, so a mount path
+                    # holding U+DC80..U+DCFF reaches the shell as its bytes
                     proc.stdin.write(
-                        f"{{ {mapped}\n}} </dev/null\nprintf '{marker}%d\\n' $?\n".encode()
+                        f"{{ {mapped}\n}} </dev/null\nprintf '{marker}%d\\n' $?\n"
+                        .encode("utf-8", "surrogateescape")
                     )
                     proc.stdin.flush()
                 except (BrokenPipeError, OSError):

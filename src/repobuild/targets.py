@@ -9,7 +9,7 @@ import os
 import posixpath
 import re
 from dataclasses import dataclass
-from pathlib import Path
+from functools import cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import assets
@@ -24,6 +24,11 @@ _NON_TARGET_EXTS = {".o", ".obj", ".lo", ".a", ".c", ".cc", ".cpp", ".cxx", ".h"
 _VAR_REF_RE = re.compile(r"^\$[({](\w+)[)}]$")
 _ASSIGN_RE = re.compile(r"^[ \t]*(\w+)[ \t]*[:?+]?=[ \t]*(.*)$")
 _OUTPUT_FLAG_RE = re.compile(r"-o[ \t]+(\S+)")
+# characters of cleaned Makefiles per prediction prompt: half the
+# generator's 200,000-character prompt budget, whatever the reply cap
+_CHUNK_CHARS = 100_000
+# lines each prompt repeats from the end of the one before
+_CHUNK_OVERLAP_LINES = 10
 
 _NAMES_REMINDER = (
     "Reply with exactly:\nNAMES:\n<one executable name per line, or leave empty>"
@@ -62,18 +67,11 @@ def find_makefiles(ws: Workspace) -> List[str]:
     return [rel for _, rel in sorted(found)]
 
 
-def load_cleaning_rules(path: Optional[Path] = None) -> List[Tuple[str, re.Pattern]]:
-    if path is not None:
-        raw = Path(path).read_text("utf-8")
-    else:
-        raw = assets.text("makefile_cleaning_rules.json")
-    rules = []
-    for entry in json.loads(raw):
-        action = entry["action"]
-        if action not in ("drop-rule", "drop-line", "keep-rule"):
-            raise ValueError(f"unknown cleaning action {action!r}")
-        rules.append((action, re.compile(entry["pattern"], re.MULTILINE)))
-    return rules
+@cache
+def load_cleaning_rules() -> Tuple[Tuple[str, re.Pattern], ...]:
+    """The shipped cleaning rules as (action, pattern), in order."""
+    return tuple((entry["action"], re.compile(entry["pattern"], re.MULTILINE))
+                 for entry in json.loads(assets.text("makefile_cleaning_rules.json")))
 
 
 def _split_units(text: str) -> List[Tuple[str, str, int]]:
@@ -119,19 +117,18 @@ def _is_rule_header(line: str) -> bool:
     return colon != -1
 
 
-def clean_makefile(text: str, rules: Optional[List[Tuple[str, re.Pattern]]] = None) -> str:
+def clean_makefile(text: str) -> str:
     """Shrink a makefile to the parts that matter for naming final binaries.
 
     Continuations are collapsed, then every unit (rule block or single line)
     is matched against the ordered rule set; the first matching entry decides
     keep or drop, and unmatched units are kept.
     """
-    rules = rules if rules is not None else load_cleaning_rules()
     collapsed = re.sub(r"\\\n[ \t]*", " ", text)
     kept = []
     for kind, unit, _ in _split_units(collapsed):
         decision = None
-        for action, pattern in rules:
+        for action, pattern in load_cleaning_rules():
             if action == "drop-rule" and kind != "rule":
                 continue
             if action == "drop-line" and kind != "line":
@@ -144,13 +141,11 @@ def clean_makefile(text: str, rules: Optional[List[Tuple[str, re.Pattern]]] = No
     return "\n".join(kept) + ("\n" if kept else "")
 
 
-def load_makefile_docs(
-    ws: Workspace, rules: Optional[List[Tuple[str, re.Pattern]]] = None
-) -> List[MakefileDoc]:
+def load_makefile_docs(ws: Workspace) -> List[MakefileDoc]:
     docs = []
     for rel in find_makefiles(ws):
         raw = (ws.root_path / rel).read_text("utf-8", errors="replace")
-        docs.append(MakefileDoc(rel_path=rel, cleaned_text=clean_makefile(raw, rules)))
+        docs.append(MakefileDoc(rel_path=rel, cleaned_text=clean_makefile(raw)))
     return docs
 
 
@@ -233,9 +228,8 @@ def extract_targets_llm(
     rendered = "\n\n".join(
         f"### {doc.rel_path}\n{doc.cleaned_text}" for doc in docs
     ) or "(no makefiles)"
-    budget = max(4096, cfg.max_reply_chars // 2)
     llm_names: List[str] = []
-    for chunk in _chunk(rendered, budget):
+    for chunk in _chunk(rendered):
         parsed, _, _ = ask_structured(
             cfg, [ChatMessage("user", template.format(makefiles=chunk))],
             _parse_names, _NAMES_REMINDER,
@@ -262,8 +256,8 @@ def _parse_names(raw: str) -> Optional[List[str]]:
     return list_items(m.group(1)) if m else None
 
 
-def _chunk(text: str, budget: int, overlap_lines: int = 10) -> List[str]:
-    if len(text) <= budget:
+def _chunk(text: str) -> List[str]:
+    if len(text) <= _CHUNK_CHARS:
         return [text]
     lines = text.split("\n")
     chunks = []
@@ -271,14 +265,14 @@ def _chunk(text: str, budget: int, overlap_lines: int = 10) -> List[str]:
     while start < len(lines):
         size = 0
         end = start
-        while end < len(lines) and size + len(lines[end]) + 1 <= budget:
+        while end < len(lines) and size + len(lines[end]) + 1 <= _CHUNK_CHARS:
             size += len(lines[end]) + 1
             end += 1
         end = max(end, start + 1)
         chunks.append("\n".join(lines[start:end]))
         if end >= len(lines):
             break
-        start = max(end - overlap_lines, start + 1)
+        start = max(end - _CHUNK_OVERLAP_LINES, start + 1)
     return chunks
 
 

@@ -10,13 +10,12 @@ import stat
 import subprocess
 import time
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterator, Optional, Tuple
 
 from .corpus import RepoRecord
-from .errors import BOOL, INT, OBJECT, STR, STR_OR_NULL, check, read_json, shown
+from .errors import BOOL, INT, OBJECT, STR_OR_NULL, check, read_json, shown
 from .errors import CloneError, UsageError
 
 logger = logging.getLogger(__name__)
@@ -77,7 +76,6 @@ class FileSnapshot:
     """
 
     entries: dict  # rel path -> (size, sha256 hex or None, executable flag)
-    taken_at: str
     # rel path -> (st_mode, st_size, st_mtime_ns, st_ctime_ns, st_ino, st_dev),
     # kept only for entries whose stat can vouch for their content
     stats: dict = field(default_factory=dict, compare=False, repr=False)
@@ -225,20 +223,16 @@ def snapshot_files(
             entries[rel] = file_entry(full, st)
         if stable:
             stats[rel] = stat_key(st)
-    return FileSnapshot(
-        entries=entries, taken_at=datetime.now(timezone.utc).isoformat(), stats=stats
-    )
+    return FileSnapshot(entries=entries, stats=stats)
 
 
 def save_snapshot(snapshot: FileSnapshot, path: str | Path) -> None:
-    doc = {
-        "taken_at": snapshot.taken_at,
-        "entries": {rel: list(vals) for rel, vals in snapshot.entries.items()},
-    }
+    doc = {"entries": {rel: list(vals) for rel, vals in snapshot.entries.items()}}
     Path(path).write_text(json.dumps(doc, sort_keys=True), "utf-8")
 
 
-_SNAPSHOT_FIELDS = {"entries": OBJECT, "taken_at": STR}
+# a file may hold other fields, as the "taken_at" older versions wrote
+_SNAPSHOT_FIELDS = {"entries": OBJECT}
 _ENTRY_FIELDS = {"size": INT, "digest": STR_OR_NULL, "executable": BOOL}
 
 
@@ -252,8 +246,7 @@ def load_snapshot(path: str | Path) -> FileSnapshot:
             case _:
                 raise UsageError(f"{where}: entry {rel!r} must be [size, digest or null, "
                                  f"true/false], got {shown(vals)}")
-    return FileSnapshot(entries={rel: tuple(vals) for rel, vals in doc["entries"].items()},
-                        taken_at=doc["taken_at"])
+    return FileSnapshot(entries={rel: tuple(vals) for rel, vals in doc["entries"].items()})
 
 
 def _evidence_kind(name: str) -> Optional[BuildSystemKind]:

@@ -494,6 +494,30 @@ class TestBench:
         assert "own/.." in capsys.readouterr().err
         assert not (tmp_path / "store.jsonl").exists()
 
+    @pytest.mark.parametrize("field, value", [
+        ("id", "own/\ud800"), ("clone_url", str(REPOS / "hello_make") + "\0"),
+    ], ids=["surrogate-id", "nul-clone-url"])
+    def test_record_value_the_os_cannot_take_is_usage_error(self, tmp_path, capsys,
+                                                            field, value):
+        manifest, store, work = tmp_path / "m.jsonl", tmp_path / "s.jsonl", tmp_path / "w"
+        record = {"id": "own/hello", "clone_url": str(REPOS / "hello_make"), field: value}
+        manifest.write_text(json.dumps(record) + "\n")
+        rc = main(["bench", "--manifest", str(manifest), "--store", str(store),
+                   "--work-dir", str(work), "--sandbox-backend", "local"])
+        assert rc == 2
+        assert f"{manifest}:1: {field} must be a string the OS can take" in capsys.readouterr().err
+        assert not store.exists() and not work.exists()
+
+    def test_record_id_holding_a_file_name_byte_is_built(self, tmp_path, capsys):
+        # U+DCFF is how Python reads the byte 0xFF of a file name that is not UTF-8
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_text(json.dumps({"id": "own/\udcff", "clone_url": str(REPOS / "hello_make"),
+                                        "expected_binaries": ["hello"]}) + "\n")
+        rc = main(["bench", "--manifest", str(manifest), "--store", str(tmp_path / "s.jsonl"),
+                   "--work-dir", str(tmp_path / "w"), "--sandbox-backend", "local", "--json"])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["strict_pct"] == [100.0]
+
     @pytest.mark.parametrize("bad", [
         "[1, 2]",
         '"x"',
@@ -728,6 +752,22 @@ class TestValidate:
         save_snapshot(snapshot_files(workspace_at(ws_dir)), after_path)
         assert main(argv + ["--after", str(after_path)]) == 0
         assert capsys.readouterr().out == live
+
+    def test_snapshot_with_and_without_taken_at_gives_the_same_json(self, tmp_path, capsys):
+        # older versions wrote a "taken_at" timestamp beside the entries
+        saved = json.loads((FIXTURES / "validate" / "hello_make_before.json").read_text("utf-8"))
+        assert "taken_at" in saved
+        ws_dir = copy_fixture_tree("hello_make", tmp_path / "repo")
+        subprocess.run(["make"], cwd=ws_dir, check=True, capture_output=True)
+        printed = []
+        for doc in (saved, {"entries": saved["entries"]}):
+            before = tmp_path / "before.json"
+            before.write_text(json.dumps(doc), "utf-8")
+            assert main(["validate", "--workspace", str(ws_dir), "--before", str(before),
+                         "--expected", "hello", "--json"]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
+        assert json.loads(printed[0])["matched_names"] == ["hello"]
 
     def test_partial_match_fails_strict_gate(self, tmp_path, capsys):
         ws_dir, before_path = self._prepared(tmp_path)
@@ -1076,3 +1116,7 @@ class TestImportFootprint:
         # hashlib maps OpenSSL; it is loaded by the first digest, and a run
         # over source trees may take none
         assert _loaded_by_cli_import(["hashlib", "_hashlib"]) == []
+
+    def test_cli_import_loads_no_datetime(self):
+        # a snapshot holds no timestamp, and nothing else reads the clock's date
+        assert _loaded_by_cli_import(["datetime"]) == []

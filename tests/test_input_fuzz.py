@@ -22,6 +22,9 @@ VALUES = [
     None, True, False, -1, 0, 1e308, 10**30, float("inf"), float("-inf"), float("nan"),
     "\ud800", "x" * 5000, "", [], {}, [None], ["\ud800"], {"": 0}, {"a": []},
 ]
+# values only the OS refuses, put into a manifest's id and clone_url after
+# the seeded cases: a lone surrogate, which no encoding takes, and a NUL
+OS_REFUSED = {"id": ["own/\ud800", "own/x\0"], "clone_url": ["\ud800", "x\0"]}
 STORE = FIXTURES / "bench" / "hello_pair_runs2_store.jsonl"
 
 CONFIG = {
@@ -137,12 +140,22 @@ def test_snapshot(tmp_path, capsys):
              case, str(path))
 
 
+def _os_refused_cases():
+    for field, values in OS_REFUSED.items():
+        for value in values:
+            doc = json.loads(json.dumps(MANIFEST))
+            doc[0][field] = value
+            yield doc, (0, field), value
+
+
 def test_manifest(tmp_path, capsys):
-    for i, case in enumerate(_cases(4, MANIFEST)):
+    for i, case in enumerate([*_cases(4, MANIFEST), *_os_refused_cases()]):
         path, out = tmp_path / f"m{i}.jsonl", tmp_path / f"out{i}.jsonl"
         path.write_text("".join(json.dumps(r) + "\n" for r in case[0]), "utf-8")
         rc, err = _run(capsys, ["sample", "--manifest", str(path), "--n", "2", "--seed", "1",
                                 "--out", str(out)], case, str(path))
+        # the cases after the seeded ones are refused as the manifest loads
+        assert rc == 2 or i < CASES, case
         # what loads is written back and reloads to the same records
         if rc == 0:
             assert (sorted(load_manifest(out).records, key=repr)

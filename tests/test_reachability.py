@@ -1,4 +1,5 @@
-"""Every definition in ``src/repobuild`` is reached from a command.
+"""Every definition in ``src/repobuild`` is reached from a command, and every
+defaulted parameter is set by some call.
 
 The graph is built from the source with ``ast``, by name. Its roots are
 ``cli.main``, ``cli.entry`` and every module-level statement, among them
@@ -9,6 +10,10 @@ reached piece of code names it; a method is reached when its class is
 reached and its name is used, and a dunder method when its class is
 reached. Matching by name over-approximates, so the scan can miss dead code
 whose name is used elsewhere, but it never reports code a command runs.
+
+The parameter check matches calls by name too: a call of a function's name
+(its class's name for ``__init__``) sets a defaulted parameter when it
+passes it by keyword, by position, or through ``*args`` or ``**kwargs``.
 """
 
 import ast
@@ -28,7 +33,24 @@ ALLOWED_UNREACHED = {
 }
 
 
+# Defaulted parameters no call in src/ sets, each with the reason. The list
+# may only shrink, as the one above.
+ALLOWED_UNSET = {
+    "retrieval.run_retrieval.fetcher": "test seam: tests fetch from a fake instead of the network",
+    "validation.function_coverage.symbol_extractor": (
+        "test seam: tests supply symbols without readelf"
+    ),
+    "agent.assemble_generator_prompt.budget": "test seam: tests elide outputs at a small budget",
+    "retrieval.score_retrieval.readme_rel_path": "score_retrieval is itself allow-listed unreached",
+}
+
 _FUNCTION = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _modules():
+    for path in sorted(SRC.rglob("*.py")):
+        module = ".".join(path.relative_to(SRC).with_suffix("").parts)
+        yield module, ast.parse(path.read_text("utf-8"), filename=str(path))
 
 
 def _identifiers(nodes):
@@ -55,9 +77,8 @@ def _scan():
     """(definitions, module-level statements). A definition maps its
     qualname to (name, node, qualname of its class or None)."""
     defs, roots = {}, []
-    for path in sorted(SRC.rglob("*.py")):
-        module = ".".join(path.relative_to(SRC).with_suffix("").parts)
-        for stmt in ast.parse(path.read_text("utf-8"), filename=str(path)).body:
+    for module, tree in _modules():
+        for stmt in tree.body:
             if not isinstance(stmt, (*_FUNCTION, ast.ClassDef)):
                 roots.append(stmt)
                 continue
@@ -105,4 +126,66 @@ def test_allow_list_has_no_stale_entry():
 
 
 def test_allow_list_entries_give_a_reason():
-    assert all(reason.strip() for reason in ALLOWED_UNREACHED.values())
+    reasons = [*ALLOWED_UNREACHED.values(), *ALLOWED_UNSET.values()]
+    assert all(reason.strip() for reason in reasons)
+
+
+def _calls():
+    """Each call in src/ as (callee name, positional arguments before any
+    ``*args``, keyword names, whether it passes ``*args`` or ``**kwargs``)."""
+    out = []
+    for _module, tree in _modules():
+        for call in (n for n in ast.walk(tree) if isinstance(n, ast.Call)):
+            name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+            starred = [isinstance(a, ast.Starred) for a in call.args]
+            keywords = {k.arg for k in call.keywords}
+            out.append((name, starred.index(True) if any(starred) else len(starred),
+                        keywords, any(starred) or None in keywords))
+    return out
+
+
+def _defaulted():
+    """Each defaulted parameter as (qualname, callee name, parameter name,
+    index among the positional arguments a call passes, or None)."""
+    for module, tree in _modules():
+        owner = {id(f): c.name for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+                 for f in c.body if isinstance(f, _FUNCTION)}
+        for func in (n for n in ast.walk(tree) if isinstance(n, _FUNCTION)):
+            cls = owner.get(id(func))
+            qual = ".".join(filter(None, (module, cls, func.name)))
+            callee = cls if func.name == "__init__" else func.name
+            # a call through an instance or class passes self or cls itself
+            bound = cls is not None and "staticmethod" not in _identifiers(func.decorator_list)
+            args = func.args
+            positional = [*args.posonlyargs, *args.args]
+            first = len(positional) - len(args.defaults)
+            for i, arg in enumerate(positional[first:], first):
+                yield f"{qual}.{arg.arg}", callee, arg.arg, i - bound
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield f"{qual}.{arg.arg}", callee, arg.arg, None
+
+
+def unset_defaults():
+    """Qualnames of the defaulted parameters no call in src/ sets, sorted."""
+    calls = _calls()
+    return sorted(
+        qual for qual, callee, param, index in _defaulted()
+        if not any(name == callee and (star or param in keywords
+                                       or index is not None and npos > index)
+                   for name, npos, keywords, star in calls)
+    )
+
+
+def test_every_defaulted_parameter_is_set_by_a_call():
+    unset = [q for q in unset_defaults() if q not in ALLOWED_UNSET]
+    assert unset == [], (
+        "no call in src/ sets these defaulted parameters; delete them, or "
+        f"make them required: {unset}"
+    )
+
+
+def test_unset_allow_list_has_no_stale_entry():
+    now_unset = set(unset_defaults())
+    stale = sorted(q for q in ALLOWED_UNSET if q not in now_unset)
+    assert stale == [], f"remove these allow-list entries, they are set or gone: {stale}"

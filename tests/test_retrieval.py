@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from repobuild import retrieval
 from repobuild.bench import repo_context
 from repobuild.errors import ProtocolError, ScenarioExhaustedError
 from repobuild.gateway import ScriptedScenario
@@ -362,8 +363,9 @@ class TestFetchOverHttp:
         assert path == "/page"
         assert headers["User-Agent"] == USER_AGENT
 
-    def test_server_that_never_answers_is_a_timeout(self, tmp_path):
+    def test_server_that_never_answers_is_a_timeout(self, tmp_path, monkeypatch):
         ws = prepare_fixture("hello_make", tmp_path)
+        monkeypatch.setattr(retrieval, "DEFAULT_FETCH_TIMEOUT", 0.5)
         # the kernel completes the handshake on a listening socket, and
         # nothing ever accepts or answers
         with socket.socket() as listener:
@@ -371,7 +373,7 @@ class TestFetchOverHttp:
             listener.listen(1)
             url = f"http://127.0.0.1:{listener.getsockname()[1]}/slow"
             started = time.monotonic()
-            outcome = fetch_link(ws, LinkRef("external-url", url), timeout=0.5)
+            outcome = fetch_link(ws, LinkRef("external-url", url))
             elapsed = time.monotonic() - started
         assert outcome.failure_kind == "timeout"
         assert elapsed < 5

@@ -70,6 +70,7 @@ class TestSpecValidation:
         ("total_timeout", float("inf")), ("total_timeout", 1e300),
         ("total_timeout", 2592000), ("env", {"A": "\ud800"}),
         ("env", {"A=B": "x"}), ("env", {"A": "x\0"}),
+        ("base_image", "\ud800"), ("base_image", "img\0"),
     ])
     def test_value_of_the_wrong_type_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):

@@ -159,7 +159,7 @@ class TestSnapshots:
         snap = snapshot_files(ws)
         out = tmp_path / "snap.json"
         save_snapshot(snap, out)
-        assert set(json.loads(out.read_text("utf-8"))) == {"entries", "taken_at"}
+        assert set(json.loads(out.read_text("utf-8"))) == {"entries"}
         again = load_snapshot(out)
         assert again.entries == snap.entries
         assert again.stats == {}
@@ -197,7 +197,7 @@ class TestIncrementalSnapshot:
         time.sleep(2 * workspace._RACY_MARGIN_NS / 1e9)
         snap = snapshot_files(ws)
         assert snap.stats
-        assert snap == FileSnapshot(entries=snap.entries, taken_at=snap.taken_at)
+        assert snap == FileSnapshot(entries=snap.entries)
 
 
 class TestDetection:
