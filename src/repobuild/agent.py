@@ -9,13 +9,7 @@ from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from . import assets
-from .errors import (
-    OversizeReplyError,
-    ProtocolError,
-    RepobuildError,
-    ScenarioExhaustedError,
-    UsageError,
-)
+from .errors import ProtocolError, RepobuildError, UsageError
 from .gateway import ChatMessage, LlmConfig, ask_structured, complete
 from .sandbox import (
     CommandScript,
@@ -74,10 +68,6 @@ class Turn:
             raise ValueError("termination turn carries neither script nor result")
 
 
-# errors that come from what the model replied, not from the host or network
-_MODEL_FAULTS = (ProtocolError, OversizeReplyError, ScenarioExhaustedError)
-
-
 @dataclass
 class BuildSession:
     repo_id: str
@@ -90,7 +80,7 @@ class BuildSession:
     def end_on_error(self, exc: Exception) -> None:
         """Close a session that an error cut short. A fault in the model's
         replies is a protocol error; anything else is the infrastructure's."""
-        self.outcome = "protocol-error" if isinstance(exc, _MODEL_FAULTS) else "infra-error"
+        self.outcome = "protocol-error" if isinstance(exc, ProtocolError) else "infra-error"
         self.error_detail = str(exc)
 
     @property

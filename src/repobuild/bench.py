@@ -282,7 +282,7 @@ def store_record(
             "matched_names": sorted(verdict.matched_names),
             "new_binaries": [asdict(a) for a in verdict.new_binaries],
         },
-        "failure_mode": tag_failure_mode(summary, verdict, dossier_dict),
+        "failure_mode": tag_failure_mode(summary, dossier_dict),
         "dossier": dossier_dict,
     }
 
@@ -357,9 +357,7 @@ def load_failure_signatures() -> Tuple[re.Pattern, ...]:
     return tuple(re.compile(p) for p in json.loads(assets.text("failure_signatures.json")))
 
 
-def tag_failure_mode(
-    session: dict, verdict: Verdict, dossier: Optional[dict] = None
-) -> Optional[str]:
+def tag_failure_mode(session: dict, dossier: Optional[dict] = None) -> Optional[str]:
     """First matching rule wins; succeeded sessions carry no tag."""
     if session["outcome"] == "succeeded":
         return None
@@ -386,7 +384,7 @@ def tag_failure_mode(
 # -- orchestration ------------------------------------------------------------
 
 
-def make_completion_probe(before_snapshot, ws: Workspace):
+def make_completion_probe(before_snapshot):
     """Loop success predicate: did any non-intermediate binary appear?
 
     Each call reads the header of every file whose stat changed since
@@ -443,7 +441,7 @@ def run_one_repo(
             ws, before = _prepare_session(record, session_dir)
         else:
             ws, before = prepared.result()
-        probe = make_completion_probe(before, ws)
+        probe = make_completion_probe(before)
 
         if cfg.method == "rule-based":
             session = build_with_rules(ws, cfg.sandbox, probe)

@@ -90,7 +90,7 @@ def _configured(cls, name: str, args, config: dict, flags: dict):
     """``cls`` from the config's ``name`` section and the flags, or a usage error."""
     try:
         return cls(**{**config.get(name, {}), **flags})
-    except (TypeError, ValueError) as exc:
+    except (TypeError, UsageError) as exc:
         source = f" (config file {args.config} or a flag)" if args.config else ""
         raise UsageError(f"bad {name} configuration{source}: {exc}") from exc
 

@@ -16,8 +16,8 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .errors import (
-    BOOL, INT, OS_STR, OS_STR_OR_NULL, STR, STR_LIST, STR_OR_NULL, DomainError,
-    ManifestParseError, ManifestValidationError, SampleSizeError, check, read_input,
+    BOOL, INT, OS_STR, OS_STR_OR_NULL, STR, STR_LIST, STR_OR_NULL, UsageError, check,
+    read_input,
 )
 
 logger = logging.getLogger(__name__)
@@ -51,20 +51,18 @@ class RepoRecord:
         # each part names a directory: the session dir is owner__name and
         # the workspace is named after the name part
         if "/" in name or {owner, name} & {"", ".", ".."}:
-            raise ManifestValidationError(
+            raise UsageError(
                 f"record {self.id!r}: id must be 'owner/name', and neither part "
                 "may be empty, '.' or '..'"
             )
         seen = set()
         for name in self.expected_binaries:
             if "/" in name or "\\" in name:
-                raise ManifestValidationError(
+                raise UsageError(
                     f"record {self.id!r}: expected_binaries entry {name!r} contains a path separator"
                 )
             if name in seen:
-                raise ManifestValidationError(
-                    f"record {self.id!r}: duplicate expected binary {name!r}"
-                )
+                raise UsageError(f"record {self.id!r}: duplicate expected binary {name!r}")
             seen.add(name)
 
     @property
@@ -83,7 +81,7 @@ class CorpusManifest:
         seen = set()
         for rec in self.records:
             if rec.id in seen:
-                raise ManifestValidationError(f"duplicate record id {rec.id!r} in manifest")
+                raise UsageError(f"duplicate record id {rec.id!r} in manifest")
             seen.add(rec.id)
 
     def __len__(self) -> int:
@@ -106,7 +104,7 @@ class SamplePlan:
 def load_manifest(path: str | Path) -> CorpusManifest:
     """Parse a one-record-per-line manifest file and validate every record."""
     path = Path(path)
-    text = read_input(path, "manifest", ManifestParseError)
+    text = read_input(path, "manifest")
     records: list[RepoRecord] = []
     # records end at "\n" alone: a string may hold U+2028 or U+0085 unescaped
     for lineno, line in enumerate(text.split("\n"), start=1):
@@ -116,8 +114,8 @@ def load_manifest(path: str | Path) -> CorpusManifest:
         try:
             raw = json.loads(line)
         except (ValueError, RecursionError) as exc:
-            raise ManifestParseError(f"{where}: not a valid record object: {exc}") from exc
-        check(where, raw, _RECORD_FIELDS, ManifestParseError, required=("id", "clone_url"))
+            raise UsageError(f"{where}: not a valid record object: {exc}") from exc
+        check(where, raw, _RECORD_FIELDS, required=("id", "clone_url"))
         unknown = raw.keys() - _RECORD_FIELDS
         if unknown:
             logger.warning("%s: ignoring unknown keys %s", where, sorted(unknown))
@@ -125,8 +123,8 @@ def load_manifest(path: str | Path) -> CorpusManifest:
                  for k, v in raw.items() if k in _RECORD_FIELDS}
         try:
             records.append(RepoRecord(**known))
-        except ManifestValidationError as exc:
-            raise ManifestValidationError(f"{where}: {exc}") from None
+        except UsageError as exc:
+            raise UsageError(f"{where}: {exc}") from None
     return CorpusManifest(records=records, name=path.stem)
 
 
@@ -144,13 +142,13 @@ def required_sample_size(z: float, e: float, p: float, n_population: int) -> Sam
     population of N, rounded up to an integer count.
     """
     if not (0 < e < 1):
-        raise DomainError(f"margin e must be in (0, 1), got {e}")
+        raise UsageError(f"margin e must be in (0, 1), got {e}")
     if not (0 < p < 1):
-        raise DomainError(f"proportion p must be in (0, 1), got {p}")
+        raise UsageError(f"proportion p must be in (0, 1), got {p}")
     if z <= 0:
-        raise DomainError(f"confidence z must be positive, got {z}")
+        raise UsageError(f"confidence z must be positive, got {z}")
     if n_population < 1:
-        raise DomainError(f"population must be >= 1, got {n_population}")
+        raise UsageError(f"population must be >= 1, got {n_population}")
     n0 = (z * z) * p * (1.0 - p) / (e * e)
     n_fpc = n0 / (1.0 + (n0 - 1.0) / n_population)
     return SamplePlan(n0=n0, n_fpc=n_fpc, required_n=max(1, math.ceil(n_fpc)))
@@ -159,7 +157,7 @@ def required_sample_size(z: float, e: float, p: float, n_population: int) -> Sam
 def sample_repos(manifest: CorpusManifest, n: int, seed: int) -> CorpusManifest:
     """Uniform sample without replacement; deterministic for a fixed seed."""
     if not 1 <= n <= len(manifest.records):
-        raise SampleSizeError(
+        raise UsageError(
             f"cannot sample {n} records from a manifest of {len(manifest.records)}"
         )
     rng = random.Random(seed)

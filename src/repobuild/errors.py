@@ -1,6 +1,7 @@
-"""Exception hierarchy shared across the package, the one reader of input
-files, which turns a file it cannot read into a usage error, and the one
-checker of the values those files and the config classes hold."""
+"""The package's three error classes, one per thing the harness does with
+an error; the one reader of input files, which turns a file it cannot read
+into a usage error; and the one checker of the values those files and the
+config classes hold."""
 
 import json
 import math
@@ -8,23 +9,30 @@ import os
 
 
 class RepobuildError(Exception):
-    """Base class for all errors raised by this package."""
+    """An action failed: the CLI exits 1, a session ends as ``infra-error``."""
 
 
 class UsageError(RepobuildError):
-    """CLI or configuration misuse; maps to exit code 2."""
+    """Misuse of the CLI or a bad input value: the CLI exits 2, and no
+    session is stored."""
 
 
-def read_input(path, what: str, error: type = UsageError) -> str:
-    """The text of the UTF-8 ``what`` file at ``path``, or ``error`` naming
-    the file when it is missing, not a readable file, or not UTF-8."""
+class ProtocolError(RepobuildError):
+    """The model's reply cannot be used: malformed after the one re-ask, past
+    the reply cap, or unmatched by a scripted scenario. A session ends as
+    ``protocol-error``."""
+
+
+def read_input(path, what: str) -> str:
+    """The text of the UTF-8 ``what`` file at ``path``, or a usage error
+    naming the file when it is missing, not a readable file, or not UTF-8."""
     try:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
     except FileNotFoundError as exc:
-        raise error(f"{what} file not found: {path}") from exc
+        raise UsageError(f"{what} file not found: {path}") from exc
     except (OSError, UnicodeDecodeError) as exc:
-        raise error(f"cannot read {what} file {path}: {exc}") from exc
+        raise UsageError(f"cannot read {what} file {path}: {exc}") from exc
 
 
 def read_json(path, what: str):
@@ -76,63 +84,19 @@ OBJECT_LIST = (lambda v: type(v) is list and {dict}.issuperset(map(type, v)), "a
 ENV = (_is_env, "a map of strings to strings the OS can take")
 
 
-def check(where: str, values, table: dict, error: type = UsageError, required=()) -> dict:
-    """``values``, or ``error`` unless it is an object whose fields are of
-    the kinds that ``table`` maps them to, as ``WHERE: FIELD must be KIND,
+def check(where: str, values, table: dict, required=()) -> dict:
+    """``values``, or a usage error unless it is an object whose fields are
+    of the kinds that ``table`` maps them to, as ``WHERE: FIELD must be KIND,
     got VALUE``. A field that ``values`` lacks is not checked, unless it is
     ``required``; then it reads as null."""
     if type(values) is not dict:
-        raise error(f"{where} must be an object, got {shown(values)}")
+        raise UsageError(f"{where} must be an object, got {shown(values)}")
     for field, (ok, kind) in table.items():
         if not ok(values.get(field)) and (field in values or field in required):
-            raise error(f"{where}: {field} must be {kind}, got {shown(values.get(field))}")
+            raise UsageError(f"{where}: {field} must be {kind}, got {shown(values.get(field))}")
     return values
 
 
 def shown(value) -> str:
     """A value as a failure message shows it: its JSON, cut to 80 characters."""
     return json.dumps(value, default=repr)[:80]
-
-
-class ManifestParseError(UsageError):
-    """Manifest file is malformed (bad encoding, bad record syntax)."""
-
-
-class ManifestValidationError(UsageError):
-    """A record violates an invariant; message names the record and field."""
-
-
-class DomainError(UsageError):
-    """An argument is outside its mathematical domain."""
-
-
-class SampleSizeError(UsageError):
-    """Requested sample exceeds the available records."""
-
-
-class CloneError(RepobuildError):
-    """Repository could not be materialized."""
-
-
-class TransportError(RepobuildError):
-    """LLM backend unreachable after retries."""
-
-
-class ScenarioExhaustedError(RepobuildError):
-    """Scripted backend has no matching step and no default reply."""
-
-
-class OversizeReplyError(RepobuildError):
-    """LLM reply exceeded the configured character cap."""
-
-
-class ProtocolError(RepobuildError):
-    """LLM reply stayed malformed after the single re-ask."""
-
-
-class SandboxUnavailableError(RepobuildError):
-    """Requested sandbox backend cannot run on this host."""
-
-
-class SandboxDeadError(RepobuildError):
-    """Operation attempted on a destroyed sandbox handle."""

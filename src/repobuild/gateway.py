@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Pattern, Sequence, Tuple, TypeVar, Union
 
 from .errors import INT, NUMBER, POSITIVE_INT, SECONDS, STR, check
-from .errors import OversizeReplyError, ScenarioExhaustedError, TransportError
+from .errors import ProtocolError, RepobuildError, UsageError
 
 logger = logging.getLogger(__name__)
 
@@ -67,9 +67,7 @@ class ScriptedScenario:
                 return reply
         if self.default_reply is not None:
             return self.default_reply
-        raise ScenarioExhaustedError(
-            f"no scripted step matches user message starting {latest_user[:80]!r}"
-        )
+        raise ProtocolError(f"no scripted step matches user message starting {latest_user[:80]!r}")
 
 
 @dataclass
@@ -84,10 +82,10 @@ class LlmConfig:
 
     def __post_init__(self):
         if self.backend not in ("live", "scripted"):
-            raise ValueError(f"unknown backend {self.backend!r}")
-        check("LlmConfig", vars(self), _LLM_FIELDS, ValueError)
+            raise UsageError(f"unknown backend {self.backend!r}")
+        check("LlmConfig", vars(self), _LLM_FIELDS)
         if self.backend == "scripted" and self.scenario is None:
-            raise ValueError("scripted backend requires a scenario")
+            raise UsageError("scripted backend requires a scenario")
 
 
 _LLM_FIELDS = {"model_name": STR, "temperature": NUMBER, "max_reply_chars": POSITIVE_INT,
@@ -112,9 +110,7 @@ def complete(config: LlmConfig, messages: Sequence[ChatMessage]) -> str:
         reply = _live_complete(config, messages)
 
     if len(reply) > config.max_reply_chars:
-        raise OversizeReplyError(
-            f"reply of {len(reply)} chars exceeds cap {config.max_reply_chars}"
-        )
+        raise ProtocolError(f"reply of {len(reply)} chars exceeds cap {config.max_reply_chars}")
     return reply
 
 
@@ -162,7 +158,7 @@ def _live_complete(config: LlmConfig, messages: Sequence[ChatMessage]) -> str:
 
     base = os.environ.get(ENV_BASE_URL)
     if not base:
-        raise TransportError(f"{ENV_BASE_URL} is not set; live backend unavailable")
+        raise RepobuildError(f"{ENV_BASE_URL} is not set; live backend unavailable")
     # no retry can mend a URL that cannot be requested, so it fails at once
     try:
         parts = urllib.parse.urlsplit(base)
@@ -171,7 +167,7 @@ def _live_complete(config: LlmConfig, messages: Sequence[ChatMessage]) -> str:
     except ValueError:
         usable = False
     if not usable:
-        raise TransportError(f"{ENV_BASE_URL} is not a usable http(s) URL: {base!r}")
+        raise RepobuildError(f"{ENV_BASE_URL} is not a usable http(s) URL: {base!r}")
     url = base.rstrip("/") + "/chat/completions"
     headers = {"Content-Type": "application/json"}
     key = os.environ.get(ENV_API_KEY)
@@ -204,14 +200,14 @@ def _live_complete(config: LlmConfig, messages: Sequence[ChatMessage]) -> str:
             last_err = f"status {status}"
             continue
         if status != 200:
-            raise TransportError(f"chat completion failed: status {status}")
+            raise RepobuildError(f"chat completion failed: status {status}")
         try:
             content = json.loads(body)["choices"][0]["message"]["content"]
         except (ValueError, TypeError, KeyError, IndexError) as exc:
-            raise TransportError(f"malformed completion response: {exc}") from exc
+            raise RepobuildError(f"malformed completion response: {exc}") from exc
         if not isinstance(content, str):
-            raise TransportError(
+            raise RepobuildError(
                 f"malformed completion response: content is {type(content).__name__}"
             )
         return content
-    raise TransportError(f"chat completion failed after retries: {last_err}")
+    raise RepobuildError(f"chat completion failed after retries: {last_err}")

@@ -25,8 +25,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from . import assets
-from .errors import ENV, OS_STR, POSITIVE_INT, SECONDS, check
-from .errors import SandboxDeadError, SandboxUnavailableError
+from .errors import ENV, OS_STR, POSITIVE_INT, SECONDS, RepobuildError, UsageError, check
 from .workspace import Workspace
 
 logger = logging.getLogger(__name__)
@@ -51,10 +50,10 @@ class SandboxSpec:
 
     def __post_init__(self):
         if self.backend not in ("container", "local"):
-            raise ValueError(f"unknown sandbox backend {self.backend!r}")
-        check("SandboxSpec", vars(self), _SANDBOX_FIELDS, ValueError)
+            raise UsageError(f"unknown sandbox backend {self.backend!r}")
+        check("SandboxSpec", vars(self), _SANDBOX_FIELDS)
         if self.total_timeout < self.per_command_timeout:
-            raise ValueError("total_timeout must be >= per_command_timeout")
+            raise UsageError("total_timeout must be >= per_command_timeout")
 
 
 _SANDBOX_FIELDS = {"base_image": OS_STR, "env": ENV, "per_command_timeout": SECONDS,
@@ -131,7 +130,7 @@ def create_sandbox(spec: SandboxSpec, ws: Workspace) -> SandboxHandle:
 def _start_container(handle: SandboxHandle) -> None:
     spec, ws = handle.spec, handle.ws
     if shutil.which("docker") is None:
-        raise SandboxUnavailableError("docker CLI not found on host")
+        raise RepobuildError("docker CLI not found on host")
     _ensure_image(spec.base_image)
     mount = f"{ws.root_path}:{ws.mount_path}"
     cmd = ["docker", "run", "-d", "--rm", "-w", "/app", "-v", mount]
@@ -140,7 +139,7 @@ def _start_container(handle: SandboxHandle) -> None:
     cmd += [spec.base_image, "sleep", "infinity"]
     proc = subprocess.run(cmd, capture_output=True, text=True, timeout=300)
     if proc.returncode != 0:
-        raise SandboxUnavailableError(f"container start failed: {proc.stderr.strip()}")
+        raise RepobuildError(f"container start failed: {proc.stderr.strip()}")
     handle._container_id = proc.stdout.strip()
 
 
@@ -157,9 +156,7 @@ def _ensure_image(image: str) -> None:
         capture_output=True, text=True, timeout=120,
     )
     if daemon.returncode != 0:
-        raise SandboxUnavailableError(
-            f"Docker daemon cannot be reached: {daemon.stderr.strip()}"
-        )
+        raise RepobuildError(f"Docker daemon cannot be reached: {daemon.stderr.strip()}")
     if image == DEFAULT_IMAGE_TAG:
         with tempfile.TemporaryDirectory() as ctx:
             Path(ctx, "Dockerfile").write_text(base_image_description(), "utf-8")
@@ -167,13 +164,15 @@ def _ensure_image(image: str) -> None:
                 ["docker", "build", "-t", image, ctx], capture_output=True, text=True
             )
             if built.returncode != 0:
-                raise SandboxUnavailableError(f"image build failed: {built.stderr[-2000:]}")
+                raise RepobuildError(f"image build failed: {built.stderr[-2000:]}")
     # other tags are left to `docker run` to pull on demand
 
 
 def _start_jail(handle: SandboxHandle) -> None:
     ws = handle.ws
-    jail = Path(tempfile.mkdtemp(prefix="repobuild-jail-"))
+    # beside the workspace, so clearing the session dir clears a jail that a
+    # killed run left behind
+    jail = Path(tempfile.mkdtemp(prefix="repobuild-jail-", dir=ws.root_path.parent))
     app = jail / "app"
     app.mkdir()
     (jail / "home").mkdir()
@@ -277,7 +276,7 @@ def exec_script(handle: SandboxHandle, script: CommandScript) -> ExecutionResult
     shell itself and keeps the newest ``output_cap_bytes`` of output.
     """
     if not handle.alive:
-        raise SandboxDeadError("sandbox already destroyed")
+        raise RepobuildError("sandbox already destroyed")
 
     marker = f"__RC_{os.urandom(16).hex()}__:"
     sentinel = marker.encode()

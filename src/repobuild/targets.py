@@ -37,8 +37,15 @@ _NAMES_REMINDER = (
 
 @dataclass(frozen=True)
 class MakefileDoc:
+    """A Makefile as the units that cleaning keeps of it, each as (kind,
+    text, line in the file)."""
+
     rel_path: str
-    cleaned_text: str
+    units: Tuple[Tuple[str, str, int], ...]
+
+    @property
+    def cleaned_text(self) -> str:
+        return "".join(unit + "\n" for _, unit, _ in self.units)
 
 
 @dataclass(frozen=True)
@@ -75,14 +82,21 @@ def load_cleaning_rules() -> Tuple[Tuple[str, re.Pattern], ...]:
 
 
 def _split_units(text: str) -> List[Tuple[str, str, int]]:
-    """(kind, text, 1-based start line) units: 'rule' blocks with their recipe
-    lines, or single 'line' units."""
+    """(kind, text, 1-based line in ``text``) units: 'rule' blocks with their
+    recipe lines, or single 'line' units. A line ending in a backslash is
+    joined to the next with one space, and the unit keeps its first line."""
+    lines, starts = [], []
+    for no, line in enumerate(text.split("\n"), 1):
+        if lines and lines[-1].endswith("\\"):
+            lines[-1] = lines[-1][:-1] + " " + line.lstrip(" \t")
+        else:
+            lines.append(line)
+            starts.append(no)
     units = []
-    lines = text.split("\n")
     i = 0
     while i < len(lines):
         line = lines[i]
-        start = i + 1
+        start = starts[i]
         if line.startswith("\t"):
             # stray recipe line without a rule; treat as a plain line
             units.append(("line", line, start))
@@ -117,16 +131,12 @@ def _is_rule_header(line: str) -> bool:
     return colon != -1
 
 
-def clean_makefile(text: str) -> str:
-    """Shrink a makefile to the parts that matter for naming final binaries.
-
-    Continuations are collapsed, then every unit (rule block or single line)
-    is matched against the ordered rule set; the first matching entry decides
-    keep or drop, and unmatched units are kept.
-    """
-    collapsed = re.sub(r"\\\n[ \t]*", " ", text)
+def clean_makefile(text: str) -> Tuple[Tuple[str, str, int], ...]:
+    """Shrink a makefile to the units that matter for naming final binaries:
+    the first entry of the ordered rule set that matches a unit decides keep
+    or drop, and unmatched units are kept."""
     kept = []
-    for kind, unit, _ in _split_units(collapsed):
+    for kind, unit, line_no in _split_units(text):
         decision = None
         for action, pattern in load_cleaning_rules():
             if action == "drop-rule" and kind != "rule":
@@ -137,15 +147,15 @@ def clean_makefile(text: str) -> str:
                 decision = "keep" if action == "keep-rule" else "drop"
                 break
         if decision != "drop":
-            kept.append(unit)
-    return "\n".join(kept) + ("\n" if kept else "")
+            kept.append((kind, unit, line_no))
+    return tuple(kept)
 
 
 def load_makefile_docs(ws: Workspace) -> List[MakefileDoc]:
     docs = []
     for rel in find_makefiles(ws):
         raw = (ws.root_path / rel).read_text("utf-8", errors="replace")
-        docs.append(MakefileDoc(rel_path=rel, cleaned_text=clean_makefile(raw)))
+        docs.append(MakefileDoc(rel, clean_makefile(raw)))
     return docs
 
 
@@ -163,17 +173,16 @@ def extract_targets_rule_based(docs: Sequence[MakefileDoc]) -> TargetPrediction:
     names: List[str] = []
     evidence: Dict[str, Tuple[str, int]] = {}
     for doc in docs:
-        units = _split_units(doc.cleaned_text)
         assignments: Dict[str, str] = {}
         phony: set = set()
-        for kind, unit, _ in units:
+        for kind, unit, _ in doc.units:
             if kind == "line":
                 m = _ASSIGN_RE.match(unit)
                 if m:
                     assignments[m.group(1)] = m.group(2).strip()
             elif unit.split(":")[0].strip() == ".PHONY":
                 phony.update(unit.split(":", 1)[1].split())
-        for kind, unit, line_no in units:
+        for kind, unit, line_no in doc.units:
             if kind != "rule":
                 continue
             header, _, recipe = unit.partition("\n")

@@ -16,7 +16,7 @@ from typing import Callable, Iterator, Optional, Tuple
 
 from .corpus import RepoRecord
 from .errors import BOOL, INT, OBJECT, STR_OR_NULL, check, read_json, shown
-from .errors import CloneError, UsageError
+from .errors import RepobuildError, UsageError
 
 logger = logging.getLogger(__name__)
 
@@ -99,7 +99,7 @@ def prepare_workspace(record: RepoRecord, session_dir: str | Path) -> Workspace:
     """
     session_dir = Path(session_dir)
     if session_dir.exists() and any(session_dir.iterdir()):
-        raise CloneError(f"session dir {session_dir} is not empty")
+        raise RepobuildError(f"session dir {session_dir} is not empty")
     session_dir.mkdir(parents=True, exist_ok=True)
     dest = session_dir / record.name
 
@@ -112,16 +112,22 @@ def prepare_workspace(record: RepoRecord, session_dir: str | Path) -> Workspace:
             return Workspace(repo_id=record.id, root_path=dest.resolve(), commit=commit)
         src = str(local)
 
-    proc = _run_git(["clone", src, str(dest)])
+    # neither the URL nor the revision may reach git as an option
+    proc = _run_git(["clone", "--", src, str(dest)])
     if proc.returncode != 0:
-        raise CloneError(f"clone of {record.clone_url} failed: {proc.stderr.strip()}")
+        raise RepobuildError(f"clone of {record.clone_url} failed: {proc.stderr.strip()}")
     if record.commit:
-        proc = _run_git(["-c", "advice.detachedHead=false", "checkout", record.commit], cwd=dest)
+        proc = _run_git(["rev-parse", "--verify", "-q", "--end-of-options",
+                         f"{record.commit}^{{commit}}"], cwd=dest)
+        if proc.returncode == 0:
+            # a SHA, as checkout reads --end-of-options as a pathspec
+            proc = _run_git(["-c", "advice.detachedHead=false", "checkout",
+                             proc.stdout.strip()], cwd=dest)
         if proc.returncode != 0:
-            raise CloneError(f"revision {record.commit} not found in {record.clone_url}")
+            raise RepobuildError(f"revision {record.commit} not found in {record.clone_url}")
     proc = _run_git(["rev-parse", "HEAD"], cwd=dest)
     if proc.returncode != 0:
-        raise CloneError(f"cannot resolve HEAD in {dest}: {proc.stderr.strip()}")
+        raise RepobuildError(f"cannot resolve HEAD in {dest}: {proc.stderr.strip()}")
     return Workspace(repo_id=record.id, root_path=dest.resolve(), commit=proc.stdout.strip())
 
 

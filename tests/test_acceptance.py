@@ -736,12 +736,12 @@ class TestTargetPrediction:
         raw = generated_makefile(400)
         raw_lines = len(raw.splitlines())
 
-        cleaned = clean_makefile(raw)
+        doc = MakefileDoc("Makefile", clean_makefile(raw))
+        cleaned = doc.cleaned_text
         cleaned_lines = len(cleaned.splitlines())
         assert cleaned_lines <= raw_lines * 0.10
-        assert clean_makefile(cleaned) == cleaned
+        assert MakefileDoc("Makefile", clean_makefile(cleaned)).cleaned_text == cleaned
 
-        doc = MakefileDoc(rel_path="Makefile", cleaned_text=cleaned)
         pred = extract_targets_rule_based([doc])
         assert set(pred.names) == {"bigapp", "helper"}
 

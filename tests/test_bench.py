@@ -32,7 +32,7 @@ from repobuild.corpus import CorpusManifest, RepoRecord
 from repobuild.errors import UsageError
 from repobuild.gateway import LlmConfig, ScriptedScenario
 from repobuild.retrieval import InstructionDossier, LinkRef
-from repobuild.sandbox import CommandScript, ExecutionResult, SandboxSpec
+from repobuild.sandbox import CommandScript, ExecutionResult, SandboxSpec, create_sandbox
 from repobuild.validation import CLASSES, BinaryArtifact, Verdict
 from repobuild.workspace import snapshot_files
 
@@ -478,7 +478,7 @@ class TestRecordCodec:
         assert outcome.dossier == bench.dossier_to_dict(dossier)
         assert outcome.failure_mode == "unresolved-after-max-attempts"
         assert outcome.fix_attempts == session.fix_attempts
-        assert outcome.failure_mode == tag_failure_mode(outcome.session, verdict, outcome.dossier)
+        assert outcome.failure_mode == tag_failure_mode(outcome.session, outcome.dossier)
         stored = outcome.session
         assert (stored["repo_id"], stored["variant"], stored["max_turns"], stored["outcome"],
                 stored["fix_attempts"], stored["error_detail"]) == (
@@ -690,55 +690,55 @@ class TestSessionSummary:
 
 class TestTagFailureMode:
     def test_success_has_no_tag(self):
-        assert tag_failure_mode(_session_dict("succeeded"), _vd(True)) is None
+        assert tag_failure_mode(_session_dict("succeeded")) is None
 
     def test_infra_error(self):
-        assert tag_failure_mode(_session_dict("infra-error"), _vd()) == "infra-error"
+        assert tag_failure_mode(_session_dict("infra-error")) == "infra-error"
 
     def test_protocol_error(self):
-        assert tag_failure_mode(_session_dict("protocol-error"), _vd()) == "protocol-error"
+        assert tag_failure_mode(_session_dict("protocol-error")) == "protocol-error"
 
     def test_final_turn_timeout(self):
         turns = [_turn_dict(k=0), _turn_dict(k=1, timed_out=True)]
-        assert tag_failure_mode(_session_dict(turns=turns), _vd()) == "timeout"
+        assert tag_failure_mode(_session_dict(turns=turns)) == "timeout"
 
     def test_earlier_timeout_does_not_tag(self):
         turns = [_turn_dict(k=0, timed_out=True), _turn_dict(k=1)]
-        tag = tag_failure_mode(_session_dict(turns=turns), _vd())
+        tag = tag_failure_mode(_session_dict(turns=turns))
         assert tag == "unresolved-after-max-attempts"
 
     def test_timeout_wins_over_dependency_signature(self):
         turns = [_turn_dict(output="fatal error: x.h: No such file or directory",
                             timed_out=True)]
-        assert tag_failure_mode(_session_dict(turns=turns), _vd()) == "timeout"
+        assert tag_failure_mode(_session_dict(turns=turns)) == "timeout"
 
     def test_retrieval_stage_error(self):
         dossier = {"sufficient": False}
         turns = [_turn_dict(commands=["ls", "cat README"], output="stuff")]
-        tag = tag_failure_mode(_session_dict(turns=turns), _vd(), dossier)
+        tag = tag_failure_mode(_session_dict(turns=turns), dossier)
         assert tag == "retrieval-stage-error"
 
     def test_build_tool_in_commands_clears_retrieval_blame(self):
         dossier = {"sufficient": False}
         turns = [_turn_dict(commands=["make"], output="stuff")]
-        tag = tag_failure_mode(_session_dict(turns=turns), _vd(), dossier)
+        tag = tag_failure_mode(_session_dict(turns=turns), dossier)
         assert tag == "unresolved-after-max-attempts"
 
     def test_build_tool_in_output_clears_retrieval_blame(self):
         dossier = {"sufficient": False}
         turns = [_turn_dict(commands=["./build-it"], output="gcc -c main.c failed")]
-        tag = tag_failure_mode(_session_dict(turns=turns), _vd(), dossier)
+        tag = tag_failure_mode(_session_dict(turns=turns), dossier)
         assert tag == "unresolved-after-max-attempts"
 
     def test_sufficient_dossier_skips_retrieval_rule(self):
         dossier = {"sufficient": True}
         turns = [_turn_dict(commands=["ls"], output="stuff")]
-        tag = tag_failure_mode(_session_dict(turns=turns), _vd(), dossier)
+        tag = tag_failure_mode(_session_dict(turns=turns), dossier)
         assert tag == "unresolved-after-max-attempts"
 
     def test_no_dossier_skips_retrieval_rule(self):
         turns = [_turn_dict(commands=["ls"], output="stuff")]
-        tag = tag_failure_mode(_session_dict(turns=turns), _vd(), None)
+        tag = tag_failure_mode(_session_dict(turns=turns), None)
         assert tag == "unresolved-after-max-attempts"
 
     @pytest.mark.parametrize(
@@ -753,15 +753,15 @@ class TestTagFailureMode:
     )
     def test_dependency_signatures(self, output):
         turns = [_turn_dict(output=output)]
-        assert tag_failure_mode(_session_dict(turns=turns), _vd()) == "dependency-error"
+        assert tag_failure_mode(_session_dict(turns=turns)) == "dependency-error"
 
     def test_plain_failure_is_unresolved(self):
         turns = [_turn_dict(output="error: expected ';' before '}' token")]
-        tag = tag_failure_mode(_session_dict(turns=turns), _vd())
+        tag = tag_failure_mode(_session_dict(turns=turns))
         assert tag == "unresolved-after-max-attempts"
 
     def test_session_without_command_turns(self):
-        tag = tag_failure_mode(_session_dict(turns=[]), _vd())
+        tag = tag_failure_mode(_session_dict(turns=[]))
         assert tag == "unresolved-after-max-attempts"
 
     def test_all_tags_belong_to_the_taxonomy(self):
@@ -775,14 +775,14 @@ class TestTagFailureMode:
             (_session_dict(turns=[_turn_dict()]), None),
         ]
         for session, dossier in cases:
-            assert tag_failure_mode(session, _vd(), dossier) in FAILURE_MODES
+            assert tag_failure_mode(session, dossier) in FAILURE_MODES
 
 
 class TestCompletionProbe:
     def test_object_files_do_not_trip_the_probe(self, tmp_path):
         (tmp_path / "main.c").write_text("int main(void){return 0;}\n")
         ws = workspace_at(tmp_path)
-        probe = make_completion_probe(snapshot_files(ws), ws)
+        probe = make_completion_probe(snapshot_files(ws))
         subprocess.run(
             ["gcc", "-c", "-o", "main.o", "main.c"],
             cwd=tmp_path, check=True, capture_output=True,
@@ -1086,6 +1086,15 @@ class TestRunBenchmark:
             aggregate(load_results(store2)), "machine", cfg.method
         )
         assert recomputed == report_resumed
+
+    def test_clearing_a_session_dir_clears_a_jail_never_destroyed(self, tmp_path, local_spec):
+        record = fixture_record("hello_make")
+        ws, _ = bench._materialize(record, tmp_path / "session")
+        # a killed run destroys no sandbox
+        jail = create_sandbox(local_spec, ws)._jail
+        assert jail.is_dir()
+        bench._materialize(record, tmp_path / "session")
+        assert not jail.exists()
 
     def test_return_equals_reload_of_a_damaged_store(self, tmp_path):
         records = [fixture_record("hello_make"), fixture_record("hello_autotools")]

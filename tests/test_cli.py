@@ -996,15 +996,9 @@ class TestOneDefinition:
     def test_every_error_class_is_importable_from_the_package(self):
         classes = {name: cls for name, cls in vars(errors).items()
                    if isinstance(cls, type) and issubclass(cls, RepobuildError)}
-        assert {"RepobuildError", "UsageError", "CloneError"} <= classes.keys()
+        assert classes.keys() == {"RepobuildError", "UsageError", "ProtocolError"}
         for name, cls in classes.items():
             assert getattr(repobuild, name) is cls
-
-    @pytest.mark.parametrize("name", [
-        "ManifestParseError", "ManifestValidationError", "DomainError", "SampleSizeError",
-    ])
-    def test_misuse_errors_are_usage_errors(self, name):
-        assert issubclass(getattr(errors, name), UsageError)
 
     @pytest.mark.parametrize("flag, value, field, expected", [
         ("--sandbox-backend", "local", "backend", "local"),

@@ -14,12 +14,7 @@ from repobuild.corpus import (
     sample_repos,
     save_manifest,
 )
-from repobuild.errors import (
-    DomainError,
-    ManifestParseError,
-    ManifestValidationError,
-    SampleSizeError,
-)
+from repobuild.errors import UsageError
 
 from conftest import FIXTURES
 
@@ -34,38 +29,38 @@ def rec(i, **kw):
 
 class TestRecordValidation:
     def test_id_must_be_owner_slash_name(self):
-        with pytest.raises(ManifestValidationError):
+        with pytest.raises(UsageError, match="id must be 'owner/name'"):
             RepoRecord(id="noslash", clone_url="x")
-        with pytest.raises(ManifestValidationError):
+        with pytest.raises(UsageError, match="id must be 'owner/name'"):
             RepoRecord(id="a/b/c", clone_url="x")
-        with pytest.raises(ManifestValidationError):
+        with pytest.raises(UsageError, match="id must be 'owner/name'"):
             RepoRecord(id="", clone_url="x")
 
     @pytest.mark.parametrize("repo_id", ["local/", "/name", "own/..", "../name", "own/.", "./name"])
     def test_id_parts_must_name_a_directory(self, repo_id):
-        with pytest.raises(ManifestValidationError):
+        with pytest.raises(UsageError, match="id must be 'owner/name'"):
             RepoRecord(id=repo_id, clone_url="x")
 
     def test_manifest_with_a_dot_dot_name_fails_to_load(self, tmp_path):
         path = tmp_path / "m.jsonl"
         path.write_text('{"id": "own/..", "clone_url": "u"}\n', "utf-8")
-        with pytest.raises(ManifestValidationError, match="own/"):
+        with pytest.raises(UsageError, match="own/"):
             load_manifest(path)
 
     def test_expected_binaries_reject_separators(self):
-        with pytest.raises(ManifestValidationError):
+        with pytest.raises(UsageError, match="contains a path separator"):
             rec(1, expected_binaries=("bin/app",))
-        with pytest.raises(ManifestValidationError):
+        with pytest.raises(UsageError, match="contains a path separator"):
             rec(1, expected_binaries=("a\\b",))
 
     def test_expected_binaries_reject_duplicates(self):
-        with pytest.raises(ManifestValidationError):
+        with pytest.raises(UsageError, match="duplicate expected binary 'app'"):
             rec(1, expected_binaries=("app", "app"))
 
     def test_negative_stars_rejected(self, tmp_path):
         path = tmp_path / "m.jsonl"
         path.write_text('{"id": "a/b", "clone_url": "u", "stargazers": -1}\n', "utf-8")
-        with pytest.raises(ManifestParseError, match=re.escape(
+        with pytest.raises(UsageError, match=re.escape(
                 f"{path}:1: stargazers must be an integer >= 0, got -1")):
             load_manifest(path)
 
@@ -73,7 +68,7 @@ class TestRecordValidation:
         assert rec(7).name == "repo7"
 
     def test_manifest_rejects_duplicate_ids(self):
-        with pytest.raises(ManifestValidationError):
+        with pytest.raises(UsageError, match="duplicate record id 'owner/repo1'"):
             CorpusManifest(records=[rec(1), rec(1)])
 
 
@@ -118,7 +113,7 @@ class TestManifestIo:
     def test_malformed_line_raises_with_line_number(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"id": "a/b", "clone_url": "u"}\n{not json}\n', "utf-8")
-        with pytest.raises(ManifestParseError) as err:
+        with pytest.raises(UsageError, match="not a valid record object") as err:
             load_manifest(bad)
         assert "2" in str(err.value)
 
@@ -158,11 +153,11 @@ class TestManifestIo:
             json.dumps(good) + "\n" + json.dumps({**good, "id": "a/c", field: value}) + "\n",
             "utf-8",
         )
-        with pytest.raises(ManifestParseError, match="^" + re.escape(f"{path}:2: {field} must be ")):
+        with pytest.raises(UsageError, match="^" + re.escape(f"{path}:2: {field} must be ")):
             load_manifest(path)
 
     def test_missing_file_raises(self, tmp_path):
-        with pytest.raises(ManifestParseError):
+        with pytest.raises(UsageError, match="manifest file not found"):
             load_manifest(tmp_path / "absent.jsonl")
 
 
@@ -191,7 +186,7 @@ class TestSampleSize:
         (1.96, 0.05, 0.5, 0),
     ])
     def test_domain_validation(self, z, e, p, n):
-        with pytest.raises(DomainError):
+        with pytest.raises(UsageError, match=" must be "):
             required_sample_size(z, e, p, n)
 
 
@@ -217,10 +212,10 @@ class TestSampling:
 
     def test_oversized_request_raises(self):
         manifest = load_manifest(MANIFEST)
-        with pytest.raises(SampleSizeError):
+        with pytest.raises(UsageError, match="cannot sample"):
             sample_repos(manifest, len(manifest) + 1, seed=0)
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_empty_or_negative_request_raises(self, n):
-        with pytest.raises(SampleSizeError):
+        with pytest.raises(UsageError, match="cannot sample"):
             sample_repos(load_manifest(MANIFEST), n, seed=0)

@@ -5,11 +5,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
-from repobuild.errors import (
-    OversizeReplyError,
-    ScenarioExhaustedError,
-    TransportError,
-)
+from repobuild.errors import ProtocolError, RepobuildError, UsageError
 from repobuild import gateway
 from repobuild.gateway import (
     REMINDER_PREFIX,
@@ -65,7 +61,7 @@ class TestScriptedScenario:
 
     def test_exhausted_without_default(self):
         scenario = ScriptedScenario(steps=[("x", "a")])
-        with pytest.raises(ScenarioExhaustedError):
+        with pytest.raises(ProtocolError, match="no scripted step matches"):
             scenario.resolve("nothing matches")
 
     def test_stateless_resolution(self):
@@ -108,7 +104,7 @@ class TestComplete:
             ScriptedScenario(steps=[], default_reply="y" * 100),
             max_reply_chars=10,
         )
-        with pytest.raises(OversizeReplyError):
+        with pytest.raises(ProtocolError, match="reply of 100 chars exceeds cap 10"):
             complete(cfg, [user("hi")])
 
 
@@ -164,11 +160,11 @@ class TestAskStructured:
 
 class TestConfigValidation:
     def test_scripted_requires_scenario(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(UsageError, match="scripted backend requires a scenario"):
             LlmConfig(backend="scripted")
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(UsageError, match="unknown backend 'oracle'"):
             LlmConfig(backend="oracle")
 
     @pytest.mark.parametrize("field, value", [
@@ -182,14 +178,14 @@ class TestConfigValidation:
         ("request_timeout", 604801),
     ])
     def test_value_of_the_wrong_type_or_range_rejected(self, field, value):
-        with pytest.raises(ValueError, match=field):
+        with pytest.raises(UsageError, match=field):
             LlmConfig(**{field: value})
 
     def test_live_backend_fails_without_endpoint(self, monkeypatch):
         monkeypatch.delenv("REPOBUILD_LLM_BASE_URL", raising=False)
         monkeypatch.delenv("REPOBUILD_LLM_API_KEY", raising=False)
         cfg = LlmConfig(backend="live", max_retries=0)
-        with pytest.raises(TransportError):
+        with pytest.raises(RepobuildError, match="REPOBUILD_LLM_BASE_URL is not set"):
             complete(cfg, [user("hi")])
 
 
@@ -270,14 +266,14 @@ class TestLiveBackend:
 
     def test_server_error_on_every_attempt_raises_after_the_retries(self, chat_server):
         chat_server.replies = [(500, {"error": "down"})] * 3
-        with pytest.raises(TransportError, match="after retries: status 500"):
+        with pytest.raises(RepobuildError, match="after retries: status 500"):
             complete(LlmConfig(backend="live", max_retries=2), [user("hi")])
         assert len(chat_server.received) == 3
         assert chat_server.sleeps == [2.0, 4.0]
 
     def test_client_error_is_not_retried(self, chat_server):
         chat_server.replies = [(400, {"error": "bad request"})]
-        with pytest.raises(TransportError, match="status 400"):
+        with pytest.raises(RepobuildError, match="status 400"):
             complete(LlmConfig(backend="live"), [user("hi")])
         assert len(chat_server.received) == 1
         assert chat_server.sleeps == []
@@ -289,13 +285,13 @@ class TestLiveBackend:
     )
     def test_malformed_reply_is_a_transport_error(self, chat_server, body):
         chat_server.replies = [(200, body)]
-        with pytest.raises(TransportError, match="malformed completion response"):
+        with pytest.raises(RepobuildError, match="malformed completion response"):
             complete(LlmConfig(backend="live"), [user("hi")])
         assert len(chat_server.received) == 1
 
     def test_refused_connection_is_retried_then_raises(self, chat_server, monkeypatch):
         monkeypatch.setenv("REPOBUILD_LLM_BASE_URL", "http://127.0.0.1:1")
-        with pytest.raises(TransportError, match="after retries"):
+        with pytest.raises(RepobuildError, match="after retries"):
             complete(LlmConfig(backend="live", max_retries=2), [user("hi")])
         assert chat_server.sleeps == [2.0, 4.0]
         assert chat_server.received == []
@@ -305,7 +301,7 @@ class TestLiveBackend:
     )
     def test_unusable_base_url_is_a_transport_error(self, chat_server, monkeypatch, base):
         monkeypatch.setenv("REPOBUILD_LLM_BASE_URL", base)
-        with pytest.raises(TransportError, match="REPOBUILD_LLM_BASE_URL is not a usable"):
+        with pytest.raises(RepobuildError, match="REPOBUILD_LLM_BASE_URL is not a usable"):
             complete(LlmConfig(backend="live", max_retries=1), [user("hi")])
         assert chat_server.sleeps == []
         assert chat_server.received == []

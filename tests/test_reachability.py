@@ -14,6 +14,10 @@ whose name is used elsewhere, but it never reports code a command runs.
 The parameter check matches calls by name too: a call of a function's name
 (its class's name for ``__init__``) sets a defaulted parameter when it
 passes it by keyword, by position, or through ``*args`` or ``**kwargs``.
+
+The exception check matches names too: every exception class defined in
+``src/repobuild`` is named in some ``except`` clause or ``isinstance`` class
+argument there, since a class no code tells apart acts as its base.
 """
 
 import ast
@@ -189,3 +193,36 @@ def test_unset_allow_list_has_no_stale_entry():
     now_unset = set(unset_defaults())
     stale = sorted(q for q in ALLOWED_UNSET if q not in now_unset)
     assert stale == [], f"remove these allow-list entries, they are set or gone: {stale}"
+
+
+def _exception_classes():
+    """Names of the exception classes defined in src/: each class whose base
+    is ``Exception`` or another of them."""
+    bases = {c.name: _identifiers(c.bases) for _module, tree in _modules()
+             for c in ast.walk(tree) if isinstance(c, ast.ClassDef)}
+    found = {"Exception"}
+    while grown := {name for name, names in bases.items() if name not in found and names & found}:
+        found |= grown
+    return found - {"Exception"}
+
+
+def _dispatched_names():
+    """Names in an ``except`` clause or in the class argument of an
+    ``isinstance`` call anywhere in src/."""
+    out = set()
+    for _module, tree in _modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                out |= _identifiers([node.type])
+            elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+                  and len(node.args) == 2):
+                out |= _identifiers([node.args[1]])
+    return out
+
+
+def test_every_exception_class_is_dispatched_on():
+    undispatched = sorted(_exception_classes() - _dispatched_names())
+    assert undispatched == [], (
+        "no except clause or isinstance check in src/ names these exception "
+        f"classes, so nothing treats them apart from their base; fold them into it: {undispatched}"
+    )

@@ -8,7 +8,7 @@ import pytest
 
 from repobuild import retrieval
 from repobuild.bench import repo_context
-from repobuild.errors import ProtocolError, ScenarioExhaustedError
+from repobuild.errors import ProtocolError
 from repobuild.gateway import ScriptedScenario
 from repobuild.retrieval import (
     FETCH_CAP_BYTES,

@@ -1,4 +1,4 @@
-from repobuild.errors import SandboxUnavailableError
+from repobuild.errors import RepobuildError
 from repobuild.rules import (
     build_with_rules,
     load_build_routines,
@@ -167,7 +167,7 @@ class TestBuildWithRules:
         ws = prepare_fixture("hello_make", tmp_path)
 
         def refuse(spec, ws_):
-            raise SandboxUnavailableError("no backend available")
+            raise RepobuildError("no backend available")
 
         monkeypatch.setattr("repobuild.agent.create_sandbox", refuse)
         probe, _ = completion_probe(ws)

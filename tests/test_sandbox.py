@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from repobuild.errors import SandboxDeadError, SandboxUnavailableError
+from repobuild.errors import RepobuildError, UsageError
 from repobuild.sandbox import (
     DRAIN_SECONDS,
     CommandScript,
@@ -49,17 +49,17 @@ class TestSpecValidation:
         assert spec.output_cap_bytes == 65536
 
     def test_bad_backend(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(UsageError, match="unknown sandbox backend 'vm'"):
             SandboxSpec(backend="vm")
 
     def test_total_must_cover_per_command(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(UsageError, match="total_timeout must be >= per_command_timeout"):
             SandboxSpec(per_command_timeout=100, total_timeout=50)
 
     def test_positive_timeouts_and_cap(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(UsageError, match="per_command_timeout must be seconds"):
             SandboxSpec(per_command_timeout=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(UsageError, match="output_cap_bytes must be an integer > 0"):
             SandboxSpec(output_cap_bytes=0)
 
     @pytest.mark.parametrize("field, value", [
@@ -73,7 +73,7 @@ class TestSpecValidation:
         ("base_image", "\ud800"), ("base_image", "img\0"),
     ])
     def test_value_of_the_wrong_type_rejected(self, field, value):
-        with pytest.raises(ValueError, match=field):
+        with pytest.raises(UsageError, match=field):
             SandboxSpec(**{field: value})
 
     def test_script_rejects_empty_and_bare_terminate(self):
@@ -246,7 +246,7 @@ class TestLocalExecution:
         ws = prepare_fixture("hello_make", tmp_path)
         handle = create_sandbox(local_spec, ws)
         destroy_sandbox(handle)
-        with pytest.raises(SandboxDeadError):
+        with pytest.raises(RepobuildError, match="sandbox already destroyed"):
             run(handle, "echo hi")
 
     def test_destroy_is_idempotent_and_cleans_jail(self, tmp_path, local_spec):
@@ -257,6 +257,12 @@ class TestLocalExecution:
         destroy_sandbox(handle)
         destroy_sandbox(handle)
         assert not jail.exists()
+
+    def test_jail_sits_beside_the_workspace(self, tmp_path, local_spec):
+        ws = prepare_fixture("hello_make", tmp_path)
+        with create_sandbox(local_spec, ws) as handle:
+            assert handle._jail.parent == ws.root_path.parent
+            assert handle._jail.name.startswith("repobuild-jail-")
 
     def test_sessions_do_not_share_environment(self, tmp_path, local_spec):
         ws = prepare_fixture("hello_make", tmp_path)
@@ -406,7 +412,8 @@ class TestContainerUnavailable:
     @pytest.mark.skipif(HAVE_DOCKER_DAEMON, reason="a Docker daemon is reachable")
     def test_missing_docker_is_a_typed_error(self, tmp_path):
         ws = prepare_fixture("hello_make", tmp_path)
-        with pytest.raises(SandboxUnavailableError):
+        unavailable = "docker CLI not found|Docker daemon cannot be reached"
+        with pytest.raises(RepobuildError, match=unavailable):
             create_sandbox(SandboxSpec(backend="container"), ws)
 
     @staticmethod
@@ -430,7 +437,7 @@ class TestContainerUnavailable:
     def test_unreachable_daemon_is_named_and_nothing_built(self, tmp_path, monkeypatch):
         ws = prepare_fixture("hello_make", tmp_path)
         calls = self._fake_docker(monkeypatch, inspect_rc=1)
-        with pytest.raises(SandboxUnavailableError, match="Docker daemon cannot be reached"):
+        with pytest.raises(RepobuildError, match="Docker daemon cannot be reached"):
             create_sandbox(SandboxSpec(backend="container"), ws)
         assert calls == ["image", "version"]
 

@@ -7,6 +7,7 @@ from repobuild.gateway import LlmConfig, ScriptedScenario
 from repobuild.targets import (
     MakefileDoc,
     TargetPrediction,
+    _split_units,
     clean_makefile,
     extract_targets_llm,
     extract_targets_rule_based,
@@ -20,12 +21,16 @@ from conftest import generated_makefile, prepare_fixture, workspace_at
 
 
 def _doc(text, rel="Makefile"):
-    return MakefileDoc(rel_path=rel, cleaned_text=clean_makefile(text))
+    return MakefileDoc(rel, clean_makefile(text))
+
+
+def _cleaned(text):
+    return _doc(text).cleaned_text
 
 
 def _raw_doc(cleaned_text, rel="Makefile"):
     """Doc wrapper that skips cleaning, for extraction-only tests."""
-    return MakefileDoc(rel_path=rel, cleaned_text=cleaned_text)
+    return MakefileDoc(rel, tuple(_split_units(cleaned_text)))
 
 
 class TestFindMakefiles:
@@ -86,36 +91,36 @@ class TestLoadCleaningRules:
 
 class TestCleanMakefile:
     def test_comments_and_blanks_dropped(self):
-        out = clean_makefile("# banner\n\nTARGET = app\n")
+        out = _cleaned("# banner\n\nTARGET = app\n")
         assert out == "TARGET = app\n"
 
     def test_object_compile_rules_dropped(self):
         text = "main.o: main.c\n\t$(CC) -c main.c\napp: main.o\n\t$(CC) -o app main.o\n"
-        out = clean_makefile(text)
+        out = _cleaned(text)
         assert "main.o:" not in out
         assert "app: main.o" in out
 
     def test_dependency_only_rules_dropped(self):
-        out = clean_makefile("app: main.o util.o\nTARGET = app\n")
+        out = _cleaned("app: main.o util.o\nTARGET = app\n")
         assert "main.o" not in out
         assert "TARGET = app" in out
 
     def test_link_recipes_kept(self):
         text = "app: main.o\n\tgcc -o app main.o\n"
-        assert clean_makefile(text) == text
+        assert _cleaned(text) == text
 
     def test_compile_only_recipes_dropped(self):
         # -c invocations are compilations even when the target looks final
         text = "weird: weird.c\n\tgcc -c weird.c\n"
-        assert "weird" not in clean_makefile(text)
+        assert "weird" not in _cleaned(text)
 
     def test_phony_declarations_kept(self):
-        out = clean_makefile(".PHONY: all clean\nall: app\n\t@echo hi\n")
+        out = _cleaned(".PHONY: all clean\nall: app\n\t@echo hi\n")
         assert ".PHONY: all clean" in out
         assert "echo hi" not in out
 
     def test_target_like_assignments_kept(self):
-        out = clean_makefile("TARGET = app\nPROG_NAME = tool\nRANDOM = 3\nCC = gcc\n")
+        out = _cleaned("TARGET = app\nPROG_NAME = tool\nRANDOM = 3\nCC = gcc\n")
         assert "TARGET = app" in out
         assert "PROG_NAME = tool" in out
         assert "RANDOM" not in out
@@ -124,17 +129,17 @@ class TestCleanMakefile:
     def test_first_matching_rule_wins(self):
         # the drop for .o targets is ordered before the link-recipe keep
         text = "weird.o: x.c\n\t$(CC) -o weird.o x.c\n"
-        assert clean_makefile(text) == ""
+        assert _cleaned(text) == ""
 
     def test_continuations_collapsed(self):
         text = "app: a.o\\\n     b.o\n\tcc -o app a.o b.o\n"
-        out = clean_makefile(text)
+        out = _cleaned(text)
         assert "app: a.o b.o" in out
         assert "\\" not in out
 
     def test_generated_makefile_shrinks_by_90_percent(self):
         text = generated_makefile(120)
-        out = clean_makefile(text)
+        out = _cleaned(text)
         raw_n = len(text.split("\n"))
         out_n = len(out.split("\n"))
         assert out_n <= raw_n * 0.10
@@ -142,11 +147,11 @@ class TestCleanMakefile:
         assert "TARGET = bigapp" in out
 
     def test_cleaning_is_idempotent(self):
-        once = clean_makefile(generated_makefile(120))
-        assert clean_makefile(once) == once
+        once = _cleaned(generated_makefile(120))
+        assert _cleaned(once) == once
 
     def test_empty_input(self):
-        assert clean_makefile("") == ""
+        assert _cleaned("") == ""
 
 
 class TestMakefileDoc:
@@ -181,6 +186,21 @@ class TestRuleBasedExtraction:
         path, line = pred.evidence["app"]
         assert path == "Makefile"
         assert line > 0
+
+    def test_evidence_is_the_rule_line_in_the_file(self, tmp_path):
+        (tmp_path / "Makefile").write_text(
+            "# build the app\n#\n\nCC = cc\n\n# objects\n\nOBJS = main.o\n\n"
+            "app: $(OBJS)\n\t$(CC) -o app $(OBJS)\n", "utf-8")
+        pred = extract_targets_rule_based(load_makefile_docs(workspace_at(tmp_path)))
+        assert pred.evidence == {"app": ("Makefile", 10)}
+
+    def test_evidence_line_counts_continuation_lines(self, tmp_path):
+        (tmp_path / "Makefile").write_text(
+            "SRCS = main.c \\\n       util.c \\\n       io.c\n\n"
+            "tool: $(SRCS) \\\n      extra.c\n\t$(CC) -o tool $(SRCS) \\\n\t  extra.c\n\n"
+            "app: main.o\n\tcc -o app main.o\n", "utf-8")
+        pred = extract_targets_rule_based(load_makefile_docs(workspace_at(tmp_path)))
+        assert pred.evidence == {"tool": ("Makefile", 5), "app": ("Makefile", 10)}
 
     def test_variable_indirect_target_fixture(self, tmp_path):
         ws = prepare_fixture("pred_var", tmp_path)

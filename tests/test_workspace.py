@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import threading
 import time
@@ -11,7 +12,7 @@ import pytest
 
 from repobuild import workspace
 from repobuild.corpus import RepoRecord
-from repobuild.errors import CloneError
+from repobuild.errors import RepobuildError
 from repobuild.targets import find_makefiles
 from repobuild.validation import function_coverage
 from repobuild.workspace import (
@@ -84,19 +85,43 @@ class TestPrepareWorkspace:
         make_git_repo(tmp_path / "origin")
         record = RepoRecord(id="t/origin", clone_url=str(tmp_path / "origin"),
                             commit="0" * 40)
-        with pytest.raises(CloneError, match=f"revision {'0' * 40} not found"):
+        with pytest.raises(RepobuildError, match=f"revision {'0' * 40} not found"):
             prepare_workspace(record, tmp_path / "session")
+
+    def test_revision_that_reads_as_an_option_is_not_found(self, tmp_path):
+        make_git_repo(tmp_path / "origin")
+        record = RepoRecord(id="t/origin", clone_url=str(tmp_path / "origin"),
+                            commit="--orphan=evil")
+        with pytest.raises(RepobuildError, match="revision --orphan=evil not found in "):
+            prepare_workspace(record, tmp_path / "session")
+
+    def test_branch_name_resolves_to_its_commit(self, tmp_path):
+        head = make_git_repo(tmp_path / "origin")
+        branch = subprocess.run(["git", "branch", "--show-current"], cwd=tmp_path / "origin",
+                                capture_output=True, text=True, check=True).stdout.strip()
+        record = RepoRecord(id="t/origin", clone_url=str(tmp_path / "origin"), commit=branch)
+        assert prepare_workspace(record, tmp_path / "session").commit == head
+
+    def test_clone_url_that_reads_as_an_option_is_a_failed_clone(self, tmp_path):
+        marker = tmp_path / "ran"
+        url = f"--upload-pack=touch {marker}"
+        record = RepoRecord(id="t/origin", clone_url=url)
+        # git reads it as the repository, not as an option
+        with pytest.raises(RepobuildError, match=re.escape(
+                f"clone of {url} failed: fatal: repository '{url}' does not exist")):
+            prepare_workspace(record, tmp_path / "session")
+        assert not marker.exists()
 
     def test_unreachable_source_raises(self, tmp_path):
         record = RepoRecord(id="t/none", clone_url=str(tmp_path / "no-such-dir"))
-        with pytest.raises(CloneError):
+        with pytest.raises(RepobuildError, match="clone of .* failed"):
             prepare_workspace(record, tmp_path / "session")
 
     def test_nonempty_session_dir_rejected(self, tmp_path):
         session = tmp_path / "session"
         session.mkdir()
         (session / "leftover").write_text("x", "utf-8")
-        with pytest.raises(CloneError):
+        with pytest.raises(RepobuildError, match="is not empty"):
             prepare_workspace(fixture_record("hello_make"), session)
 
 
