@@ -117,14 +117,20 @@ def prepare_workspace(record: RepoRecord, session_dir: str | Path) -> Workspace:
     if proc.returncode != 0:
         raise RepobuildError(f"clone of {record.clone_url} failed: {proc.stderr.strip()}")
     if record.commit:
-        proc = _run_git(["rev-parse", "--verify", "-q", "--end-of-options",
-                         f"{record.commit}^{{commit}}"], cwd=dest)
+        # a clone has only the default branch under refs/heads, so another
+        # branch is looked up among the origin's
+        for rev in (record.commit, f"refs/remotes/origin/{record.commit}"):
+            proc = _run_git(["rev-parse", "--verify", "-q", "--end-of-options",
+                             f"{rev}^{{commit}}"], cwd=dest)
+            if proc.returncode == 0:
+                break
+        sha = proc.stdout.strip()
         if proc.returncode == 0:
-            # a SHA, as checkout reads --end-of-options as a pathspec
-            proc = _run_git(["-c", "advice.detachedHead=false", "checkout",
-                             proc.stdout.strip()], cwd=dest)
+            # the SHA, as checkout reads --end-of-options as a pathspec
+            proc = _run_git(["-c", "advice.detachedHead=false", "checkout", sha], cwd=dest)
         if proc.returncode != 0:
             raise RepobuildError(f"revision {record.commit} not found in {record.clone_url}")
+        return Workspace(repo_id=record.id, root_path=dest.resolve(), commit=sha)
     proc = _run_git(["rev-parse", "HEAD"], cwd=dest)
     if proc.returncode != 0:
         raise RepobuildError(f"cannot resolve HEAD in {dest}: {proc.stderr.strip()}")

@@ -96,11 +96,26 @@ class TestPrepareWorkspace:
             prepare_workspace(record, tmp_path / "session")
 
     def test_branch_name_resolves_to_its_commit(self, tmp_path):
-        head = make_git_repo(tmp_path / "origin")
-        branch = subprocess.run(["git", "branch", "--show-current"], cwd=tmp_path / "origin",
+        repo = tmp_path / "origin"
+        first = make_git_repo(repo)
+        env = dict(os.environ,
+                   GIT_AUTHOR_NAME="t", GIT_AUTHOR_EMAIL="t@t",
+                   GIT_COMMITTER_NAME="t", GIT_COMMITTER_EMAIL="t@t")
+        default = subprocess.run(["git", "branch", "--show-current"], cwd=repo,
+                                 capture_output=True, text=True, check=True).stdout.strip()
+        # a second branch, one commit ahead, that a clone holds only as origin/feature
+        subprocess.run(["git", "checkout", "-qb", "feature"], cwd=repo, check=True)
+        (repo / "extra.txt").write_text("later\n", "utf-8")
+        subprocess.run(["git", "add", "-A"], cwd=repo, env=env, check=True)
+        subprocess.run(["git", "commit", "-qm", "second"], cwd=repo, env=env, check=True)
+        second = subprocess.run(["git", "rev-parse", "HEAD"], cwd=repo,
                                 capture_output=True, text=True, check=True).stdout.strip()
-        record = RepoRecord(id="t/origin", clone_url=str(tmp_path / "origin"), commit=branch)
-        assert prepare_workspace(record, tmp_path / "session").commit == head
+        subprocess.run(["git", "checkout", "-q", default], cwd=repo, check=True)
+        for name, sha in ((default, first), ("feature", second)):
+            record = RepoRecord(id="t/origin", clone_url=str(repo), commit=name)
+            ws = prepare_workspace(record, tmp_path / f"session-{name}")
+            assert ws.commit == sha
+            assert (ws.root_path / "extra.txt").exists() == (name == "feature")
 
     def test_clone_url_that_reads_as_an_option_is_a_failed_clone(self, tmp_path):
         marker = tmp_path / "ran"
