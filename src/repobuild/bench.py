@@ -32,13 +32,7 @@ from .gateway import LlmConfig
 from .retrieval import InstructionDossier, run_retrieval
 from .rules import build_with_rules
 from .sandbox import SandboxSpec, base_image_description
-from .validation import (
-    BinaryArtifact,
-    Verdict,
-    discover_new_binaries,
-    has_binary_magic,
-    judge,
-)
+from .validation import BinaryArtifact, Verdict, discover_new_binaries, judge
 from .workspace import (
     FileSnapshot,
     Workspace,
@@ -392,7 +386,7 @@ def make_completion_probe(before_snapshot):
     """
 
     def probe(_result, workspace: Workspace) -> bool:
-        artifacts = discover_new_binaries(before_snapshot, None, workspace)
+        artifacts = discover_new_binaries(before_snapshot, workspace)
         return any(a.classify != "object-file" for a in artifacts)
 
     return probe
@@ -416,9 +410,7 @@ def repo_context(ws: Workspace) -> PromptContext:
 def _prepare_session(record: RepoRecord, session_dir: Path) -> Tuple[Workspace, FileSnapshot]:
     """The session's workspace and its pre-build baseline snapshot."""
     ws = prepare_workspace(record, session_dir)
-    # only a file with a binary magic can become a product, and only
-    # such a file needs a digest to tell whether it changed
-    return ws, snapshot_files(ws, hash_if=has_binary_magic)
+    return ws, snapshot_files(ws)
 
 
 def run_one_repo(
@@ -456,7 +448,7 @@ def run_one_repo(
                 ws, ctx, cfg.llm, cfg.sandbox, probe,
                 max_turns=cfg.max_turns, variant=cfg.method,
             )
-        verdict = judge(discover_new_binaries(before, None, ws), record.expected_binaries)
+        verdict = judge(discover_new_binaries(before, ws), record.expected_binaries)
     except UsageError:
         raise
     except Exception as exc:

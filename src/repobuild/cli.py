@@ -99,7 +99,7 @@ def _workspace_from_path(path: str) -> Workspace:
     root = Path(path).resolve()
     if not root.is_dir():
         raise UsageError(f"workspace path is not a directory: {path}")
-    return Workspace(repo_id=f"local/{root.name}", root_path=root, commit="unversioned")
+    return Workspace(repo_id=f"local/{root.name}", root_path=root)
 
 
 def _check_work_dir(work_dir: Path) -> None:
@@ -179,7 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_validate = sub.add_parser("validate", help="judge produced binaries against labels")
     p_validate.add_argument("--workspace", required=True)
     p_validate.add_argument("--before", required=True, help="pre-build snapshot file")
-    p_validate.add_argument("--after", help="post-build snapshot file (default: scan now)")
     p_validate.add_argument("--expected", help="comma-separated expected binary names")
     p_validate.add_argument("--require-strict", action="store_true")
     p_validate.add_argument("--json", action="store_true")
@@ -320,8 +319,7 @@ def _cmd_snapshot(args, config: dict) -> int:
 def _cmd_validate(args, config: dict) -> int:
     ws = _workspace_from_path(args.workspace)
     before = load_snapshot(args.before)
-    after = load_snapshot(args.after) if args.after else None
-    artifacts = discover_new_binaries(before, after, ws)
+    artifacts = discover_new_binaries(before, ws)
     verdict = judge(artifacts, _expected_list(args.expected))
     coverage = function_coverage(ws, artifacts)
     doc = {

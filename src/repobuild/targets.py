@@ -105,9 +105,14 @@ def _split_units(text: str) -> List[Tuple[str, str, int]]:
         if _is_rule_header(line):
             block = [line]
             i += 1
-            while i < len(lines) and lines[i].startswith("\t"):
-                block.append(lines[i])
-                i += 1
+            # make ignores blank and comment lines among recipe lines, so
+            # they end the rule only when no recipe line follows them
+            for j in range(i, len(lines)):
+                if lines[j].startswith("\t"):
+                    block.append(lines[j])
+                    i = j + 1
+                elif lines[j].lstrip()[:1] not in ("", "#"):
+                    break
             units.append(("rule", "\n".join(block), start))
         else:
             units.append(("line", line, start))

@@ -16,7 +16,8 @@ from pathlib import Path
 from typing import Callable, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .workspace import (
-    FileSnapshot, Workspace, file_entry, resolves_inside, stat_key, walk_files, walk_paths
+    MACHO_MAGICS, FileSnapshot, Workspace, file_entry, resolves_inside, stat_key, walk_files,
+    walk_paths,
 )
 
 logger = logging.getLogger(__name__)
@@ -28,14 +29,6 @@ _CONTROL_KEYWORDS = {
     "if", "for", "while", "switch", "return", "sizeof", "catch", "do", "else",
     "defined", "alignof", "decltype", "_Static_assert", "static_assert",
 }
-
-_MACHO_MAGICS = (
-    b"\xfe\xed\xfa\xce", b"\xce\xfa\xed\xfe",
-    b"\xfe\xed\xfa\xcf", b"\xcf\xfa\xed\xfe",
-    b"\xca\xfe\xba\xbe", b"\xbe\xba\xfe\xca",
-)
-# every file classify_file accepts starts with one of these
-_BINARY_MAGICS = (b"\x7fELF", b"!<arch>\n", b"MZ") + _MACHO_MAGICS
 
 SymbolExtractor = Callable[[Path], List[str]]
 
@@ -91,7 +84,7 @@ def classify_file(path: str | Path) -> Optional[Tuple[str, bool]]:
         return None
     if head.startswith(b"!<arch>\n"):
         return ("static-archive", False)
-    if head.startswith(b"MZ") or head[:4] in _MACHO_MAGICS:
+    if head.startswith(b"MZ") or head[:4] in MACHO_MAGICS:
         return ("other-binary", False)
     return None
 
@@ -177,69 +170,38 @@ def _elf_has_debug_info(fh, size: int, head: bytes, is64: bool, endian: str) -> 
     return False
 
 
-def has_binary_magic(path: str) -> bool:
-    """Whether the file starts with a magic of a format ``classify_file``
-    recognises. Reads 8 bytes; a file without one is never an artifact."""
-    with open(path, "rb", buffering=0) as fh:
-        return fh.read(8).startswith(_BINARY_MAGICS)
+def discover_new_binaries(before: FileSnapshot, ws: Workspace) -> List[BinaryArtifact]:
+    """Classify every file that appeared or changed since ``before``, sorted
+    by path.
 
-
-def discover_new_binaries(
-    before: FileSnapshot, after: Optional[FileSnapshot], ws: Workspace
-) -> List[BinaryArtifact]:
-    """Classify every file that appeared or changed between the snapshots,
-    sorted by path.
-
-    A symlink counts only when it resolves to a file inside the workspace,
-    so ``libfoo.so -> libfoo.so.1`` does and ``app -> /bin/true`` does not.
-
-    With ``after`` None the workspace is walked now, header first, and the
-    result equals the one a full snapshot taken now would give as ``after``.
-    A file whose lstat equals the one ``before`` trusts is unchanged. Any
-    other file is classified, and a regular file is hashed only when it is
-    a binary and ``before`` holds a digest for it: a binary whose baseline
-    had no digest lacked a magic then, so its content has changed.
+    The workspace is walked now, header first, and the result equals the
+    one two full-hash snapshots would give. A file whose lstat equals the
+    one ``before`` trusts is unchanged. Any other file is classified, and a
+    regular file is hashed only when it is a binary and ``before`` holds a
+    digest for it: a binary whose baseline had no digest lacked a magic
+    then, so its content has changed. A symlink counts only when it changed
+    and resolves to a file inside the workspace, so ``libfoo.so ->
+    libfoo.so.1`` does and ``app -> /bin/true`` does not.
     """
-    if after is None:
-        candidates = _changed_binaries_now(before, ws)
-    else:
-        changed = (p for p in after.entries
-                   if p not in before.entries or after.entries[p] != before.entries[p])
-        candidates = _classify_changed(changed, ws)
-    return sorted(
-        (BinaryArtifact(rel_path=rel, file_name=Path(rel).name, classify=info[0],
-                        has_debug_info=info[1])
-         for rel, info in candidates),
-        key=lambda a: a.rel_path,
-    )
-
-
-def _classify_changed(changed: Iterable[str], ws: Workspace):
-    for rel in changed:
-        full = ws.root_path / rel
-        if not full.is_file():
-            continue
-        if full.is_symlink() and not resolves_inside(ws, full):
-            continue
-        info = classify_file(full)
-        if info is not None:
-            yield rel, info
-
-
-def _changed_binaries_now(before: FileSnapshot, ws: Workspace):
+    found = []
     for rel, full, st, _stable in walk_files(ws):
         if before.stats.get(rel) == stat_key(st):
             continue
         old = before.entries.get(rel)
-        if stat.S_ISLNK(st.st_mode):
-            if old != file_entry(full, st):
-                yield from _classify_changed([rel], ws)
+        if stat.S_ISLNK(st.st_mode) and (
+            old == file_entry(full, st)
+            or not (os.path.isfile(full) and resolves_inside(ws, full))
+        ):
             continue
         info = classify_file(full)
         if info is None:
             continue
-        if old is None or old[1] is None or old != file_entry(full, st):
-            yield rel, info
+        # a binary that kept its hashed content is no product
+        if stat.S_ISREG(st.st_mode) and old and old[1] and old == file_entry(full, st):
+            continue
+        found.append(BinaryArtifact(rel_path=rel, file_name=os.path.basename(rel),
+                                    classify=info[0], has_debug_info=info[1]))
+    return sorted(found, key=lambda a: a.rel_path)
 
 
 # -- success criteria ---------------------------------------------------------

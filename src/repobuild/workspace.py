@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterator, Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 from .corpus import RepoRecord
 from .errors import BOOL, INT, OBJECT, STR_OR_NULL, check, read_json, shown
@@ -24,6 +24,14 @@ _README_NAMES = ["readme", "readme.md", "readme.rst", "readme.txt"]
 
 # directories that no walk of the workspace enters
 _SCAN_IGNORE = {".git", ".hg", ".svn"}
+
+MACHO_MAGICS = (
+    b"\xfe\xed\xfa\xce", b"\xce\xfa\xed\xfe",
+    b"\xfe\xed\xfa\xcf", b"\xcf\xfa\xed\xfe",
+    b"\xca\xfe\xba\xbe", b"\xbe\xba\xfe\xca",
+)
+# every file validation.classify_file accepts starts with one of these
+_BINARY_MAGICS = (b"\x7fELF", b"!<arch>\n", b"MZ") + MACHO_MAGICS
 
 
 class BuildSystemKind(Enum):
@@ -54,7 +62,6 @@ class Workspace:
 
     repo_id: str
     root_path: Path
-    commit: str
 
     @property
     def repo_name(self) -> str:
@@ -68,7 +75,8 @@ class Workspace:
 
 @dataclass(frozen=True)
 class FileSnapshot:
-    """Digest inventory of every regular file and symlink under a workspace root.
+    """Inventory of every regular file and symlink under a workspace root,
+    with a digest of each symlink and of each file with a binary magic.
 
     ``stats`` only lets the live verdict skip files whose stat is unchanged;
     it takes no part in equality and is never saved, so a loaded snapshot
@@ -107,9 +115,11 @@ def prepare_workspace(record: RepoRecord, session_dir: str | Path) -> Workspace:
     local = Path(src[7:]) if src.startswith("file://") else Path(src)
     if not src.startswith(("http://", "https://", "git://", "ssh://", "git@")) and local.is_dir():
         if not (local / ".git").exists():
+            if record.commit:
+                # a plain directory has no revision to check out
+                raise RepobuildError(f"revision {record.commit} not found in {record.clone_url}")
             shutil.copytree(local, dest, symlinks=True)
-            commit = record.commit or "unversioned"
-            return Workspace(repo_id=record.id, root_path=dest.resolve(), commit=commit)
+            return Workspace(repo_id=record.id, root_path=dest.resolve())
         src = str(local)
 
     # neither the URL nor the revision may reach git as an option
@@ -123,18 +133,13 @@ def prepare_workspace(record: RepoRecord, session_dir: str | Path) -> Workspace:
             proc = _run_git(["rev-parse", "--verify", "-q", "--end-of-options",
                              f"{rev}^{{commit}}"], cwd=dest)
             if proc.returncode == 0:
+                # the SHA, as checkout reads --end-of-options as a pathspec
+                proc = _run_git(["-c", "advice.detachedHead=false", "checkout",
+                                 proc.stdout.strip()], cwd=dest)
                 break
-        sha = proc.stdout.strip()
-        if proc.returncode == 0:
-            # the SHA, as checkout reads --end-of-options as a pathspec
-            proc = _run_git(["-c", "advice.detachedHead=false", "checkout", sha], cwd=dest)
         if proc.returncode != 0:
             raise RepobuildError(f"revision {record.commit} not found in {record.clone_url}")
-        return Workspace(repo_id=record.id, root_path=dest.resolve(), commit=sha)
-    proc = _run_git(["rev-parse", "HEAD"], cwd=dest)
-    if proc.returncode != 0:
-        raise RepobuildError(f"cannot resolve HEAD in {dest}: {proc.stderr.strip()}")
-    return Workspace(repo_id=record.id, root_path=dest.resolve(), commit=proc.stdout.strip())
+    return Workspace(repo_id=record.id, root_path=dest.resolve())
 
 
 # Kernel file timestamps come from a coarse clock that can lag time.time_ns()
@@ -214,22 +219,27 @@ def walk_files(ws: Workspace) -> Iterator[Tuple[str, str, os.stat_result, bool]]
             yield rel, full, st, st.st_mtime_ns < cutoff and st.st_ctime_ns < cutoff
 
 
-def snapshot_files(
-    ws: Workspace, *, hash_if: Optional[Callable[[str], bool]] = None
-) -> FileSnapshot:
+def has_binary_magic(path: str) -> bool:
+    """Whether the file starts with a magic of a format
+    ``validation.classify_file`` recognises. Reads 8 bytes; a file without
+    one is never an artifact."""
+    with open(path, "rb", buffering=0) as fh:
+        return fh.read(8).startswith(_BINARY_MAGICS)
+
+
+def snapshot_files(ws: Workspace) -> FileSnapshot:
     """Record (size, digest, executable) for every file under the root.
 
-    Symlinks are recorded by the digest of their target string, so a dangling
-    link is still representable and a retargeted link shows up as a change.
-    The lstat tuple is kept only for a stable file (see ``walk_files``).
-
-    With ``hash_if``, a regular file for which ``hash_if(full path)`` is false
-    is not hashed and gets digest None. Such a snapshot is a baseline for
-    ``validation.discover_new_binaries`` only; it is not meant to be saved.
+    Only a regular file with a binary magic can become a product, and only
+    such a file needs a digest to tell whether it changed, so every other
+    regular file gets digest None. Symlinks are recorded by the digest of
+    their target string, so a dangling link is still representable and a
+    retargeted link shows up as a change. The lstat tuple is kept only for a
+    stable file (see ``walk_files``).
     """
     entries, stats = {}, {}
     for rel, full, st, stable in walk_files(ws):
-        if hash_if is not None and stat.S_ISREG(st.st_mode) and not hash_if(full):
+        if stat.S_ISREG(st.st_mode) and not has_binary_magic(full):
             entries[rel] = (st.st_size, None, bool(st.st_mode & 0o111))
         else:
             entries[rel] = file_entry(full, st)

@@ -65,7 +65,7 @@ def prepare_fixture(name: str, tmp_path: Path) -> Workspace:
 
 
 def workspace_at(root: Path, repo_id: str = "fixture/adhoc") -> Workspace:
-    return Workspace(repo_id=repo_id, root_path=root, commit="unversioned")
+    return Workspace(repo_id=repo_id, root_path=root)
 
 
 def scripted_config(scenario: ScriptedScenario, **overrides) -> LlmConfig:

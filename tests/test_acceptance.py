@@ -282,7 +282,7 @@ class TestAgentLoopMechanics:
             before = snapshot_files(ws)
 
             def probe(_result, workspace, before=before):
-                arts = discover_new_binaries(before, snapshot_files(workspace), workspace)
+                arts = discover_new_binaries(before, workspace)
                 return any(a.classify != "object-file" for a in arts)
 
             session = run_build_loop(
@@ -608,7 +608,7 @@ class TestScriptedAgentEndToEnd:
         before = snapshot_files(ws2)
 
         def probe(_result, workspace):
-            arts = discover_new_binaries(before, snapshot_files(workspace), workspace)
+            arts = discover_new_binaries(before, workspace)
             return any(a.classify != "object-file" for a in arts)
 
         session2 = run_build_loop(
@@ -619,8 +619,7 @@ class TestScriptedAgentEndToEnd:
         assert guard[0].startswith("! test -f")
         assert guard[1] == 0
 
-        after = snapshot_files(ws2)
-        verdict = judge(discover_new_binaries(before, after, ws2), ("app",))
+        verdict = judge(discover_new_binaries(before, ws2), ("app",))
         assert verdict.completion and verdict.strict and verdict.flexible
 
 
@@ -683,7 +682,7 @@ class TestFunctionCoverage:
         pct_oracle = 100.0 * len(covered) / len(source_names)
         assert abs(pct_oracle - 66.7) <= 0.1
 
-        artifacts = discover_new_binaries(before, snapshot_files(ws), ws)
+        artifacts = discover_new_binaries(before, ws)
         assert any(a.file_name == "covapp" and a.has_debug_info for a in artifacts)
 
         report = function_coverage(ws, artifacts)

@@ -1,15 +1,18 @@
 import argparse
+import hashlib
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import repobuild
-from repobuild import errors
+from repobuild import cli, errors, workspace
 from repobuild.cli import (
     _COMMANDS,
     _sandbox_spec,
@@ -717,17 +720,6 @@ class TestValidate:
         assert main(["validate", "--workspace", str(ws_dir), "--before", str(before_path)]) == 0
         assert "binary: h\\udcff (executable)" in capsys.readouterr().out.splitlines()
 
-    def test_after_snapshot_file(self, tmp_path, capsys):
-        ws_dir, before_path = self._prepared(tmp_path)
-        after_path = tmp_path / "after.json"
-        save_snapshot(snapshot_files(workspace_at(ws_dir)), after_path)
-        rc = main([
-            "validate", "--workspace", str(ws_dir),
-            "--before", str(before_path), "--after", str(after_path),
-            "--expected", "hello",
-        ])
-        assert rc == 0
-
     def test_before_saved_by_the_full_hash_version_gives_the_same_json(
         self, tmp_path, capsys
     ):
@@ -748,10 +740,33 @@ class TestValidate:
         assert main(argv) == 0
         live = capsys.readouterr().out
         assert live == (saved / "hello_make_validate.json").read_text("utf-8")
-        after_path = tmp_path / "after.json"
-        save_snapshot(snapshot_files(workspace_at(ws_dir)), after_path)
-        assert main(argv + ["--after", str(after_path)]) == 0
-        assert capsys.readouterr().out == live
+
+    def test_saved_snapshot_gives_the_json_of_the_one_in_memory(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        ws_dir = copy_fixture_tree("hello_make", tmp_path / "repo")
+        subprocess.run(["make"], cwd=ws_dir, check=True, capture_output=True)
+        shutil.copy2(ws_dir / "hello", ws_dir / "kept")
+        shutil.copy2(ws_dir / "hello", ws_dir / "touched")
+        # out of the racy window, so the in-memory baseline trusts their stat
+        time.sleep(2 * workspace._RACY_MARGIN_NS / 1e9)
+        before = snapshot_files(workspace_at(ws_dir))
+        before_path = tmp_path / "before.json"
+        save_snapshot(before, before_path)
+        subprocess.run(["make", "-B", "CFLAGS=-O0"], cwd=ws_dir, check=True,
+                       capture_output=True)
+        os.utime(ws_dir / "touched")
+        os.symlink("hello", ws_dir / "hello.link")
+        with open(ws_dir / "README.md", "a") as fh:
+            fh.write("more\n")
+        argv = ["validate", "--workspace", str(ws_dir), "--before", str(before_path),
+                "--expected", "hello,hello.link,kept", "--json"]
+        assert main(argv) == 0
+        saved = capsys.readouterr().out
+        monkeypatch.setattr(cli, "load_snapshot", lambda path: before)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == saved
+        assert json.loads(saved)["matched_names"] == ["hello", "hello.link"]
 
     def test_snapshot_with_and_without_taken_at_gives_the_same_json(self, tmp_path, capsys):
         # older versions wrote a "taken_at" timestamp beside the entries
@@ -852,12 +867,16 @@ class TestSnapshot:
         assert outputs[0] == outputs[1]
         assert "function_coverage" in json.loads(outputs[0])
 
-    def test_snapshot_hashes_every_file(self, tmp_path, capsys):
+    def test_snapshot_hashes_exactly_the_files_with_a_magic(self, tmp_path, capsys):
         ws_dir = copy_fixture_tree("hello_make", tmp_path / "repo")
+        subprocess.run(["make"], cwd=ws_dir, check=True, capture_output=True)
         out = tmp_path / "snap.json"
         assert main(["snapshot", str(ws_dir), "--out", str(out)]) == 0
         entries = json.loads(out.read_text("utf-8"))["entries"]
-        assert all(digest for _size, digest, _exec in entries.values())
+        digests = {rel: digest for rel, (_size, digest, _exec) in entries.items()}
+        assert digests["hello"] == hashlib.sha256((ws_dir / "hello").read_bytes()).hexdigest()
+        assert digests == {"hello": digests["hello"], "Makefile": None, "README.md": None,
+                           "hello.c": None}
 
     def test_nondirectory_is_usage_error(self, tmp_path, capsys):
         rc = main(["snapshot", str(tmp_path / "nowhere"), "--out", str(tmp_path / "s.json")])

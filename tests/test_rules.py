@@ -15,8 +15,7 @@ def completion_probe(ws):
     before = snapshot_files(ws)
 
     def probe(result, ws_):
-        after = snapshot_files(ws_)
-        return judge(discover_new_binaries(before, after, ws_), []).completion
+        return judge(discover_new_binaries(before, ws_), []).completion
 
     return probe, before
 
@@ -26,8 +25,7 @@ def named_probe(ws, expected):
     before = snapshot_files(ws)
 
     def probe(result, ws_):
-        after = snapshot_files(ws_)
-        return judge(discover_new_binaries(before, after, ws_), expected).flexible
+        return judge(discover_new_binaries(before, ws_), expected).flexible
 
     return probe, before
 
@@ -81,7 +79,7 @@ class TestBuildWithRules:
         assert len(session.turns) == 1
         assert session.turns[0].agent_reply_raw == "routine:Make"
         assert session.fix_attempts == 0
-        arts = discover_new_binaries(before, snapshot_files(ws), ws)
+        arts = discover_new_binaries(before, ws)
         verdict = judge(arts, ["hello"])
         assert verdict.strict is True
         produced = {a.file_name: a for a in arts}
@@ -95,7 +93,7 @@ class TestBuildWithRules:
         session = build_with_rules(ws, local_spec, probe)
         assert session.outcome == "succeeded"
         assert session.turns[0].agent_reply_raw == "routine:CMake"
-        arts = discover_new_binaries(before, snapshot_files(ws), ws)
+        arts = discover_new_binaries(before, ws)
         assert judge(arts, ["hellocm"]).strict is True
 
     def test_autotools_repo_prefers_configure_over_makefile_in(
@@ -107,7 +105,7 @@ class TestBuildWithRules:
         assert session.outcome == "succeeded"
         assert session.turns[0].agent_reply_raw == "routine:Autotools"
         assert len(session.turns) == 1
-        arts = discover_new_binaries(before, snapshot_files(ws), ws)
+        arts = discover_new_binaries(before, ws)
         assert judge(arts, ["hat"]).strict is True
 
     def test_falls_through_to_next_routine_on_failure(self, tmp_path, local_spec):
@@ -122,7 +120,7 @@ class TestBuildWithRules:
         assert session.turns[0].result.overall_exit != 0
         assert session.turns[1].result.overall_exit == 0
         assert session.fix_attempts == 0
-        arts = discover_new_binaries(before, snapshot_files(ws), ws)
+        arts = discover_new_binaries(before, ws)
         assert judge(arts, ["dualapp"]).strict is True
 
     @needs_cmake
@@ -136,7 +134,7 @@ class TestBuildWithRules:
         session = build_with_rules(ws, local_spec, probe)
         assert session.outcome == "succeeded"
         assert [t.agent_reply_raw for t in session.turns] == ["routine:CMake"]
-        verdict = judge(discover_new_binaries(before, snapshot_files(ws), ws), ["dualapp"])
+        verdict = judge(discover_new_binaries(before, ws), ["dualapp"])
         assert verdict.completion is True
         assert verdict.strict is False
         assert verdict.flexible is False

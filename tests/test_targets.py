@@ -202,6 +202,26 @@ class TestRuleBasedExtraction:
         pred = extract_targets_rule_based(load_makefile_docs(workspace_at(tmp_path)))
         assert pred.evidence == {"tool": ("Makefile", 5), "app": ("Makefile", 10)}
 
+    @pytest.mark.parametrize("between", ["", "  ", "# link it", "  # link it"])
+    def test_recipe_goes_on_after_a_blank_or_comment_line(self, tmp_path, between):
+        # make ignores such lines among a rule's recipe lines: `make -n app`
+        # runs the link command below them
+        (tmp_path / "Makefile").write_text(
+            f"app: main.o\n\t@echo linking\n{between}\n\tcc -o app main.o\n\n"
+            "clean:\n\trm -f app\n", "utf-8")
+        pred = extract_targets_rule_based(load_makefile_docs(workspace_at(tmp_path)))
+        assert pred.names == ("app",)
+        assert pred.evidence == {"app": ("Makefile", 1)}
+
+    def test_blank_line_that_ends_a_rule_is_its_own_unit(self):
+        assert _split_units("app: x\n\tcc -o app x\n\n# done\nCC = cc\n") == [
+            ("rule", "app: x\n\tcc -o app x", 1),
+            ("line", "", 3),
+            ("line", "# done", 4),
+            ("line", "CC = cc", 5),
+            ("line", "", 6),
+        ]
+
     def test_variable_indirect_target_fixture(self, tmp_path):
         ws = prepare_fixture("pred_var", tmp_path)
         pred = extract_targets_rule_based(load_makefile_docs(ws))

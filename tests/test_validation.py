@@ -14,12 +14,11 @@ from repobuild.validation import (
     default_symbol_extractor,
     discover_new_binaries,
     function_coverage,
-    has_binary_magic,
     judge,
     scan_source_functions,
 )
 from repobuild import validation, workspace
-from repobuild.workspace import snapshot_files
+from repobuild.workspace import file_entry, has_binary_magic, snapshot_files, walk_files
 
 from conftest import prepare_fixture, workspace_at
 
@@ -151,8 +150,7 @@ class TestDiscoverNewBinaries:
         subprocess.run(
             ["make"], cwd=ws.root_path, check=True, capture_output=True
         )
-        after = snapshot_files(ws)
-        arts = discover_new_binaries(before, after, ws)
+        arts = discover_new_binaries(before, ws)
         assert [a.file_name for a in arts] == ["hello"]
         assert arts[0].classify == "executable"
         assert arts[0].rel_path == "hello"
@@ -163,8 +161,7 @@ class TestDiscoverNewBinaries:
         before = snapshot_files(ws)
         (tmp_path / "build.log").write_text("gcc ran fine\n")
         _cc(["-c", "-o", "main.o", "main.c"], tmp_path)
-        after = snapshot_files(ws)
-        arts = discover_new_binaries(before, after, ws)
+        arts = discover_new_binaries(before, ws)
         assert [a.rel_path for a in arts] == ["main.o"]
         assert arts[0].classify == "object-file"
 
@@ -175,16 +172,14 @@ class TestDiscoverNewBinaries:
         before = snapshot_files(ws)
         (tmp_path / "main.c").write_text("int main(void){return 7;}\n")
         _cc(["-o", "app", "main.c"], tmp_path)
-        after = snapshot_files(ws)
-        assert [a.file_name for a in discover_new_binaries(before, after, ws)] == ["app"]
+        assert [a.file_name for a in discover_new_binaries(before, ws)] == ["app"]
 
     def test_untouched_binary_not_reported(self, tmp_path):
         (tmp_path / "main.c").write_text("int main(void){return 0;}\n")
         _cc(["-o", "app", "main.c"], tmp_path)
         ws = workspace_at(tmp_path)
         before = snapshot_files(ws)
-        after = snapshot_files(ws)
-        assert discover_new_binaries(before, after, ws) == []
+        assert discover_new_binaries(before, ws) == []
 
     def test_results_sorted_by_path(self, tmp_path):
         (tmp_path / "main.c").write_text("int main(void){return 0;}\n")
@@ -192,8 +187,7 @@ class TestDiscoverNewBinaries:
         before = snapshot_files(ws)
         _cc(["-o", "zeta", "main.c"], tmp_path)
         _cc(["-o", "alpha", "main.c"], tmp_path)
-        after = snapshot_files(ws)
-        names = [a.rel_path for a in discover_new_binaries(before, after, ws)]
+        names = [a.rel_path for a in discover_new_binaries(before, ws)]
         assert names == sorted(names)
 
     def test_symlink_out_of_the_workspace_is_not_a_product(self, built, tmp_path):
@@ -204,7 +198,7 @@ class TestDiscoverNewBinaries:
         os.symlink(built / "exe_plain", root / "myapp")
         os.symlink("../../" + built.name + "/libdemo.so", root / "libdemo.so")
         assert (root / "libdemo.so").is_file()
-        arts = discover_new_binaries(before, snapshot_files(ws), ws)
+        arts = discover_new_binaries(before, ws)
         assert arts == []
         verdict = judge(arts, ["myapp"])
         assert (verdict.completion, verdict.strict, verdict.flexible) == (False, False, False)
@@ -216,7 +210,7 @@ class TestDiscoverNewBinaries:
         before = snapshot_files(ws)
         (root / "libfoo.so.1").write_bytes((built / "libdemo.so").read_bytes())
         os.symlink("libfoo.so.1", root / "libfoo.so")
-        arts = discover_new_binaries(before, snapshot_files(ws), ws)
+        arts = discover_new_binaries(before, ws)
         assert [(a.file_name, a.classify) for a in arts] == [
             ("libfoo.so", "shared-object"),
             ("libfoo.so.1", "shared-object"),
@@ -224,7 +218,7 @@ class TestDiscoverNewBinaries:
 
 
 class TestHeaderFirstVerdict:
-    """The live form against a baseline that hashed only binaries."""
+    """Verdicts against a baseline that hashed only the files with a magic."""
 
     def test_magic_accepts_every_classified_file(self, built, tmp_path):
         for name, data in _binary_pool(built).items():
@@ -240,28 +234,28 @@ class TestHeaderFirstVerdict:
         (tmp_path / "main.c").write_text("int main(void){return 0;}\n")
         _cc(["-o", "app", "main.c"], tmp_path)
         ws = workspace_at(tmp_path)
-        before = snapshot_files(ws, hash_if=has_binary_magic)
+        before = snapshot_files(ws)
         assert before.entries["main.c"][1] is None
         assert before.entries["app"][1] is not None
         app = tmp_path / "app"
         st = os.stat(app)
         os.utime(app, ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
-        assert discover_new_binaries(before, None, ws) == []
+        assert discover_new_binaries(before, ws) == []
         # the same bytes under a new inode are not a product either
         shutil.copy2(app, tmp_path / "app.new")
         os.replace(tmp_path / "app.new", app)
-        assert discover_new_binaries(before, None, ws) == []
+        assert discover_new_binaries(before, ws) == []
 
     def test_rebuilt_binary_and_new_symlink_are_products(self, built, tmp_path):
         root = tmp_path / "repo"
         (root / "lib").mkdir(parents=True)
         (root / "lib" / "libfoo.so.1").write_bytes((built / "libdemo.so").read_bytes())
         ws = workspace_at(root)
-        before = snapshot_files(ws, hash_if=has_binary_magic)
+        before = snapshot_files(ws)
         (root / "lib" / "libfoo.so.1").write_bytes((built / "exe_plain").read_bytes())
         os.symlink("lib/libfoo.so.1", root / "libfoo.so")
         os.symlink(built / "exe_debug", root / "outside")
-        arts = discover_new_binaries(before, None, ws)
+        arts = discover_new_binaries(before, ws)
         assert [(a.rel_path, a.classify) for a in arts] == [
             (os.path.join("lib", "libfoo.so.1"), "executable"),
             ("libfoo.so", "executable"),
@@ -299,8 +293,8 @@ class TestHeaderFirstVerdict:
             if racy is not None:
                 _flip_after_magic(rng, racy)
                 racy_stat = os.stat(racy)
-            header = snapshot_files(ws, hash_if=has_binary_magic)
-            full = snapshot_files(ws)
+            header = snapshot_files(ws)
+            full = _full_hash_entries(ws)
             steps = []
             if racy is not None:
                 # a rewrite inside the racy window that keeps size and mtime
@@ -313,16 +307,16 @@ class TestHeaderFirstVerdict:
                     op(rng, root, env)
                 hashed.clear()
                 classified.clear()
-                live = discover_new_binaries(header, None, ws)
+                live = discover_new_binaries(header, ws)
                 live_classified += len(classified)
                 for path in hashed:
                     rel = os.path.relpath(path, root)
                     entry = header.entries.get(rel)
                     if entry is None or entry[1] is None or not has_binary_magic(path):
                         bad_hashes.append((case, rel))
-                after = snapshot_files(ws)
-                walked += len(after.entries)
-                reference = discover_new_binaries(full, after, ws)
+                after = _full_hash_entries(ws)
+                walked += len(after)
+                reference = _full_hash_verdict(full, after, ws)
                 if live != reference:
                     names = [o.__name__ if o else "racy" for o in steps[: step + 1]]
                     mismatches.append((case, names, live, reference))
@@ -347,9 +341,33 @@ def _binary_pool(built) -> dict:
         "archive": (built / "libdemo.a").read_bytes(),
         "pe": b"MZ" + bytes(126),
     }
-    for i, magic in enumerate(validation._MACHO_MAGICS):
+    for i, magic in enumerate(workspace.MACHO_MAGICS):
         pool[f"macho{i}"] = magic + bytes(124)
     return pool
+
+
+def _full_hash_entries(ws) -> dict:
+    """rel path -> (size, sha256, executable flag) of every file, a symlink
+    by its target string: what a snapshot that hashes every file holds."""
+    return {rel: file_entry(full, st) for rel, full, st, _stable in walk_files(ws)}
+
+
+def _full_hash_verdict(before: dict, after: dict, ws) -> list:
+    """The products two full-hash snapshots give: every path whose entry
+    changed and that classifies, a symlink only when it resolves to a file
+    inside the tree."""
+    root = ws.root_path.resolve()
+    products = []
+    for rel in sorted(after):
+        path = ws.root_path / rel
+        if before.get(rel) == after[rel] or not path.is_file():
+            continue
+        if path.is_symlink() and not path.resolve().is_relative_to(root):
+            continue
+        info = classify_file(path)
+        if info is not None:
+            products.append(BinaryArtifact(rel, path.name, *info))
+    return products
 
 
 def _elf(pool: dict) -> list:
@@ -612,8 +630,7 @@ class TestFunctionCoverage:
         ws = prepare_fixture("coverage_repo", tmp_path)
         before = snapshot_files(ws)
         subprocess.run(["make"], cwd=ws.root_path, check=True, capture_output=True)
-        after = snapshot_files(ws)
-        return ws, discover_new_binaries(before, after, ws)
+        return ws, discover_new_binaries(before, ws)
 
     def test_partial_build_coverage_and_hotspots(self, tmp_path):
         ws, arts = self._build_coverage_repo(tmp_path)

@@ -5,6 +5,7 @@ import re
 import subprocess
 import threading
 import time
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -44,7 +45,12 @@ def make_git_repo(path: Path) -> str:
     git("init", "-q")
     git("add", "-A")
     git("commit", "-qm", "first")
-    out = subprocess.run(["git", "rev-parse", "HEAD"], cwd=path, env=env,
+    return head_of(path)
+
+
+def head_of(path: Path) -> str:
+    """The commit the git checkout at ``path`` has checked out."""
+    out = subprocess.run(["git", "rev-parse", "HEAD"], cwd=path,
                          capture_output=True, text=True, check=True)
     return out.stdout.strip()
 
@@ -56,7 +62,6 @@ class TestPrepareWorkspace:
         assert (ws.root_path / "Makefile").exists()
         assert ws.repo_name == "hello_make"
         assert ws.mount_path == "/app/hello_make"
-        assert ws.commit == "unversioned"
         # the checked-in fixture itself must stay untouched
         assert not (REPOS / "hello_make" / "hello").exists()
 
@@ -64,7 +69,7 @@ class TestPrepareWorkspace:
         head = make_git_repo(tmp_path / "origin")
         record = RepoRecord(id="t/origin", clone_url=str(tmp_path / "origin"))
         ws = prepare_workspace(record, tmp_path / "session")
-        assert ws.commit == head
+        assert head_of(ws.root_path) == head
         assert (ws.root_path / ".git").exists()
 
     def test_commit_pinning_checks_out_revision(self, tmp_path):
@@ -78,7 +83,7 @@ class TestPrepareWorkspace:
         subprocess.run(["git", "commit", "-qm", "second"], cwd=repo, env=env, check=True)
         record = RepoRecord(id="t/origin", clone_url=str(repo), commit=first)
         ws = prepare_workspace(record, tmp_path / "session")
-        assert ws.commit == first
+        assert head_of(ws.root_path) == first
         assert not (ws.root_path / "extra.txt").exists()
 
     def test_missing_revision_raises_typed_error(self, tmp_path):
@@ -87,6 +92,13 @@ class TestPrepareWorkspace:
                             commit="0" * 40)
         with pytest.raises(RepobuildError, match=f"revision {'0' * 40} not found"):
             prepare_workspace(record, tmp_path / "session")
+
+    def test_revision_of_a_plain_directory_is_not_found(self, tmp_path):
+        record = replace(fixture_record("hello_make"), commit="main")
+        with pytest.raises(RepobuildError, match=re.escape(
+                f"revision main not found in {record.clone_url}")):
+            prepare_workspace(record, tmp_path / "session")
+        assert not (tmp_path / "session" / "hello_make").exists()
 
     def test_revision_that_reads_as_an_option_is_not_found(self, tmp_path):
         make_git_repo(tmp_path / "origin")
@@ -114,7 +126,7 @@ class TestPrepareWorkspace:
         for name, sha in ((default, first), ("feature", second)):
             record = RepoRecord(id="t/origin", clone_url=str(repo), commit=name)
             ws = prepare_workspace(record, tmp_path / f"session-{name}")
-            assert ws.commit == sha
+            assert head_of(ws.root_path) == sha
             assert (ws.root_path / "extra.txt").exists() == (name == "feature")
 
     def test_clone_url_that_reads_as_an_option_is_a_failed_clone(self, tmp_path):
