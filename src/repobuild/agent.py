@@ -9,7 +9,7 @@ from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from . import assets
-from .errors import ProtocolError, RepobuildError, UsageError
+from .errors import ProtocolError, RepobuildError
 from .gateway import ChatMessage, LlmConfig, ask_structured, complete
 from .sandbox import (
     CommandScript,
@@ -187,15 +187,15 @@ def _render_history(turns: Sequence[Turn]) -> str:
 def assemble_generator_prompt(
     ctx: PromptContext,
     history: Sequence[Turn],
-    budget: int = PROMPT_BUDGET_CHARS,
 ) -> List[ChatMessage]:
     """Render the conversation sent to the generator at the current turn.
 
     With no history this is just the system prompt plus the initial request.
     Each later feedback message carries the full command history and the
-    newest execution output; when the rendered total exceeds the budget,
-    outputs inside the oldest feedback messages are elided first. The system
-    prompt, the initial request, and the newest output are never cut.
+    newest execution output; when the rendered total exceeds
+    ``PROMPT_BUDGET_CHARS``, outputs inside the oldest feedback messages are
+    elided first. The system prompt, the initial request, and the newest
+    output are never cut.
     """
     system = ChatMessage("system", assets.text("prompts/generator_system.txt"))
     if ctx.instructions:
@@ -234,7 +234,7 @@ def assemble_generator_prompt(
     # never elided, and an elided one is rendered again so only its output
     # is cut
     for i in range(len(command_turns) - 1):
-        if total() <= budget:
+        if total() <= PROMPT_BUDGET_CHARS:
             break
         if outputs[i]:
             messages[3 + 2 * i] = feedback(i, ELIDED_MARKER)
@@ -322,10 +322,6 @@ def run_build_loop(
     max_turns + 1 command turns. The same sandbox is reused across turns so
     dependencies installed by one script remain available to the next.
     """
-    if max_turns < 1:
-        raise UsageError("max_turns must be >= 1")
-    if variant not in VARIANTS:
-        raise UsageError(f"unknown variant {variant!r}")
     session = BuildSession(repo_id=ws.repo_id, variant=variant, max_turns=max_turns)
 
     def replies():

@@ -492,7 +492,7 @@ def run_benchmark(
     done = {(result.run_index, repo) for result in by_run.values() for repo in result.per_repo}
     work_dir = Path(work_dir)
     jobs = [
-        (run_idx, record, work_dir / f"run{run_idx}" / record.id.replace("/", "__"))
+        (run_idx, record, work_dir / f"run{run_idx}" / record.id)
         for run_idx in range(cfg.runs)
         for record in cfg.manifest.records
         if (run_idx, record.id) not in done

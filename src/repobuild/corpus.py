@@ -48,7 +48,7 @@ class RepoRecord:
 
     def __post_init__(self):
         owner, _, name = self.id.partition("/")
-        # each part names a directory: the session dir is owner__name and
+        # each part names a directory: the session dir is owner/name and
         # the workspace is named after the name part
         if "/" in name or {owner, name} & {"", ".", ".."}:
             raise UsageError(

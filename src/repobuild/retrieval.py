@@ -8,9 +8,8 @@ import os
 import re
 from dataclasses import asdict, dataclass, field
 from itertools import islice
-from pathlib import Path
-from typing import Callable, List, Optional, Tuple
-from urllib.parse import urljoin, urlsplit
+from typing import List, Optional, Tuple
+from urllib.parse import urljoin
 
 from . import assets
 from .agent import PromptContext
@@ -217,8 +216,9 @@ def _link_ref(
             return LinkRef("internal-file", joined, round_no)
     if re.search(r"\s", text):
         return None  # a sentence that names no file
-    if base_url:
-        return LinkRef("external-url", urljoin(base_url, text), round_no)
+    # a mailto:, ftp: or other scheme joins to no page to fetch
+    if base_url and (url := urljoin(base_url, text)).startswith(("http://", "https://")):
+        return LinkRef("external-url", url, round_no)
     return LinkRef("internal-file", text, round_no)  # fetches as missing
 
 
@@ -226,13 +226,11 @@ def run_retrieval(
     ws: Workspace,
     cfg: LlmConfig,
     ctx: PromptContext,
-    fetcher: Optional[Callable[[Workspace, LinkRef], FetchOutcome]] = None,
 ) -> InstructionDossier:
     """Distill build instructions, following at most 3 links per round for at
     most 3 rounds. The first prompt shows the README and root listing of
     ``ctx``. Fetch failures never abort the loop; a malformed reply is
     re-asked once and then raises."""
-    fetcher = fetcher or fetch_link
     messages = [ChatMessage("user", assets.text("prompts/retrieval.txt").format(**asdict(ctx)))]
 
     visited: List[LinkRef] = []
@@ -267,7 +265,7 @@ def run_retrieval(
         summaries = []
         for link in fresh:
             visited.append(link)
-            outcome = fetcher(ws, link)
+            outcome = fetch_link(ws, link)
             if outcome.ok:
                 summaries.append(f"## {link.target}\n{outcome.content}")
                 if link.kind == "external-url":
@@ -294,45 +292,3 @@ def run_retrieval(
         rounds_used=rounds_used,
         fetch_failures=failures,
     )
-
-
-def normalize_url(url: str) -> Tuple[str, str, str]:
-    """Comparison key: case-insensitive host, no scheme, no fragment, no
-    trailing slash."""
-    if "://" not in url:
-        url = "http://" + url
-    parts = urlsplit(url)
-    path = parts.path.rstrip("/") or "/"
-    return (parts.netloc.lower(), path, parts.query)
-
-
-def score_retrieval(
-    dossier: InstructionDossier,
-    ground_truth_url: str,
-    readme_rel_path: Optional[str] = None,
-) -> bool:
-    """True when the loop accessed the page holding the real build instructions.
-
-    Ground truth designating the README (the literal word or the README's own
-    relative path) scores true automatically: round 1 always consumes it.
-    """
-    if not ground_truth_url:
-        raise ValueError("ground_truth_url must be non-empty")
-    truth = ground_truth_url.strip()
-    if truth.upper() == "README" or (readme_rel_path and truth == readme_rel_path):
-        return True
-    # a schemeless truth is a URL when its first segment looks like a host;
-    # a leading ./ or ../ marks a repository path, not a domain
-    first_segment = truth.split("/")[0]
-    looks_like_host = first_segment not in (".", "..") and "." in first_segment
-    if truth.startswith(("http://", "https://")) or ("://" not in truth and looks_like_host):
-        truth_key = normalize_url(truth)
-        for link in dossier.visited:
-            if link.kind == "external-url" and normalize_url(link.target) == truth_key:
-                return True
-        return False
-    normalized_truth = str(Path(truth))
-    for link in dossier.visited:
-        if link.kind == "internal-file" and str(Path(link.target)) == normalized_truth:
-            return True
-    return False

@@ -13,7 +13,7 @@ import subprocess
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 from .workspace import (
     MACHO_MAGICS, FileSnapshot, Workspace, file_entry, resolves_inside, stat_key, walk_files,
@@ -29,8 +29,6 @@ _CONTROL_KEYWORDS = {
     "if", "for", "while", "switch", "return", "sizeof", "catch", "do", "else",
     "defined", "alignof", "decltype", "_Static_assert", "static_assert",
 }
-
-SymbolExtractor = Callable[[Path], List[str]]
 
 
 @dataclass(frozen=True, slots=True)
@@ -326,12 +324,10 @@ def default_symbol_extractor(path: Path) -> List[str]:
 def function_coverage(
     ws: Workspace,
     artifacts: Sequence[BinaryArtifact],
-    symbol_extractor: Optional[SymbolExtractor] = None,
 ) -> FunctionCoverageReport:
     """Fraction of source-defined functions present in the produced binaries'
     debug info, with the directories losing the most functions. Only regular
     source files that resolve inside the workspace are read."""
-    extractor = symbol_extractor or default_symbol_extractor
     source: Set[Tuple[str, str]] = set()
     for rel, full in walk_paths(ws):
         if not (rel.endswith(_SOURCE_EXTS) and os.path.isfile(full)
@@ -349,7 +345,7 @@ def function_coverage(
         if not artifact.has_debug_info:
             continue
         try:
-            compiled.update(extractor(ws.root_path / artifact.rel_path))
+            compiled.update(default_symbol_extractor(ws.root_path / artifact.rel_path))
         except Exception as exc:
             logger.warning("symbol extraction failed for %s: %s", artifact.rel_path, exc)
 

@@ -310,7 +310,8 @@ def detect_build_systems(ws: Workspace) -> list:
 
 def resolves_inside(ws: Workspace, path: str | Path) -> bool:
     """Whether ``path``, with every symlink on it followed, lies in the workspace."""
-    return Path(path).resolve().is_relative_to(ws.root_path.resolve())
+    # realpath, not Path.resolve, which raises on a symlink loop before 3.13
+    return Path(os.path.realpath(path)).is_relative_to(os.path.realpath(ws.root_path))
 
 
 def read_readme(ws: Workspace) -> Optional[tuple]:

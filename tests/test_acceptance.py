@@ -19,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from repobuild import retrieval
 from repobuild.agent import PromptContext, parse_agent_reply, run_build_loop
 from repobuild.bench import (
     ResultStore,
@@ -33,14 +34,7 @@ from repobuild.bench import (
 )
 from repobuild.corpus import CorpusManifest, required_sample_size
 from repobuild.gateway import ScriptedScenario
-from repobuild.retrieval import (
-    FetchOutcome,
-    InstructionDossier,
-    LinkRef,
-    normalize_url,
-    run_retrieval,
-    score_retrieval,
-)
+from repobuild.retrieval import FetchOutcome, run_retrieval
 from repobuild.rules import build_with_rules
 from repobuild.targets import MakefileDoc, clean_makefile, extract_targets_rule_based, predict_targets
 from repobuild.validation import (
@@ -380,7 +374,7 @@ class TestAgentLoopMechanics:
 
 
 # ---------------------------------------------------------------------------
-# retrieval budgets and scoring
+# retrieval budgets
 
 
 def _links_reply(note: str, links) -> str:
@@ -389,7 +383,7 @@ def _links_reply(note: str, links) -> str:
 
 
 class TestRetrievalBudgets:
-    def test_rounds_and_fetches_stay_within_budget(self, tmp_path):
+    def test_rounds_and_fetches_stay_within_budget(self, tmp_path, monkeypatch):
         ws = prepare_fixture("hello_make", tmp_path)
         r1 = _links_reply(
             "Checking the docs site.",
@@ -423,9 +417,8 @@ class TestRetrievalBudgets:
             fetched.append(link.target)
             return FetchOutcome(True, content=f"notes for {link.target}")
 
-        dossier = run_retrieval(
-            ws, scripted_config(scenario), repo_context(ws), fetcher=fetcher
-        )
+        monkeypatch.setattr(retrieval, "fetch_link", fetcher)
+        dossier = run_retrieval(ws, scripted_config(scenario), repo_context(ws))
 
         assert dossier.rounds_used == 3
         assert len(fetched) <= 9
@@ -442,7 +435,7 @@ class TestRetrievalBudgets:
         assert [l.target for l in dossier.visited] == fetched
         assert not any(t.startswith("https://docs.example.com/r3") for t in fetched)
 
-    def test_sufficient_first_round_fetches_nothing(self, tmp_path):
+    def test_sufficient_first_round_fetches_nothing(self, tmp_path, monkeypatch):
         ws = prepare_fixture("hello_make", tmp_path)
         scenario = ScriptedScenario(
             default_reply="INSTRUCTIONS:\nRun make.\nSUFFICIENT: yes\nLINKS:\nnone"
@@ -453,59 +446,21 @@ class TestRetrievalBudgets:
             fetched.append(link.target)
             return FetchOutcome(True, content="x")
 
-        dossier = run_retrieval(
-            ws, scripted_config(scenario), repo_context(ws), fetcher=fetcher
-        )
+        monkeypatch.setattr(retrieval, "fetch_link", fetcher)
+        dossier = run_retrieval(ws, scripted_config(scenario), repo_context(ws))
         assert dossier.rounds_used == 1
         assert dossier.sufficient
         assert fetched == []
 
-    def test_no_fresh_links_ends_the_loop_early(self, tmp_path):
+    def test_no_fresh_links_ends_the_loop_early(self, tmp_path, monkeypatch):
         ws = prepare_fixture("hello_make", tmp_path)
         scenario = ScriptedScenario(default_reply=_links_reply("Nothing to follow.", []))
-        dossier = run_retrieval(
-            ws,
-            scripted_config(scenario),
-            repo_context(ws),
-            fetcher=lambda _ws, link: FetchOutcome(True, content="x"),
+        monkeypatch.setattr(
+            retrieval, "fetch_link", lambda _ws, link: FetchOutcome(True, content="x")
         )
+        dossier = run_retrieval(ws, scripted_config(scenario), repo_context(ws))
         assert dossier.rounds_used == 1
         assert dossier.visited == []
-
-    def test_url_normalization_vectors(self):
-        assert normalize_url("HTTPS://GitHub.com/Org/Repo/") == normalize_url(
-            "https://github.com/Org/Repo"
-        )
-        assert normalize_url("http://github.com/Org/Repo") == normalize_url(
-            "https://github.com/Org/Repo"
-        )
-        assert normalize_url("https://a.example/p#readme") == normalize_url(
-            "https://a.example/p"
-        )
-        assert normalize_url("https://a.example/p?v=1") != normalize_url(
-            "https://a.example/p?v=2"
-        )
-        assert normalize_url("https://a.example/Org") != normalize_url(
-            "https://a.example/org"
-        )
-        assert normalize_url("https://a.example/") == ("a.example", "/", "")
-        assert normalize_url("github.com/x/y") == ("github.com", "/x/y", "")
-
-    def test_scoring_against_ground_truth(self):
-        visited = [
-            LinkRef("external-url", "https://github.com/org/proj/blob/main/INSTALL.md", 1),
-            LinkRef("internal-file", "docs/build.md", 1),
-        ]
-        dossier = InstructionDossier(
-            instructions="make", sufficient=True, visited=visited, rounds_used=2
-        )
-        assert score_retrieval(dossier, "http://GitHub.com/org/proj/blob/main/INSTALL.md/")
-        assert score_retrieval(dossier, "./docs/build.md")
-        assert not score_retrieval(dossier, "https://github.com/org/proj/wiki")
-        empty = InstructionDossier(instructions="make", sufficient=True)
-        assert score_retrieval(empty, "README")
-        assert score_retrieval(empty, "docs/README.rst", readme_rel_path="docs/README.rst")
-        assert not score_retrieval(empty, "docs/OTHER.rst", readme_rel_path="docs/README.rst")
 
 
 # ---------------------------------------------------------------------------
@@ -784,7 +739,7 @@ class TestHarnessCrashResume:
         store2.write_text(lines[0] + "\n" + lines[1][:40], "utf-8")
 
         work2 = tmp_path / "crashed" / "work"
-        stale = work2 / "run0" / "fixture__hello_cmake"
+        stale = work2 / "run0" / "fixture" / "hello_cmake"
         stale.mkdir(parents=True)
         (stale / "half-cloned.txt").write_text("partial", "utf-8")
 

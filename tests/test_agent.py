@@ -11,7 +11,6 @@ from repobuild.agent import (
     run_build_loop,
     run_single_turn,
 )
-from repobuild.errors import UsageError
 from repobuild.gateway import ScriptedScenario
 from repobuild.sandbox import CommandScript, ExecutionResult
 
@@ -165,37 +164,42 @@ class TestPromptAssembly:
         for k in range(3):
             assert f"step{k}" in final
 
-    def test_elision_drops_oldest_outputs_first(self):
+    def test_elision_drops_oldest_outputs_first(self, monkeypatch):
         big = "X" * 4000
         history = [command_turn(k, (f"s{k}",), output=big + f"-{k}") for k in range(4)]
-        messages = assemble_generator_prompt(ctx(), history, budget=12000)
+        monkeypatch.setattr(agent, "PROMPT_BUDGET_CHARS", 12000)
+        messages = assemble_generator_prompt(ctx(), history)
         feedbacks = [m.content for m in messages if m.role == "user"][1:]
         assert ELIDED_MARKER in feedbacks[0]
         assert ELIDED_MARKER not in feedbacks[-1]
         assert big + "-3" in feedbacks[-1]
 
-    def test_elision_cuts_only_the_output(self):
+    def test_elision_cuts_only_the_output(self, monkeypatch):
         # the elided output "ok\n" also ends the command "echo ok" in the history
         history = [command_turn(0, ("echo ok",), output="ok\n"),
                    command_turn(1, ("make",), output="Z" * 5000)]
-        messages = assemble_generator_prompt(ctx(), history, budget=3000)
+        monkeypatch.setattr(agent, "PROMPT_BUDGET_CHARS", 3000)
+        messages = assemble_generator_prompt(ctx(), history)
         elided = messages[3].content
         assert ELIDED_MARKER in elided
         assert "echo ok" in elided
         assert f"echo {ELIDED_MARKER}" not in elided
-        full = assemble_generator_prompt(ctx(), history, budget=10 ** 9)[3].content
+        monkeypatch.setattr(agent, "PROMPT_BUDGET_CHARS", 10 ** 9)
+        full = assemble_generator_prompt(ctx(), history)[3].content
         assert elided == full.replace("output:\nok\n", f"output:\n{ELIDED_MARKER}")
 
-    def test_system_and_initial_never_elided(self):
+    def test_system_and_initial_never_elided(self, monkeypatch):
         big = "Y" * 8000
         history = [command_turn(k, (f"s{k}",), output=big) for k in range(5)]
-        messages = assemble_generator_prompt(ctx(), history, budget=1000)
+        monkeypatch.setattr(agent, "PROMPT_BUDGET_CHARS", 1000)
+        messages = assemble_generator_prompt(ctx(), history)
         assert ELIDED_MARKER not in messages[0].content
         assert ELIDED_MARKER not in messages[1].content
 
-    def test_no_elision_when_within_budget(self):
+    def test_no_elision_when_within_budget(self, monkeypatch):
         history = [command_turn(0, ("make",), output="short")]
-        messages = assemble_generator_prompt(ctx(), history, budget=10 ** 9)
+        monkeypatch.setattr(agent, "PROMPT_BUDGET_CHARS", 10 ** 9)
+        messages = assemble_generator_prompt(ctx(), history)
         assert all(ELIDED_MARKER not in m.content for m in messages)
 
 
@@ -356,19 +360,6 @@ class TestBuildLoop:
         assert len(prompts) == 3
         assert first_output in prompts[2][3].content
         assert not any(ELIDED_MARKER in m.content for m in prompts[2])
-
-    def test_invalid_max_turns_rejected(self, tmp_path, local_spec):
-        ws = prepare_fixture("hello_make", tmp_path)
-        cfg = scripted_config(ScriptedScenario(steps=[], default_reply=INITIAL_MAKE))
-        with pytest.raises(UsageError):
-            run_build_loop(ws, ctx(), cfg, local_spec, make_probe("x"), max_turns=0)
-
-    def test_unknown_variant_rejected(self, tmp_path, local_spec):
-        ws = prepare_fixture("hello_make", tmp_path)
-        cfg = scripted_config(ScriptedScenario(steps=[], default_reply=INITIAL_MAKE))
-        with pytest.raises(UsageError):
-            run_build_loop(ws, ctx(), cfg, local_spec, make_probe("x"),
-                           variant="mystery")
 
 
 class TestSingleTurn:

@@ -1014,8 +1014,19 @@ class TestRunBenchmark:
         records = [fixture_record("hello_make")]
         cfg = _cfg(records, runs=2)
         run_benchmark(cfg, tmp_path / "store.jsonl", tmp_path / "work")
-        assert (tmp_path / "work" / "run0" / "fixture__hello_make").is_dir()
-        assert (tmp_path / "work" / "run1" / "fixture__hello_make").is_dir()
+        assert (tmp_path / "work" / "run0" / "fixture" / "hello_make").is_dir()
+        assert (tmp_path / "work" / "run1" / "fixture" / "hello_make").is_dir()
+
+    def test_ids_alike_after_a_slash_swap_get_their_own_session_dirs(self, tmp_path):
+        # a/b__c and a__b/c would share run0/a__b__c if "/" became "__"
+        records = [replace(fixture_record("hello_make"), id=rid) for rid in ("a/b__c", "a__b/c")]
+        results = run_benchmark(_cfg(records), tmp_path / "store.jsonl", tmp_path / "work")
+        assert {rid: o.verdict.strict for rid, o in results[0].per_repo.items()} == {
+            "a/b__c": True, "a__b/c": True,
+        }
+        assert aggregate(results)["completion_pct"] == [100.0]
+        assert (tmp_path / "work" / "run0" / "a" / "b__c" / "b__c").is_dir()
+        assert (tmp_path / "work" / "run0" / "a__b" / "c" / "c").is_dir()
 
     def test_parallel_execution_matches_serial(self, tmp_path):
         records = [fixture_record("hello_make"), fixture_record("hello_autotools")]
@@ -1071,7 +1082,7 @@ class TestRunBenchmark:
         store2 = tmp_path / "store2.jsonl"
         store2.write_text(lines[0] + "\n" + lines[1][:40])
         torn_repo = json.loads(lines[1])["repo"]
-        leftover = tmp_path / "work2" / "run0" / torn_repo.replace("/", "__")
+        leftover = tmp_path / "work2" / "run0" / torn_repo
         leftover.mkdir(parents=True)
         (leftover / "half-cloned.txt").write_text("crashed here\n")
 
@@ -1335,7 +1346,7 @@ class TestLookAhead:
         store_path = tmp_path / "store.jsonl"
         ResultStore(store_path).append(_record(1, "fixture/hello_make"))
         work = tmp_path / "work"
-        jobs = [work / f"run{run}" / r.id.replace("/", "__")
+        jobs = [work / f"run{run}" / r.id
                 for run in range(3) for r in records if (run, r.id) != (1, "fixture/hello_make")]
         lock = threading.Lock()
         prepared, started, finished, problems = [], [], [], []

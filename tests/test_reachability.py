@@ -32,20 +32,6 @@ ALLOWED_UNREACHED = {
     "bench.ResultStore.existing_keys": (
         "perfbench/tracer.py wraps it by name; goes with the in-package trace"
     ),
-    "retrieval.score_retrieval": "to be wired into a store comparison command",
-    "retrieval.normalize_url": "only score_retrieval calls it",
-}
-
-
-# Defaulted parameters no call in src/ sets, each with the reason. The list
-# may only shrink, as the one above.
-ALLOWED_UNSET = {
-    "retrieval.run_retrieval.fetcher": "test seam: tests fetch from a fake instead of the network",
-    "validation.function_coverage.symbol_extractor": (
-        "test seam: tests supply symbols without readelf"
-    ),
-    "agent.assemble_generator_prompt.budget": "test seam: tests elide outputs at a small budget",
-    "retrieval.score_retrieval.readme_rel_path": "score_retrieval is itself allow-listed unreached",
 }
 
 _FUNCTION = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -130,8 +116,7 @@ def test_allow_list_has_no_stale_entry():
 
 
 def test_allow_list_entries_give_a_reason():
-    reasons = [*ALLOWED_UNREACHED.values(), *ALLOWED_UNSET.values()]
-    assert all(reason.strip() for reason in reasons)
+    assert all(reason.strip() for reason in ALLOWED_UNREACHED.values())
 
 
 def _calls():
@@ -182,17 +167,11 @@ def unset_defaults():
 
 
 def test_every_defaulted_parameter_is_set_by_a_call():
-    unset = [q for q in unset_defaults() if q not in ALLOWED_UNSET]
+    unset = unset_defaults()
     assert unset == [], (
         "no call in src/ sets these defaulted parameters; delete them, or "
         f"make them required: {unset}"
     )
-
-
-def test_unset_allow_list_has_no_stale_entry():
-    now_unset = set(unset_defaults())
-    stale = sorted(q for q in ALLOWED_UNSET if q not in now_unset)
-    assert stale == [], f"remove these allow-list entries, they are set or gone: {stale}"
 
 
 def _exception_classes():

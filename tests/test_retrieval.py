@@ -20,10 +20,8 @@ from repobuild.retrieval import (
     _link_ref,
     fetch_link,
     html_to_text,
-    normalize_url,
     parse_retrieval_reply,
     run_retrieval,
-    score_retrieval,
 )
 
 from conftest import bytes_read, prepare_fixture, scripted_config, workspace_at
@@ -122,6 +120,18 @@ class TestLinkResolution:
         link = self._ref("build notes.txt", tmp_path)
         assert (link.kind, link.target) == ("internal-file", "build notes.txt")
 
+    @pytest.mark.parametrize("text", [
+        "mailto:dev@example.com",
+        "ftp://ftp.example.com/x.tar.gz",
+        "javascript:void(0)",
+        "git://example.com/proj.git",
+    ])
+    def test_other_scheme_after_a_page_fetches_as_missing(self, tmp_path, text):
+        # joined to the last page, these are no http(s) URL
+        link = self._ref(text, tmp_path, base_url="https://docs.example.com/build")
+        assert (link.kind, link.target) == ("internal-file", text)
+        assert fetch_link(workspace_at(tmp_path), link).failure_kind == "missing"
+
 
 class TestHtmlToText:
     def test_tags_stripped_scripts_dropped(self):
@@ -154,6 +164,13 @@ class TestFetchLink:
         outcome = fetch_link(ws, LinkRef("internal-file", "../../etc/passwd"))
         assert not outcome.ok
         assert outcome.failure_kind == "escape"
+
+    def test_symlink_loop_fetches_as_missing(self, tmp_path):
+        ws = prepare_fixture("hello_make", tmp_path)
+        (ws.root_path / "loop1").symlink_to("loop2")
+        (ws.root_path / "loop2").symlink_to("loop1")
+        outcome = fetch_link(ws, LinkRef("internal-file", "loop1"))
+        assert (outcome.ok, outcome.failure_kind) == (False, "missing")
 
     def test_internal_capped(self, tmp_path):
         ws = prepare_fixture("hello_make", tmp_path)
@@ -394,18 +411,19 @@ def fake_fetcher(responses):
 
 
 class TestRunRetrieval:
-    def test_sufficient_in_round_one(self, tmp_path):
+    def test_sufficient_in_round_one(self, tmp_path, monkeypatch):
         ws = prepare_fixture("hello_make", tmp_path)
         cfg = scripted_config(ScriptedScenario(steps=[], default_reply=GOOD_REPLY))
         fetch = fake_fetcher({})
-        dossier = run_retrieval(ws, cfg, repo_context(ws), fetcher=fetch)
+        monkeypatch.setattr(retrieval, "fetch_link", fetch)
+        dossier = run_retrieval(ws, cfg, repo_context(ws))
         assert dossier.sufficient is True
         assert dossier.rounds_used == 1
         assert dossier.visited == []
         assert fetch.calls == []
         assert "make" in dossier.instructions.lower()
 
-    def test_two_rounds_with_internal_link(self, tmp_path):
+    def test_two_rounds_with_internal_link(self, tmp_path, monkeypatch):
         ws = prepare_fixture("hello_make", tmp_path)
         scenario = ScriptedScenario(steps=[
             ("content fetched from the links",
@@ -413,13 +431,14 @@ class TestRunRetrieval:
             ("Distill", reply("partial", "no", ["README.md"])),
         ])
         fetch = fake_fetcher({"README.md": FetchOutcome(True, content="make all")})
-        dossier = run_retrieval(ws, scripted_config(scenario), repo_context(ws), fetcher=fetch)
+        monkeypatch.setattr(retrieval, "fetch_link", fetch)
+        dossier = run_retrieval(ws, scripted_config(scenario), repo_context(ws))
         assert dossier.rounds_used == 2
         assert dossier.sufficient is True
         assert [l.target for l in dossier.visited] == ["README.md"]
         assert dossier.instructions == "full instructions now"
 
-    def test_round_and_fetch_caps_under_adversarial_replies(self, tmp_path):
+    def test_round_and_fetch_caps_under_adversarial_replies(self, tmp_path, monkeypatch):
         ws = prepare_fixture("hello_make", tmp_path)
         # always insufficient; fresh links every round via per-round matchers
         page = "https://example.com/page{}"
@@ -431,13 +450,14 @@ class TestRunRetrieval:
         fetch = fake_fetcher({
             page.format(i): FetchOutcome(True, content=f"page{i}") for i in range(1, 12)
         })
-        dossier = run_retrieval(ws, scripted_config(scenario), repo_context(ws), fetcher=fetch)
+        monkeypatch.setattr(retrieval, "fetch_link", fetch)
+        dossier = run_retrieval(ws, scripted_config(scenario), repo_context(ws))
         assert dossier.rounds_used <= 3
         assert len(dossier.visited) <= 9
         assert len(fetch.calls) <= 9
         assert len(fetch.calls) == len(set(fetch.calls))  # no refetches
 
-    def test_duplicate_links_never_refetched(self, tmp_path):
+    def test_duplicate_links_never_refetched(self, tmp_path, monkeypatch):
         ws = prepare_fixture("hello_make", tmp_path)
         same = ["https://example.com/install", "https://example.com/install",
                 "https://example.com/other"]
@@ -445,11 +465,12 @@ class TestRunRetrieval:
             steps=[], default_reply=reply("digging", "no", same),
         ))
         fetch = fake_fetcher({})
-        dossier = run_retrieval(ws, cfg, repo_context(ws), fetcher=fetch)
+        monkeypatch.setattr(retrieval, "fetch_link", fetch)
+        dossier = run_retrieval(ws, cfg, repo_context(ws))
         assert len(fetch.calls) == len(set(fetch.calls))
         assert len({l.target for l in dossier.visited}) == len(dossier.visited)
 
-    def test_repeating_links_stop_the_loop_early(self, tmp_path):
+    def test_repeating_links_stop_the_loop_early(self, tmp_path, monkeypatch):
         ws = prepare_fixture("hello_make", tmp_path)
         cfg = scripted_config(ScriptedScenario(
             steps=[],
@@ -462,14 +483,15 @@ class TestRunRetrieval:
             f"https://example.com/{x}": FetchOutcome(True, content=f"page {x}")
             for x in "abc"
         })
-        dossier = run_retrieval(ws, cfg, repo_context(ws), fetcher=fetch)
+        monkeypatch.setattr(retrieval, "fetch_link", fetch)
+        dossier = run_retrieval(ws, cfg, repo_context(ws))
         # round 2 re-offers only visited links: nothing fresh, loop stops
         assert dossier.rounds_used == 2
         assert dossier.sufficient is False
         assert len(dossier.visited) == 3
         assert len(fetch.calls) == 3
 
-    def test_fetch_failures_recorded_but_loop_continues(self, tmp_path):
+    def test_fetch_failures_recorded_but_loop_continues(self, tmp_path, monkeypatch):
         ws = prepare_fixture("hello_make", tmp_path)
         scenario = ScriptedScenario(steps=[
             ("fetch failed", reply("gave up on links", "yes")),
@@ -479,30 +501,31 @@ class TestRunRetrieval:
         fetch = fake_fetcher({
             "https://example.com/dead": FetchOutcome(False, failure_kind="timeout"),
         })
-        dossier = run_retrieval(ws, scripted_config(scenario), repo_context(ws), fetcher=fetch)
+        monkeypatch.setattr(retrieval, "fetch_link", fetch)
+        dossier = run_retrieval(ws, scripted_config(scenario), repo_context(ws))
         assert dossier.sufficient is True
         assert ("https://example.com/dead", "timeout") in dossier.fetch_failures
 
-    def test_malformed_reply_reasked_once(self, tmp_path):
+    def test_malformed_reply_reasked_once(self, tmp_path, monkeypatch):
         ws = prepare_fixture("hello_make", tmp_path)
         scenario = ScriptedScenario(steps=[
             ("did not follow the required format", GOOD_REPLY),
             ("Distill", "Sure! You should probably run make."),
         ])
-        dossier = run_retrieval(
-            ws, scripted_config(scenario), repo_context(ws), fetcher=fake_fetcher({})
-        )
+        monkeypatch.setattr(retrieval, "fetch_link", fake_fetcher({}))
+        dossier = run_retrieval(ws, scripted_config(scenario), repo_context(ws))
         assert dossier.sufficient is True
 
-    def test_persistent_malformed_reply_raises(self, tmp_path):
+    def test_persistent_malformed_reply_raises(self, tmp_path, monkeypatch):
         ws = prepare_fixture("hello_make", tmp_path)
         cfg = scripted_config(ScriptedScenario(
             steps=[], default_reply="no labels here at all",
         ))
+        monkeypatch.setattr(retrieval, "fetch_link", fake_fetcher({}))
         with pytest.raises(ProtocolError):
-            run_retrieval(ws, cfg, repo_context(ws), fetcher=fake_fetcher({}))
+            run_retrieval(ws, cfg, repo_context(ws))
 
-    def test_prose_takes_no_fetch_slot(self, tmp_path):
+    def test_prose_takes_no_fetch_slot(self, tmp_path, monkeypatch):
         ws = prepare_fixture("hello_make", tmp_path)
         scenario = ScriptedScenario(steps=[
             ("content fetched from the links", reply("run make", "yes")),
@@ -514,59 +537,10 @@ class TestRunRetrieval:
             ])),
         ])
         fetch = fake_fetcher({})
-        dossier = run_retrieval(ws, scripted_config(scenario), repo_context(ws), fetcher=fetch)
+        monkeypatch.setattr(retrieval, "fetch_link", fetch)
+        dossier = run_retrieval(ws, scripted_config(scenario), repo_context(ws))
         assert fetch.calls == ["README.md", "Makefile"]
         assert [l.target for l in dossier.visited] == ["README.md", "Makefile"]
-
-
-class TestScoring:
-    def test_readme_ground_truth_scores_true(self, tmp_path):
-        dossier = InstructionDossier(instructions="x", sufficient=True)
-        assert score_retrieval(dossier, "README") is True
-        assert score_retrieval(dossier, "README.md", readme_rel_path="README.md") is True
-
-    def test_visited_external_url_matches(self):
-        dossier = InstructionDossier(
-            instructions="x", sufficient=True,
-            visited=[LinkRef("external-url", "https://Example.COM/docs/build/")],
-        )
-        assert score_retrieval(dossier, "http://example.com/docs/build") is True
-
-    def test_fragment_ignored(self):
-        dossier = InstructionDossier(
-            instructions="x", sufficient=True,
-            visited=[LinkRef("external-url", "https://example.com/docs#install")],
-        )
-        assert score_retrieval(dossier, "https://example.com/docs") is True
-
-    def test_unvisited_url_scores_false(self):
-        dossier = InstructionDossier(instructions="x", sufficient=True)
-        assert score_retrieval(dossier, "https://example.com/install") is False
-
-    def test_internal_path_ground_truth(self):
-        dossier = InstructionDossier(
-            instructions="x", sufficient=True,
-            visited=[LinkRef("internal-file", "docs/INSTALL.md")],
-        )
-        assert score_retrieval(dossier, "docs/INSTALL.md") is True
-        assert score_retrieval(dossier, "docs/OTHER.md") is False
-
-    def test_empty_ground_truth_rejected(self):
-        dossier = InstructionDossier(instructions="x", sufficient=True)
-        with pytest.raises(ValueError):
-            score_retrieval(dossier, "")
-
-    @pytest.mark.parametrize("a,b,equal", [
-        ("https://example.com/docs", "http://example.com/docs", True),
-        ("https://EXAMPLE.com/docs", "https://example.com/docs", True),
-        ("https://example.com/docs/", "https://example.com/docs", True),
-        ("https://example.com/docs#frag", "https://example.com/docs", True),
-        ("https://example.com/docs?v=1", "https://example.com/docs", False),
-        ("https://example.com/a", "https://example.com/b", False),
-        ("https://example.com/Docs", "https://example.com/docs", False),
-    ])
-    def test_normalization_pairs(self, a, b, equal):
-        assert (normalize_url(a) == normalize_url(b)) is equal
 
 
 class TestDossierInvariants:

@@ -659,14 +659,15 @@ class TestFunctionCoverage:
         assert report.undefined is True
         assert report.coverage_pct == 0.0
 
-    def test_undefined_without_source_files(self, tmp_path):
+    def test_undefined_without_source_files(self, tmp_path, monkeypatch):
         (tmp_path / "README.md").write_text("no code here\n")
         ws = workspace_at(tmp_path)
         arts = [BinaryArtifact("app", "app", "executable", True)]
-        report = function_coverage(ws, arts, symbol_extractor=lambda p: ["main"])
+        monkeypatch.setattr(validation, "default_symbol_extractor", lambda p: ["main"])
+        report = function_coverage(ws, arts)
         assert report.undefined is True
 
-    def test_out_of_tree_source_is_not_read(self, tmp_path):
+    def test_out_of_tree_source_is_not_read(self, tmp_path, monkeypatch):
         outside = tmp_path / "outside"
         outside.mkdir()
         (outside / "secret.c").write_text("int secret_fn(void) { return 1; }\n")
@@ -676,11 +677,12 @@ class TestFunctionCoverage:
         (root / "leak.c").symlink_to(outside / "secret.c")
         ws = workspace_at(root)
         arts = [BinaryArtifact("app", "app", "executable", True)]
-        report = function_coverage(ws, arts, symbol_extractor=lambda p: ["main"])
+        monkeypatch.setattr(validation, "default_symbol_extractor", lambda p: ["main"])
+        report = function_coverage(ws, arts)
         assert report.source_functions == {("main", "main.c")}
         assert report.coverage_pct == pytest.approx(100.0)
 
-    def test_injected_extractor_controls_the_numerator(self, tmp_path):
+    def test_injected_extractor_controls_the_numerator(self, tmp_path, monkeypatch):
         (tmp_path / "a.c").write_text(
             "int f1(void){return 1;}\nint f2(void){return 2;}\n"
             "int f3(void){return 3;}\nint f4(void){return 4;}\n"
@@ -688,12 +690,13 @@ class TestFunctionCoverage:
         (tmp_path / "fake").write_bytes(b"\x00")
         ws = workspace_at(tmp_path)
         arts = [BinaryArtifact("fake", "fake", "executable", True)]
-        report = function_coverage(
-            ws, arts, symbol_extractor=lambda p: ["f1", "f2", "f4"]
+        monkeypatch.setattr(
+            validation, "default_symbol_extractor", lambda p: ["f1", "f2", "f4"]
         )
+        report = function_coverage(ws, arts)
         assert report.coverage_pct == pytest.approx(75.0)
 
-    def test_artifacts_without_debug_info_skipped(self, tmp_path):
+    def test_artifacts_without_debug_info_skipped(self, tmp_path, monkeypatch):
         (tmp_path / "a.c").write_text("int f1(void){return 1;}\n")
         ws = workspace_at(tmp_path)
         calls = []
@@ -703,11 +706,12 @@ class TestFunctionCoverage:
             return ["f1"]
 
         arts = [BinaryArtifact("app", "app", "executable", False)]
-        report = function_coverage(ws, arts, symbol_extractor=spy)
+        monkeypatch.setattr(validation, "default_symbol_extractor", spy)
+        report = function_coverage(ws, arts)
         assert calls == []
         assert report.undefined is True
 
-    def test_extractor_failure_degrades_to_undefined(self, tmp_path, caplog):
+    def test_extractor_failure_degrades_to_undefined(self, tmp_path, caplog, monkeypatch):
         (tmp_path / "a.c").write_text("int f1(void){return 1;}\n")
         (tmp_path / "app").write_bytes(b"\x00")
         ws = workspace_at(tmp_path)
@@ -716,12 +720,13 @@ class TestFunctionCoverage:
         def broken(path):
             raise RuntimeError("boom")
 
+        monkeypatch.setattr(validation, "default_symbol_extractor", broken)
         with caplog.at_level("WARNING"):
-            report = function_coverage(ws, arts, symbol_extractor=broken)
+            report = function_coverage(ws, arts)
         assert report.undefined is True
         assert any("symbol extraction failed" in r.message for r in caplog.records)
 
-    def test_git_directory_not_scanned(self, tmp_path):
+    def test_git_directory_not_scanned(self, tmp_path, monkeypatch):
         (tmp_path / "a.c").write_text("int f1(void){return 1;}\n")
         hidden = tmp_path / ".git" / "junk"
         hidden.mkdir(parents=True)
@@ -729,16 +734,18 @@ class TestFunctionCoverage:
         (tmp_path / "app").write_bytes(b"\x00")
         ws = workspace_at(tmp_path)
         arts = [BinaryArtifact("app", "app", "executable", True)]
-        report = function_coverage(ws, arts, symbol_extractor=lambda p: ["f1"])
+        monkeypatch.setattr(validation, "default_symbol_extractor", lambda p: ["f1"])
+        report = function_coverage(ws, arts)
         assert report.coverage_pct == pytest.approx(100.0)
 
-    def test_root_level_sources_grouped_under_dot(self, tmp_path):
+    def test_root_level_sources_grouped_under_dot(self, tmp_path, monkeypatch):
         (tmp_path / "a.c").write_text(
             "int hit(void){return 1;}\nint miss(void){return 2;}\n"
         )
         (tmp_path / "app").write_bytes(b"\x00")
         ws = workspace_at(tmp_path)
         arts = [BinaryArtifact("app", "app", "executable", True)]
-        report = function_coverage(ws, arts, symbol_extractor=lambda p: ["hit"])
+        monkeypatch.setattr(validation, "default_symbol_extractor", lambda p: ["hit"])
+        report = function_coverage(ws, arts)
         assert report.top_uncompiled_dirs == [(".", 1)]
 

@@ -342,7 +342,7 @@ _SCANNERS = {
     "read_readme": lambda ws: [read_readme(ws)[1]],
     "find_makefiles": find_makefiles,
     "function_coverage": lambda ws: sorted(
-        rel for _name, rel in function_coverage(ws, [], lambda _p: []).source_functions
+        rel for _name, rel in function_coverage(ws, []).source_functions
     ),
 }
 
