@@ -61,12 +61,6 @@ class Turn:
     result: Optional[ExecutionResult] = None
     violation_note: Optional[str] = None
 
-    def __post_init__(self):
-        if self.kind == "command-turn" and self.script is None:
-            raise ValueError("command turn requires a script")
-        if self.kind == "termination-turn" and (self.script or self.result):
-            raise ValueError("termination turn carries neither script nor result")
-
 
 @dataclass
 class BuildSession:

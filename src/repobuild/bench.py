@@ -326,7 +326,7 @@ def decode_record(rec) -> Tuple[int, str, RepoOutcome]:
         check("new_binaries entry", a, _ARTIFACT_FIELDS)
     try:
         artifacts = tuple(BinaryArtifact(**a) for a in v["new_binaries"])
-    except (TypeError, ValueError) as exc:
+    except TypeError as exc:
         raise UsageError(str(exc)) from None
     verdict = Verdict(v["completion"], v["strict"], v["flexible"],
                       frozenset(v["matched_names"]), artifacts)

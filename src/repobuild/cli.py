@@ -7,6 +7,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import re
 import signal
 import sys
@@ -96,7 +97,8 @@ def _configured(cls, name: str, args, config: dict, flags: dict):
 
 
 def _workspace_from_path(path: str) -> Workspace:
-    root = Path(path).resolve()
+    # realpath, not Path.resolve, which raises on a symlink loop before 3.13
+    root = Path(os.path.realpath(path))
     if not root.is_dir():
         raise UsageError(f"workspace path is not a directory: {path}")
     return Workspace(repo_id=f"local/{root.name}", root_path=root)

@@ -138,20 +138,25 @@ def save_manifest(manifest: CorpusManifest, path: str | Path) -> None:
 def required_sample_size(z: float, e: float, p: float, n_population: int) -> SamplePlan:
     """Minimum sample size for a proportion estimate, with finite-population correction.
 
-    n0 = z^2 * p * (1 - p) / e^2, shrunk to n0 / (1 + (n0 - 1) / N) for a
-    population of N, rounded up to an integer count.
+    n0 = z^2 * p * (1 - p) / e^2, shrunk to n0 * N / (N - 1 + n0) for a
+    population of N, rounded up to an integer count. The shrink is exact
+    rational arithmetic, so it holds for a population of any size.
     """
     if not (0 < e < 1):
         raise UsageError(f"margin e must be in (0, 1), got {e}")
     if not (0 < p < 1):
         raise UsageError(f"proportion p must be in (0, 1), got {p}")
-    if z <= 0:
-        raise UsageError(f"confidence z must be positive, got {z}")
+    if not (0 < z < math.inf):
+        raise UsageError(f"confidence z must be positive and finite, got {z}")
     if n_population < 1:
         raise UsageError(f"population must be >= 1, got {n_population}")
-    n0 = (z * z) * p * (1.0 - p) / (e * e)
-    n_fpc = n0 / (1.0 + (n0 - 1.0) / n_population)
-    return SamplePlan(n0=n0, n_fpc=n_fpc, required_n=max(1, math.ceil(n_fpc)))
+    n0 = (z * z) * p * (1.0 - p) / (e * e) if e * e else math.inf
+    if not (0 < n0 < math.inf):
+        raise UsageError(f"confidence z {z}, margin e {e} and proportion p {p} "
+                         f"give a sample size n0 of {n0}, beyond a float's range")
+    a, b = n0.as_integer_ratio()
+    n_fpc = a * n_population / (b * (n_population - 1) + a)
+    return SamplePlan(n0=n0, n_fpc=n_fpc, required_n=math.ceil(n_fpc))
 
 
 def sample_repos(manifest: CorpusManifest, n: int, seed: int) -> CorpusManifest:

@@ -20,8 +20,6 @@ from .errors import ProtocolError, RepobuildError, UsageError
 
 logger = logging.getLogger(__name__)
 
-ROLES = ("system", "user", "assistant")
-
 # environment variables consulted by the live backend
 ENV_BASE_URL = "REPOBUILD_LLM_BASE_URL"
 ENV_API_KEY = "REPOBUILD_LLM_API_KEY"
@@ -39,12 +37,6 @@ REMINDER_PREFIX = "Your previous reply did not follow the required format. "
 class ChatMessage:
     role: str
     content: str
-
-    def __post_init__(self):
-        if self.role not in ROLES:
-            raise ValueError(f"unknown message role {self.role!r}")
-        if self.role in ("system", "user") and not self.content:
-            raise ValueError(f"{self.role} message must have content")
 
 
 @dataclass
@@ -99,11 +91,6 @@ def complete(config: LlmConfig, messages: Sequence[ChatMessage]) -> str:
     ``max_reply_chars`` raise; live transport failures are retried with
     exponential backoff up to ``max_retries`` times before raising.
     """
-    if not messages:
-        raise ValueError("messages must be non-empty")
-    if messages[-1].role != "user":
-        raise ValueError("last message must have role 'user'")
-
     if config.backend == "scripted":
         reply = config.scenario.resolve(messages[-1].content)
     else:

@@ -44,14 +44,6 @@ class LinkRef:
     target: str
     discovered_in_round: int = 0
 
-    def __post_init__(self):
-        if self.kind not in ("internal-file", "external-url"):
-            raise ValueError(f"unknown link kind {self.kind!r}")
-        if self.kind == "external-url" and not self.target.startswith(("http://", "https://")):
-            raise ValueError(f"external link must be an absolute URL: {self.target!r}")
-        if self.discovered_in_round < 0:
-            raise ValueError("discovered_in_round must be >= 0")
-
 
 @dataclass(frozen=True)
 class FetchOutcome:
@@ -75,13 +67,6 @@ class InstructionDossier:
     visited: List[LinkRef] = field(default_factory=list)
     rounds_used: int = 1
     fetch_failures: List[Tuple[str, str]] = field(default_factory=list)
-
-    def __post_init__(self):
-        if not (1 <= self.rounds_used <= MAX_ROUNDS):
-            raise ValueError("rounds_used must be within the round budget")
-        targets = [link.target for link in self.visited]
-        if len(targets) != len(set(targets)):
-            raise ValueError("visited links must be unique")
 
 
 def html_to_text(html: str) -> str:

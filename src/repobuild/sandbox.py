@@ -37,6 +37,8 @@ DEFAULT_IMAGE_TAG = "repobuild-sandbox:latest"
 
 # matches /app as a path component, not /apple or /app-data
 _APP_RE = re.compile(r"/app(?![\w-])")
+# characters the shell reads in a word instead of taking them as written
+_SHELL_SPECIAL_RE = re.compile(r"[\s\\'\"`$|&;()<>*?\[\]{}]")
 
 
 @dataclass(frozen=True)
@@ -63,13 +65,6 @@ _SANDBOX_FIELDS = {"base_image": OS_STR, "env": ENV, "per_command_timeout": SECO
 @dataclass(frozen=True)
 class CommandScript:
     commands: Tuple[str, ...]
-
-    def __post_init__(self):
-        if not self.commands:
-            raise ValueError("script must contain at least one command")
-        for cmd in self.commands:
-            if cmd.strip().lower() == "terminate":
-                raise ValueError("the bare word 'terminate' is not a command")
 
 
 @dataclass(frozen=True)
@@ -101,7 +96,7 @@ class SandboxHandle:
     def map_command(self, text: str) -> str:
         if self._jail is None:
             return text
-        return _APP_RE.sub(str(self._jail / "app"), text)
+        return _APP_RE.sub(lambda _m: str(self._jail / "app"), text)
 
     def map_output(self, text: str) -> str:
         for host, virt in self._map_out:
@@ -171,8 +166,11 @@ def _ensure_image(image: str) -> None:
 def _start_jail(handle: SandboxHandle) -> None:
     ws = handle.ws
     # beside the workspace, so clearing the session dir clears a jail that a
-    # killed run left behind
-    jail = Path(tempfile.mkdtemp(prefix="repobuild-jail-", dir=ws.root_path.parent))
+    # killed run left behind; in the temp dir if the shell would misread the
+    # session dir's path, which every mapped command spells out
+    parent = ws.root_path.parent
+    jail = Path(tempfile.mkdtemp(prefix="repobuild-jail-",
+                                 dir=None if _SHELL_SPECIAL_RE.search(str(parent)) else parent))
     app = jail / "app"
     app.mkdir()
     (jail / "home").mkdir()
@@ -230,9 +228,9 @@ def _spawn_shell(handle: SandboxHandle) -> subprocess.Popen:
     )
 
 
-def _wait_shell(proc: subprocess.Popen, timeout: float) -> int:
+def _wait_shell(proc: subprocess.Popen, timeout: float) -> Optional[int]:
     """Reap the shell within ``timeout`` seconds and return its exit code, or
-    raise ``subprocess.TimeoutExpired``.
+    None if it is still running then.
 
     Where the OS gives a pidfd of the shell, the wait blocks on it until the
     shell exits. Elsewhere it falls back to ``Popen.wait(timeout)``, which
@@ -243,15 +241,17 @@ def _wait_shell(proc: subprocess.Popen, timeout: float) -> int:
     try:
         pidfd = os.pidfd_open(proc.pid)
     except (AttributeError, OSError):
-        return proc.wait(timeout)
+        try:
+            return proc.wait(timeout)
+        except subprocess.TimeoutExpired:
+            return None
     try:
         poller = select.poll()
         poller.register(pidfd, select.POLLIN)
-        if not poller.poll(timeout * 1000):
-            raise subprocess.TimeoutExpired(proc.args, timeout)
+        exited = poller.poll(timeout * 1000)
     finally:
         os.close(pidfd)
-    return proc.wait()
+    return proc.wait() if exited else None
 
 
 def _end_shell(proc: subprocess.Popen, grace: float) -> None:
@@ -259,12 +259,10 @@ def _end_shell(proc: subprocess.Popen, grace: float) -> None:
     process group, with any job a script left in the background, and reap
     the shell. Every script ends here, on either backend: a timed-out one
     with no grace, any other after its last command."""
-    with suppress(subprocess.TimeoutExpired):
-        _wait_shell(proc, grace)
+    _wait_shell(proc, grace)
     with suppress(ProcessLookupError, PermissionError):
         os.killpg(proc.pid, signal.SIGKILL)
-    with suppress(subprocess.TimeoutExpired):
-        _wait_shell(proc, 10)
+    _wait_shell(proc, 10)
 
 
 def exec_script(handle: SandboxHandle, script: CommandScript) -> ExecutionResult:
@@ -354,10 +352,7 @@ def exec_script(handle: SandboxHandle, script: CommandScript) -> ExecutionResult
                         if not chunk:
                             # the shell ended before reporting (`exit 3`): once
                             # it is reaped its own code is the command's, if not 0
-                            try:
-                                exit_code = _wait_shell(proc, max(0.0, remaining)) or 1
-                            except subprocess.TimeoutExpired:
-                                exit_code = 1
+                            exit_code = _wait_shell(proc, max(0.0, remaining)) or 1
                             break
                         pending.extend(chunk)
                         exit_code = take_exit_code()

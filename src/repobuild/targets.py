@@ -22,7 +22,8 @@ logger = logging.getLogger(__name__)
 _MAKEFILE_NAMES = {"Makefile", "makefile", "GNUmakefile"}
 _NON_TARGET_EXTS = {".o", ".obj", ".lo", ".a", ".c", ".cc", ".cpp", ".cxx", ".h", ".hpp", ".s"}
 _VAR_REF_RE = re.compile(r"^\$[({](\w+)[)}]$")
-_ASSIGN_RE = re.compile(r"^[ \t]*(\w+)[ \t]*[:?+]?=[ \t]*(.*)$")
+# =, :=, ::=, :::=, ?= and +=; not !=, whose value is a shell command
+_ASSIGN_RE = re.compile(r"^[ \t]*(\w+)[ \t]*(?::{1,3}|[?+])?=[ \t]*(.*)$")
 _OUTPUT_FLAG_RE = re.compile(r"-o[ \t]+(\S+)")
 # characters of cleaned Makefiles per prediction prompt: half the
 # generator's 200,000-character prompt budget, whatever the reply cap
@@ -52,13 +53,6 @@ class MakefileDoc:
 class TargetPrediction:
     names: Tuple[str, ...]
     evidence: Dict[str, Tuple[str, int]]  # name -> (makefile path, rule line)
-
-    def __post_init__(self):
-        if len(self.names) != len(set(self.names)):
-            raise ValueError("predicted names must be unique")
-        missing = [n for n in self.names if n not in self.evidence]
-        if missing:
-            raise ValueError(f"names without evidence: {missing}")
 
 
 def find_makefiles(ws: Workspace) -> List[str]:
@@ -128,8 +122,8 @@ def _is_rule_header(line: str) -> bool:
         if ch == "=" and colon == -1:
             return False
         if ch == ":":
-            # := and ::= introduce assignments, not rules
-            if idx + 1 < len(line) and line[idx + 1] == "=":
+            # :=, ::= and :::= introduce assignments, not rules
+            if line.startswith(("=", ":=", "::="), idx + 1):
                 return False
             colon = idx
             break

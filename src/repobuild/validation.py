@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
+from .errors import RepobuildError, UsageError
 from .workspace import (
     MACHO_MAGICS, FileSnapshot, Workspace, file_entry, resolves_inside, stat_key, walk_files,
     walk_paths,
@@ -40,7 +41,7 @@ class BinaryArtifact:
 
     def __post_init__(self):
         if self.classify not in CLASSES:
-            raise ValueError(f"unknown artifact class {self.classify!r}")
+            raise UsageError(f"unknown artifact class {self.classify!r}")
         # the package's own string, shared by every artifact of the class
         object.__setattr__(self, "classify", CLASSES[CLASSES.index(self.classify)])
 
@@ -301,7 +302,7 @@ def default_symbol_extractor(path: Path) -> List[str]:
         timeout=600,
     )
     if proc.returncode != 0:
-        raise RuntimeError(f"readelf failed on {path}: {proc.stderr.strip()[:200]}")
+        raise RepobuildError(f"readelf failed on {path}: {proc.stderr.strip()[:200]}")
     names = []
     in_subprogram = False
     for line in proc.stdout.splitlines():

@@ -1028,6 +1028,16 @@ class TestRunBenchmark:
         assert (tmp_path / "work" / "run0" / "a" / "b__c" / "b__c").is_dir()
         assert (tmp_path / "work" / "run0" / "a__b" / "c" / "c").is_dir()
 
+    def test_backslash_in_an_id_does_not_end_its_sessions(self, tmp_path):
+        # the session dir run0/fix\1/hello_make reaches every command's /app
+        records = [replace(fixture_record("hello_make"), id=rid)
+                   for rid in ("fixture/hello_make", "fix\\1/hello_make")]
+        results = run_benchmark(_cfg(records), tmp_path / "store.jsonl", tmp_path / "work")
+        assert {rid: o.verdict.strict for rid, o in results[0].per_repo.items()} == {
+            "fixture/hello_make": True, "fix\\1/hello_make": True,
+        }
+        assert aggregate(results)["completion_pct"] == [100.0]
+
     def test_parallel_execution_matches_serial(self, tmp_path):
         records = [fixture_record("hello_make"), fixture_record("hello_autotools")]
         cfg = _cfg(records, runs=1, parallelism=2)

@@ -197,6 +197,29 @@ class TestPlanSample:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--z", "nan"), ("--z", "inf"), ("--z", "1e200"), ("--z", "1e-200"), ("--e", "1e-200"),
+    ])
+    def test_value_past_the_float_range_is_usage_error(self, capsys, flag, value):
+        values = {"--z": "1.96", "--e": "0.05", "--p": "0.5", "--population": "100", flag: value}
+        rc = main(["plan-sample", *(arg for pair in values.items() for arg in pair)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: confidence z") and str(float(value)) in err
+
+    @pytest.mark.parametrize("z, e, population, required_n", [
+        ("1.96", "0.05", "1" + "0" * 12, 385),
+        ("1.96", "0.05", "1" + "0" * 400, 385),
+        ("1e-10", "0.05", "1", 1),
+        ("0.007", "0.5", "1", 1),
+    ], ids=["population-1e12", "population-1e400", "population-1-z-1e-10", "population-1-z-0.007"])
+    def test_population_of_any_size_gets_its_answer(self, capsys, z, e, population,
+                                                     required_n):
+        rc = main(["plan-sample", "--z", z, "--e", e, "--p", "0.5",
+                   "--population", population, "--json"])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["required_n"] == required_n
+
 
 class TestBuild:
     def test_rule_based_build_succeeds(self, capsys):
@@ -1111,6 +1134,22 @@ class TestUnusableInputs:
         assert err.startswith("error: ") and bad in err
         assert store.read_bytes() == before
         assert not (tmp_path / "work").exists()
+
+    @pytest.mark.parametrize("command", ["snapshot", "retrieve", "predict-targets", "validate"])
+    def test_symlink_loop_as_workspace_is_a_usage_error(self, tmp_path, capsys, command):
+        loop = tmp_path / "selfloop"
+        loop.symlink_to(loop.name)
+        argv = {
+            "snapshot": ["snapshot", str(loop), "--out", str(tmp_path / "s.json")],
+            "retrieve": ["retrieve", str(loop)],
+            "predict-targets": ["predict-targets", str(loop)],
+            "validate": ["validate", "--workspace", str(loop),
+                         "--before", str(tmp_path / "s.json")],
+        }[command]
+        rc = main(argv)
+        assert rc == 2
+        assert f"workspace path is not a directory: {loop}" in capsys.readouterr().err
+        assert not (tmp_path / "s.json").exists()
 
 
 class TestImportFootprint:

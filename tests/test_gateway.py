@@ -23,22 +23,6 @@ def user(text):
     return ChatMessage("user", text)
 
 
-class TestChatMessage:
-    def test_roles_validated(self):
-        for role in ("system", "user", "assistant"):
-            assert ChatMessage(role, "x").role == role
-        with pytest.raises(ValueError):
-            ChatMessage("tool", "x")
-
-    def test_system_and_user_must_be_non_empty(self):
-        with pytest.raises(ValueError):
-            ChatMessage("user", "")
-        with pytest.raises(ValueError):
-            ChatMessage("system", "")
-        # assistant replies may legitimately be empty strings
-        assert ChatMessage("assistant", "").content == ""
-
-
 class TestScriptedScenario:
     def test_first_match_wins(self):
         scenario = ScriptedScenario(steps=[
@@ -84,13 +68,6 @@ class TestComplete:
         ))
         msgs = [user("earlier words"), ChatMessage("assistant", "mid"), user("now")]
         assert complete(cfg, msgs) == "ok"
-
-    def test_last_message_must_be_user(self):
-        cfg = scripted_config(ScriptedScenario(steps=[], default_reply="x"))
-        with pytest.raises(ValueError):
-            complete(cfg, [user("hi"), ChatMessage("assistant", "reply")])
-        with pytest.raises(ValueError):
-            complete(cfg, [])
 
     def test_determinism(self):
         cfg = scripted_config(ScriptedScenario(

@@ -17,7 +17,9 @@ passes it by keyword, by position, or through ``*args`` or ``**kwargs``.
 
 The exception check matches names too: every exception class defined in
 ``src/repobuild`` is named in some ``except`` clause or ``isinstance`` class
-argument there, since a class no code tells apart acts as its base.
+argument there, since a class no code tells apart acts as its base. And
+every ``raise`` there names one of those classes, so what a command does
+with an error depends only on the class the package gave it.
 """
 
 import ast
@@ -204,4 +206,28 @@ def test_every_exception_class_is_dispatched_on():
     assert undispatched == [], (
         "no except clause or isinstance check in src/ names these exception "
         f"classes, so nothing treats them apart from their base; fold them into it: {undispatched}"
+    )
+
+
+def _foreign_raises():
+    """Each ``raise`` in src/ of a class not defined there, as
+    ``module:line: name``. A bare ``raise`` re-raises and is skipped."""
+    ours = _exception_classes()
+    out = []
+    for module, tree in _modules():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            name = getattr(exc, "id", None) or getattr(exc, "attr", None)
+            if name not in ours:
+                out.append((module, node.lineno, name))
+    return [f"{module}:{line}: {name}" for module, line, name in sorted(out)]
+
+
+def test_src_raises_only_the_package_classes():
+    foreign = _foreign_raises()
+    assert foreign == [], (
+        "src/ raises these exceptions of classes it does not define; raise "
+        f"one of {sorted(_exception_classes())} or return the outcome: {foreign}"
     )

@@ -15,7 +15,6 @@ from repobuild.retrieval import (
     RAW_BODY_CEILING,
     USER_AGENT,
     FetchOutcome,
-    InstructionDossier,
     LinkRef,
     _link_ref,
     fetch_link,
@@ -36,17 +35,6 @@ def reply(instructions="do things", sufficient="no", links=()):
         f"INSTRUCTIONS:\n{instructions}\n\nSUFFICIENT: {sufficient}\n\nLINKS:\n"
         + "\n".join(links)
     )
-
-
-class TestLinkRef:
-    def test_external_requires_absolute_url(self):
-        with pytest.raises(ValueError):
-            LinkRef("external-url", "docs/build.md")
-        LinkRef("external-url", "https://example.com/x")
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            LinkRef("ftp", "ftp://example.com")
 
 
 class TestParseRetrievalReply:
@@ -541,16 +529,3 @@ class TestRunRetrieval:
         dossier = run_retrieval(ws, scripted_config(scenario), repo_context(ws))
         assert fetch.calls == ["README.md", "Makefile"]
         assert [l.target for l in dossier.visited] == ["README.md", "Makefile"]
-
-
-class TestDossierInvariants:
-    def test_rounds_used_bounds(self):
-        with pytest.raises(ValueError):
-            InstructionDossier(instructions="x", sufficient=True, rounds_used=0)
-        with pytest.raises(ValueError):
-            InstructionDossier(instructions="x", sufficient=True, rounds_used=4)
-
-    def test_visited_must_be_unique(self):
-        link = LinkRef("internal-file", "a.md")
-        with pytest.raises(ValueError):
-            InstructionDossier(instructions="x", sufficient=True, visited=[link, link])

@@ -76,12 +76,6 @@ class TestSpecValidation:
         with pytest.raises(UsageError, match=field):
             SandboxSpec(**{field: value})
 
-    def test_script_rejects_empty_and_bare_terminate(self):
-        with pytest.raises(ValueError):
-            CommandScript(commands=())
-        with pytest.raises(ValueError):
-            CommandScript(commands=("make", "TERMINATE"))
-
     def test_base_image_description_mentions_toolchain(self):
         text = base_image_description()
         assert "build-essential" in text
@@ -158,6 +152,18 @@ class TestLocalExecution:
             assert "/apple" in mapped
             assert "/app-data" in mapped
             assert str(handle._jail / "app") + "/x" in mapped
+
+    @pytest.mark.parametrize("dir_name", ["we\\1ird", "x\\gy", "sp ace"])
+    def test_shell_special_character_in_the_workspace_path(self, tmp_path, local_spec,
+                                                           dir_name):
+        # the jail path replaces each /app as written, not as a regex template
+        # that reads \1 or \g as a group reference, and the shell reads it so
+        ws = prepare_fixture("hello_make", tmp_path / dir_name)
+        with create_sandbox(local_spec, ws) as handle:
+            assert dir_name not in str(handle._jail)
+            result = run(handle, "cd /app/hello_make && make")
+        assert result.overall_exit == 0
+        assert (ws.root_path / "hello").exists()
 
     def test_build_writes_into_workspace(self, tmp_path, local_spec):
         ws = prepare_fixture("hello_make", tmp_path)

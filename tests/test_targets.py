@@ -6,7 +6,6 @@ from repobuild.errors import ProtocolError
 from repobuild.gateway import LlmConfig, ScriptedScenario
 from repobuild.targets import (
     MakefileDoc,
-    TargetPrediction,
     _split_units,
     clean_makefile,
     extract_targets_llm,
@@ -165,19 +164,6 @@ class TestMakefileDoc:
         assert len(docs[0].cleaned_text) < len(raw)
 
 
-class TestTargetPrediction:
-    def test_duplicate_names_rejected(self):
-        with pytest.raises(ValueError, match="unique"):
-            TargetPrediction(
-                names=("app", "app"),
-                evidence={"app": ("Makefile", 1)},
-            )
-
-    def test_names_need_evidence(self):
-        with pytest.raises(ValueError, match="without evidence"):
-            TargetPrediction(names=("app",), evidence={})
-
-
 class TestRuleBasedExtraction:
     def test_direct_target_fixture(self, tmp_path):
         ws = prepare_fixture("pred_direct", tmp_path)
@@ -221,6 +207,22 @@ class TestRuleBasedExtraction:
             ("line", "CC = cc", 5),
             ("line", "", 6),
         ]
+
+    @pytest.mark.parametrize("op", ["=", ":=", "::=", ":::=", "?=", "+="])
+    def test_target_named_through_an_assignment(self, tmp_path, op):
+        # `make -n` runs `cc -o app main.c` for each operator (`:::=` since GNU make 4.4)
+        (tmp_path / "Makefile").write_text(
+            f"PROG {op} app\n$(PROG): main.c\n\tcc -o $@ main.c\n", "utf-8")
+        pred = extract_targets_rule_based(load_makefile_docs(workspace_at(tmp_path)))
+        assert pred.names == ("app",)
+        assert pred.evidence == {"app": ("Makefile", 2)}
+
+    def test_shell_assignment_names_no_target(self, tmp_path):
+        # the value of != is a shell command, which prediction does not run
+        (tmp_path / "Makefile").write_text(
+            "PROG != echo app\n$(PROG): main.c\n\tcc -o $@ main.c\n", "utf-8")
+        pred = extract_targets_rule_based(load_makefile_docs(workspace_at(tmp_path)))
+        assert pred.names == ()
 
     def test_variable_indirect_target_fixture(self, tmp_path):
         ws = prepare_fixture("pred_var", tmp_path)

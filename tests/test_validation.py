@@ -8,6 +8,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from repobuild.errors import RepobuildError, UsageError
 from repobuild.validation import (
     BinaryArtifact,
     classify_file,
@@ -135,7 +136,7 @@ class TestClassifyFile:
 
 class TestBinaryArtifact:
     def test_unknown_class_rejected(self):
-        with pytest.raises(ValueError, match="unknown artifact class"):
+        with pytest.raises(UsageError, match="unknown artifact class"):
             BinaryArtifact("a", "a", "weird-kind", False)
 
     def test_known_classes_accepted(self):
@@ -621,7 +622,7 @@ class TestDefaultSymbolExtractor:
         assert default_symbol_extractor(built / "exe_plain") == []
 
     def test_unreadable_target_raises(self, tmp_path):
-        with pytest.raises(RuntimeError, match="readelf failed"):
+        with pytest.raises(RepobuildError, match="readelf failed"):
             default_symbol_extractor(tmp_path / "absent")
 
 
@@ -718,7 +719,7 @@ class TestFunctionCoverage:
         arts = [BinaryArtifact("app", "app", "executable", True)]
 
         def broken(path):
-            raise RuntimeError("boom")
+            raise RepobuildError("boom")
 
         monkeypatch.setattr(validation, "default_symbol_extractor", broken)
         with caplog.at_level("WARNING"):
