@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import posixpath
+import shlex
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -36,7 +37,8 @@ def render_routine(
     evidence_dir = posixpath.dirname(evidence) or "."
     directory = mount_path if evidence_dir == "." else posixpath.join(mount_path, evidence_dir)
     rendered = tuple(
-        s.format(dir=directory, evidence_name=posixpath.basename(evidence)) for s in steps
+        s.format(dir=shlex.quote(directory),
+                 evidence_name=shlex.quote(posixpath.basename(evidence))) for s in steps
     )
     return BuildRoutine(kind=kind, steps=rendered)
 

@@ -1,5 +1,6 @@
 import os
 import shutil
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -26,6 +27,19 @@ needs_docker_daemon = pytest.mark.skipif(
     not HAVE_DOCKER_DAEMON,
     reason="no Docker daemon: DOCKER_HOST unset and /var/run/docker.sock absent",
 )
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_jail_left_in_the_temp_dir():
+    """Fail the run if it leaves a local jail in the temp dir: a jail lives in
+    its session dir, or in the temp dir only until its sandbox is destroyed."""
+    def jails():
+        return set(Path(tempfile.gettempdir()).glob("repobuild-jail-*"))
+
+    before = jails()
+    yield
+    left = jails() - before
+    assert not left, f"jails left behind: {sorted(map(str, left))}"
 
 
 def bytes_read():

@@ -29,6 +29,7 @@ from repobuild.workspace import save_snapshot, snapshot_files
 from conftest import FIXTURES, REPOS, copy_fixture_tree, workspace_at
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+SRC = Path(repobuild.__file__).resolve().parent.parent
 SUBCOMMANDS = ["build", "bench", "retrieve", "snapshot", "validate", "predict-targets",
                "plan-sample", "sample"]
 
@@ -44,6 +45,10 @@ def _write_manifest(tmp_path, names_and_expected):
     path = tmp_path / "manifest.jsonl"
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+def _pair_manifest(tmp_path):
+    return _write_manifest(tmp_path, [("hello_make", ["hello"]), ("hello_autotools", ["hat"])])
 
 
 def _not_utf8_product_repo(tmp_path):
@@ -239,6 +244,16 @@ class TestBuild:
         assert main(["build", str(repo), "--sandbox-backend", "local"]) == 0
         assert "binary: h\\udcff" in capsys.readouterr().out.splitlines()
 
+    def test_a_binary_name_that_is_not_utf8_prints_through_a_utf8_stdout(self, tmp_path):
+        # a real process, whose stdout encodes strictly as PYTHONIOENCODING says
+        repo = _not_utf8_product_repo(tmp_path)
+        env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONIOENCODING": "utf-8"}
+        proc = subprocess.run([sys.executable, "-c", "from repobuild.cli import entry; entry()",
+                               "build", str(repo), "--sandbox-backend", "local"],
+                              cwd=tmp_path, env=env, capture_output=True)
+        assert proc.returncode == 0, proc.stderr
+        assert b"binary: h\\udcff" in proc.stdout.splitlines()
+
     def test_json_build_report(self, capsys):
         rc = main([
             "build", str(REPOS / "hello_make"),
@@ -369,6 +384,16 @@ class TestBuild:
         assert rc == 2
         assert capsys.readouterr().err.startswith(f"error: work dir {work} cannot be made")
 
+    def test_work_dir_that_is_not_empty_is_usage_error(self, tmp_path, capsys):
+        work = tmp_path / "work"
+        work.mkdir()
+        (work / "leftover").write_text("kept\n")
+        rc = main(["build", str(REPOS / "hello_make"), "--work-dir", str(work),
+                   "--sandbox-backend", "local"])
+        assert rc == 2
+        assert capsys.readouterr() == ("", f"error: work dir {work} is not empty\n")
+        assert [(p.name, p.read_text()) for p in work.iterdir()] == [("leftover", "kept\n")]
+
     def test_bad_sandbox_flags_are_usage_error(self, capsys):
         rc = main([
             "build", str(REPOS / "hello_make"),
@@ -472,6 +497,13 @@ class TestBench:
         ])
         assert rc == 0
         assert capsys.readouterr().out == (saved / "hello_pair_runs2_table.txt").read_text("utf-8")
+        # the machine report is the saved one, less the newline print adds
+        assert main(["bench", "--manifest", str(manifest), "--runs", "2", "--store", str(store),
+                     "--work-dir", str(tmp_path / "work"), "--sandbox-backend", "local",
+                     "--json"]) == 0
+        assert capsys.readouterr().out == (saved / "hello_pair_runs2_report.json").read_text(
+            "utf-8") + "\n"
+        assert store.read_bytes() == (saved / "hello_pair_runs2_store.jsonl").read_bytes()
 
     def test_config_env_of_the_wrong_type_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -500,7 +532,8 @@ class TestBench:
             "--work-dir", str(tmp_path / "work"), "--sandbox-backend", "local",
         ])
         assert rc == 0
-        store.read_bytes().decode("utf-8")
+        [line] = store.read_bytes().splitlines()
+        line.decode("utf-8")
         [result] = load_results(store)
         turns = result.per_repo["fixture/hello_make"].session["turns"]
         assert reply in [turn["agent_reply_raw"] for turn in turns]
@@ -656,6 +689,53 @@ class TestBench:
         assert "leaves out 1 stored run beyond --runs 1" in captured.err
         assert store.read_bytes() == before
 
+    def test_resumes_over_one_store(self, tmp_path, capsys):
+        pair, one, store = _pair_manifest(tmp_path), tmp_path / "one.jsonl", tmp_path / "s.jsonl"
+        one.write_text(pair.read_text().splitlines()[0] + "\n")
+
+        def bench(manifest, store, *flags, work="w"):
+            rc = main(["bench", "--manifest", str(manifest), "--method", "rule-based",
+                       "--sandbox-backend", "local", "--store", str(store),
+                       "--work-dir", str(tmp_path / work), "--json", *flags])
+            return (rc, *capsys.readouterr())
+
+        # the second bench resumes from the store with nothing left to run
+        rc, report, _ = bench(pair, store)
+        assert rc == 0 and bench(pair, store)[:2] == (0, report)
+        assert store.read_bytes().count(b"\n") == 2
+        # a one-repo manifest over the two-repo store reports that repo alone,
+        # as a store of its record alone does, and names the record left out
+        rc, mine_report, note = bench(one, store)
+        assert rc == 0 and "leaves out 1 stored record of repos not in the manifest" in note
+        mine = tmp_path / "mine.jsonl"
+        mine.write_bytes(b"".join(line for line in store.read_bytes().splitlines(True)
+                                  if b'"repo": "fixture/hello_make"' in line))
+        assert mine.read_bytes().count(b"\n") == 1
+        assert bench(one, mine)[:2] == (0, mine_report)
+        # a resume over a torn tail, as a crash mid-append leaves it
+        with store.open("ab") as fh:
+            fh.write(store.read_bytes()[:300])
+        assert bench(pair, store)[:2] == (0, report)
+        assert store.read_bytes().count(b"\n") == 2
+        # a line that parses but is not a record, after the torn line it ends,
+        # and a record whose fix_attempts is not a count are usage errors, as
+        # is a work dir a file stands in for; each leaves its store as it was
+        good = store.read_bytes()
+        (tmp_path / "bad.jsonl").write_bytes(good + b"\n[1, 2]\n")
+        fix = re.sub(rb'"fix_attempts": [0-9]*', b'"fix_attempts": "3"', good, count=1)
+        assert b'"fix_attempts": "3"' in fix.splitlines()[0]
+        (tmp_path / "fix.jsonl").write_bytes(fix)
+        (tmp_path / "not-a-dir").touch()
+        for name, flags, work, why in (
+            ("bad.jsonl", (), "w", "bad.jsonl:4: not a stored record: record must be"),
+            ("fix.jsonl", (), "w", 'fix.jsonl:1: not a stored record: session: fix_attempts'),
+            ("s.jsonl", ("--runs", "2"), "not-a-dir", "not-a-dir cannot be made"),
+        ):
+            before = (tmp_path / name).read_bytes()
+            rc, _, err = bench(pair, tmp_path / name, *flags, work=work)
+            assert rc == 2 and err.startswith("error: ") and why in err
+            assert (tmp_path / name).read_bytes() == before
+
     def test_missing_manifest_is_usage_error(self, tmp_path, capsys):
         rc = main([
             "bench", "--manifest", str(tmp_path / "absent.jsonl"),
@@ -708,6 +788,20 @@ class TestRetrieve:
         assert doc["visited"] == [{"kind": "internal-file", "target": "README.md", "round": 1}]
         assert set(doc) == {"instructions", "sufficient", "rounds_used", "visited",
                             "fetch_failures"}
+
+    @pytest.mark.parametrize("links, field, expected", [
+        ("x" * 300, "fetch_failures", [["x" * 300, "missing"]]),
+        ("See the wiki for the details\nMakefile", "visited",
+         [{"kind": "internal-file", "target": "Makefile", "round": 1}]),
+    ], ids=["too-long-for-a-file-name", "prose-beside-a-path"])
+    def test_links_line_that_names_no_readable_file(self, tmp_path, capsys, links, field,
+                                                    expected):
+        scenario = _scenario_file(tmp_path, {
+            "default_reply": f"INSTRUCTIONS:\nRun make.\n\nSUFFICIENT: no\n\nLINKS:\n{links}",
+        })
+        rc = main(["retrieve", str(REPOS / "hello_make"), "--scenario", str(scenario), "--json"])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)[field] == expected
 
     def test_nondirectory_workspace_is_usage_error(self, tmp_path, capsys):
         rc = main(["retrieve", str(tmp_path / "nowhere")])
@@ -881,6 +975,8 @@ class TestSnapshot:
         save_snapshot(snapshot_files(workspace_at(ws_dir)), py_path)
         cli_doc, py_doc = (json.loads(p.read_text("utf-8")) for p in (cli_path, py_path))
         assert cli_doc["entries"] == py_doc["entries"]
+        # only a file with a binary magic has a digest, and there is none before make
+        assert all(digest is None for _size, digest, _exec in cli_doc["entries"].values())
         subprocess.run(["make"], cwd=ws_dir, check=True, capture_output=True)
         outputs = []
         for before in (cli_path, py_path):
@@ -928,6 +1024,12 @@ class TestSample:
         _, again = self._sample(tmp_path, 3, 11, name="again.jsonl")
         assert again.read_bytes() == out.read_bytes()
 
+    def test_one_record_of_a_two_record_manifest(self, tmp_path, capsys):
+        out = tmp_path / "m1.jsonl"
+        assert main(["sample", "--manifest", str(_pair_manifest(tmp_path)), "--n", "1",
+                     "--seed", "1", "--out", str(out)]) == 0
+        assert out.read_bytes().count(b"\n") == 1
+
     @pytest.mark.parametrize("n", [0, 9])
     def test_size_outside_the_manifest_is_usage_error(self, tmp_path, capsys, n):
         rc, out = self._sample(tmp_path, n, 1)
@@ -967,6 +1069,8 @@ class TestPredictTargets:
         rc = main(["predict-targets", str(ws_dir)])
         assert rc == 0
         assert capsys.readouterr().out.strip() == "app"
+        assert main(["predict-targets", str(REPOS / "pred_direct"), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["names"] == ["app"]
 
     def test_json_with_evidence(self, tmp_path, capsys):
         ws_dir = copy_fixture_tree("pred_var", tmp_path / "repo")
@@ -984,6 +1088,13 @@ class TestPredictTargets:
         ])
         assert rc == 0
         assert capsys.readouterr().out.split() == ["extra", "app"]
+
+    def test_numbered_llm_names_are_cleaned(self, tmp_path, capsys):
+        scenario = _scenario_file(tmp_path, {"default_reply": "NAMES:\n1. app"})
+        rc = main(["predict-targets", str(REPOS / "pred_direct"), "--llm",
+                   "--scenario", str(scenario), "--json"])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["names"] == ["app"]
 
 
 class TestErrorMapping:
@@ -1011,6 +1122,23 @@ class TestErrorMapping:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert str(cfg) in err and section.split(":")[0].strip('"') in err
+
+    @pytest.mark.parametrize("config, command, field", [
+        ('{"llm": {"request_timeout": -1}}', "retrieve", "request_timeout"),
+        ('{"sandbox": {"per_command_timeout": NaN}}', "bench", "per_command_timeout"),
+    ], ids=["request-timeout-negative", "per-command-timeout-nan"])
+    def test_config_value_out_of_range_is_usage_error_before_any_session(
+        self, tmp_path, capsys, config, command, field
+    ):
+        cfg, store = tmp_path / "cfg.json", tmp_path / "store.jsonl"
+        cfg.write_text(config)
+        argv = ["retrieve", str(REPOS / "hello_make")] if command == "retrieve" else [
+            "bench", "--manifest", str(_pair_manifest(tmp_path)), "--method", "rule-based",
+            "--sandbox-backend", "local", "--store", str(store), "--work-dir", str(tmp_path / "w")]
+        assert main(["--config", str(cfg), *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(cfg) in err and f"{field} must be" in err
+        assert not store.exists()
 
     @pytest.mark.parametrize("argv", [
         ["snapshot", str(REPOS / "hello_make")],
@@ -1063,8 +1191,7 @@ def _loaded_by_cli_import(modules):
         "import sys, repobuild.cli\n"
         f"print(' '.join(m for m in {list(modules)!r} if m in sys.modules))\n"
     )
-    src = Path(repobuild.__file__).resolve().parent.parent
-    env = {**os.environ, "PYTHONPATH": str(src)}
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     return proc.stdout.split()

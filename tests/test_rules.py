@@ -7,7 +7,7 @@ from repobuild.rules import (
 from repobuild.validation import discover_new_binaries, judge
 from repobuild.workspace import BuildSystemKind, snapshot_files
 
-from conftest import needs_cmake, prepare_fixture, workspace_at
+from conftest import copy_fixture_tree, needs_cmake, prepare_fixture, workspace_at
 
 
 def completion_probe(ws):
@@ -63,6 +63,12 @@ class TestRenderRoutine:
         )
         assert routine.steps[-1] == "bash ./build.sh"
 
+    def test_directory_and_script_name_are_quoted_for_the_shell(self):
+        routine = render_routine(
+            BuildSystemKind.CUSTOM_SCRIPT, "sub dir/my build.sh", "/app/demo", self.templates
+        )
+        assert routine.steps == ("cd '/app/demo/sub dir'", "bash ./'my build.sh'")
+
     def test_kind_without_template_returns_none(self):
         assert render_routine(
             BuildSystemKind.MAKE, "Makefile", "/app/demo", {"CMake": ["x"]}
@@ -85,6 +91,14 @@ class TestBuildWithRules:
         produced = {a.file_name: a for a in arts}
         # the routine overrides CFLAGS, so the binary carries debug info
         assert produced["hello"].has_debug_info is True
+
+    def test_makefile_in_a_directory_named_with_a_space(self, tmp_path, local_spec):
+        copy_fixture_tree("hello_make", tmp_path / "repo" / "sub dir")
+        ws = workspace_at(tmp_path / "repo")
+        probe, before = completion_probe(ws)
+        session = build_with_rules(ws, local_spec, probe)
+        assert session.outcome == "succeeded"
+        assert judge(discover_new_binaries(before, ws), ["hello"]).strict is True
 
     @needs_cmake
     def test_cmake_repo_builds(self, tmp_path, local_spec):
