@@ -425,7 +425,8 @@ def run_one_repo(
 
     ``prepared`` is a future of the workspace and baseline that the benchmark
     loop prepared ahead in ``session_dir``; without it they are prepared here.
-    A failure to prepare them ends the session as an infra error either way.
+    A failure to prepare them ends the session as an infra error either way,
+    but for a usage error such as a session dir that is not empty.
     """
     dossier = None
     try:

@@ -229,9 +229,6 @@ def _cmd_build(args, config: dict) -> int:
     )
     if args.work_dir:
         _check_work_dir(Path(args.work_dir))
-        # a bench work dir is reused on resume; a build's holds one session
-        if os.path.isdir(args.work_dir) and os.listdir(args.work_dir):
-            raise UsageError(f"work dir {args.work_dir} is not empty")
     with tempfile.TemporaryDirectory(prefix="repobuild-") as tmp:
         session_dir = Path(args.work_dir) if args.work_dir else Path(tmp) / "session"
         doc = bench_mod.run_one_repo(record, cfg, session_dir)

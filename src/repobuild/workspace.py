@@ -107,7 +107,7 @@ def prepare_workspace(record: RepoRecord, session_dir: str | Path) -> Workspace:
     """
     session_dir = Path(session_dir)
     if session_dir.exists() and any(session_dir.iterdir()):
-        raise RepobuildError(f"session dir {session_dir} is not empty")
+        raise UsageError(f"session dir {session_dir} is not empty")
     session_dir.mkdir(parents=True, exist_ok=True)
     dest = session_dir / record.name
 
