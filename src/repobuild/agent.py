@@ -36,7 +36,7 @@ ELIDED_MARKER = "[execution output elided to fit the context budget]"
 # characters of prompt before old outputs are elided; the reply cap is separate
 PROMPT_BUDGET_CHARS = 200_000
 
-SuccessProbe = Callable[[ExecutionResult, Workspace], bool]
+SuccessProbe = Callable[[Workspace], bool]
 
 
 @dataclass(frozen=True)
@@ -273,18 +273,17 @@ def run_session(
                 handle = None
             if handle is None:
                 handle = create_sandbox(spec, ws)
-            result = exec_script(handle, parsed.script)
             session.turns.append(
                 Turn(
                     k=k,
                     kind="command-turn",
                     agent_reply_raw=raw,
                     script=parsed.script,
-                    result=result,
+                    result=exec_script(handle, parsed.script),
                     violation_note=parsed.violation,
                 )
             )
-            if probe(result, ws):
+            if probe(ws):
                 session.outcome = "succeeded"
                 break
         else:

@@ -385,7 +385,7 @@ def make_completion_probe(before_snapshot):
     ``before_snapshot`` and hashes only binaries the baseline had hashed.
     """
 
-    def probe(_result, workspace: Workspace) -> bool:
+    def probe(workspace: Workspace) -> bool:
         artifacts = discover_new_binaries(before_snapshot, workspace)
         return any(a.classify != "object-file" for a in artifacts)
 

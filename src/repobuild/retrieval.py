@@ -18,13 +18,12 @@ from .gateway import ChatMessage, LlmConfig, ask_structured, list_items
 # not called here; perfbench/tracer.py patches them by name until ROADMAP item 1
 from .gateway import complete  # noqa: F401
 from .workspace import list_root_entries, read_readme  # noqa: F401
-from .workspace import Workspace, resolves_inside
+from .workspace import FETCH_CAP_BYTES, Workspace, resolves_inside
 
 logger = logging.getLogger(__name__)
 
 MAX_ROUNDS = 3
 LINKS_PER_ROUND = 3
-FETCH_CAP_BYTES = 64 * 1024  # text kept per fetched link
 RAW_BODY_CEILING = 4 * 1024 * 1024  # refuse to process bodies beyond this
 DEFAULT_FETCH_TIMEOUT = 20.0
 MAX_REDIRECTS = 5

@@ -321,6 +321,9 @@ def exec_script(handle: SandboxHandle, script: CommandScript) -> ExecutionResult
     with proc.stdout, selectors.DefaultSelector() as ready:
         ready.register(fd, selectors.EVENT_READ)
         try:
+            # the marker goes to a copy of stdout saved before any command, so
+            # a command's own redirection (`exec > build.log`) cannot move it
+            proc.stdin.write(b"exec {__repobuild_rc}>&1\n")
             for command in script.commands:
                 mapped = handle.map_command(command)
                 try:
@@ -329,7 +332,8 @@ def exec_script(handle: SandboxHandle, script: CommandScript) -> ExecutionResult
                     # lines; encoded as file names are, so a mount path
                     # holding U+DC80..U+DCFF reaches the shell as its bytes
                     proc.stdin.write(
-                        f"{{ {mapped}\n}} </dev/null\nprintf '{marker}%d\\n' $?\n"
+                        f"{{ {mapped}\n}} </dev/null\n"
+                        f"builtin printf '{marker}%d\\n' $? >&$__repobuild_rc\n"
                         .encode("utf-8", "surrogateescape")
                     )
                     proc.stdin.flush()

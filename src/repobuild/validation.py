@@ -183,7 +183,7 @@ def discover_new_binaries(before: FileSnapshot, ws: Workspace) -> List[BinaryArt
     libfoo.so.1`` does and ``app -> /bin/true`` does not.
     """
     found = []
-    for rel, full, st, _stable in walk_files(ws):
+    for rel, full, st in walk_files(ws):
         if before.stats.get(rel) == stat_key(st):
             continue
         old = before.entries.get(rel)

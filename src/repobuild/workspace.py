@@ -21,6 +21,7 @@ from .errors import RepobuildError, UsageError
 logger = logging.getLogger(__name__)
 
 _README_NAMES = ["readme", "readme.md", "readme.rst", "readme.txt"]
+FETCH_CAP_BYTES = 64 * 1024  # text kept of the README and of each fetched link
 
 # directories that no walk of the workspace enters
 _SCAN_IGNORE = {".git", ".hg", ".svn"}
@@ -182,7 +183,7 @@ def file_entry(full: str, st: os.stat_result) -> tuple:
 
 def walk_paths(ws: Workspace) -> Iterator[Tuple[str, str]]:
     """(rel path, full path) of every non-directory entry under the root, in
-    sorted order, skipping version-control directories.
+    no set order, skipping version-control directories.
 
     This is the one tree walk every workspace scan filters. It does not
     follow symlinked directories and stats nothing; a scanner that reads a
@@ -190,33 +191,25 @@ def walk_paths(ws: Workspace) -> Iterator[Tuple[str, str]]:
     """
     root = str(ws.root_path)
     for dirpath, dirnames, filenames in os.walk(root):
-        dirnames[:] = sorted(d for d in dirnames if d not in _SCAN_IGNORE)
+        dirnames[:] = [d for d in dirnames if d not in _SCAN_IGNORE]
         rel_dir = os.path.relpath(dirpath, root)
         # joined once per directory: the walk runs after every command turn
         prefix = os.path.join(dirpath, "")
         rel_prefix = "" if rel_dir == os.curdir else os.path.join(rel_dir, "")
-        for name in sorted(filenames):
+        for name in filenames:
             yield rel_prefix + name, prefix + name
 
 
-def walk_files(ws: Workspace) -> Iterator[Tuple[str, str, os.stat_result, bool]]:
-    """(rel path, full path, lstat, stable) for every regular file and symlink
-    that ``walk_paths`` yields.
-
-    ``stable`` is true when the file's mtime and ctime are older than the
-    clock read just before its lstat, less ``_RACY_MARGIN_NS``: only then can
-    its stat vouch for its content. A file written just before it was read
-    can be rewritten within the same clock tick and keep its stat ("racily
-    clean", as git calls it).
-    """
+def walk_files(ws: Workspace) -> Iterator[Tuple[str, str, os.stat_result]]:
+    """(rel path, full path, lstat) for every regular file and symlink that
+    ``walk_paths`` yields."""
     for rel, full in walk_paths(ws):
-        cutoff = time.time_ns() - _RACY_MARGIN_NS
         try:
             st = os.lstat(full)
         except (FileNotFoundError, NotADirectoryError):
             continue
         if stat.S_ISLNK(st.st_mode) or stat.S_ISREG(st.st_mode):
-            yield rel, full, st, st.st_mtime_ns < cutoff and st.st_ctime_ns < cutoff
+            yield rel, full, st
 
 
 def has_binary_magic(path: str) -> bool:
@@ -234,16 +227,20 @@ def snapshot_files(ws: Workspace) -> FileSnapshot:
     such a file needs a digest to tell whether it changed, so every other
     regular file gets digest None. Symlinks are recorded by the digest of
     their target string, so a dangling link is still representable and a
-    retargeted link shows up as a change. The lstat tuple is kept only for a
-    stable file (see ``walk_files``).
+    retargeted link shows up as a change. The lstat tuple is kept only for
+    a file whose mtime and ctime are older than the clock read before the
+    walk, less ``_RACY_MARGIN_NS``: only then can its stat vouch for its
+    content. A file written just before it was read can be rewritten within
+    the same clock tick and keep its stat ("racily clean", as git calls it).
     """
     entries, stats = {}, {}
-    for rel, full, st, stable in walk_files(ws):
+    cutoff = time.time_ns() - _RACY_MARGIN_NS
+    for rel, full, st in walk_files(ws):
         if stat.S_ISREG(st.st_mode) and not has_binary_magic(full):
             entries[rel] = (st.st_size, None, bool(st.st_mode & 0o111))
         else:
             entries[rel] = file_entry(full, st)
-        if stable:
+        if st.st_mtime_ns < cutoff and st.st_ctime_ns < cutoff:
             stats[rel] = stat_key(st)
     return FileSnapshot(entries=entries, stats=stats)
 
@@ -319,7 +316,7 @@ def read_readme(ws: Workspace) -> Optional[tuple]:
     A readme that is not a regular file, such as a FIFO, or that resolves
     outside the workspace is skipped.
 
-    Returns (content, relative path), or None when the repository has none.
+    Returns (text of its first 64 KiB, rel path), or None if there is none.
     """
     candidates = []  # (depth, name preference, rel path, full path)
     for rel, full in walk_paths(ws):
@@ -328,7 +325,8 @@ def read_readme(ws: Workspace) -> Optional[tuple]:
             candidates.append((rel.count(os.sep), _README_NAMES.index(name), rel, full))
     for _depth, _pref, rel, full in sorted(candidates):
         if os.path.isfile(full) and resolves_inside(ws, full):
-            return Path(full).read_text("utf-8", errors="replace"), rel
+            with open(full, "rb") as fh:
+                return fh.read(FETCH_CAP_BYTES).decode("utf-8", errors="replace"), rel
     return None
 
 

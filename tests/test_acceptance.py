@@ -275,7 +275,7 @@ class TestAgentLoopMechanics:
             ws = prepare_fixture("needs_header", tmp_path / f"round{i}")
             before = snapshot_files(ws)
 
-            def probe(_result, workspace, before=before):
+            def probe(workspace, before=before):
                 arts = discover_new_binaries(before, workspace)
                 return any(a.classify != "object-file" for a in arts)
 
@@ -301,7 +301,7 @@ class TestAgentLoopMechanics:
                 _agent_ctx(ws),
                 scripted_config(scenario),
                 local_spec,
-                lambda result, workspace: False,
+                lambda workspace: False,
                 max_turns=5,
             )
             assert session.outcome == "turn-budget-exhausted"
@@ -539,7 +539,7 @@ class TestScriptedAgentEndToEnd:
             _agent_ctx(ws1),
             scripted_config(plant),
             local_spec,
-            lambda result, workspace: True,
+            lambda workspace: True,
         )
         assert session1.outcome == "succeeded"
         assert session1.turns[0].result.overall_exit == 0
@@ -562,7 +562,7 @@ class TestScriptedAgentEndToEnd:
         ws2 = prepare_fixture("needs_header", tmp_path / "second")
         before = snapshot_files(ws2)
 
-        def probe(_result, workspace):
+        def probe(workspace):
             arts = discover_new_binaries(before, workspace)
             return any(a.classify != "object-file" for a in arts)
 

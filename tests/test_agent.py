@@ -216,7 +216,7 @@ class TestTurnAndSession:
 
 
 def make_probe(filename):
-    def probe(_result, ws):
+    def probe(ws):
         return (ws.root_path / filename).exists()
     return probe
 

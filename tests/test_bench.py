@@ -787,12 +787,12 @@ class TestCompletionProbe:
             ["gcc", "-c", "-o", "main.o", "main.c"],
             cwd=tmp_path, check=True, capture_output=True,
         )
-        assert probe(None, ws) is False
+        assert probe(ws) is False
         subprocess.run(
             ["gcc", "-o", "app", "main.o"],
             cwd=tmp_path, check=True, capture_output=True,
         )
-        assert probe(None, ws) is True
+        assert probe(ws) is True
 
 
 class TestRunOneRepo:

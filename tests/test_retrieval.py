@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from repobuild import retrieval
+from repobuild import gateway, retrieval
+from repobuild.agent import PROMPT_BUDGET_CHARS, assemble_generator_prompt
 from repobuild.bench import repo_context
 from repobuild.errors import ProtocolError
 from repobuild.gateway import ScriptedScenario
@@ -410,6 +411,23 @@ class TestRunRetrieval:
         assert dossier.visited == []
         assert fetch.calls == []
         assert "make" in dossier.instructions.lower()
+
+    def test_a_large_readme_is_capped_like_a_fetched_file(self, tmp_path, monkeypatch):
+        ws = prepare_fixture("hello_make", tmp_path)
+        (ws.root_path / "README.md").write_text("run make\n" * (1 << 17), "utf-8")
+        ctx = repo_context(ws)
+        assert len(ctx.readme) <= FETCH_CAP_BYTES
+        prompt_chars = []
+
+        def complete(_cfg, messages):
+            prompt_chars.append(sum(len(m.content) for m in messages))
+            return GOOD_REPLY
+
+        monkeypatch.setattr(gateway, "complete", complete)
+        run_retrieval(ws, scripted_config(ScriptedScenario(steps=[])), ctx)
+        prompt_chars.append(sum(len(m.content) for m in assemble_generator_prompt(ctx, [])))
+        assert len(prompt_chars) == 2
+        assert max(prompt_chars) < PROMPT_BUDGET_CHARS
 
     def test_two_rounds_with_internal_link(self, tmp_path, monkeypatch):
         ws = prepare_fixture("hello_make", tmp_path)

@@ -14,7 +14,7 @@ def completion_probe(ws):
     """Probe that reports success once any non-intermediate binary appears."""
     before = snapshot_files(ws)
 
-    def probe(result, ws_):
+    def probe(ws_):
         return judge(discover_new_binaries(before, ws_), []).completion
 
     return probe, before
@@ -24,7 +24,7 @@ def named_probe(ws, expected):
     """Probe that waits for one of the expected binary names."""
     before = snapshot_files(ws)
 
-    def probe(result, ws_):
+    def probe(ws_):
         return judge(discover_new_binaries(before, ws_), expected).flexible
 
     return probe, before
@@ -171,7 +171,7 @@ class TestBuildWithRules:
 
     def test_probe_decides_success_not_exit_code(self, tmp_path, local_spec):
         ws = prepare_fixture("hello_make", tmp_path)
-        session = build_with_rules(ws, local_spec, lambda result, ws_: False)
+        session = build_with_rules(ws, local_spec, lambda ws_: False)
         assert session.outcome == "turn-budget-exhausted"
         assert session.turns[0].result.overall_exit == 0
 
@@ -189,6 +189,6 @@ class TestBuildWithRules:
 
     def test_max_turns_reflects_attempt_count(self, tmp_path, local_spec):
         ws = prepare_fixture("dual_build", tmp_path)
-        session = build_with_rules(ws, local_spec, lambda r, w: False)
+        session = build_with_rules(ws, local_spec, lambda w: False)
         assert session.max_turns == 2
         assert len(session.turns) == 2

@@ -117,6 +117,20 @@ class TestLocalExecution:
             assert "after" not in result.combined_output
         assert cut_short.overall_exit == 1
 
+    def test_redirected_stdout_does_not_hide_the_exit_code(self, tmp_path):
+        ws = prepare_fixture("hello_make", tmp_path)
+        spec = SandboxSpec(backend="local", per_command_timeout=5, total_timeout=30)
+        started = time.monotonic()
+        with create_sandbox(spec, ws) as handle:
+            result = run(handle, "echo one", "exec > /app/hello_make/build.log 2>&1", "echo two")
+        # well under the 5 s the marker's wait for the deadline took
+        assert time.monotonic() - started < 2.5
+        assert [pc[1] for pc in result.per_command] == [0, 0, 0]
+        assert not result.timed_out
+        assert "one" in result.combined_output
+        assert "two" not in result.combined_output
+        assert (ws.root_path / "build.log").read_text() == "two\n"
+
     def test_stderr_interleaved(self, tmp_path, local_spec):
         ws = prepare_fixture("hello_make", tmp_path)
         with create_sandbox(local_spec, ws) as handle:

@@ -350,7 +350,7 @@ def _binary_pool(built) -> dict:
 def _full_hash_entries(ws) -> dict:
     """rel path -> (size, sha256, executable flag) of every file, a symlink
     by its target string: what a snapshot that hashes every file holds."""
-    return {rel: file_entry(full, st) for rel, full, st, _stable in walk_files(ws)}
+    return {rel: file_entry(full, st) for rel, full, st in walk_files(ws)}
 
 
 def _full_hash_verdict(before: dict, after: dict, ws) -> list:

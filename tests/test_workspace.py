@@ -15,7 +15,7 @@ from repobuild import workspace
 from repobuild.corpus import RepoRecord
 from repobuild.errors import RepobuildError
 from repobuild.targets import find_makefiles
-from repobuild.validation import function_coverage
+from repobuild.validation import discover_new_binaries, function_coverage
 from repobuild.workspace import (
     BuildSystemKind,
     FileSnapshot,
@@ -243,6 +243,18 @@ class TestIncrementalSnapshot:
         assert snapshot_at(newest + margin + 1).stats == {
             "a.c": (st.st_mode, st.st_size, st.st_mtime_ns, st.st_ctime_ns, st.st_ino, st.st_dev)
         }
+
+    def test_snapshot_reads_the_clock_once_and_the_verdict_never(self, tmp_path, monkeypatch):
+        ws = prepare_fixture("hello_make", tmp_path)
+        reads = []
+        clock = time.time_ns
+        monkeypatch.setattr(time, "time_ns", lambda: reads.append(1) or clock())
+        before = snapshot_files(ws)
+        assert len(reads) == 1
+        assert len(before.entries) > 1
+        reads.clear()
+        assert discover_new_binaries(before, ws) == []
+        assert reads == []
 
     def test_stats_take_no_part_in_equality(self, tmp_path):
         ws = prepare_fixture("hello_make", tmp_path)
