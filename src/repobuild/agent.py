@@ -30,7 +30,9 @@ VARIANTS = ("agent-with-retrieval", "agent-no-retrieval", "single-turn", "rule-b
 _FENCE_RE = re.compile(r"```([^\n`]*)\n(.*?)```", re.DOTALL)
 _TERMINATE_RE = re.compile(r"\bterminate\b", re.IGNORECASE)
 _SHELL_TAGS = {"bash", "sh", "shell"}
-_HEREDOC_RE = re.compile(r"<<-?\s*['\"]?(\w+)['\"]?")
+# an arithmetic span or a here-string is matched whole, so no `<<` in it opens a heredoc
+_HEREDOC_RE = re.compile(r"\(\(.*?\)\)|<<<|<<-?\s*['\"]?(\w+)['\"]?")
+_CONNECTIVES = ("&&", "||", "|")
 
 ELIDED_MARKER = "[execution output elided to fit the context budget]"
 # characters of prompt before old outputs are elided; the reply cap is separate
@@ -98,7 +100,8 @@ def _block_to_commands(block: str) -> List[str]:
 
     Full-line comments are dropped. A trailing backslash, a trailing
     connective (&& || |), or an open heredoc keeps pulling lines into the
-    same command so the shell receives it as one unit.
+    same command so the shell receives it as one unit; after a connective,
+    as in bash, blank lines and comments do not end the command.
     """
     commands: List[str] = []
     pending: List[str] = []
@@ -112,12 +115,12 @@ def _block_to_commands(block: str) -> List[str]:
                     commands.append("\n".join(pending))
                     pending = []
             continue
-        if not pending and (not line.strip() or line.lstrip().startswith("#")):
-            continue
+        if not line.strip() or line.lstrip().startswith("#"):
+            if not pending or pending[-1].rstrip().endswith(_CONNECTIVES):
+                continue
         pending.append(line)
-        m = _HEREDOC_RE.search(line)
-        if m:
-            heredoc_end = m.group(1)
+        heredoc_end = next((m[1] for m in _HEREDOC_RE.finditer(line) if m[1]), None)
+        if heredoc_end is not None:
             continue
         if _continues(line):
             continue
@@ -130,7 +133,7 @@ def _block_to_commands(block: str) -> List[str]:
 
 def _continues(line: str) -> bool:
     stripped = line.rstrip()
-    return stripped.endswith(("\\", "&&", "||", "|"))
+    return stripped.endswith(("\\", *_CONNECTIVES))
 
 
 def parse_agent_reply(raw: str) -> ParsedReply:

@@ -79,7 +79,7 @@ class RunConfig:
 class RepoOutcome:
     # the session summary and the retrieval dossier as stored; a resume
     # leaves both out (None) of the records that were in the store before it,
-    # which keep only what the report reads
+    # and their verdicts' lists, so they keep only what the report reads
     session: Optional[dict]
     verdict: Verdict
     fix_attempts: int
@@ -117,8 +117,9 @@ def _read_store(
     record: reason")``.
 
     ``resumed`` is a resume's opening pass, whose outcomes hold only what
-    the report and the resume read: the verdict, the failure tag and
-    ``fix_attempts``, with the session and the dossier, once checked, None.
+    the report and the resume read: the verdict's three flags, the failure
+    tag and ``fix_attempts``. Once checked, the session, the dossier and the
+    verdict's ``matched_names`` and ``new_binaries`` are None.
     A torn unterminated tail is left unlogged, for the read from the
     returned offset that follows. The transcript is never decoded: it is
     cut out of the line's bytes, from the first ``"turns": [`` to the last
@@ -174,12 +175,20 @@ def _read_store(
                     f"{path}:{_line_number(fh, at)}: not a stored record: {exc}"
                 ) from None
             if resumed:
+                v = outcome.verdict
                 outcome.session = outcome.dossier = None
+                outcome.verdict = _flags_only(v.completion, v.strict, v.flexible)
             result = by_run.get(run)
             if result is None:
                 result = by_run[run] = RunResult(run_index=run)
             result.per_repo[repo] = outcome
     return by_run, end
+
+
+@cache
+def _flags_only(completion: bool, strict: bool, flexible: bool) -> Verdict:
+    """The verdict a resumed record keeps, shared by every record with its flags."""
+    return Verdict(completion, strict, flexible, None, None)
 
 
 def _line_number(fh, offset: int) -> int:
@@ -477,10 +486,11 @@ def run_benchmark(
     in the store. Returns what ``load_results`` would rebuild from the store
     at the end, records other writers appended included, so a recomputation
     sees exactly what was persisted; only the records already in the store
-    when the call began come back as their verdicts, failure tags and
-    ``fix_attempts``, with no session and no retrieval dossier, which the
-    report does not read. That keeps a resume's memory to the record count,
-    not the sessions, and both stay in the store for ``load_results``.
+    when the call began come back as their verdicts' three flags, failure
+    tags and ``fix_attempts``, with no session, no retrieval dossier and no
+    verdict lists, which the report does not read. That keeps a resume's
+    memory to the record count, not the sessions, and all three stay in the
+    store for ``load_results``.
 
     Sessions start in manifest order, run by run, on ``parallelism``
     threads. When one starts, the workspace of the job ``parallelism`` places

@@ -123,12 +123,34 @@ class TestParseAgentReply:
         raw = "```bash\ncd /app &&\nmake\nls\n```"
         parsed = parse_agent_reply(raw)
         assert parsed.script.commands == ("cd /app &&\nmake", "ls")
+        # as in bash, a blank line or a comment after a connective does not
+        # end the command, but a blank line after a backslash does
+        for connective in ("&&", "||", "|"):
+            raw = f"```bash\ncd /app/ws {connective}\n\n  # then\ntouch built\nls\n```"
+            parsed = parse_agent_reply(raw)
+            assert parsed.script.commands == (f"cd /app/ws {connective}\ntouch built", "ls")
+        parsed = parse_agent_reply("```bash\nmake \\\n\nls\n```")
+        assert parsed.script.commands == ("make \\\n", "ls")
 
     def test_heredoc_kept_whole(self):
         raw = "```bash\ncat > f.txt <<EOF\na\n\nb\nEOF\necho done\n```"
         parsed = parse_agent_reply(raw)
         assert len(parsed.script.commands) == 2
         assert parsed.script.commands[0].endswith("EOF")
+
+    @pytest.mark.parametrize("opener", ["<<EOF", "<<'EOF'", "<<-EOF"])
+    def test_quoted_and_dashed_heredocs_kept_whole(self, opener):
+        raw = f"```bash\ncat > f.txt {opener}\n$((1 << 4)) <<< x\n\nEOF\necho done\n```"
+        parsed = parse_agent_reply(raw)
+        assert parsed.script.commands == (
+            f"cat > f.txt {opener}\n$((1 << 4)) <<< x\n\nEOF", "echo done")
+
+    @pytest.mark.parametrize("line", ["echo $((1 << 4))", "(( x = 1 << 4 ))",
+                                      "grep -q x <<< foo", "cat <<<EOF"])
+    def test_shift_and_here_string_open_no_heredoc(self, line):
+        raw = f"```bash\ncd /app/ws\n{line}\nfalse\ntouch ran_after_false\n```"
+        parsed = parse_agent_reply(raw)
+        assert parsed.script.commands == ("cd /app/ws", line, "false", "touch ran_after_false")
 
 
 class TestPromptAssembly:

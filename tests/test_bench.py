@@ -147,12 +147,22 @@ def _decoded(record):
     return outcome.session, outcome.verdict, outcome.failure_mode, outcome.dossier
 
 
+def _as_resumed(outcome):
+    """``outcome`` as a resume's opening pass gives it: no session, no
+    dossier, and a verdict without ``matched_names`` and ``new_binaries``."""
+    verdict = replace(outcome.verdict, matched_names=None, new_binaries=None)
+    return replace(outcome, session=None, dossier=None, verdict=verdict)
+
+
 def _view(results, stored=frozenset()):
-    """What a result holds, per run and repo; the sessions of the (run, repo)
-    keys in ``stored`` as None, as a resume returns them."""
+    """What a result holds, per run and repo; the outcomes of the (run, repo)
+    keys in ``stored`` as a resume returns them."""
+
+    def fields(o):
+        return o.verdict, o.failure_mode, o.fix_attempts, o.session
+
     return [
-        (r.run_index, {repo: (o.verdict, o.failure_mode, o.fix_attempts,
-                              None if (r.run_index, repo) in stored else o.session)
+        (r.run_index, {repo: fields(_as_resumed(o) if (r.run_index, repo) in stored else o)
                        for repo, o in r.per_repo.items()})
         for r in results
     ]
@@ -298,9 +308,8 @@ def _outcomes(by_run):
 
 
 def _stripped(by_run):
-    """The outcomes of a whole read as a resume's opening pass gives them:
-    no sessions and no dossiers."""
-    return {key: replace(o, session=None, dossier=None) for key, o in _outcomes(by_run).items()}
+    """The outcomes of a whole read as a resume's opening pass gives them."""
+    return {key: _as_resumed(o) for key, o in _outcomes(by_run).items()}
 
 
 def _both_reads(path):
@@ -313,7 +322,8 @@ def _both_reads(path):
 
 class TestOpeningPass:
     """A resume's opening pass, ``_read_store(..., resumed=True)``, gives
-    the whole read's outcomes without their turns and dossiers."""
+    the whole read's outcomes without their sessions, dossiers and verdict
+    lists."""
 
     @staticmethod
     def _line(run=0):
@@ -554,10 +564,10 @@ class TestRecordFootprint:
         finally:
             tracemalloc.stop()
         assert [len(r.per_repo) for r in results] == [1000, 1000]
-        # about 1,020 bytes per record on CPython 3.11 (other versions not
-        # measured); keeping each stored session takes it to about 1,930,
-        # and its dossier as well to about 3,650
-        assert retained / 2000 < 1500
+        # 233 bytes per record on CPython 3.10, 180 on 3.11, 204 on 3.12 and
+        # 207 on 3.13; keeping each verdict's matched_names and new_binaries
+        # took it to 959-1,036, and each stored session as well to about 1,930
+        assert retained / 2000 < 400
 
 
 def _own(values, value):
@@ -567,8 +577,8 @@ def _own(values, value):
 
 class TestResumedRecord:
     """A record already in the store comes back from a resume with what the
-    report reads: no session, no dossier, and a failure tag and binary
-    classes that are the package's own strings."""
+    report reads: no session, no dossier, no verdict lists, and a failure
+    tag that is the package's own string."""
 
     @staticmethod
     def _resume(tmp_path, monkeypatch, records, run_fresh=None):
@@ -600,20 +610,29 @@ class TestResumedRecord:
         assert record["dossier"] == dossier
         assert result.per_repo["a/done"].dossier is None
         assert reloaded.per_repo["a/done"].dossier == dossier
+        done = result.per_repo["a/done"].verdict
+        assert (done.matched_names, done.new_binaries) == (None, None)
         # a record appended during the call comes back whole
-        assert result.per_repo["a/todo"].dossier == dossier
-        assert result.per_repo["a/todo"] == reloaded.per_repo["a/todo"]
+        todo = result.per_repo["a/todo"]
+        assert todo.dossier == dossier
+        assert todo.verdict.matched_names == frozenset({"app", "libx"})
+        assert len(todo.verdict.new_binaries) == 2
+        assert todo == reloaded.per_repo["a/todo"]
 
     def test_enumerated_values_are_the_packages_own_strings(self, tmp_path, monkeypatch):
         record = TestTranscriptMarkers._record()
         failed = {**record, "repo": "x/b", "failure_mode": "protocol-error",
                   "session": {**record["session"], "outcome": "protocol-error"}}
-        result, _path = self._resume(tmp_path, monkeypatch, [{**record, "repo": "x/a"}, failed])
+        result, path = self._resume(tmp_path, monkeypatch, [{**record, "repo": "x/a"}, failed])
         a, b = result.per_repo["x/a"], result.per_repo["x/b"]
         assert (a.failure_mode, b.failure_mode) == ("unresolved-after-max-attempts",
                                                     "protocol-error")
         for outcome in (a, b):
             assert outcome.failure_mode is _own(FAILURE_MODES, outcome.failure_mode)
+        # a resumed verdict keeps no binaries, so their classes are checked
+        # where a whole read of the same store decodes them
+        [reloaded] = load_results(path)
+        for outcome in reloaded.per_repo.values():
             classes = [artifact.classify for artifact in outcome.verdict.new_binaries]
             assert classes == ["executable", "static-archive"]
             assert all(c is _own(CLASSES, c) for c in classes)
@@ -625,7 +644,7 @@ class TestResumedRecord:
         [reloaded] = load_results(path)
         got, want = result.per_repo["x/y"], reloaded.per_repo["x/y"]
         assert got.failure_mode == "custom-tag"
-        assert got == replace(want, session=None, dossier=None)
+        assert got == _as_resumed(want)
 
 
 def _summary(session):
@@ -1289,7 +1308,7 @@ class TestRunBenchmark:
         [reloaded] = load_results(store_path)
         done, todo = results[0].per_repo["a/done"], results[0].per_repo["a/todo"]
         assert done.session is None and done.dossier is None
-        assert done == replace(reloaded.per_repo["a/done"], session=None, dossier=None)
+        assert done == _as_resumed(reloaded.per_repo["a/done"])
         assert todo == reloaded.per_repo["a/todo"]
         assert todo.session == fresh
 
