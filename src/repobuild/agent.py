@@ -18,6 +18,7 @@ from .sandbox import (
     create_sandbox,
     destroy_sandbox,
     exec_script,
+    parses_whole,
 )
 from .workspace import Workspace
 
@@ -30,9 +31,6 @@ VARIANTS = ("agent-with-retrieval", "agent-no-retrieval", "single-turn", "rule-b
 _FENCE_RE = re.compile(r"```([^\n`]*)\n(.*?)```", re.DOTALL)
 _TERMINATE_RE = re.compile(r"\bterminate\b", re.IGNORECASE)
 _SHELL_TAGS = {"bash", "sh", "shell"}
-# an arithmetic span or a here-string is matched whole, so no `<<` in it opens a heredoc
-_HEREDOC_RE = re.compile(r"\(\(.*?\)\)|<<<|<<-?\s*['\"]?(\w+)['\"]?")
-_CONNECTIVES = ("&&", "||", "|")
 
 ELIDED_MARKER = "[execution output elided to fit the context budget]"
 # characters of prompt before old outputs are elided; the reply cap is separate
@@ -96,44 +94,27 @@ class ParsedReply:
 
 
 def _block_to_commands(block: str) -> List[str]:
-    """Split a code block into commands, keeping multi-line constructs whole.
+    """Split a code block into the commands ``exec_script`` runs one by one.
 
-    Full-line comments are dropped. A trailing backslash, a trailing
-    connective (&& || |), or an open heredoc keeps pulling lines into the
-    same command so the shell receives it as one unit; after a connective,
-    as in bash, blank lines and comments do not end the command.
+    A command ends at the first line where the lines so far parse as the
+    unit ``exec_script`` sends, so bash decides how far a heredoc, a quoted
+    string, a compound command or a trailing connective reaches. Blank and
+    full-line comment lines are dropped between commands; inside one, bash
+    reads them. A tail that never parses is the last command.
     """
     commands: List[str] = []
-    pending: List[str] = []
-    heredoc_end: Optional[str] = None
+    pending = ""
     for line in block.split("\n"):
-        if heredoc_end is not None:
-            pending.append(line)
-            if line.strip() == heredoc_end:
-                heredoc_end = None
-                if not _continues(pending[-1]):
-                    commands.append("\n".join(pending))
-                    pending = []
+        if pending:
+            pending += "\n" + line
+        elif line.strip() and not line.lstrip().startswith("#"):
+            pending = line
+        else:
             continue
-        if not line.strip() or line.lstrip().startswith("#"):
-            if not pending or pending[-1].rstrip().endswith(_CONNECTIVES):
-                continue
-        pending.append(line)
-        heredoc_end = next((m[1] for m in _HEREDOC_RE.finditer(line) if m[1]), None)
-        if heredoc_end is not None:
-            continue
-        if _continues(line):
-            continue
-        commands.append("\n".join(pending))
-        pending = []
-    if pending:
-        commands.append("\n".join(pending))
-    return [c for c in commands if c.strip()]
-
-
-def _continues(line: str) -> bool:
-    stripped = line.rstrip()
-    return stripped.endswith(("\\", *_CONNECTIVES))
+        if parses_whole(pending):
+            commands.append(pending)
+            pending = ""
+    return commands + [pending] if pending else commands
 
 
 def parse_agent_reply(raw: str) -> ParsedReply:
@@ -154,7 +135,11 @@ def parse_agent_reply(raw: str) -> ParsedReply:
     has_terminate = bool(_TERMINATE_RE.search(raw))
 
     if chosen is not None:
-        commands = _block_to_commands(chosen)
+        try:
+            commands = _block_to_commands(chosen)
+        except UnicodeEncodeError as exc:  # a lone surrogate outside U+DC80..U+DCFF
+            note = f"the shell block holds U+{ord(exc.object[exc.start]):04X}, which no shell reads"
+            return ParsedReply("violation", violation=note)
         commands = [c for c in commands if c.strip().lower() != "terminate"]
         if commands:
             note = None
@@ -341,7 +326,8 @@ def _ask_with_retry(cfg: LlmConfig, messages: List[ChatMessage]) -> Tuple[str, P
     reminder = assets.text("prompts/format_reminder.txt")
     parsed, raw, sent = ask_structured(cfg, messages, parse, reminder)
     if parsed is None:
-        return raw, ParsedReply(kind="violation", violation="two consecutive protocol violations")
+        note = f"two consecutive protocol violations, the last: {parse_agent_reply(raw).violation}"
+        return raw, ParsedReply(kind="violation", violation=note)
     if len(sent) > len(messages) and parsed.kind == "command":
         parsed = replace(parsed, violation="recovered after a format reminder")
     return raw, parsed

@@ -265,6 +265,21 @@ def _end_shell(proc: subprocess.Popen, grace: float) -> None:
     _wait_shell(proc, 10)
 
 
+def _shell_unit(command: str) -> bytes:
+    # a brace group keeps a multi-line command one unit, and stdin from
+    # /dev/null keeps it off the sentinel lines; encoded as file names are, so
+    # U+DC80..U+DCFF reach the shell as bytes and any other lone surrogate
+    # raises UnicodeEncodeError
+    return f"{{ {command}\n}} </dev/null\n".encode("utf-8", "surrogateescape")
+
+
+def parses_whole(command: str) -> bool:
+    """Whether ``bash -n`` parses ``command`` as the unit ``exec_script``
+    sends, with extglob on, as a script's own `shopt -s extglob` may set it."""
+    return subprocess.run(["bash", "-n", "-O", "extglob"], input=_shell_unit(command),
+                          stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode == 0
+
+
 def exec_script(handle: SandboxHandle, script: CommandScript) -> ExecutionResult:
     """Run the script's commands sequentially in one shell, stopping at failure.
 
@@ -327,14 +342,9 @@ def exec_script(handle: SandboxHandle, script: CommandScript) -> ExecutionResult
             for command in script.commands:
                 mapped = handle.map_command(command)
                 try:
-                    # brace group so multi-line commands stay one unit; stdin
-                    # from /dev/null so the command cannot eat the sentinel
-                    # lines; encoded as file names are, so a mount path
-                    # holding U+DC80..U+DCFF reaches the shell as its bytes
                     proc.stdin.write(
-                        f"{{ {mapped}\n}} </dev/null\n"
-                        f"builtin printf '{marker}%d\\n' $? >&$__repobuild_rc\n"
-                        .encode("utf-8", "surrogateescape")
+                        _shell_unit(mapped)
+                        + f"builtin printf '{marker}%d\\n' $? >&$__repobuild_rc\n".encode()
                     )
                     proc.stdin.flush()
                 except (BrokenPipeError, OSError):

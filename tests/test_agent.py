@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from repobuild import agent
@@ -12,7 +14,13 @@ from repobuild.agent import (
     run_single_turn,
 )
 from repobuild.gateway import ScriptedScenario
-from repobuild.sandbox import CommandScript, ExecutionResult
+from repobuild.sandbox import (
+    CommandScript,
+    ExecutionResult,
+    create_sandbox,
+    exec_script,
+    parses_whole,
+)
 
 from conftest import prepare_fixture, scripted_config
 
@@ -44,6 +52,30 @@ def command_turn(k, commands=("make",), output="ok", raw="```bash\nmake\n```"):
         script=CommandScript(commands=tuple(commands)),
         result=fake_result(output),
     )
+
+
+# multi-line commands bash reads as one unit, by what makes them so
+COMPOUND = {
+    "for": "for f in a b; do\n  echo $f\ndone",
+    "if": "if true; then\n  echo yes\nelse\n  echo no\nfi",
+    "case": "case x in\n  x) echo x ;;\n  *) echo other ;;\nesac",
+    "function": "greet() {\n  echo hi\n}",
+    "subshell": "(\n  cd /tmp\n  pwd\n)",
+    "quoted-string": 'echo "l1\nl2"',
+    "heredoc-then-connective": "cat > f.txt <<EOF &&\nx\nEOF\ntouch after_heredoc",
+    "connective-then-comment": "cd . && # enter\ntouch after_comment",
+}
+
+# the line kinds the seeded split test builds blocks from
+LINE_KINDS = [
+    ["echo plain"],
+    ["true &&", "echo after_and"],
+    ["echo a \\", "  b"],
+    ["cat > f.txt <<EOF", "body", "EOF"],
+    ["for i in 1 2; do", "  echo $i", "done"],
+    ["# comment"],
+    [""],
+]
 
 
 class TestParseAgentReply:
@@ -124,11 +156,13 @@ class TestParseAgentReply:
         parsed = parse_agent_reply(raw)
         assert parsed.script.commands == ("cd /app &&\nmake", "ls")
         # as in bash, a blank line or a comment after a connective does not
-        # end the command, but a blank line after a backslash does
+        # end the command, and stays in it; a blank line after a backslash
+        # ends it
         for connective in ("&&", "||", "|"):
             raw = f"```bash\ncd /app/ws {connective}\n\n  # then\ntouch built\nls\n```"
             parsed = parse_agent_reply(raw)
-            assert parsed.script.commands == (f"cd /app/ws {connective}\ntouch built", "ls")
+            assert parsed.script.commands == (
+                f"cd /app/ws {connective}\n\n  # then\ntouch built", "ls")
         parsed = parse_agent_reply("```bash\nmake \\\n\nls\n```")
         assert parsed.script.commands == ("make \\\n", "ls")
 
@@ -145,12 +179,61 @@ class TestParseAgentReply:
         assert parsed.script.commands == (
             f"cat > f.txt {opener}\n$((1 << 4)) <<< x\n\nEOF", "echo done")
 
+    # a `<<` in an arithmetic span or a here-string opens no heredoc, and a
+    # compound command is one command however many lines it spans
     @pytest.mark.parametrize("line", ["echo $((1 << 4))", "(( x = 1 << 4 ))",
-                                      "grep -q x <<< foo", "cat <<<EOF"])
+                                      "grep -q x <<< foo", "cat <<<EOF",
+                                      *(pytest.param(v, id=k) for k, v in COMPOUND.items())])
     def test_shift_and_here_string_open_no_heredoc(self, line):
         raw = f"```bash\ncd /app/ws\n{line}\nfalse\ntouch ran_after_false\n```"
         parsed = parse_agent_reply(raw)
         assert parsed.script.commands == ("cd /app/ws", line, "false", "touch ran_after_false")
+
+    def test_compound_reply_runs_every_command(self, tmp_path, local_spec):
+        ws = prepare_fixture("hello_make", tmp_path)
+        raw = "```bash\ncd /app/hello_make\n{}\ntouch after_blocks\n```".format(
+            "\n".join(COMPOUND.values()))
+        with create_sandbox(local_spec, ws) as handle:
+            result = exec_script(handle, parse_agent_reply(raw).script)
+        codes = [code for _, code, _ in result.per_command]
+        assert codes == [0] * (len(COMPOUND) + 2), result.combined_output
+        assert (ws.root_path / "after_blocks").exists()
+
+    def test_split_gives_back_the_block(self):
+        # seeded blocks of well-formed line kinds, with blank and comment lines
+        # anywhere and at times an unclosed quote at the end; every command
+        # but a final tail that never parses must parse, and the commands
+        # plus the dropped lines must be the block's lines in order (116
+        # parses in all)
+        rng = random.Random(39)
+        for _ in range(12):
+            lines = [line for _ in range(4) for line in rng.choice(LINE_KINDS)]
+            for _ in range(3):
+                lines.insert(rng.randrange(len(lines) + 1), rng.choice(["", "  # note"]))
+            tail = rng.random() < 0.25
+            if tail:
+                lines.append('echo "unclosed')
+            commands = agent._block_to_commands("\n".join(lines))
+            assert all(parses_whole(c) for c in commands[:-1])
+            assert tail == (bool(commands) and not parses_whole(commands[-1]))
+            expected = [line for c in commands for line in c.split("\n")]
+            for line in lines:
+                if expected and line == expected[0]:
+                    expected.pop(0)
+                else:
+                    assert not line.strip() or line.lstrip().startswith("#"), line
+            assert expected == []
+
+    @pytest.mark.parametrize("run", [run_single_turn, run_build_loop])
+    def test_lone_surrogate_is_a_protocol_violation(self, tmp_path, local_spec, run):
+        ws = prepare_fixture("hello_make", tmp_path)
+        cfg = scripted_config(ScriptedScenario(steps=[], default_reply="```bash\necho \ud800\n```"))
+        session = run(ws, ctx(), cfg, local_spec, make_probe("hello"))
+        assert session.outcome == "protocol-error"
+        assert "U+D800" in session.error_detail
+        assert [t.kind for t in session.turns] == ["protocol-violation"]
+        # U+DC80..U+DCFF stand for bytes of a file name and reach the shell
+        assert parse_agent_reply("```bash\necho \udcff\n```").kind == "command"
 
 
 class TestPromptAssembly:
@@ -328,18 +411,25 @@ class TestBuildLoop:
         assert session.turns[-1].kind == "protocol-violation"
         assert "two consecutive" in session.error_detail
 
-    def test_an_unexpected_error_keeps_the_turns_before_it(self, tmp_path, local_spec):
-        # a lone surrogate cannot be encoded for the shell: UnicodeEncodeError,
-        # which is no RepobuildError
+    def test_an_unexpected_error_keeps_the_turns_before_it(self, tmp_path, local_spec,
+                                                           monkeypatch):
+        # the second script meets an error from the sandbox that is no
+        # RepobuildError
+        scripts = []
+
+        def exec_then_fail(handle, script):
+            scripts.append(script)
+            if len(scripts) > 1:
+                raise OSError("no space left on device")
+            return exec_script(handle, script)
+
+        monkeypatch.setattr(agent, "exec_script", exec_then_fail)
         ws = prepare_fixture("hello_make", tmp_path)
-        scenario = ScriptedScenario(steps=[
-            ("first-turn-ran", "```bash\necho \ud800\n```"),
-            ("", "```bash\necho first-turn-ran\nfalse\n```"),
-        ])
+        scenario = ScriptedScenario(steps=[], default_reply="```bash\nfalse\n```")
         session = run_build_loop(ws, ctx(), scripted_config(scenario),
                                  local_spec, make_probe("hello"))
         assert session.outcome == "infra-error"
-        assert "surrogates not allowed" in session.error_detail
+        assert "no space left on device" in session.error_detail
         assert [(t.k, t.kind) for t in session.turns] == [(0, "command-turn")]
 
     def test_sandbox_reused_across_turns(self, tmp_path, local_spec):

@@ -953,10 +953,14 @@ class TestRunOneRepo:
         assert len(summary["turns"]) == 1
         assert verdict.strict is True
 
-    def test_an_unexpected_error_keeps_the_single_turn_session(self, tmp_path):
-        # the shell pipe cannot encode a lone surrogate: UnicodeEncodeError
+    def test_an_unexpected_error_keeps_the_single_turn_session(self, tmp_path, monkeypatch):
+        # an error from the sandbox that is no RepobuildError
+        def fail(handle, script):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr("repobuild.agent.exec_script", fail)
         record = fixture_record("hello_make")
-        llm = _llm(default_reply="```bash\necho \ud800\n```")
+        llm = _llm(default_reply="```bash\necho hi\n```")
         cfg = _cfg([record], method="single-turn", llm=llm)
         summary, verdict, failure, _ = _decoded(run_one_repo(record, cfg, tmp_path / "session"))
         assert (summary["outcome"], summary["variant"]) == ("infra-error", "single-turn")
