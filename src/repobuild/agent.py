@@ -5,8 +5,7 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import asdict, dataclass, field, replace
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import assets
 from .errors import ProtocolError, RepobuildError
@@ -39,8 +38,7 @@ PROMPT_BUDGET_CHARS = 200_000
 SuccessProbe = Callable[[Workspace], bool]
 
 
-@dataclass(frozen=True)
-class PromptContext:
+class PromptContext(NamedTuple):
     """Everything the prompts need to know about one repository; the
     templates name their fields after it."""
 
@@ -52,8 +50,7 @@ class PromptContext:
     instructions: Optional[str] = None
 
 
-@dataclass
-class Turn:
+class Turn(NamedTuple):
     k: int
     kind: str  # command-turn | termination-turn | protocol-violation
     agent_reply_raw: str
@@ -62,20 +59,19 @@ class Turn:
     violation_note: Optional[str] = None
 
 
-@dataclass
-class BuildSession:
+class BuildSession(NamedTuple):
     repo_id: str
     variant: str
     max_turns: int
-    turns: List[Turn] = field(default_factory=list)
+    turns: Sequence[Turn] = ()
     outcome: str = "infra-error"
     error_detail: Optional[str] = None
 
-    def end_on_error(self, exc: Exception) -> None:
-        """Close a session that an error cut short. A fault in the model's
-        replies is a protocol error; anything else is the infrastructure's."""
-        self.outcome = "protocol-error" if isinstance(exc, ProtocolError) else "infra-error"
-        self.error_detail = str(exc)
+    def end_on_error(self, exc: Exception) -> "BuildSession":
+        """The session as an error closes it. A fault in the model's replies
+        is a protocol error; anything else is the infrastructure's."""
+        outcome = "protocol-error" if isinstance(exc, ProtocolError) else "infra-error"
+        return self._replace(outcome=outcome, error_detail=str(exc))
 
     @property
     def fix_attempts(self) -> int:
@@ -85,22 +81,22 @@ class BuildSession:
         return sum(1 for t in self.turns if t.kind == "command-turn" and t.k >= 1)
 
 
-@dataclass(frozen=True)
-class ParsedReply:
+class ParsedReply(NamedTuple):
     kind: str  # command | termination | violation
     script: Optional[CommandScript] = None
     reason: str = ""
     violation: Optional[str] = None
 
 
-def _block_to_commands(block: str) -> List[str]:
-    """Split a code block into the commands ``exec_script`` runs one by one.
+def _block_to_commands(block: str) -> Tuple[List[str], str]:
+    """Split a code block into the commands ``exec_script`` runs one by one,
+    and the tail that never parses ("" when there is none).
 
     A command ends at the first line where the lines so far parse as the
     unit ``exec_script`` sends, so bash decides how far a heredoc, a quoted
     string, a compound command or a trailing connective reaches. Blank and
     full-line comment lines are dropped between commands; inside one, bash
-    reads them. A tail that never parses is the last command.
+    reads them.
     """
     commands: List[str] = []
     pending = ""
@@ -114,7 +110,7 @@ def _block_to_commands(block: str) -> List[str]:
         if parses_whole(pending):
             commands.append(pending)
             pending = ""
-    return commands + [pending] if pending else commands
+    return commands, pending
 
 
 def parse_agent_reply(raw: str) -> ParsedReply:
@@ -123,6 +119,7 @@ def parse_agent_reply(raw: str) -> ParsedReply:
     The last shell-tagged fenced block wins; an untagged fenced block counts
     only when it is the sole block. A reply that pairs a code block with the
     word "terminate" is treated as a command turn with the violation noted.
+    A block whose tail never parses is a violation naming its first line.
     """
     blocks = _FENCE_RE.findall(raw)
     shell_blocks = [body for tag, body in blocks if tag.strip().lower() in _SHELL_TAGS]
@@ -136,9 +133,14 @@ def parse_agent_reply(raw: str) -> ParsedReply:
 
     if chosen is not None:
         try:
-            commands = _block_to_commands(chosen)
+            commands, tail = _block_to_commands(chosen)
         except UnicodeEncodeError as exc:  # a lone surrogate outside U+DC80..U+DCFF
             note = f"the shell block holds U+{ord(exc.object[exc.start]):04X}, which no shell reads"
+            return ParsedReply("violation", violation=note)
+        if tail:
+            # sent to the shell, the tail would wait for input that never comes
+            first = tail.partition("\n")[0]
+            note = f"bash cannot parse the shell block from its line {first!r} on"
             return ParsedReply("violation", violation=note)
         commands = [c for c in commands if c.strip().lower() != "terminate"]
         if commands:
@@ -184,7 +186,7 @@ def assemble_generator_prompt(
         section = f"\nBuild instructions gathered from the project documentation:\n{ctx.instructions}\n"
     else:
         section = ""
-    fields = asdict(ctx)
+    fields = ctx._asdict()
     initial = ChatMessage(
         "user",
         assets.text("prompts/generator_user_initial.txt").format(
@@ -228,40 +230,39 @@ def run_session(
     spec: SandboxSpec,
     probe: SuccessProbe,
     session: BuildSession,
-    replies: Iterable[Tuple[str, ParsedReply]],
+    replies: Callable[[Sequence[Turn]], Iterable[Tuple[str, ParsedReply]]],
     fresh_sandbox: bool = False,
 ) -> BuildSession:
     """The session engine every method runs on: one turn per (raw, parsed)
     reply until the probe succeeds, the agent terminates, a reply violates
     the protocol, or the replies run out (turn budget exhausted).
+    ``replies`` is called once, with the list of turns that the session grows.
 
     Scripts share one sandbox, created for the first of them, unless
     ``fresh_sandbox`` asks for a new one per script. Any error from the
     replies or the sandbox ends the session through ``end_on_error``,
     keeping the turns before it; an interrupt propagates.
     """
+    turns: List[Turn] = list(session.turns)
+    outcome, detail = "turn-budget-exhausted", None
     handle = None
     try:
-        for k, (raw, parsed) in enumerate(replies):
+        for k, (raw, parsed) in enumerate(replies(turns)):
             if parsed.kind == "violation":
-                session.turns.append(
-                    Turn(k=k, kind="protocol-violation", agent_reply_raw=raw,
-                         violation_note=parsed.violation)
-                )
-                session.outcome = "protocol-error"
-                session.error_detail = parsed.violation
+                turns.append(Turn(k=k, kind="protocol-violation", agent_reply_raw=raw,
+                                  violation_note=parsed.violation))
+                outcome, detail = "protocol-error", parsed.violation
                 break
             if parsed.kind == "termination":
-                session.turns.append(Turn(k=k, kind="termination-turn", agent_reply_raw=raw))
-                session.outcome = "agent-terminated"
-                session.error_detail = parsed.reason[:500] or None
+                turns.append(Turn(k=k, kind="termination-turn", agent_reply_raw=raw))
+                outcome, detail = "agent-terminated", parsed.reason[:500] or None
                 break
             if handle is not None and fresh_sandbox:
                 destroy_sandbox(handle)
                 handle = None
             if handle is None:
                 handle = create_sandbox(spec, ws)
-            session.turns.append(
+            turns.append(
                 Turn(
                     k=k,
                     kind="command-turn",
@@ -272,19 +273,17 @@ def run_session(
                 )
             )
             if probe(ws):
-                session.outcome = "succeeded"
+                outcome = "succeeded"
                 break
-        else:
-            session.outcome = "turn-budget-exhausted"
     except Exception as exc:
         # an error outside the package's own is a defect: keep its traceback
         logger.warning("%s session for %s ended early: %s", session.variant, ws.repo_id, exc,
                        exc_info=not isinstance(exc, RepobuildError))
-        session.end_on_error(exc)
+        return session._replace(turns=turns).end_on_error(exc)
     finally:
         if handle is not None:
             destroy_sandbox(handle)
-    return session
+    return session._replace(turns=turns, outcome=outcome, error_detail=detail)
 
 
 def run_build_loop(
@@ -305,11 +304,11 @@ def run_build_loop(
     """
     session = BuildSession(repo_id=ws.repo_id, variant=variant, max_turns=max_turns)
 
-    def replies():
+    def replies(turns):
         for _ in range(max_turns + 1):
-            yield _ask_with_retry(cfg, assemble_generator_prompt(ctx, session.turns))
+            yield _ask_with_retry(cfg, assemble_generator_prompt(ctx, turns))
 
-    return run_session(ws, spec, success_probe, session, replies())
+    return run_session(ws, spec, success_probe, session, replies)
 
 
 def _ask_with_retry(cfg: LlmConfig, messages: List[ChatMessage]) -> Tuple[str, ParsedReply]:
@@ -319,17 +318,20 @@ def _ask_with_retry(cfg: LlmConfig, messages: List[ChatMessage]) -> Tuple[str, P
     the session outcome.
     """
 
+    notes = []  # each reply's violation note, so that no reply is parsed twice
+
     def parse(raw: str) -> Optional[ParsedReply]:
         parsed = parse_agent_reply(raw)
+        notes.append(parsed.violation)
         return None if parsed.kind == "violation" else parsed
 
     reminder = assets.text("prompts/format_reminder.txt")
     parsed, raw, sent = ask_structured(cfg, messages, parse, reminder)
     if parsed is None:
-        note = f"two consecutive protocol violations, the last: {parse_agent_reply(raw).violation}"
+        note = f"two consecutive protocol violations, the last: {notes[-1]}"
         return raw, ParsedReply(kind="violation", violation=note)
     if len(sent) > len(messages) and parsed.kind == "command":
-        parsed = replace(parsed, violation="recovered after a format reminder")
+        parsed = parsed._replace(violation="recovered after a format reminder")
     return raw, parsed
 
 
@@ -342,10 +344,10 @@ def run_single_turn(
 ) -> BuildSession:
     """Single-shot baseline: one prompt, one script, one execution, no repair."""
     session = BuildSession(repo_id=ws.repo_id, variant="single-turn", max_turns=1)
-    prompt = assets.text("prompts/single_turn.txt").format(**asdict(ctx))
+    prompt = assets.text("prompts/single_turn.txt").format(**ctx._asdict())
 
-    def replies():
+    def replies(_turns):
         raw = complete(cfg, [ChatMessage("user", prompt)])
         yield raw, parse_agent_reply(raw)
 
-    return run_session(ws, spec, success_probe, session, replies())
+    return run_session(ws, spec, success_probe, session, replies)

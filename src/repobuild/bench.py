@@ -11,10 +11,10 @@ import re
 import shutil
 from collections import Counter, deque
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
-from dataclasses import asdict, dataclass, field, replace
 from functools import cache
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from . import assets
 from .agent import (
@@ -58,8 +58,7 @@ _BUILD_TOOL_RE = re.compile(
 )
 
 
-@dataclass
-class RunConfig:
+class _RunConfig(NamedTuple):
     manifest: CorpusManifest
     method: str
     llm: LlmConfig
@@ -68,15 +67,20 @@ class RunConfig:
     runs: int = 1
     parallelism: int = 1
 
-    def __post_init__(self):
+
+class RunConfig(_RunConfig):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.method not in VARIANTS:
             raise UsageError(f"unknown method {self.method!r}")
         if self.runs < 1 or self.parallelism < 1 or self.max_turns < 1:
             raise UsageError("runs, parallelism, and max_turns must be >= 1")
+        return self
 
 
-@dataclass(slots=True)
-class RepoOutcome:
+class RepoOutcome(NamedTuple):
     # the session summary and the retrieval dossier as stored; a resume
     # leaves both out (None) of the records that were in the store before it,
     # and their verdicts' lists, so they keep only what the report reads
@@ -87,10 +91,10 @@ class RepoOutcome:
     dossier: Optional[dict] = None
 
 
-@dataclass
-class RunResult:
+class RunResult(NamedTuple):
     run_index: int
-    per_repo: Dict[str, RepoOutcome] = field(default_factory=dict)
+    # read-only when left out, so no two results share a dict
+    per_repo: Mapping[str, RepoOutcome] = MappingProxyType({})
 
 
 # -- persistence --------------------------------------------------------------
@@ -176,11 +180,12 @@ def _read_store(
                 ) from None
             if resumed:
                 v = outcome.verdict
-                outcome.session = outcome.dossier = None
-                outcome.verdict = _flags_only(v.completion, v.strict, v.flexible)
+                # built whole, as _replace takes twice as long per record
+                outcome = RepoOutcome(None, _flags_only(v.completion, v.strict, v.flexible),
+                                      outcome.fix_attempts, outcome.failure_mode)
             result = by_run.get(run)
             if result is None:
-                result = by_run[run] = RunResult(run_index=run)
+                result = by_run[run] = RunResult(run_index=run, per_repo={})
             result.per_repo[repo] = outcome
     return by_run, end
 
@@ -283,7 +288,7 @@ def store_record(
             "strict": verdict.strict,
             "flexible": verdict.flexible,
             "matched_names": sorted(verdict.matched_names),
-            "new_binaries": [asdict(a) for a in verdict.new_binaries],
+            "new_binaries": [a._asdict() for a in verdict.new_binaries],
         },
         "failure_mode": tag_failure_mode(summary, dossier_dict),
         "dossier": dossier_dict,
@@ -453,7 +458,7 @@ def run_one_repo(
             ctx = repo_context(ws)
             if cfg.method == "agent-with-retrieval":
                 dossier = run_retrieval(ws, cfg.llm, ctx)
-                ctx = replace(ctx, instructions=dossier.instructions)
+                ctx = ctx._replace(instructions=dossier.instructions)
             session = run_build_loop(
                 ws, ctx, cfg.llm, cfg.sandbox, probe,
                 max_turns=cfg.max_turns, variant=cfg.method,
@@ -463,8 +468,8 @@ def run_one_repo(
         raise
     except Exception as exc:
         logger.warning("repo %s failed before a session could finish: %s", record.id, exc)
-        session = BuildSession(repo_id=record.id, variant=cfg.method, max_turns=cfg.max_turns)
-        session.end_on_error(exc)
+        session = BuildSession(repo_id=record.id, variant=cfg.method,
+                               max_turns=cfg.max_turns).end_on_error(exc)
         verdict = judge([], record.expected_binaries)
     return store_record(run_idx, record.id, session, verdict, dossier)
 
@@ -543,7 +548,7 @@ def run_benchmark(
         # the store shrank, so it was read again whole
         by_run = {}
     for run_idx, result in appended.items():
-        by_run.setdefault(run_idx, RunResult(run_index=run_idx)).per_repo.update(result.per_repo)
+        by_run.setdefault(run_idx, RunResult(run_idx, {})).per_repo.update(result.per_repo)
     return [by_run[k] for k in sorted(by_run)]
 
 

@@ -12,7 +12,6 @@ import re
 import signal
 import sys
 import tempfile
-from dataclasses import fields
 from pathlib import Path
 from typing import List, Optional
 
@@ -82,8 +81,8 @@ def _llm_config(args, config: dict) -> LlmConfig:
 
 def _sandbox_spec(args, config: dict) -> SandboxSpec:
     # each sandbox flag stores under the name of the field it sets
-    flags = {f.name: getattr(args, f.name) for f in fields(SandboxSpec)
-             if getattr(args, f.name, None) is not None}
+    flags = {name: getattr(args, name) for name in SandboxSpec._fields
+             if getattr(args, name, None) is not None}
     return _configured(SandboxSpec, "sandbox", args, config, flags)
 
 

@@ -12,8 +12,8 @@ import json
 import logging
 import math
 import random
-from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import (
     BOOL, INT, OS_STR, OS_STR_OR_NULL, STR, STR_LIST, STR_OR_NULL, UsageError, check,
@@ -32,10 +32,7 @@ _RECORD_FIELDS = {
 }
 
 
-@dataclass(frozen=True)
-class RepoRecord:
-    """One repository under test plus its ground-truth labels."""
-
+class _RepoRecord(NamedTuple):
     id: str
     clone_url: str
     description: str = ""
@@ -46,7 +43,14 @@ class RepoRecord:
     instruction_url: str | None = None
     languages: tuple[str, ...] = ()
 
-    def __post_init__(self):
+
+class RepoRecord(_RepoRecord):
+    """One repository under test plus its ground-truth labels."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         owner, _, name = self.id.partition("/")
         # each part names a directory: the session dir is owner/name and
         # the workspace is named after the name part
@@ -64,32 +68,34 @@ class RepoRecord:
             if name in seen:
                 raise UsageError(f"record {self.id!r}: duplicate expected binary {name!r}")
             seen.add(name)
+        return self
 
     @property
     def name(self) -> str:
         return self.id.split("/", 1)[1]
 
 
-@dataclass
-class CorpusManifest:
-    """Ordered collection of records with unique ids."""
-
+class _CorpusManifest(NamedTuple):
     records: list[RepoRecord]
     name: str = ""
 
-    def __post_init__(self):
+
+class CorpusManifest(_CorpusManifest):
+    """Ordered collection of records with unique ids."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         seen = set()
         for rec in self.records:
             if rec.id in seen:
                 raise UsageError(f"duplicate record id {rec.id!r} in manifest")
             seen.add(rec.id)
-
-    def __len__(self) -> int:
-        return len(self.records)
+        return self
 
 
-@dataclass(frozen=True)
-class SamplePlan:
+class SamplePlan(NamedTuple):
     """Sample-size computation for estimating a population proportion.
 
     ``n0`` is the infinite-population size; ``n_fpc`` applies the finite
@@ -131,7 +137,7 @@ def load_manifest(path: str | Path) -> CorpusManifest:
 def save_manifest(manifest: CorpusManifest, path: str | Path) -> None:
     """Write a manifest in the one-record-per-line format, a lone surrogate
     as its JSON escape, as ``ResultStore.append`` writes it."""
-    lines = [json.dumps(asdict(rec), ensure_ascii=False) + "\n" for rec in manifest.records]
+    lines = [json.dumps(rec._asdict(), ensure_ascii=False) + "\n" for rec in manifest.records]
     Path(path).write_bytes("".join(lines).encode("utf-8", "backslashreplace"))
 
 

@@ -6,6 +6,7 @@ config classes hold."""
 import json
 import math
 import os
+from types import MappingProxyType
 
 
 class RepobuildError(Exception):
@@ -61,8 +62,9 @@ def _os_takes(s: str) -> bool:
 
 def _is_env(v) -> bool:
     """Whether ``v`` maps strings to strings that an environment can hold."""
-    return type(v) is dict and all(type(k) is str and type(x) is str and "=" not in k
-                                   and _os_takes(k + x) for k, x in v.items())
+    return type(v) in (dict, MappingProxyType) and all(
+        type(k) is str and type(x) is str and "=" not in k and _os_takes(k + x)
+        for k, x in v.items())
 
 
 # each kind as (predicate, name); a table maps field -> kind. A one-type kind

@@ -12,8 +12,7 @@ import logging
 import os
 import re
 import time
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Pattern, Sequence, Tuple, TypeVar, Union
+from typing import Callable, List, NamedTuple, Optional, Pattern, Sequence, Tuple, TypeVar, Union
 
 from .errors import INT, NUMBER, POSITIVE_INT, SECONDS, STR, check
 from .errors import ProtocolError, RepobuildError, UsageError
@@ -33,21 +32,19 @@ T = TypeVar("T")
 REMINDER_PREFIX = "Your previous reply did not follow the required format. "
 
 
-@dataclass(frozen=True)
-class ChatMessage:
+class ChatMessage(NamedTuple):
     role: str
     content: str
 
 
-@dataclass
-class ScriptedScenario:
+class ScriptedScenario(NamedTuple):
     """Ordered (matcher, reply) steps evaluated against the latest user message.
 
     A string matcher is a substring test; a compiled pattern is searched.
     The first matching step wins; with no match the default reply is used.
     """
 
-    steps: List[Tuple[Matcher, str]] = field(default_factory=list)
+    steps: Sequence[Tuple[Matcher, str]] = ()
     default_reply: Optional[str] = None
 
     def resolve(self, latest_user: str) -> str:
@@ -62,8 +59,7 @@ class ScriptedScenario:
         raise ProtocolError(f"no scripted step matches user message starting {latest_user[:80]!r}")
 
 
-@dataclass
-class LlmConfig:
+class _LlmConfig(NamedTuple):
     backend: str = "live"  # live | scripted
     model_name: str = "default"
     temperature: float = 0.0
@@ -72,12 +68,18 @@ class LlmConfig:
     max_retries: int = 3
     scenario: Optional[ScriptedScenario] = None
 
-    def __post_init__(self):
+
+class LlmConfig(_LlmConfig):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.backend not in ("live", "scripted"):
             raise UsageError(f"unknown backend {self.backend!r}")
-        check("LlmConfig", vars(self), _LLM_FIELDS)
+        check("LlmConfig", self._asdict(), _LLM_FIELDS)
         if self.backend == "scripted" and self.scenario is None:
             raise UsageError("scripted backend requires a scenario")
+        return self
 
 
 _LLM_FIELDS = {"model_name": STR, "temperature": NUMBER, "max_reply_chars": POSITIVE_INT,

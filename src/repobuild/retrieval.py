@@ -6,9 +6,8 @@ from __future__ import annotations
 import logging
 import os
 import re
-from dataclasses import asdict, dataclass, field
 from itertools import islice
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 from urllib.parse import urljoin
 
 from . import assets
@@ -37,35 +36,31 @@ _FORMAT_REMINDER = (
 )
 
 
-@dataclass(frozen=True)
-class LinkRef:
+class LinkRef(NamedTuple):
     kind: str  # internal-file | external-url
     target: str
     discovered_in_round: int = 0
 
 
-@dataclass(frozen=True)
-class FetchOutcome:
+class FetchOutcome(NamedTuple):
     ok: bool
     content: str = ""
     failure_kind: str = ""  # timeout | non-success | oversize | non-text | missing | escape
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class RetrievalReply:
+class RetrievalReply(NamedTuple):
     distilled: str
     sufficient: bool
     links: Tuple[str, ...]  # the LINKS items as written
 
 
-@dataclass
-class InstructionDossier:
+class InstructionDossier(NamedTuple):
     instructions: str
     sufficient: bool
-    visited: List[LinkRef] = field(default_factory=list)
+    visited: Sequence[LinkRef] = ()
     rounds_used: int = 1
-    fetch_failures: List[Tuple[str, str]] = field(default_factory=list)
+    fetch_failures: Sequence[Tuple[str, str]] = ()
 
 
 def html_to_text(html: str) -> str:
@@ -215,7 +210,8 @@ def run_retrieval(
     most 3 rounds. The first prompt shows the README and root listing of
     ``ctx``. Fetch failures never abort the loop; a malformed reply is
     re-asked once and then raises."""
-    messages = [ChatMessage("user", assets.text("prompts/retrieval.txt").format(**asdict(ctx)))]
+    prompt = assets.text("prompts/retrieval.txt").format(**ctx._asdict())
+    messages = [ChatMessage("user", prompt)]
 
     visited: List[LinkRef] = []
     failures: List[Tuple[str, str]] = []

@@ -6,8 +6,7 @@ from __future__ import annotations
 import json
 import posixpath
 import shlex
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from . import assets
 from .agent import BuildSession, ParsedReply, SuccessProbe, run_session
@@ -17,8 +16,7 @@ from .sandbox import create_sandbox, destroy_sandbox, exec_script  # noqa: F401
 from .workspace import BuildSystemKind, Workspace, detect_build_systems
 
 
-@dataclass(frozen=True)
-class BuildRoutine:
+class BuildRoutine(NamedTuple):
     kind: BuildSystemKind
     steps: Tuple[str, ...]
 
@@ -61,4 +59,5 @@ def build_with_rules(
         (f"routine:{r.kind.value}", ParsedReply(kind="command", script=CommandScript(r.steps)))
         for r in attempts
     )
-    return run_session(ws, spec, success_probe, session, replies, fresh_sandbox=True)
+    return run_session(ws, spec, success_probe, session, lambda _turns: replies,
+                       fresh_sandbox=True)

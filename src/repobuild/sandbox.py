@@ -20,9 +20,9 @@ import subprocess
 import tempfile
 import time
 from contextlib import suppress
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from types import MappingProxyType
+from typing import List, Mapping, NamedTuple, Optional, Tuple
 
 from . import assets
 from .errors import ENV, OS_STR, POSITIVE_INT, SECONDS, RepobuildError, UsageError, check
@@ -41,34 +41,37 @@ _APP_RE = re.compile(r"/app(?![\w-])")
 _SHELL_SPECIAL_RE = re.compile(r"[\s\\'\"`$|&;()<>*?\[\]{}]")
 
 
-@dataclass(frozen=True)
-class SandboxSpec:
+class _SandboxSpec(NamedTuple):
     backend: str = "container"  # container | local
     base_image: str = DEFAULT_IMAGE_TAG
-    env: Dict[str, str] = field(default_factory=dict)
+    env: Mapping[str, str] = MappingProxyType({})
     per_command_timeout: float = 900.0
     total_timeout: float = 3600.0
     output_cap_bytes: int = 65536
 
-    def __post_init__(self):
+
+class SandboxSpec(_SandboxSpec):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.backend not in ("container", "local"):
             raise UsageError(f"unknown sandbox backend {self.backend!r}")
-        check("SandboxSpec", vars(self), _SANDBOX_FIELDS)
+        check("SandboxSpec", self._asdict(), _SANDBOX_FIELDS)
         if self.total_timeout < self.per_command_timeout:
             raise UsageError("total_timeout must be >= per_command_timeout")
+        return self
 
 
 _SANDBOX_FIELDS = {"base_image": OS_STR, "env": ENV, "per_command_timeout": SECONDS,
                    "total_timeout": SECONDS, "output_cap_bytes": POSITIVE_INT}
 
 
-@dataclass(frozen=True)
-class CommandScript:
+class CommandScript(NamedTuple):
     commands: Tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class ExecutionResult:
+class ExecutionResult(NamedTuple):
     per_command: Tuple[Tuple[str, int, float], ...]  # (command, exit code, seconds)
     combined_output: str
     overall_exit: int

@@ -8,9 +8,8 @@ import logging
 import os
 import posixpath
 import re
-from dataclasses import dataclass
 from functools import cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import assets
 from .errors import ProtocolError
@@ -36,8 +35,7 @@ _NAMES_REMINDER = (
 )
 
 
-@dataclass(frozen=True)
-class MakefileDoc:
+class MakefileDoc(NamedTuple):
     """A Makefile as the units that cleaning keeps of it, each as (kind,
     text, line in the file)."""
 
@@ -49,8 +47,7 @@ class MakefileDoc:
         return "".join(unit + "\n" for _, unit, _ in self.units)
 
 
-@dataclass(frozen=True)
-class TargetPrediction:
+class TargetPrediction(NamedTuple):
     names: Tuple[str, ...]
     evidence: Dict[str, Tuple[str, int]]  # name -> (makefile path, rule line)
 

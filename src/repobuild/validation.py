@@ -11,9 +11,8 @@ import stat
 import struct
 import subprocess
 from collections import Counter
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .errors import RepobuildError, UsageError
 from .workspace import (
@@ -32,22 +31,26 @@ _CONTROL_KEYWORDS = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class BinaryArtifact:
+class _BinaryArtifact(NamedTuple):
     rel_path: str
     file_name: str
     classify: str
     has_debug_info: bool
 
-    def __post_init__(self):
-        if self.classify not in CLASSES:
-            raise UsageError(f"unknown artifact class {self.classify!r}")
+
+class BinaryArtifact(_BinaryArtifact):
+    __slots__ = ()
+
+    # fields named, not *args: decode_record makes one per binary, twice as fast
+    def __new__(cls, rel_path, file_name, classify, has_debug_info):
+        if classify not in CLASSES:
+            raise UsageError(f"unknown artifact class {classify!r}")
         # the package's own string, shared by every artifact of the class
-        object.__setattr__(self, "classify", CLASSES[CLASSES.index(self.classify)])
+        return super().__new__(cls, rel_path, file_name, CLASSES[CLASSES.index(classify)],
+                               has_debug_info)
 
 
-@dataclass(frozen=True, slots=True)
-class Verdict:
+class Verdict(NamedTuple):
     completion: bool
     strict: bool
     flexible: bool
@@ -55,12 +58,11 @@ class Verdict:
     new_binaries: Tuple[BinaryArtifact, ...]
 
 
-@dataclass
-class FunctionCoverageReport:
-    source_functions: Set[Tuple[str, str]] = field(default_factory=set)
-    compiled_functions: Set[str] = field(default_factory=set)
+class FunctionCoverageReport(NamedTuple):
+    source_functions: Set[Tuple[str, str]]
+    compiled_functions: Set[str]
     coverage_pct: float = 0.0
-    top_uncompiled_dirs: List[Tuple[str, int]] = field(default_factory=list)
+    top_uncompiled_dirs: Sequence[Tuple[str, int]] = ()
     undefined: bool = False
 
 

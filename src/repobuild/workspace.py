@@ -9,10 +9,10 @@ import shutil
 import stat
 import subprocess
 import time
-from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterator, Optional, Tuple
+from types import MappingProxyType
+from typing import Iterator, Mapping, NamedTuple, Optional, Tuple
 
 from .corpus import RepoRecord
 from .errors import BOOL, INT, OBJECT, STR_OR_NULL, check, read_json, shown
@@ -57,8 +57,7 @@ _KIND_ORDER = [
 ]
 
 
-@dataclass
-class Workspace:
+class Workspace(NamedTuple):
     """A materialized repository owned by a single session."""
 
     repo_id: str
@@ -74,8 +73,7 @@ class Workspace:
         return f"/app/{self.repo_name}"
 
 
-@dataclass(frozen=True)
-class FileSnapshot:
+class FileSnapshot(NamedTuple):
     """Inventory of every regular file and symlink under a workspace root,
     with a digest of each symlink and of each file with a binary magic.
 
@@ -86,8 +84,15 @@ class FileSnapshot:
 
     entries: dict  # rel path -> (size, sha256 hex or None, executable flag)
     # rel path -> (st_mode, st_size, st_mtime_ns, st_ctime_ns, st_ino, st_dev),
-    # kept only for entries whose stat can vouch for their content
-    stats: dict = field(default_factory=dict, compare=False, repr=False)
+    # kept only for entries whose stat can vouch for their content; read-only
+    # when left out, so no two snapshots share a dict
+    stats: Mapping[str, tuple] = MappingProxyType({})
+
+    def __eq__(self, other):
+        return isinstance(other, FileSnapshot) and self.entries == other.entries
+
+    def __ne__(self, other):
+        return not self == other
 
 
 def _run_git(args: list, cwd: Optional[Path] = None) -> subprocess.CompletedProcess:

@@ -17,6 +17,7 @@ from repobuild.gateway import ScriptedScenario
 from repobuild.sandbox import (
     CommandScript,
     ExecutionResult,
+    SandboxSpec,
     create_sandbox,
     exec_script,
     parses_whole,
@@ -65,6 +66,10 @@ COMPOUND = {
     "heredoc-then-connective": "cat > f.txt <<EOF &&\nx\nEOF\ntouch after_heredoc",
     "connective-then-comment": "cd . && # enter\ntouch after_comment",
 }
+
+# a reply whose shell block never parses from its second line on
+UNCLOSED = '```bash\necho start\necho "unclosed\ntouch after\n```'
+UNCLOSED_NOTE = "bash cannot parse the shell block from its line 'echo \"unclosed' on"
 
 # the line kinds the seeded split test builds blocks from
 LINE_KINDS = [
@@ -202,9 +207,9 @@ class TestParseAgentReply:
     def test_split_gives_back_the_block(self):
         # seeded blocks of well-formed line kinds, with blank and comment lines
         # anywhere and at times an unclosed quote at the end; every command
-        # but a final tail that never parses must parse, and the commands
-        # plus the dropped lines must be the block's lines in order (116
-        # parses in all)
+        # must parse, a tail must be left exactly when that quote is there,
+        # and the commands, the tail and the dropped lines must be the
+        # block's lines in order (113 parses in all)
         rng = random.Random(39)
         for _ in range(12):
             lines = [line for _ in range(4) for line in rng.choice(LINE_KINDS)]
@@ -213,16 +218,20 @@ class TestParseAgentReply:
             tail = rng.random() < 0.25
             if tail:
                 lines.append('echo "unclosed')
-            commands = agent._block_to_commands("\n".join(lines))
-            assert all(parses_whole(c) for c in commands[:-1])
-            assert tail == (bool(commands) and not parses_whole(commands[-1]))
-            expected = [line for c in commands for line in c.split("\n")]
+            commands, rest = agent._block_to_commands("\n".join(lines))
+            assert all(parses_whole(c) for c in commands)
+            assert tail == bool(rest)
+            expected = [line for c in [*commands, rest] if c for line in c.split("\n")]
             for line in lines:
                 if expected and line == expected[0]:
                     expected.pop(0)
                 else:
                     assert not line.strip() or line.lstrip().startswith("#"), line
             assert expected == []
+
+    def test_a_tail_that_never_parses_is_a_violation_naming_its_first_line(self):
+        parsed = parse_agent_reply(UNCLOSED)
+        assert (parsed.kind, parsed.script, parsed.violation) == ("violation", None, UNCLOSED_NOTE)
 
     @pytest.mark.parametrize("run", [run_single_turn, run_build_loop])
     def test_lone_surrogate_is_a_protocol_violation(self, tmp_path, local_spec, run):
@@ -310,14 +319,21 @@ class TestPromptAssembly:
 
 class TestTurnAndSession:
     def test_fix_attempts_counts_k_ge_1_command_turns(self):
-        session = BuildSession(repo_id="o/r", variant="agent-no-retrieval", max_turns=5)
-        session.turns = [command_turn(0), command_turn(1), command_turn(2)]
+        session = BuildSession(repo_id="o/r", variant="agent-no-retrieval", max_turns=5,
+                               turns=[command_turn(0), command_turn(1), command_turn(2)])
         assert session.fix_attempts == 2
 
     def test_rule_based_sessions_report_zero_fix_attempts(self):
-        session = BuildSession(repo_id="o/r", variant="rule-based", max_turns=2)
-        session.turns = [command_turn(0), command_turn(1)]
+        session = BuildSession(repo_id="o/r", variant="rule-based", max_turns=2,
+                               turns=[command_turn(0), command_turn(1)])
         assert session.fix_attempts == 0
+
+    def test_sessions_built_without_turns_share_no_turn_list(self, tmp_path, local_spec):
+        ws = prepare_fixture("hello_make", tmp_path)
+        cfg = scripted_config(ScriptedScenario(steps=[], default_reply="terminate"))
+        ran = run_single_turn(ws, ctx(), cfg, local_spec, make_probe("hello"))
+        assert len(ran.turns) == 1
+        assert len(BuildSession(repo_id="o/r", variant="single-turn", max_turns=1).turns) == 0
 
 
 def make_probe(filename):
@@ -400,6 +416,35 @@ class TestBuildLoop:
                                  local_spec, make_probe("hello"))
         assert session.outcome == "succeeded"
         assert session.turns[0].violation_note == "recovered after a format reminder"
+
+    def test_an_unclosed_tail_is_reasked(self, tmp_path):
+        # sent to the shell, the tail would wait out the whole timeout
+        spec = SandboxSpec(backend="local", per_command_timeout=2.0, total_timeout=10.0)
+        ws = prepare_fixture("hello_make", tmp_path)
+        scenario = ScriptedScenario(steps=[
+            ("did not follow the required format", INITIAL_MAKE),
+            ("", UNCLOSED),
+        ])
+        session = run_build_loop(ws, ctx(), scripted_config(scenario), spec,
+                                 make_probe("hello"), max_turns=1)
+        assert session.outcome == "succeeded"
+        assert [t.kind for t in session.turns] == ["command-turn"]
+        assert session.turns[0].violation_note == "recovered after a format reminder"
+
+    def test_a_second_violation_is_named_from_its_one_parse(self, tmp_path, monkeypatch):
+        spec = SandboxSpec(backend="local", per_command_timeout=2.0, total_timeout=10.0)
+        parses = []
+        monkeypatch.setattr(agent, "parses_whole", lambda c: parses.append(c) or parses_whole(c))
+        ws = prepare_fixture("hello_make", tmp_path)
+        cfg = scripted_config(ScriptedScenario(steps=[], default_reply=UNCLOSED))
+        session = run_build_loop(ws, ctx(), cfg, spec, make_probe("hello"), max_turns=1)
+        assert session.outcome == "protocol-error"
+        assert [t.kind for t in session.turns] == ["protocol-violation"]
+        assert session.error_detail == (
+            f"two consecutive protocol violations, the last: {UNCLOSED_NOTE}")
+        # one check a line, four lines a block (the last one empty), for the
+        # reply and its re-ask
+        assert len(parses) == 8
 
     def test_two_consecutive_violations_end_the_session(self, tmp_path, local_spec):
         ws = prepare_fixture("hello_make", tmp_path)

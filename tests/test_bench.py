@@ -7,7 +7,6 @@ import subprocess
 import sys
 import threading
 import tracemalloc
-from dataclasses import replace
 
 import pytest
 
@@ -150,8 +149,8 @@ def _decoded(record):
 def _as_resumed(outcome):
     """``outcome`` as a resume's opening pass gives it: no session, no
     dossier, and a verdict without ``matched_names`` and ``new_binaries``."""
-    verdict = replace(outcome.verdict, matched_names=None, new_binaries=None)
-    return replace(outcome, session=None, dossier=None, verdict=verdict)
+    verdict = outcome.verdict._replace(matched_names=None, new_binaries=None)
+    return outcome._replace(session=None, dossier=None, verdict=verdict)
 
 
 def _view(results, stored=frozenset()):
@@ -520,6 +519,12 @@ class TestRecordCodec:
         with pytest.raises(UsageError, match=r"^verdict has unknown keys \['score'\]$"):
             decode_record(record)
 
+    def test_a_binary_key_that_artifacts_lack_is_not_a_record(self):
+        record = json.loads(json.dumps(TestTranscriptMarkers._record()))
+        record["verdict"]["new_binaries"][0]["size"] = 1
+        with pytest.raises(UsageError, match="'size'"):
+            decode_record(record)
+
 
 class TestRecordFootprint:
     """A decoded record's verdict, artifacts and outcome carry no
@@ -700,9 +705,9 @@ class TestSessionSummary:
 
     def test_summary_round_trips_through_json(self):
         session = BuildSession(
-            repo_id="x/y", variant="rule-based", max_turns=1, outcome="infra-error"
+            repo_id="x/y", variant="rule-based", max_turns=1, outcome="infra-error",
+            error_detail="boom",
         )
-        session.error_detail = "boom"
         text = json.dumps(_summary(session))
         assert json.loads(text)["error_detail"] == "boom"
 
@@ -1042,7 +1047,7 @@ class TestRunBenchmark:
 
     def test_ids_alike_after_a_slash_swap_get_their_own_session_dirs(self, tmp_path):
         # a/b__c and a__b/c would share run0/a__b__c if "/" became "__"
-        records = [replace(fixture_record("hello_make"), id=rid) for rid in ("a/b__c", "a__b/c")]
+        records = [fixture_record("hello_make")._replace(id=rid) for rid in ("a/b__c", "a__b/c")]
         results = run_benchmark(_cfg(records), tmp_path / "store.jsonl", tmp_path / "work")
         assert {rid: o.verdict.strict for rid, o in results[0].per_repo.items()} == {
             "a/b__c": True, "a__b/c": True,
@@ -1053,7 +1058,7 @@ class TestRunBenchmark:
 
     def test_backslash_in_an_id_does_not_end_its_sessions(self, tmp_path):
         # the session dir run0/fix\1/hello_make reaches every command's /app
-        records = [replace(fixture_record("hello_make"), id=rid)
+        records = [fixture_record("hello_make")._replace(id=rid)
                    for rid in ("fixture/hello_make", "fix\\1/hello_make")]
         results = run_benchmark(_cfg(records), tmp_path / "store.jsonl", tmp_path / "work")
         assert {rid: o.verdict.strict for rid, o in results[0].per_repo.items()} == {

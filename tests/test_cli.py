@@ -1275,3 +1275,9 @@ class TestImportFootprint:
     def test_cli_import_loads_no_datetime(self):
         # a snapshot holds no timestamp, and nothing else reads the clock's date
         assert _loaded_by_cli_import(["datetime"]) == []
+
+    def test_cli_import_loads_no_dataclasses_or_inspect(self):
+        # the value types are named tuples, and the assets are read beside
+        # the package: dataclasses and importlib.resources load inspect,
+        # which loads ast and dis
+        assert _loaded_by_cli_import(["dataclasses", "inspect", "ast", "dis"]) == []

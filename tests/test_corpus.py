@@ -1,7 +1,6 @@
 import json
 import math
 import re
-from dataclasses import fields
 
 import pytest
 
@@ -75,7 +74,7 @@ class TestRecordValidation:
 class TestManifestIo:
     def test_load_fixture_manifest(self):
         manifest = load_manifest(MANIFEST)
-        assert len(manifest) == 8
+        assert len(manifest.records) == 8
         ids = [r.id for r in manifest.records]
         assert ids[0] == "alice/fastgrep"
         by_id = {r.id: r for r in manifest.records}
@@ -108,7 +107,7 @@ class TestManifestIo:
         assert load_manifest(tmp_path / "copy.jsonl").records == manifest.records
 
     def test_checked_fields_are_the_record_fields(self):
-        assert _RECORD_FIELDS.keys() == {f.name for f in fields(RepoRecord)}
+        assert _RECORD_FIELDS.keys() == set(RepoRecord._fields)
 
     def test_malformed_line_raises_with_line_number(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
@@ -124,13 +123,13 @@ class TestManifestIo:
         )
         with caplog.at_level("WARNING"):
             manifest = load_manifest(extra)
-        assert len(manifest) == 1
+        assert len(manifest.records) == 1
         assert any("curator_note" in m for m in caplog.messages)
 
     def test_blank_lines_skipped(self, tmp_path):
         p = tmp_path / "m.jsonl"
         p.write_text('\n{"id": "a/b", "clone_url": "u"}\n\n', "utf-8")
-        assert len(load_manifest(p)) == 1
+        assert len(load_manifest(p).records) == 1
 
     @pytest.mark.parametrize("field, value", [
         ("id", 5),
@@ -213,7 +212,7 @@ class TestSampling:
     def test_oversized_request_raises(self):
         manifest = load_manifest(MANIFEST)
         with pytest.raises(UsageError, match="cannot sample"):
-            sample_repos(manifest, len(manifest) + 1, seed=0)
+            sample_repos(manifest, len(manifest.records) + 1, seed=0)
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_empty_or_negative_request_raises(self, n):

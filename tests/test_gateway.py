@@ -89,10 +89,13 @@ def replying(*replies):
     """A scripted config that gives ``replies`` in order, and the list of
     the latest user message of every call it answers."""
     seen = []
-    scenario = ScriptedScenario()
     queue = list(replies)
-    scenario.resolve = lambda latest: seen.append(latest) or queue.pop(0)
-    return scripted_config(scenario), seen
+
+    class Replying(ScriptedScenario):
+        def resolve(self, latest):
+            return seen.append(latest) or queue.pop(0)
+
+    return scripted_config(Replying()), seen
 
 
 def good_only(raw):

@@ -5,7 +5,6 @@ import re
 import subprocess
 import threading
 import time
-from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -94,7 +93,7 @@ class TestPrepareWorkspace:
             prepare_workspace(record, tmp_path / "session")
 
     def test_revision_of_a_plain_directory_is_not_found(self, tmp_path):
-        record = replace(fixture_record("hello_make"), commit="main")
+        record = fixture_record("hello_make")._replace(commit="main")
         with pytest.raises(RepobuildError, match=re.escape(
                 f"revision main not found in {record.clone_url}")):
             prepare_workspace(record, tmp_path / "session")
@@ -255,6 +254,15 @@ class TestIncrementalSnapshot:
         reads.clear()
         assert discover_new_binaries(before, ws) == []
         assert reads == []
+
+    def test_a_snapshot_equals_its_saved_copy(self, tmp_path):
+        ws = prepare_fixture("hello_make", tmp_path)
+        time.sleep(2 * workspace._RACY_MARGIN_NS / 1e9)
+        snap = snapshot_files(ws)
+        save_snapshot(snap, tmp_path / "snap.json")
+        again = load_snapshot(tmp_path / "snap.json")
+        assert snap.stats and not again.stats
+        assert snap == again and again == snap and not snap != again
 
     def test_stats_take_no_part_in_equality(self, tmp_path):
         ws = prepare_fixture("hello_make", tmp_path)
